@@ -12,7 +12,8 @@
 //
 //	simtime       - no wall-clock time in simulation code (sim.Time only)
 //	detrand       - no math/rand or crypto/rand outside internal/rng
-//	nakedgo       - no go statements outside the sim.Proc machinery
+//	nakedgo       - no go statements outside the sanctioned host worker
+//	              pools (sim.Proc coroutines need none)
 //	maporder      - no order-dependent side effects inside map iteration
 //	lockbalance   - no return/panic path that leaks an acquired lock
 //	              (interprocedural: ownership-transfer callees that

@@ -116,7 +116,7 @@ func ok() { func() {}() }
 `, 0},
 		{"sanctioned site suppressed", `package fx
 func launch(fn func()) {
-	//easyio:allow nakedgo (the one sanctioned Proc backing goroutine)
+	//easyio:allow nakedgo (sanctioned host worker pool)
 	go fn()
 }
 `, 0},

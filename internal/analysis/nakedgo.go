@@ -2,12 +2,15 @@ package analysis
 
 import "go/ast"
 
-// NakedGo forbids raw goroutines. The simulation permits exactly one
-// concurrency mechanism: sim.Proc coroutines, which the engine resumes
-// one at a time in deterministic event order. A naked `go` statement
-// races the OS scheduler against the virtual clock. The single
-// sanctioned launch site (the Proc backing goroutine in internal/sim)
-// carries an //easyio:allow nakedgo comment.
+// NakedGo forbids raw goroutines. Inside the simulation the only
+// concurrency mechanism is sim.Proc: runtime coroutines (iter.Pull) that
+// the engine resumes one at a time in deterministic event order, with no
+// go statement of their own. A naked `go` statement races the OS
+// scheduler against the virtual clock. The sanctioned launch sites are
+// the host worker pools (sim.Cluster rounds, the bench job pool, the
+// analysis runner), each of which confines every engine or package it
+// touches to one worker and joins before merging; each carries an
+// //easyio:allow nakedgo comment saying so.
 var NakedGo = &Analyzer{
 	Name: "nakedgo",
 	Doc:  "forbid go statements — concurrency must go through sim.Proc",

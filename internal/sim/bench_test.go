@@ -38,34 +38,6 @@ func BenchmarkProcSwitch(b *testing.B) {
 	e.Shutdown()
 }
 
-// BenchmarkCondBroadcast measures waking 16 parked procs per iteration.
-func BenchmarkCondBroadcast(b *testing.B) {
-	b.ReportAllocs()
-	const waiters = 16
-	e := NewEngine()
-	c := NewCond(e)
-	for i := 0; i < waiters; i++ {
-		e.StartProc("w", func(p *Proc) {
-			for j := 0; j < b.N; j++ {
-				c.Wait(p)
-			}
-		})
-	}
-	b.ResetTimer()
-	e.StartProc("caller", func(p *Proc) {
-		for j := 0; j < b.N; j++ {
-			// Let the waiters park, then wake them all at once.
-			for c.Waiters() < waiters {
-				p.Sleep(1)
-			}
-			c.Broadcast()
-		}
-	})
-	e.Run()
-	b.StopTimer()
-	e.Shutdown()
-}
-
 // ---------------------------------------------------------------------------
 // Timer-wheel vs. binary-heap head-to-head. The engine runs on the wheel;
 // these benchmarks drive both queue implementations directly with the same

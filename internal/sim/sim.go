@@ -8,17 +8,17 @@
 // something wall-clock goroutines cannot offer at the µs timescales the
 // paper studies.
 //
-// Arbitrary sequential Go code participates through a Proc: a coroutine
-// backed by a goroutine that is resumed synchronously from event context and
-// hands control back whenever it blocks on a simulation primitive (Sleep,
-// Park, or a higher-level primitive built on Pause). Exactly one Proc runs
-// at a time, preserving determinism.
+// Arbitrary sequential Go code participates through a Proc: a runtime
+// coroutine (iter.Pull, proc.go) that is resumed synchronously from event
+// context and hands control back whenever it blocks on a simulation
+// primitive (Sleep, Park, or a higher-level primitive built on Pause).
+// Exactly one Proc runs at a time, preserving determinism, and a panic in
+// a proc surfaces from Engine.Run on the caller's goroutine.
 //
 // The kernel's hot path is allocation-free in steady state: fired events
 // are recycled through a free list (Timer handles stay safe across reuse
-// via a generation counter), Sleep/StartProc resume through a typed event
-// rather than a capturing closure, and Cond.Broadcast wakes all waiters
-// from one scheduled event.
+// via a generation counter), and Sleep/StartProc resume through a typed
+// event rather than a capturing closure.
 package sim
 
 import (
@@ -51,13 +51,11 @@ func (d Duration) Seconds() float64 { return float64(d) / 1e9 }
 // Micros reports d as floating-point microseconds.
 func (d Duration) Micros() float64 { return float64(d) / 1e3 }
 
-// Event kinds. evFunc runs a callback closure; evResume resumes one proc;
-// evBroadcast resumes a batch of procs in FIFO order. The typed kinds keep
-// the Sleep/Broadcast paths closure-free.
+// Event kinds. evFunc runs a callback closure; evResume resumes one proc.
+// The typed resume kind keeps the Sleep path closure-free.
 const (
 	evFunc uint8 = iota
 	evResume
-	evBroadcast
 )
 
 type event struct {
@@ -66,12 +64,11 @@ type event struct {
 	// gen invalidates stale Timer handles across free-list reuse: a
 	// Timer captures the generation at schedule time and Stop refuses to
 	// act once the event has been recycled.
-	gen   uint32
-	kind  uint8
-	dead  bool // set by Timer.Stop
-	fn    func()
-	proc  *Proc   // evResume target
-	procs []*Proc // evBroadcast batch
+	gen  uint32
+	kind uint8
+	dead bool // set by Timer.Stop
+	fn   func()
+	proc *Proc // evResume target
 }
 
 // eventHeap is a hand-rolled binary min-heap ordered by (time, sequence).
@@ -148,9 +145,9 @@ type Engine struct {
 	// dead counts cancelled events still resident in the queue, so both
 	// alloc and Timer.Stop can trigger compaction — a long run of Stops
 	// with no intervening schedules must not retain dead events.
-	dead    int
-	free    []*event
-	procs   map[*Proc]struct{}
+	dead  int
+	free  []*event
+	procs map[*Proc]struct{}
 	// procSeq numbers procs at creation so Shutdown can kill the
 	// surviving set in a deterministic (creation) order.
 	procSeq uint64
@@ -238,7 +235,6 @@ func (e *Engine) release(ev *event) {
 	ev.kind = evFunc
 	ev.fn = nil
 	ev.proc = nil
-	ev.procs = nil
 	e.free = append(e.free, ev)
 }
 
@@ -327,18 +323,13 @@ func (e *Engine) step(deadline Time, bounded bool) bool {
 		// once the event has fired, stale Timer handles must see the
 		// new generation, and the pool slot can back events scheduled
 		// from inside the callback.
-		kind, fn, proc, procs := ev.kind, ev.fn, ev.proc, ev.procs
+		kind, fn, proc := ev.kind, ev.fn, ev.proc
 		e.release(ev)
 		e.inEvent = true
-		switch kind {
-		case evFunc:
-			fn()
-		case evResume:
+		if kind == evResume {
 			proc.Resume()
-		case evBroadcast:
-			for _, p := range procs {
-				p.Resume()
-			}
+		} else {
+			fn()
 		}
 		e.inEvent = false
 		return !e.stopped
@@ -413,13 +404,14 @@ func (e *Engine) setHorizon(bound Time) {
 // clearHorizon disarms the granted-horizon assertion.
 func (e *Engine) clearHorizon() { e.horizonOn = false }
 
-// Shutdown kills every live Proc so their goroutines exit. It must be
-// called outside event context (after Run returns). The engine remains
-// usable for inspection but no further events should be scheduled.
+// Shutdown kills every live Proc, unwinding each parked coroutine so its
+// deferred functions run and its stack is released. It must be called
+// outside event context (after Run returns). The engine remains usable
+// for inspection but no further events should be scheduled.
 func (e *Engine) Shutdown() {
 	// Kill in creation order: kill() unwinds each coroutine, and unwind
-	// side effects (deferred cleanups, panic funnels) deserve the same
-	// determinism as the run itself.
+	// side effects (deferred cleanups) deserve the same determinism as the
+	// run itself.
 	live := make([]*Proc, 0, len(e.procs))
 	for p := range e.procs {
 		live = append(live, p)
@@ -449,12 +441,16 @@ type killed struct{}
 // Exactly one Proc runs at any instant; it runs in zero virtual time until
 // it blocks on a primitive, at which point control returns to the engine.
 type Proc struct {
-	eng    *Engine
-	name   string
-	state  procState
-	resume chan bool // engine -> proc; value true means "kill"
-	yield  chan struct{}
-	fn     func(*Proc)
+	eng   *Engine
+	name  string
+	state procState
+	fn    func(*Proc)
+	// The coroutine (proc.go): next runs fn until its next Pause, stop
+	// unwinds a paused fn, and yield, set when fn first runs, is how Pause
+	// hands control back to the caller of next.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 	// pseq is the creation sequence number; Shutdown kills survivors in
 	// this order so teardown is as deterministic as the run.
 	pseq uint64
@@ -469,13 +465,11 @@ type Proc struct {
 // schedule it with StartProc.
 func (e *Engine) NewProc(name string, fn func(*Proc)) *Proc {
 	p := &Proc{
-		eng:    e,
-		name:   name,
-		state:  procNew,
-		resume: make(chan bool),
-		yield:  make(chan struct{}),
-		fn:     fn,
-		pseq:   e.procSeq,
+		eng:   e,
+		name:  name,
+		state: procNew,
+		fn:    fn,
+		pseq:  e.procSeq,
 	}
 	e.procSeq++
 	e.procs[p] = struct{}{}
@@ -509,7 +503,8 @@ func (p *Proc) SetTag(v any) { p.tag = v }
 
 // Resume runs the proc synchronously until it pauses or finishes. It must
 // be called from event context (inside an event callback). It reports
-// whether the proc is still alive (paused) after this slice.
+// whether the proc is still alive (paused) after this slice. A panic in
+// the proc propagates out of Resume, and so out of Engine.Run.
 func (p *Proc) Resume() bool {
 	if invariants.Enabled {
 		if !p.eng.inEvent {
@@ -533,42 +528,12 @@ func (p *Proc) Resume() bool {
 		p.start()
 	case procPaused:
 		p.state = procRunning
-		p.resume <- false
 	}
-	<-p.yield
+	p.next()
 	if invariants.Enabled {
 		p.eng.running = nil
 	}
 	return p.state != procDone
-}
-
-// start launches the coroutine backing on first resume. Spawning a
-// goroutine allocates its stack, so this lives behind //easyio:coldpath:
-// it happens once per proc lifetime, never in steady state.
-//
-//easyio:coldpath (one-time coroutine-backing launch per proc)
-func (p *Proc) start() {
-	//easyio:allow nakedgo (the one sanctioned goroutine: Proc coroutine backing; *Proc is shared-guarded — every handoff crosses the resume/yield channels, so scheduler and coroutine never touch it concurrently)
-	go p.main()
-}
-
-func (p *Proc) main() {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killed); !ok {
-				// Re-panic on the engine goroutine would be nicer, but
-				// surfacing the original stack is more useful.
-				p.state = procDone
-				delete(p.eng.procs, p)
-				p.yield <- struct{}{}
-				panic(r)
-			}
-		}
-		p.state = procDone
-		delete(p.eng.procs, p)
-		p.yield <- struct{}{}
-	}()
-	p.fn(p)
 }
 
 // Pause hands control back to the engine. The proc stays blocked until
@@ -576,8 +541,7 @@ func (p *Proc) main() {
 // (Sleep, Park, uthread scheduling) are built on.
 func (p *Proc) Pause() {
 	p.state = procPaused
-	p.yield <- struct{}{}
-	if <-p.resume {
+	if !p.yield(struct{}{}) {
 		panic(killed{})
 	}
 }
@@ -592,7 +556,9 @@ func (p *Proc) Sleep(d Duration) {
 	p.Pause()
 }
 
-// kill unwinds a paused or unstarted proc so its goroutine exits.
+// kill unwinds a paused or unstarted proc. For a paused proc, stop makes
+// the pending yield in Pause return false; Pause panics killed{}, fn's
+// deferred functions run, and body swallows the sentinel.
 func (p *Proc) kill() {
 	switch p.state {
 	case procDone, procRunning:
@@ -603,43 +569,6 @@ func (p *Proc) kill() {
 		return
 	case procPaused:
 		p.state = procRunning
-		p.resume <- true
-		<-p.yield
+		p.stop()
 	}
 }
-
-// ---------------------------------------------------------------------------
-// Cond: a simple broadcast condition for procs, usable from event context.
-
-// Cond parks procs until Broadcast wakes them all. It is the building block
-// for completion waits inside the simulated runtimes.
-type Cond struct {
-	eng     *Engine
-	waiters []*Proc
-}
-
-// NewCond returns a condition bound to e.
-func NewCond(e *Engine) *Cond { return &Cond{eng: e} }
-
-// Wait parks the calling proc until the next Broadcast.
-func (c *Cond) Wait(p *Proc) {
-	c.waiters = append(c.waiters, p)
-	p.Pause()
-}
-
-// Broadcast wakes all waiting procs in FIFO order from one scheduled
-// batch event (rather than one immediate event per waiter). Must be
-// called from event context.
-func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
-	if len(ws) == 0 {
-		return
-	}
-	ev := c.eng.alloc(c.eng.now)
-	ev.kind = evBroadcast
-	ev.procs = ws
-}
-
-// Waiters reports how many procs are parked on c.
-func (c *Cond) Waiters() int { return len(c.waiters) }

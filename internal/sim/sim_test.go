@@ -208,29 +208,6 @@ func TestShutdownKillsParkedProc(t *testing.T) {
 	}
 }
 
-func TestCondBroadcast(t *testing.T) {
-	e := NewEngine()
-	c := NewCond(e)
-	woken := 0
-	for i := 0; i < 5; i++ {
-		e.StartProc("w", func(p *Proc) {
-			c.Wait(p)
-			woken++
-		})
-	}
-	e.After(10, func() {
-		if c.Waiters() != 5 {
-			t.Errorf("waiters = %d, want 5", c.Waiters())
-		}
-		c.Broadcast()
-	})
-	e.Run()
-	e.Shutdown()
-	if woken != 5 {
-		t.Fatalf("woken = %d, want 5", woken)
-	}
-}
-
 func TestProcTag(t *testing.T) {
 	e := NewEngine()
 	p := e.NewProc("t", func(p *Proc) {
