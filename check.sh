@@ -3,6 +3,17 @@
 # Run from the module root. Fails fast on the first broken step.
 set -eu
 
+# same_output PKG ARGS_A ARGS_B builds PKG, runs it once with each
+# (word-split) argument list, and fails unless both outputs are identical.
+same_output() {
+  bin=/tmp/easyio-same-output
+  go build -o "$bin" "$1"
+  "$bin" $2 > "$bin.a"
+  "$bin" $3 > "$bin.b"
+  diff "$bin.a" "$bin.b"
+  rm -f "$bin" "$bin.a" "$bin.b"
+}
+
 echo '== go build ./...'
 go build ./...
 
@@ -76,28 +87,13 @@ echo '== bench smoke (one iteration of every benchmark)'
 go test -bench=. -benchtime=1x -run '^$' ./internal/sim .
 
 echo '== parallel runner byte-identity (-parallel 4 vs sequential)'
-go build -o /tmp/easyio-bench-check ./cmd/easyio-bench
-/tmp/easyio-bench-check -exp all -quick -parallel 1 > /tmp/easyio-bench-seq.txt
-/tmp/easyio-bench-check -exp all -quick -parallel 4 > /tmp/easyio-bench-par.txt
-diff /tmp/easyio-bench-seq.txt /tmp/easyio-bench-par.txt
-rm -f /tmp/easyio-bench-check /tmp/easyio-bench-seq.txt /tmp/easyio-bench-par.txt
+same_output ./cmd/easyio-bench '-exp all -quick -parallel 1' '-exp all -quick -parallel 4'
 
 echo '== serving sweep smoke (-parallel 1 vs 4 byte-identity)'
-go build -o /tmp/easyio-serve-check ./cmd/easyio-serve
-/tmp/easyio-serve-check -quick -parallel 1 > /tmp/easyio-serve-p1.txt
-/tmp/easyio-serve-check -quick -parallel 4 > /tmp/easyio-serve-p4.txt
-diff /tmp/easyio-serve-p1.txt /tmp/easyio-serve-p4.txt
-rm -f /tmp/easyio-serve-check /tmp/easyio-serve-p1.txt /tmp/easyio-serve-p4.txt
+same_output ./cmd/easyio-serve '-quick -parallel 1' '-quick -parallel 4'
 
 echo '== cluster scaling smoke (-simworkers 1 vs 4 byte-identity)'
-go build -o /tmp/easyio-bench-sw ./cmd/easyio-bench
-/tmp/easyio-bench-sw -exp fig9 -quick -simworkers 1 > /tmp/easyio-bench-sw1.txt
-/tmp/easyio-bench-sw -exp fig9 -quick -simworkers 4 > /tmp/easyio-bench-sw4.txt
-diff /tmp/easyio-bench-sw1.txt /tmp/easyio-bench-sw4.txt
-go build -o /tmp/easyio-serve-sw ./cmd/easyio-serve
-/tmp/easyio-serve-sw -quick -simworkers 1 > /tmp/easyio-serve-sw1.txt
-/tmp/easyio-serve-sw -quick -simworkers 4 > /tmp/easyio-serve-sw4.txt
-diff /tmp/easyio-serve-sw1.txt /tmp/easyio-serve-sw4.txt
-rm -f /tmp/easyio-bench-sw /tmp/easyio-bench-sw?.txt /tmp/easyio-serve-sw /tmp/easyio-serve-sw?.txt
+same_output ./cmd/easyio-bench '-exp fig9 -quick -simworkers 1' '-exp fig9 -quick -simworkers 4'
+same_output ./cmd/easyio-serve '-quick -simworkers 1' '-quick -simworkers 4'
 
 echo 'check.sh: all gates green'

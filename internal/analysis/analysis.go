@@ -49,15 +49,14 @@
 //	handlestate   - fsapi/nova handles: Open -> use -> Close, no
 //	              use-after-close, close on all paths
 //
-// svclifecycle/horizonproto/epochbudget/handlestate/persistorder are
-// declarative specs on the typestate protocol engine (typestate.go,
-// protocols.go): lifecycle automata declared as data, checked by
-// per-path abstract interpretation with per-function ProtocolSummary
-// facts propagated bottom-up over the call-graph SCCs; findings carry
-// the concrete state trace. fencehygiene/recoverypurity ride on the
-// persistence dataflow engine (dataflow.go): a path-sensitive walker
-// abstracts each function into a persistence automaton (pending-store
-// set, fence state) propagated bottom-up over the call-graph SCCs.
+// svclifecycle/horizonproto/epochbudget/handlestate/parityepoch/
+// persistorder are declarative specs on the typestate protocol engine
+// (typestate.go, protocols.go): lifecycle automata declared as data,
+// checked by per-path abstract interpretation with per-function
+// ProtocolSummary facts propagated bottom-up over the call-graph SCCs;
+// findings carry the concrete state trace. fencehygiene is a second
+// reporter on the persistorder result: redundant fences and pending
+// stores left at call-graph roots.
 //
 // lockorder/confinement/atomichygiene are *global* analyzers
 // (Analyzer.Global): their findings are a property of the whole module,

@@ -53,11 +53,6 @@ type ModuleInfo struct {
 	SCCs [][]*FuncNode
 	// Summaries holds the computed effect summary per function.
 	Summaries map[*types.Func]*Summary
-	// Persist holds the persistence automaton summary per function
-	// (dataflow.go), and PersistLits the anonymous function-literal
-	// units.
-	Persist     map[*types.Func]*PersistSummary
-	PersistLits []*PersistSummary
 
 	// locks/conf/atomicH are the module-wide concurrency-soundness views
 	// the global analyzers (lockorder, confinement, atomichygiene) replay
@@ -107,7 +102,6 @@ func BuildModule(pkgs []*Package) *ModuleInfo {
 	mod := &ModuleInfo{
 		Funcs:     map[*types.Func]*FuncNode{},
 		Summaries: map[*types.Func]*Summary{},
-		Persist:   map[*types.Func]*PersistSummary{},
 		pkgs:      pkgs,
 		pkgPaths:  map[string]bool{},
 	}
@@ -175,7 +169,6 @@ func BuildModule(pkgs []*Package) *ModuleInfo {
 	}
 	mod.SCCs = tarjanSCC(mod.Nodes)
 	computeSummaries(mod)
-	computePersistSummaries(mod)
 	computeLockOrder(mod)
 	computeConfinement(mod)
 	computeAtomicHygiene(mod)

@@ -18,7 +18,10 @@ package analysis
 //     their callers dispatch dynamically (the DataMover pattern), so the
 //     static graph cannot see who fences after them.
 //
-// internal/pmem is exempt as the device implementation layer.
+// Both read the persistorder protocol's engine result (persistorder.go):
+// a redundant fence is a Fence taken when the only possible state is
+// "fenced", and a leak is a root's exit trace. internal/pmem is exempt
+// through that protocol's ExemptPkgs.
 var FenceHygiene = &Analyzer{
 	Name: "fencehygiene",
 	Doc:  "no redundant back-to-back fences, no stores left unfenced at call-graph roots",
@@ -26,36 +29,36 @@ var FenceHygiene = &Analyzer{
 }
 
 func runFenceHygiene(pass *Pass) {
-	if pass.Mod == nil || deviceImplPkg(pass.Pkg) {
+	if pass.Mod == nil {
 		return
 	}
-	redundant := func(ps *PersistSummary) {
-		for _, pos := range ps.Redundant {
+	res := pass.Mod.protocolResult(persistProtocol.Name)
+	redundant := func(sum *ProtocolSummary) {
+		for _, pos := range sum.redundant {
 			pass.Reportf(pos, "redundant Device.Fence: the device is already clean on every path here (no persistent store since the previous fence); delete it — fences are charged on the critical path")
 		}
 	}
 	iface := pass.Mod.interfaceMethodNames()
 	for _, n := range pass.Mod.NodesOf(pass.Pkg) {
-		ps := pass.Mod.PersistSummaryFor(n.Obj)
-		if ps == nil {
-			continue
-		}
-		redundant(ps)
+		sum := res.sums[n.Obj]
+		redundant(sum)
 		// Leak check: only judged at roots the static graph can close
 		// over — no callers, and not an interface-implementing method.
-		if len(n.Callers) > 0 || len(ps.PendingAtExit) == 0 {
+		if len(n.Callers) > 0 || len(sum.exitTrace) == 0 {
 			continue
 		}
 		if n.Decl.Recv != nil && iface[n.Decl.Name.Name] {
 			continue
 		}
-		first := ps.PendingAtExit[0]
-		fp := pass.Pkg.Fset.Position(first.Pos)
-		pass.Reportf(first.Pos,
+		first := sum.exitTrace[0]
+		fp := pass.Pkg.Fset.Position(first.pos)
+		pass.Reportf(first.pos,
 			"persistent store %s (%s:%d) can exit %s unfenced, and no caller exists to fence it; the store may never become durable",
-			first.Desc, shortFile(fp.Filename), fp.Line, n.Decl.Name.Name)
+			first.desc, shortFile(fp.Filename), fp.Line, n.Decl.Name.Name)
 	}
-	for _, ps := range pass.Mod.PersistLitsOf(pass.Pkg) {
-		redundant(ps)
+	for _, sum := range res.lits {
+		if sum.node.Pkg == pass.Pkg {
+			redundant(sum)
+		}
 	}
 }

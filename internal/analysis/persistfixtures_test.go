@@ -164,6 +164,72 @@ func Ok(d *Device, b []byte) {
 	d.WriteAt(4096, b)
 }
 `, 0},
+		{"fence after a must-fence clean-exit callee flagged", deviceFixture + `
+func flush(d *Device, b []byte) {
+	d.WriteAt(4096, b)
+	d.Fence()
+}
+func Bad(d *Device, b []byte) {
+	flush(d, b)
+	d.Fence()
+}
+`, 1},
+		{"interface call between two fences keeps the second", deviceFixture + `
+type Syncer interface{ Sync() }
+func Ok(d *Device, b []byte, s Syncer) {
+	d.WriteAt(4096, b)
+	d.Fence()
+	s.Sync()
+	d.Fence()
+}
+`, 0},
+		{"back-to-back fence inside a function literal flagged", deviceFixture + `
+func Run(d *Device, b []byte) func() {
+	return func() {
+		d.WriteAt(4096, b)
+		d.Fence()
+		d.Fence()
+	}
+}
+`, 1},
+		{"deferred helper store leaks at a root", deviceFixture + `
+func writeSlot(d *Device, b []byte) { d.WriteAt(4096, b) }
+func Bad(d *Device, b []byte) {
+	defer writeSlot(d, b)
+	d.Fence()
+}
+`, 1},
+		{"unknown deferred call spoils the callee's clean exit", deviceFixture + `
+func sync(d *Device, done func()) {
+	defer done()
+	d.Fence()
+}
+func Ok(d *Device, done func()) {
+	sync(d, done)
+	d.Fence()
+}
+`, 0},
+		{"store inside a loop keeps the fence after it", deviceFixture + `
+func Ok(d *Device, bs [][]byte) {
+	d.Fence()
+	for _, b := range bs {
+		d.WriteAt(4096, b)
+	}
+	d.Fence()
+}
+`, 0},
+		{"store then panic at a root does not leak", deviceFixture + `
+func Crash(d *Device, b []byte) {
+	d.WriteAt(4096, b)
+	panic("torn")
+}
+`, 0},
+		{"store then os.Exit at a root does not leak", strings.Replace(deviceFixture, "package fx\n", "package fx\nimport \"os\"\n", 1) + `
+func Crash(d *Device, b []byte) {
+	d.WriteAt(4096, b)
+	os.Exit(1)
+}
+`, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -28,11 +28,13 @@ var PersistOrder = &Analyzer{
 	Run:  runProtocol("persistorder"),
 }
 
-// persistProtocol is the persistence automaton as a typestate spec. May
-// mode: a violation is "some path reaches a commit point with pending
-// (unfenced) stores", so pending-site traces union at joins and loops
-// analyze body-once + zero-iteration merge — the engine reproduces the
-// retired dataflow traversal byte-for-byte.
+// persistProtocol is the module's one persistence automaton as a
+// typestate spec. May mode: a violation is "some path reaches a commit
+// point with pending (unfenced) stores", so pending-site traces union at
+// joins and loops analyze body-once + zero-iteration merge. The same
+// result feeds fencehygiene: a Fence taken when the only possible state
+// is already "fenced" is redundant, and a pending trace at a call-graph
+// root is a leak.
 var persistProtocol = &Protocol{
 	Name:            "persistorder",
 	Doc:             PersistOrder.Doc,
@@ -40,7 +42,6 @@ var persistProtocol = &Protocol{
 	States:          []string{"start", "dirty", "fenced", "fdirty"},
 	Entry:           "start",
 	May:             true,
-	LoopOnce:        true,
 	ExemptPkgs:      []string{"internal/pmem"},
 	CallViolDesc:    "call to %s (commits before its first fence)",
 	CallPendingDesc: "store(s) inside %s",
@@ -69,11 +70,6 @@ func renderPersistViolation(v *ProtoViolation, fset *token.FileSet) string {
 	return fmt.Sprintf(
 		"commit-point store %s executes with %d unfenced persistent store(s) (first: %s at %s:%d); a crash here commits metadata before the data is durable — insert Device.Fence before committing",
 		v.OpDesc, len(v.Trace), first.desc, shortFile(fp.Filename), fp.Line)
-}
-
-// deviceImplPkg reports whether pkg is the device implementation layer.
-func deviceImplPkg(pkg *Package) bool {
-	return strings.HasSuffix(pkg.Path, "internal/pmem")
 }
 
 // shortFile trims a position filename to its last two path elements so

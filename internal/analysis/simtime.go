@@ -244,3 +244,130 @@ func simtimeHostTaint(pass *Pass, f *ast.File, isTimeSel func(ast.Node) (*ast.Se
 		return true
 	})
 }
+
+// ---------------------------------------------------------------------
+// Def-use taint tracking (file-scoped) for the host-package mode: it
+// proves that a wall-clock value flows only into host telemetry and never
+// into simulation input.
+
+// taintSet tracks which objects and expressions of one file carry a
+// value derived from a seed expression (e.g. a time.Now() result).
+type taintSet struct {
+	info *types.Info
+	objs map[types.Object]bool
+	// seed reports whether a call expression originates a tainted value.
+	seed func(*ast.CallExpr) bool
+}
+
+func newTaintSet(info *types.Info, seed func(*ast.CallExpr) bool) *taintSet {
+	return &taintSet{info: info, objs: map[types.Object]bool{}, seed: seed}
+}
+
+// propagate runs the def-use fixpoint over every assignment in the file
+// (closures included): any object assigned from a tainted expression
+// becomes tainted.
+func (t *taintSet) propagate(f *ast.File) {
+	for changed := true; changed; {
+		changed = false
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if len(n.Lhs) == len(n.Rhs) {
+					for i, lhs := range n.Lhs {
+						if t.tainted(n.Rhs[i]) && t.markLHS(lhs) {
+							changed = true
+						}
+					}
+				} else if anyTainted(t, n.Rhs) {
+					for _, lhs := range n.Lhs {
+						if t.markLHS(lhs) {
+							changed = true
+						}
+					}
+				}
+			case *ast.ValueSpec:
+				if len(n.Names) == len(n.Values) {
+					for i, name := range n.Names {
+						if t.tainted(n.Values[i]) && t.markIdent(name) {
+							changed = true
+						}
+					}
+				} else if anyTainted(t, n.Values) {
+					for _, name := range n.Names {
+						if t.markIdent(name) {
+							changed = true
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+func anyTainted(t *taintSet, exprs []ast.Expr) bool {
+	for _, e := range exprs {
+		if t.tainted(e) {
+			return true
+		}
+	}
+	return false
+}
+
+func (t *taintSet) markLHS(lhs ast.Expr) bool {
+	if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
+		return t.markIdent(id)
+	}
+	return false
+}
+
+func (t *taintSet) markIdent(id *ast.Ident) bool {
+	var obj types.Object
+	if o, ok := t.info.Defs[id]; ok && o != nil {
+		obj = o
+	} else if o, ok := t.info.Uses[id]; ok && o != nil {
+		obj = o
+	}
+	if obj == nil || t.objs[obj] {
+		return false
+	}
+	t.objs[obj] = true
+	return true
+}
+
+// tainted reports whether the expression's value derives from a seed:
+// seed calls, tainted identifiers, method calls on tainted receivers,
+// conversions, selectors, arithmetic and indexing over tainted operands.
+func (t *taintSet) tainted(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.Ident:
+		if o, ok := t.info.Uses[e]; ok && o != nil {
+			return t.objs[o]
+		}
+		return false
+	case *ast.CallExpr:
+		if t.seed(e) {
+			return true
+		}
+		if tv, ok := t.info.Types[e.Fun]; ok && tv.IsType() {
+			return len(e.Args) == 1 && t.tainted(e.Args[0])
+		}
+		if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok {
+			return t.tainted(sel.X)
+		}
+		return false
+	case *ast.SelectorExpr:
+		return t.tainted(e.X)
+	case *ast.BinaryExpr:
+		return t.tainted(e.X) || t.tainted(e.Y)
+	case *ast.UnaryExpr:
+		return t.tainted(e.X)
+	case *ast.ParenExpr:
+		return t.tainted(e.X)
+	case *ast.StarExpr:
+		return t.tainted(e.X)
+	case *ast.IndexExpr:
+		return t.tainted(e.X)
+	}
+	return false
+}

@@ -4,8 +4,8 @@ package analysis
 // declared as in-tree Go data — states, a start/accept set, transitions
 // keyed by method/function matchers, and an error message per illegal
 // edge — and the engine does the rest: per-path abstract interpretation
-// over the typed ASTs with the established branch/defer/panic handling
-// (mirroring dataflow.go's pWalker), per-function ProtocolSummary facts
+// over the typed ASTs with branch merging, defer replay at every exit and
+// crash calls ending the path, per-function ProtocolSummary facts
 // (entry-state → exit-state map plus must-pass-through obligations)
 // propagated bottom-up over the call-graph SCCs with bounded widening at
 // loops and recursion, and violations reported at call sites with the
@@ -23,10 +23,12 @@ package analysis
 //
 //   - Ambient may-mode (persistorder): the persistence protocol, where a
 //     violation is "some path reaches the commit with pending stores".
-//     The walker tracks a pending-site trace (may-union at joins) and a
-//     must-cleared flag, reproducing the retired bespoke persistence
-//     traversal byte-for-byte, including its loop (body-once + merge)
-//     and defer-replay semantics.
+//     The walker tracks a pending-site trace (may-union at joins), a
+//     must-cleared flag, and the possible-state bitset along the spec's
+//     edges; loops run the body once and merge the zero-iteration state.
+//     A clear taken when its target is already the only possible state
+//     is redundant. fencehygiene reports those redundant clears and the
+//     pending traces left at call-graph roots.
 //
 //   - Per-value (handlestate): each tracked object (a file handle) runs
 //     its own automaton keyed by its types.Object, with nil-guard error
@@ -34,7 +36,7 @@ package analysis
 //     tracking), ownership transfer on return, and exit obligations
 //     (accept states) checked on every normal exit after defer replay.
 //
-// The five protocol specs live in protocols.go / persistorder.go;
+// The protocol specs live in protocols.go / persistorder.go;
 // TypestateFingerprint feeds the spec text into the fact-cache key so a
 // protocol edit invalidates warm entries.
 
@@ -85,13 +87,11 @@ type Protocol struct {
 	// instead of one ambient automaton per control-flow context.
 	PerValue bool
 	// May switches to may-mode reporting (persistorder): violations fire
-	// when some path violates, traces union at joins, and summaries use
-	// the cleared-flag shape instead of per-entry-state transfer maps.
+	// when some path violates, traces union at joins, summaries use the
+	// cleared-flag shape instead of per-entry-state transfer maps, and
+	// loop bodies are analyzed once and merged with the zero-iteration
+	// state instead of iterated to a bounded fixpoint.
 	May bool
-	// LoopOnce analyzes loop bodies once against a clone and merges the
-	// zero-iteration state (the persistence engine's historical loop
-	// rule); must-mode protocols instead iterate to a bounded fixpoint.
-	LoopOnce bool
 	// ValueType is the named type of tracked values (per-value only).
 	ValueType string
 	// ExemptPkgs are import-path suffixes whose functions implement the
@@ -207,7 +207,10 @@ type protoC struct {
 	allBits stateset
 	accept  stateset
 	entry   stateset
-	ops     []opC
+	// clean is the target of the may-mode Clears op: when it is the only
+	// possible state, another clear is redundant.
+	clean stateset
+	ops   []opC
 	// opNames pre-filters functions: a function whose body calls none
 	// of these names (and has no tracked-type parameter) is untouched.
 	opNames map[string]bool
@@ -252,6 +255,9 @@ func compileProtocol(p *Protocol) *protoC {
 			c.from |= bit(e[0])
 			c.to[pc.idx[e[0]]] = pc.idx[e[1]]
 			legal = append(legal, e[0])
+			if op.Clears {
+				pc.clean |= bit(e[1])
+			}
 		}
 		c.legal = strings.Join(legal, ", ")
 		if op.Name != "*" {
@@ -277,6 +283,18 @@ func (pc *protoC) render(bits stateset) string {
 		return "none"
 	}
 	return strings.Join(names, "|")
+}
+
+// step maps the possible states that admit op c to their edge targets;
+// 0 means no possible state admits it.
+func (pc *protoC) step(c *opC, bits stateset) stateset {
+	var next stateset
+	for i := 0; i < pc.nstates; i++ {
+		if bits&c.from&(1<<uint(i)) != 0 {
+			next |= 1 << uint(c.to[i])
+		}
+	}
+	return next
 }
 
 // exemptUnit reports whether a function implements the protocol (its
@@ -318,11 +336,15 @@ type ProtocolSummary struct {
 	// the entry includes that state (excluding unconditional ones).
 	cond []map[token.Pos]*ProtoViolation
 	// May-mode facts (persistorder): every normal exit executed a clear;
-	// pending sites left at some exit; commit points reachable with no
-	// prior clear since entry.
+	// every normal exit is in the clear's target state (nothing may have
+	// stored since); pending sites left at some exit; commit points
+	// reachable with no prior clear since entry; clears taken when the
+	// target was already the only possible state (fencehygiene).
 	mustClear bool
+	cleanExit bool
 	exitTrace []tsStep
 	condClear []token.Pos
+	redundant []token.Pos
 	// Per-value facts, indexed by parameter position: the function uses
 	// / provably closes / escapes a tracked-type parameter; returnsFresh
 	// marks a function returning a freshly created open value.
@@ -340,6 +362,9 @@ func (s *ProtocolSummary) fingerprint() string {
 	}
 	if s.mustClear {
 		b.WriteString("C")
+	}
+	if s.cleanExit {
+		b.WriteString("K")
 	}
 	if s.returnsFresh {
 		b.WriteString("R")
@@ -432,8 +457,12 @@ func (s *tsState) clone() *tsState {
 	return c
 }
 
-// addStep appends a trace step with position dedup and the historical
-// site cap (maxPendingSites), keeping first-seen order.
+// maxPendingSites bounds a trace so the SCC fixpoint terminates;
+// overflow keeps the first sites (the ones a finding would cite anyway).
+const maxPendingSites = 16
+
+// addStep appends a trace step with position dedup and the site cap,
+// keeping first-seen order.
 func addStep(steps []tsStep, st tsStep) []tsStep {
 	for _, s := range steps {
 		if s.pos == st.pos {
@@ -712,10 +741,13 @@ func (w *tsWalker) finish() {
 		if len(w.exits) == 0 {
 			return
 		}
-		sum.mustClear = true
+		sum.mustClear, sum.cleanExit = true, true
 		for _, ex := range w.exits {
 			if !ex.cleared {
 				sum.mustClear = false
+			}
+			if ex.bits != pc.clean {
+				sum.cleanExit = false
 			}
 			for _, st := range ex.trace {
 				sum.exitTrace = addStep(sum.exitTrace, st)
@@ -768,7 +800,7 @@ func (w *tsWalker) finish() {
 }
 
 // ---------------------------------------------------------------------
-// Control flow (mirrors dataflow.go's pWalker).
+// Control flow.
 
 func (w *tsWalker) stmts(list []ast.Stmt, st *tsState) (*tsState, bool) {
 	for _, s := range list {
@@ -854,12 +886,13 @@ func (w *tsWalker) stmt(s ast.Stmt, st *tsState) (*tsState, bool) {
 	return st, false
 }
 
-// loopBody: may-mode (LoopOnce) analyzes the body once and merges the
-// zero-iteration state (the historical persistence rule); must-mode
-// iterates to a bounded fixpoint so states reached late in iteration one
-// feed back into iteration two.
+// loopBody: may-mode analyzes the body once and merges the
+// zero-iteration state (stores in the body may be pending after the loop,
+// fences in it are not guaranteed); must-mode iterates to a bounded
+// fixpoint so states reached late in iteration one feed back into
+// iteration two.
 func (w *tsWalker) loopBody(body *ast.BlockStmt, st *tsState) {
-	if w.pc.p.LoopOnce {
+	if w.pc.p.May {
 		out, _ := w.stmts(body.List, st.clone())
 		st.setFrom(st.merge(out, w.pc))
 		return
@@ -1225,9 +1258,13 @@ func (w *tsWalker) call(call *ast.CallExpr, st *tsState) {
 			return // type conversion
 		}
 	}
-	// Dynamic dispatch: unknown protocol effect; ambient state is kept
-	// (may-mode historically only dropped the clean proof) and tracked
-	// values passed as arguments escape via escapeScan.
+	// Dynamic dispatch: unknown protocol effect. Must-mode keeps the
+	// ambient state and tracked arguments escape via escapeScan; may-mode
+	// keeps the pending trace and cleared flag, but the target may store
+	// or fence, so any state is possible (the clean proof dies).
+	if w.pc.p.May {
+		st.bits = w.pc.allBits
+	}
 }
 
 // applyOp applies one matched protocol op to the path state.
@@ -1240,9 +1277,14 @@ func (w *tsWalker) applyOp(c *opC, call *ast.CallExpr, sel *ast.SelectorExpr, st
 	p := w.pc.p
 	if p.May {
 		// May-mode (persistorder): clears reset the pending trace;
-		// logged ops append; commit points fire on pending paths.
+		// logged ops append; commit points fire on pending paths. The
+		// possible states follow the spec's edges, so a clear taken when
+		// its target is already the only possible state is redundant.
 		if c.op.Clears {
-			st.cleared, st.trace = true, nil
+			if st.bits == w.pc.clean {
+				w.sum.redundant = addPos(w.sum.redundant, call.Pos())
+			}
+			st.bits, st.cleared, st.trace = w.pc.step(c, st.bits), true, nil
 			return
 		}
 		if w.isCommit(c.op.Commit, call) {
@@ -1259,6 +1301,7 @@ func (w *tsWalker) applyOp(c *opC, call *ast.CallExpr, sel *ast.SelectorExpr, st
 		if c.op.Logged {
 			st.trace = addStep(st.trace, tsStep{pos: call.Pos(), desc: desc})
 		}
+		st.bits = w.pc.step(c, st.bits)
 		return
 	}
 	// Must-mode ambient automaton.
@@ -1267,8 +1310,8 @@ func (w *tsWalker) applyOp(c *opC, call *ast.CallExpr, sel *ast.SelectorExpr, st
 		st.trace = addStep(st.trace, tsStep{pos: call.Pos(), desc: desc + ": " + p.States[c.toCreate]})
 		return
 	}
-	surv := st.bits & c.from
-	if surv == 0 {
+	next := w.pc.step(c, st.bits)
+	if next == 0 {
 		w.report(&ProtoViolation{
 			Pos: call.Pos(), OpDesc: desc,
 			States: w.pc.render(st.bits), Legal: c.legal, OpMsg: c.op.Msg,
@@ -1277,12 +1320,6 @@ func (w *tsWalker) applyOp(c *opC, call *ast.CallExpr, sel *ast.SelectorExpr, st
 		// Reset to unknown so one mistake does not cascade.
 		st.bits = w.pc.allBits | w.pc.noneBit
 		return
-	}
-	var next stateset
-	for i := 0; i < w.pc.nstates; i++ {
-		if surv&(1<<uint(i)) != 0 {
-			next |= 1 << uint(c.to[i])
-		}
 	}
 	if next != st.bits {
 		st.trace = addStep(st.trace, tsStep{pos: call.Pos(), desc: desc + ": " + w.pc.render(next)})
@@ -1293,15 +1330,19 @@ func (w *tsWalker) applyOp(c *opC, call *ast.CallExpr, sel *ast.SelectorExpr, st
 // addCondClear records a commit point reachable with no prior clear
 // since entry (persistorder's commit-no-prior-fence fact).
 func (w *tsWalker) addCondClear(pos token.Pos) {
-	if w.entryIdx >= 0 {
-		return
+	if w.entryIdx < 0 {
+		w.sum.condClear = addPos(w.sum.condClear, pos)
 	}
-	for _, p := range w.sum.condClear {
+}
+
+// addPos appends pos unless already present.
+func addPos(ps []token.Pos, pos token.Pos) []token.Pos {
+	for _, p := range ps {
 		if p == pos {
-			return
+			return ps
 		}
 	}
-	w.sum.condClear = append(w.sum.condClear, pos)
+	return append(ps, pos)
 }
 
 // applyOpPV applies a matched op to each tracked value it touches.
@@ -1344,20 +1385,14 @@ func (w *tsWalker) applyObjOp(c *opC, pos token.Pos, desc string, o *objTrack) {
 	if o.param >= 0 && w.sum.paramUse != nil {
 		w.sum.paramUse[o.param] = true
 	}
-	surv := o.bits & c.from
-	if surv == 0 {
+	next := w.pc.step(c, o.bits)
+	if next == 0 {
 		w.report(&ProtoViolation{
 			Pos: pos, OpDesc: desc,
 			States: w.pc.render(o.bits &^ w.pc.noneBit), Legal: c.legal, OpMsg: c.op.Msg,
 			Trace: append([]tsStep(nil), o.trace...),
 		})
 		return
-	}
-	var next stateset
-	for i := 0; i < w.pc.nstates; i++ {
-		if surv&(1<<uint(i)) != 0 {
-			next |= 1 << uint(c.to[i])
-		}
 	}
 	if next != (o.bits &^ w.pc.noneBit) {
 		o.trace = addStep(o.trace, tsStep{pos: pos, desc: desc + ": " + w.pc.render(next)})
@@ -1400,15 +1435,7 @@ func (w *tsWalker) applyCallee(call *ast.CallExpr, fn *types.Func, cs *ProtocolS
 				w.addCondClear(call.Pos())
 			}
 		}
-		if cs.mustClear {
-			st.cleared, st.trace = true, nil
-		}
-		if len(cs.exitTrace) > 0 {
-			st.trace = addStep(st.trace, tsStep{
-				pos:  call.Pos(),
-				desc: fmt.Sprintf(p.CallPendingDesc, fn.Name()),
-			})
-		}
+		w.applyMayExit(call.Pos(), fn, cs, st)
 		return
 	}
 	if p.PerValue {
@@ -1473,6 +1500,26 @@ func (w *tsWalker) applyCallee(call *ast.CallExpr, fn *types.Func, cs *ProtocolS
 			st.bits = next
 			st.trace = addStep(st.trace, tsStep{pos: call.Pos(), desc: "call " + fn.Name() + ": " + w.pc.render(next)})
 		}
+	}
+}
+
+// applyMayExit folds a may-mode callee's exit facts into the path state,
+// at a call or at a deferred call's exit replay. Clears are global, so a
+// must-clear callee empties the caller's pending trace too; a callee
+// with a clean exit leaves only the clear's target possible, and any
+// other protocol-touching callee may have stored, so any state is.
+func (w *tsWalker) applyMayExit(pos token.Pos, fn *types.Func, cs *ProtocolSummary, st *tsState) {
+	if cs.mustClear {
+		st.cleared, st.trace = true, nil
+	}
+	if len(cs.exitTrace) > 0 {
+		st.trace = addStep(st.trace, tsStep{pos: pos, desc: fmt.Sprintf(w.pc.p.CallPendingDesc, fn.Name())})
+	}
+	switch {
+	case cs.cleanExit:
+		st.bits = w.pc.clean
+	case cs.touches:
+		st.bits = w.pc.allBits
 	}
 }
 
@@ -1817,8 +1864,11 @@ func (w *tsWalker) deferCall(call *ast.CallExpr, st *tsState) {
 		w.addDefer(tsDefer{pos: call.Pos(), callee: cs, cfn: fn, enclosed: call})
 		return
 	}
-	// Unknown deferred call: tracked arguments escape; no ambient
-	// effect (may-mode historically only dropped the clean proof).
+	// Unknown deferred call: tracked arguments escape; may-mode replays
+	// it at exit as a dynamic call (the clean proof dies).
+	if w.pc.p.May {
+		w.addDefer(tsDefer{pos: call.Pos()})
+	}
 	if w.pc.p.PerValue {
 		for _, a := range call.Args {
 			if id, ok := ast.Unparen(a).(*ast.Ident); ok {
@@ -1851,6 +1901,7 @@ func (w *tsWalker) replayDefer(d *tsDefer, ex *tsState) {
 			} else if d.op.op.Logged {
 				ex.trace = addStep(ex.trace, tsStep{pos: d.pos, desc: d.desc})
 			}
+			ex.bits = w.pc.step(d.op, ex.bits)
 		case p.PerValue:
 			if d.recvObj != nil {
 				if o := ex.objs[d.recvObj]; o != nil {
@@ -1867,18 +1918,13 @@ func (w *tsWalker) replayDefer(d *tsDefer, ex *tsState) {
 		}
 		return
 	}
-	if d.callee == nil {
-		return
-	}
 	cs := d.callee
 	switch {
+	case cs == nil:
+		// Unknown deferred call (registered in may-mode only).
+		ex.bits = w.pc.allBits
 	case p.May:
-		if cs.mustClear {
-			ex.cleared, ex.trace = true, nil
-		}
-		if len(cs.exitTrace) > 0 {
-			ex.trace = addStep(ex.trace, tsStep{pos: d.pos, desc: fmt.Sprintf(p.CallPendingDesc, d.cfn.Name())})
-		}
+		w.applyMayExit(d.pos, d.cfn, cs, ex)
 	case p.PerValue:
 		w.sanctionArgs(d.enclosed, ex, func(argIdx int, o *objTrack) {
 			if argIdx < len(cs.paramClose) && cs.paramClose[argIdx] {
@@ -2036,7 +2082,7 @@ func computeProtocol(mod *ModuleInfo, res *protoResult, callNames map[*FuncNode]
 			if lit, ok := x.(*ast.FuncLit); ok {
 				sum := &ProtocolSummary{node: n, lit: true}
 				walkUnit(mod, res, n, lit.Body, true, sum, -1, nil)
-				if len(sum.viols) > 0 {
+				if len(sum.viols) > 0 || len(sum.redundant) > 0 {
 					res.lits = append(res.lits, sum)
 				}
 			}
@@ -2100,13 +2146,22 @@ func (pc *protoC) renderViol(v *ProtoViolation, fset *token.FileSet) string {
 // ---------------------------------------------------------------------
 // Public surface: replay, stats, partition, cache fingerprint.
 
+// protocolResult returns the engine result of the protocol reporting
+// under an analyzer name, or nil.
+func (m *ModuleInfo) protocolResult(name string) *protoResult {
+	for _, res := range m.typestate {
+		if res.pc.p.Name == name {
+			return res
+		}
+	}
+	return nil
+}
+
 // typestateDiags returns a protocol's rendered findings (by analyzer
 // name) for per-package replay.
 func (m *ModuleInfo) typestateDiags(name string) []protoDiag {
-	for _, res := range m.typestate {
-		if res.pc.p.Name == name {
-			return res.diags
-		}
+	if res := m.protocolResult(name); res != nil {
+		return res.diags
 	}
 	return nil
 }
@@ -2174,9 +2229,9 @@ func (m *ModuleInfo) ProtocolStatuses() []ProtocolStatus {
 func TypestateFingerprint() string {
 	var b strings.Builder
 	for _, p := range Protocols() {
-		fmt.Fprintf(&b, "%s|%s|%v|%s|%v|%v%v%v|%s|%v|%v|%s|%s|%s\n",
+		fmt.Fprintf(&b, "%s|%s|%v|%s|%v|%v%v|%s|%v|%v|%s|%s|%s\n",
 			p.Name, p.Object, p.States, p.Entry, p.Accept,
-			p.PerValue, p.May, p.LoopOnce, p.ValueType,
+			p.PerValue, p.May, p.ValueType,
 			p.ExemptPkgs, p.ExemptRecvs, p.LeakMsg, p.CallViolDesc, p.CallPendingDesc)
 		for i := range p.Ops {
 			op := &p.Ops[i]
