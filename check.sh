@@ -20,6 +20,9 @@ go build ./...
 echo '== go vet ./...'
 go vet ./...
 
+echo '== gofmt -l . (every file formatted)'
+test -z "$(gofmt -l .)" || { gofmt -l .; echo "run gofmt -w on the files above"; exit 1; }
+
 echo '== go run ./cmd/easyio-vet ./...'
 go run ./cmd/easyio-vet ./...
 
@@ -79,6 +82,9 @@ awk '
 
 echo '== go test ./...'
 go test ./...
+
+echo '== nested benchmark module builds against this API (vet + short tests)'
+(cd cmd/easyio-benchmark && go vet ./... && go test -short ./...)
 
 echo '== go test -race -tags easyio_invariants ./...'
 go test -race -tags easyio_invariants ./...

@@ -73,8 +73,8 @@ type benchReport struct {
 	Findings    int     `json:"findings"`
 	Workers     int     `json:"workers"`
 	// Analyzers breaks the run down per analyzer in milliseconds
-	// (typestate analyzers include their engine precomputation); near
-	// empty on a fully warm run, where nothing is re-analyzed.
+	// (global analyzers include their BuildModule pass); near empty on a
+	// fully warm run, where nothing is re-analyzed.
 	Analyzers map[string]float64 `json:"analyzers"`
 }
 

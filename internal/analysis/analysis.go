@@ -8,7 +8,9 @@
 // diagnostic reporter with positions, an //easyio:allow suppression
 // mechanism (suppress.go), a summary-based interprocedural layer
 // (callgraph.go, summary.go) that propagates per-function effect
-// summaries bottom-up over call-graph SCCs, and a registry of analyzers:
+// summaries bottom-up over call-graph SCCs, one path-sensitive
+// control-flow walker (flow.go) that summaries, typestate, lockorder,
+// lockbalance and atomichygiene share, and a registry of analyzers:
 //
 //	simtime       - no wall-clock time in simulation code (sim.Time only)
 //	detrand       - no math/rand or crypto/rand outside internal/rng

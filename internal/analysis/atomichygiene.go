@@ -72,9 +72,9 @@ func computeAtomicHygiene(mod *ModuleInfo) {
 	ai := &atomicInfo{}
 	mod.atomicH = ai
 
-	atomicFields := map[fieldKey]bool{}        // fields accessed via sync/atomic funcs
+	atomicFields := map[fieldKey]bool{}         // fields accessed via sync/atomic funcs
 	atomicSites := map[*ast.SelectorExpr]bool{} // the &x.f selectors inside those calls
-	guardedWrite := map[fieldKey]token.Pos{}    // first lock-guarded write per field
+	guardedWrite := map[fieldKey]bool{}         // fields written inside a lock region
 	var accesses []struct {
 		key fieldKey
 		acc fieldAccess
@@ -117,9 +117,7 @@ func computeAtomicHygiene(mod *ModuleInfo) {
 		w := &regionWalker{pkg: pkg, fn: fn, initCtx: confInitContext(fn)}
 		w.record = func(key fieldKey, acc fieldAccess) {
 			if acc.guarded && acc.write && !acc.initCtx {
-				if _, ok := guardedWrite[key]; !ok {
-					guardedWrite[key] = acc.pos
-				}
+				guardedWrite[key] = true
 			}
 			accesses = append(accesses, struct {
 				key fieldKey
@@ -127,7 +125,7 @@ func computeAtomicHygiene(mod *ModuleInfo) {
 			}{key, acc})
 		}
 		w.atomicSites = atomicSites
-		w.stmts(fn.Decl.Body.List, map[string]bool{})
+		walkFlow(w, fn.Decl.Body, mustSet[bool]{})
 	}
 
 	// Judgement. Atomic mixing: every plain access to an atomic field.
@@ -146,11 +144,9 @@ func computeAtomicHygiene(mod *ModuleInfo) {
 			})
 			continue
 		}
-		lockPos, locked := guardedWrite[key]
-		if !locked || acc.guarded || acc.initCtx {
+		if !guardedWrite[key] || acc.guarded || acc.initCtx {
 			continue
 		}
-		_ = lockPos
 		if acc.write {
 			ai.findings = append(ai.findings, modDiag{
 				Pkg: acc.pkg, Pos: acc.pos,
@@ -236,11 +232,13 @@ func syncMutexRecv(info *types.Info, call *ast.CallExpr) (base string, ok bool) 
 	return exprString(rs.X), true
 }
 
-// regionWalker walks one function tracking which struct instances have a
-// sync mutex field held ("locked bases"), classifying every plain field
-// access it passes. Deferred unlocks hold to function end, mirroring
-// lockorder's semantics; branches are walked with clones and the live
-// outcomes unioned (may-unguarded biases toward reporting).
+// regionWalker is atomichygiene's transfer for the flow walker: it tracks
+// which struct instances have a sync mutex field held ("locked bases")
+// and classifies every plain field access it passes. Deferred unlocks
+// hold to function end, mirroring lockorder's semantics. Joins keep the
+// bases locked on both paths (must-locked: an access is not guarded when
+// one path skipped the Lock), and loop bodies are assumed lock-balanced
+// per iteration.
 type regionWalker struct {
 	pkg         *Package
 	fn          *FuncNode
@@ -249,55 +247,19 @@ type regionWalker struct {
 	record      func(fieldKey, fieldAccess)
 }
 
-func (w *regionWalker) stmts(list []ast.Stmt, locked map[string]bool) (map[string]bool, bool) {
-	for _, s := range list {
-		var term bool
-		locked, term = w.stmt(s, locked)
-		if term {
-			return locked, true
-		}
-	}
-	return locked, false
-}
-
-func cloneSet(m map[string]bool) map[string]bool {
-	c := make(map[string]bool, len(m))
-	for k := range m {
-		c[k] = true
-	}
-	return c
-}
-
-// intersectSet keeps bases locked on both paths: must-locked biases
-// against claiming an access was guarded when one path skipped the Lock.
-func intersectSet(a, b map[string]bool) map[string]bool {
-	out := map[string]bool{}
-	for k := range a {
-		if b[k] {
-			out[k] = true
-		}
-	}
-	return out
-}
-
-func (w *regionWalker) stmt(s ast.Stmt, locked map[string]bool) (map[string]bool, bool) {
+func (w *regionWalker) stmt(s ast.Stmt, locked mustSet[bool]) {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
 		if call, ok := s.X.(*ast.CallExpr); ok {
 			if _, kind := lockCall(call); kind != "" {
 				if base, isSync := syncMutexRecv(w.pkg.Info, call); isSync {
-					switch kind {
-					case "lock":
+					if kind == "lock" {
 						locked[base] = true
-					case "unlock":
+					} else {
 						delete(locked, base)
 					}
-					return locked, false
+					return
 				}
-			}
-			if isPanicCall(call) {
-				w.scan(s.X, locked, nil)
-				return locked, true
 			}
 		}
 		w.scan(s.X, locked, nil)
@@ -306,14 +268,14 @@ func (w *regionWalker) stmt(s ast.Stmt, locked map[string]bool) (map[string]bool
 		// remove. Deferred lock (bizarre) or other calls: scan normally.
 		if _, kind := lockCall(s.Call); kind == "unlock" {
 			if _, isSync := syncMutexRecv(w.pkg.Info, s.Call); isSync {
-				return locked, false
+				return
 			}
 		}
 		w.scan(s.Call, locked, nil)
 	case *ast.GoStmt:
 		// The goroutine body runs without this frame's lock regions.
 		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			w.stmts(lit.Body.List, map[string]bool{})
+			walkFlow(w, lit.Body, mustSet[bool]{})
 		}
 		for _, arg := range s.Call.Args {
 			w.scan(arg, locked, nil)
@@ -330,109 +292,26 @@ func (w *regionWalker) stmt(s ast.Stmt, locked map[string]bool) (map[string]bool
 	case *ast.IncDecStmt:
 		writes := map[ast.Node]bool{ast.Unparen(s.X): true}
 		w.scan(s.X, locked, writes)
-	case *ast.ReturnStmt:
-		for _, res := range s.Results {
-			w.scan(res, locked, nil)
-		}
-		return locked, true
-	case *ast.BlockStmt:
-		return w.stmts(s.List, locked)
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, locked)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			locked, _ = w.stmt(s.Init, locked)
-		}
-		w.scan(s.Cond, locked, nil)
-		bodyL, bodyTerm := w.stmts(s.Body.List, cloneSet(locked))
-		elseL, elseTerm := locked, false
-		if s.Else != nil {
-			elseL, elseTerm = w.stmt(s.Else, cloneSet(locked))
-		}
-		switch {
-		case bodyTerm && elseTerm:
-			return locked, true
-		case bodyTerm:
-			return elseL, false
-		case elseTerm:
-			return bodyL, false
-		default:
-			return intersectSet(bodyL, elseL), false
-		}
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			locked, _ = w.stmt(s.Init, locked)
-		}
-		if s.Tag != nil {
-			w.scan(s.Tag, locked, nil)
-		}
-		return w.branches(s.Body, locked)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			locked, _ = w.stmt(s.Init, locked)
-		}
-		return w.branches(s.Body, locked)
-	case *ast.SelectStmt:
-		return w.branches(s.Body, locked)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			locked, _ = w.stmt(s.Init, locked)
-		}
-		if s.Cond != nil {
-			w.scan(s.Cond, locked, nil)
-		}
-		w.stmts(s.Body.List, cloneSet(locked))
-	case *ast.RangeStmt:
-		w.scan(s.X, locked, nil)
-		w.stmts(s.Body.List, cloneSet(locked))
-	case *ast.BranchStmt:
-		return locked, true
 	default:
 		w.scan(s, locked, nil)
 	}
-	return locked, false
 }
 
-func (w *regionWalker) branches(body *ast.BlockStmt, locked map[string]bool) (map[string]bool, bool) {
-	var live []map[string]bool
-	hasDefault := false
-	for _, c := range body.List {
-		var stmts []ast.Stmt
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			stmts = c.Body
-			if c.List == nil {
-				hasDefault = true
-			}
-		case *ast.CommClause:
-			stmts = c.Body
-			if c.Comm == nil {
-				hasDefault = true
-			}
-		}
-		out, term := w.stmts(stmts, cloneSet(locked))
-		if !term {
-			live = append(live, out)
-		}
-	}
-	if !hasDefault {
-		live = append(live, locked)
-	}
-	if len(live) == 0 {
-		return locked, true
-	}
-	out := live[0]
-	for _, o := range live[1:] {
-		out = intersectSet(out, o)
-	}
-	return out, false
+func (w *regionWalker) expr(e ast.Expr, locked mustSet[bool]) { w.scan(e, locked, nil) }
+
+func (w *regionWalker) refine(ast.Expr, mustSet[bool], mustSet[bool]) {}
+
+func (w *regionWalker) ends(call *ast.CallExpr) bool { return isPanicCall(call) }
+
+func (w *regionWalker) loop(_ ast.Stmt, entry mustSet[bool], body func(mustSet[bool]) (mustSet[bool], bool)) mustSet[bool] {
+	return loopKeep(entry, body)
 }
 
 // scan classifies the field accesses under n. writes marks the selector
 // nodes that are assignment targets. Function literals are walked where
 // they appear: they execute on this frame unless spawned (GoStmt handles
 // that case above).
-func (w *regionWalker) scan(n ast.Node, locked map[string]bool, writes map[ast.Node]bool) {
+func (w *regionWalker) scan(n ast.Node, locked mustSet[bool], writes map[ast.Node]bool) {
 	ast.Inspect(n, func(x ast.Node) bool {
 		sel, ok := x.(*ast.SelectorExpr)
 		if !ok {
@@ -445,17 +324,13 @@ func (w *regionWalker) scan(n ast.Node, locked map[string]bool, writes map[ast.N
 		if !ok {
 			return true
 		}
-		base := ""
-		if rs, ok := ast.Unparen(sel).(*ast.SelectorExpr); ok {
-			base = exprString(rs.X)
-		}
 		w.record(key, fieldAccess{
 			pkg:     w.pkg,
 			pos:     sel.Pos(),
 			fn:      w.fn.Decl.Name.Name,
-			write:   writes[ast.Unparen(sel)] || writes[sel],
+			write:   writes[sel],
 			initCtx: w.initCtx,
-			guarded: locked[base],
+			guarded: locked[exprString(sel.X)],
 		})
 		return true
 	})

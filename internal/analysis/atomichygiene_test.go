@@ -163,4 +163,70 @@ func (s *Store) Maybe(v int, fast bool) {
 `)
 		wantFindings(t, diags, 1, "atomichygiene")
 	})
+
+	// Reads in the parts of a statement that are not its body: each is a
+	// plain read of a guarded field outside the lock.
+	const guarded = `package fixture
+
+import "sync"
+
+type Store struct {
+	mu sync.Mutex
+	n  int
+	ch chan int
+	v  any
+}
+
+func (s *Store) Set(n int, ch chan int, v any) {
+	s.mu.Lock()
+	s.n, s.ch, s.v = n, ch, v
+	s.mu.Unlock()
+}
+`
+	for _, tc := range []struct{ name, src string }{
+		{"read in a case expression", `
+func (s *Store) Sign() int {
+	switch {
+	case s.n > 0:
+		return 1
+	}
+	return 0
+}
+`},
+		{"read in a for post statement", `
+func (s *Store) Count() (k int) {
+	for i := 0; i < 8; i += s.n {
+		k++
+	}
+	return k
+}
+`},
+		{"read in a select comm statement", `
+func (s *Store) Recv() int {
+	select {
+	case v := <-s.ch:
+		return v
+	default:
+		return 0
+	}
+}
+`},
+		{"read in a type switch guard", `
+func (s *Store) IsInt() bool {
+	switch s.v.(type) {
+	case int:
+		return true
+	}
+	return false
+}
+`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			diags := runFixture(t, AtomicHygiene, "", guarded+tc.src)
+			wantFindings(t, diags, 1, "atomichygiene")
+			if !strings.Contains(diags[0].Message, "plain read outside the lock") {
+				t.Fatalf("want a lock-region leak report, got %q", diags[0].Message)
+			}
+		})
+	}
 }

@@ -68,6 +68,10 @@ type ModuleInfo struct {
 	// typestate engine (typestate.go), one entry per registered
 	// protocol, in Protocols() order.
 	typestate []*protoResult
+	// ms is the wall time of each global pass above, in milliseconds,
+	// keyed by the analyzer that replays it; RunAnalyzersOpts adds it
+	// into RunResult.AnalyzerMS.
+	ms map[string]float64
 
 	pkgs      []*Package
 	pkgPaths  map[string]bool
@@ -102,6 +106,7 @@ func BuildModule(pkgs []*Package) *ModuleInfo {
 	mod := &ModuleInfo{
 		Funcs:     map[*types.Func]*FuncNode{},
 		Summaries: map[*types.Func]*Summary{},
+		ms:        map[string]float64{},
 		pkgs:      pkgs,
 		pkgPaths:  map[string]bool{},
 	}
@@ -169,10 +174,10 @@ func BuildModule(pkgs []*Package) *ModuleInfo {
 	}
 	mod.SCCs = tarjanSCC(mod.Nodes)
 	computeSummaries(mod)
-	computeLockOrder(mod)
-	computeConfinement(mod)
-	computeAtomicHygiene(mod)
-	computeHotPaths(mod)
+	mod.timed("lockorder", computeLockOrder)
+	mod.timed("confinement", computeConfinement)
+	mod.timed("atomichygiene", computeAtomicHygiene)
+	mod.timed("noalloc", computeHotPaths)
 	computeTypestate(mod)
 	// Precompute the lazily memoized views so Pass.Mod is read-only
 	// during (possibly parallel) analyzer execution.
@@ -180,6 +185,13 @@ func BuildModule(pkgs []*Package) *ModuleInfo {
 	mod.interfaceMethodNames()
 	mod.entryGated()
 	return mod
+}
+
+// timed runs one global pass and charges its wall time to analyzer name.
+func (m *ModuleInfo) timed(name string, pass func(*ModuleInfo)) {
+	t0 := nowMS()
+	pass(m)
+	m.ms[name] += nowMS() - t0
 }
 
 // HasPkgPath reports whether path is one of the loaded module packages.

@@ -340,6 +340,16 @@ func ok(ino *inode) int {
 	return n + 1
 }
 `, 0},
+		{"call in an if init discharges", lockFixturePrelude + `
+func release(ino *inode) int { ino.Mu.Unlock(); return 0 }
+func ok(ino *inode) int {
+	ino.Mu.Lock()
+	if n := release(ino); n > 0 {
+		return n
+	}
+	return 0
+}
+`, 0},
 		{"deferred callee release", lockFixturePrelude + `
 func release(ino *inode) int { ino.Mu.Unlock(); return 0 }
 func ok(ino *inode) int {

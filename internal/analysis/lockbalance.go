@@ -30,18 +30,6 @@ var LockBalance = &Analyzer{
 	Run:  runLockBalance,
 }
 
-// lockSet maps a receiver expression (rendered as source, e.g. "ino.Mu")
-// to the position where it was locked.
-type lockSet map[string]token.Pos
-
-func (s lockSet) clone() lockSet {
-	c := make(lockSet, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
-}
-
 func runLockBalance(pass *Pass) {
 	pass.walkFiles(func(f *ast.File) {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -53,8 +41,7 @@ func runLockBalance(pass *Pass) {
 				return true // lock-manipulation helper: imbalance is its job
 			}
 			lb := &lockBalancer{pass: pass, fnName: fn.Name.Name}
-			held, terminated := lb.stmts(fn.Body.List, lockSet{})
-			if !terminated {
+			if held, live := walkFlow(lb, fn.Body, lockSet{}); live {
 				lb.reportHeld(fn.Body.Rbrace, held, "function end")
 			}
 			return true
@@ -62,9 +49,76 @@ func runLockBalance(pass *Pass) {
 	})
 }
 
+// lockSet maps a receiver expression (rendered as source, e.g. "ino.Mu")
+// to the position where it was locked. Joins keep only the locks held on
+// both paths: a lock released on either live path counts as released,
+// biasing against false positives.
+type lockSet = mustSet[token.Pos]
+
+// lockBalancer is lockbalance's transfer for the flow walker: a return or
+// panic reports the locks still held, and loop bodies are assumed
+// lock-balanced per iteration (exits inside them are still checked).
 type lockBalancer struct {
 	pass   *Pass
 	fnName string
+}
+
+func (lb *lockBalancer) stmt(s ast.Stmt, held lockSet) {
+	switch s := s.(type) {
+	case *ast.ExprStmt:
+		if call, ok := s.X.(*ast.CallExpr); ok {
+			if isPanicCall(call) {
+				lb.reportHeld(s.Pos(), held, "panic")
+			}
+			lb.call(call, held)
+		}
+	case *ast.DeferStmt:
+		// A deferred unlock (direct, or inside a summarized callee)
+		// releases on every exit from here on.
+		if recv, kind := lockCall(s.Call); kind == "unlock" {
+			delete(held, recv)
+		} else {
+			lb.applyCallee(s.Call, held)
+		}
+	case *ast.AssignStmt:
+		for _, rhs := range s.Rhs {
+			lb.expr(rhs, held)
+		}
+	case *ast.ReturnStmt:
+		// Ownership transfer: `return callee(...)` where the callee
+		// releases discharges the lock before the exit is judged.
+		for _, res := range s.Results {
+			lb.expr(res, held)
+		}
+		lb.reportHeld(s.Pos(), held, "return")
+	}
+}
+
+func (lb *lockBalancer) expr(e ast.Expr, held lockSet) {
+	if call, ok := e.(*ast.CallExpr); ok {
+		lb.call(call, held)
+	}
+}
+
+func (lb *lockBalancer) refine(ast.Expr, lockSet, lockSet) {}
+
+func (lb *lockBalancer) ends(call *ast.CallExpr) bool { return isPanicCall(call) }
+
+func (lb *lockBalancer) loop(_ ast.Stmt, entry lockSet, body func(lockSet) (lockSet, bool)) lockSet {
+	return loopKeep(entry, body)
+}
+
+// call applies one call's lock effect: a lock, an unlock, or an
+// ownership-transferring callee.
+func (lb *lockBalancer) call(call *ast.CallExpr, held lockSet) {
+	switch recv, kind := lockCall(call); kind {
+	case "lock":
+		held[recv] = call.Pos()
+	case "unlock":
+		delete(held, recv)
+	default:
+		lb.applyCallee(call, held)
+	}
 }
 
 func (lb *lockBalancer) reportHeld(pos token.Pos, held lockSet, where string) {
@@ -100,163 +154,6 @@ func (lb *lockBalancer) applyCallee(call *ast.CallExpr, held lockSet) {
 	for _, recv := range ReleasedLocks(sum, call) {
 		delete(held, recv)
 	}
-}
-
-// stmts walks a statement list with the entry lock set, reporting exits
-// that leak locks. It returns the set held after normal completion and
-// whether every path through the list terminates (return/panic).
-func (lb *lockBalancer) stmts(list []ast.Stmt, held lockSet) (lockSet, bool) {
-	for _, s := range list {
-		var term bool
-		held, term = lb.stmt(s, held)
-		if term {
-			return held, true // rest is unreachable
-		}
-	}
-	return held, false
-}
-
-func (lb *lockBalancer) stmt(s ast.Stmt, held lockSet) (lockSet, bool) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if recv, kind := lockCall(call); kind != "" {
-				switch kind {
-				case "lock":
-					held[recv] = call.Pos()
-				case "unlock":
-					delete(held, recv)
-				}
-				return held, false
-			}
-			if isPanicCall(call) {
-				lb.reportHeld(s.Pos(), held, "panic")
-				return held, true
-			}
-			lb.applyCallee(call, held)
-		}
-	case *ast.DeferStmt:
-		// A deferred unlock (direct, or inside a summarized callee)
-		// releases on every exit from here on.
-		if recv, kind := lockCall(s.Call); kind == "unlock" {
-			delete(held, recv)
-		} else {
-			lb.applyCallee(s.Call, held)
-		}
-	case *ast.AssignStmt:
-		for _, rhs := range s.Rhs {
-			if call, ok := rhs.(*ast.CallExpr); ok {
-				lb.applyCallee(call, held)
-			}
-		}
-	case *ast.ReturnStmt:
-		// Ownership transfer: `return callee(...)` where the callee
-		// releases discharges the lock before the exit is judged.
-		for _, res := range s.Results {
-			if call, ok := res.(*ast.CallExpr); ok {
-				lb.applyCallee(call, held)
-			}
-		}
-		lb.reportHeld(s.Pos(), held, "return")
-		return held, true
-	case *ast.BlockStmt:
-		return lb.stmts(s.List, held)
-	case *ast.LabeledStmt:
-		return lb.stmt(s.Stmt, held)
-	case *ast.IfStmt:
-		bodyHeld, bodyTerm := lb.stmts(s.Body.List, held.clone())
-		elseHeld, elseTerm := held, false
-		if s.Else != nil {
-			elseHeld, elseTerm = lb.stmt(s.Else, held.clone())
-		}
-		switch {
-		case bodyTerm && elseTerm:
-			return held, true
-		case bodyTerm:
-			return elseHeld, false
-		case elseTerm:
-			return bodyHeld, false
-		default:
-			return intersect(bodyHeld, elseHeld), false
-		}
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		return lb.branches(s, held)
-	case *ast.ForStmt:
-		// Loop bodies are assumed lock-balanced per iteration; exits
-		// inside the body are still checked against a copy.
-		lb.stmts(s.Body.List, held.clone())
-	case *ast.RangeStmt:
-		lb.stmts(s.Body.List, held.clone())
-	case *ast.BranchStmt:
-		// break/continue/goto leave this list; treat as terminating the
-		// linear scan (the loop-level copy keeps this sound).
-		return held, true
-	case *ast.GoStmt:
-		// A goroutine body is a different execution context.
-	}
-	return held, false
-}
-
-// branches handles switch/type-switch/select: each clause body runs with
-// a copy; live (non-terminating) outcomes are intersected. Without a
-// default clause, falling past the switch keeps the entry set live.
-func (lb *lockBalancer) branches(s ast.Stmt, held lockSet) (lockSet, bool) {
-	var body *ast.BlockStmt
-	hasDefault := false
-	switch s := s.(type) {
-	case *ast.SwitchStmt:
-		body = s.Body
-	case *ast.TypeSwitchStmt:
-		body = s.Body
-	case *ast.SelectStmt:
-		body = s.Body
-	}
-	var live []lockSet
-	allTerm := true
-	for _, c := range body.List {
-		var stmts []ast.Stmt
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			stmts = c.Body
-			if c.List == nil {
-				hasDefault = true
-			}
-		case *ast.CommClause:
-			stmts = c.Body
-			if c.Comm == nil {
-				hasDefault = true
-			}
-		}
-		h, term := lb.stmts(stmts, held.clone())
-		if !term {
-			live = append(live, h)
-			allTerm = false
-		}
-	}
-	if !hasDefault {
-		live = append(live, held)
-		allTerm = false
-	}
-	if allTerm {
-		return held, true
-	}
-	out := live[0]
-	for _, h := range live[1:] {
-		out = intersect(out, h)
-	}
-	return out, false
-}
-
-// intersect keeps locks held on both paths (a lock released on either
-// live path is treated as released, biasing against false positives).
-func intersect(a, b lockSet) lockSet {
-	out := lockSet{}
-	for k, v := range a {
-		if _, ok := b[k]; ok {
-			out[k] = v
-		}
-	}
-	return out
 }
 
 // lockCall classifies x.Lock(...)/x.RLock(...) as "lock" and

@@ -148,13 +148,13 @@ func computeLockOrder(mod *ModuleInfo) {
 			node:     n,
 			lockName: strings.Contains(strings.ToLower(n.Decl.Name.Name), "lock"),
 		}
-		w.stmts(n.Decl.Body.List, heldSet{})
+		walkFlow(w, n.Decl.Body, heldSet{})
 		// Function literals run in their own frame (deferred, spawned, or
 		// stored behind a variable): walk each with an empty held set so
 		// their internal acquisition order still feeds the graph.
 		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
 			if lit, ok := x.(*ast.FuncLit); ok {
-				w.stmts(lit.Body.List, heldSet{})
+				walkFlow(w, lit.Body, heldSet{})
 			}
 			return true
 		})
@@ -244,32 +244,16 @@ type heldLock struct {
 	pos   token.Pos
 }
 
-// heldSet maps a rendered receiver ("ino.Mu") to its acquisition.
-type heldSet map[string]heldLock
+// heldSet maps a rendered receiver ("ino.Mu") to its acquisition. Joins
+// keep locks held on either path: may-held biases toward seeing every
+// possible nesting (the opposite of lockbalance's must-held lockSet,
+// which biases against leak false positives).
+type heldSet = maySet[heldLock]
 
-func (h heldSet) clone() heldSet {
-	c := make(heldSet, len(h))
-	for k, v := range h {
-		c[k] = v
-	}
-	return c
-}
-
-// union keeps locks held on either path: may-held biases toward seeing
-// every possible nesting (the opposite of lockbalance's must-held
-// intersection, which biases against leak false positives).
-func (h heldSet) union(o heldSet) heldSet {
-	out := h.clone()
-	for k, v := range o {
-		if _, ok := out[k]; !ok {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// lockWalker tracks the may-held set along one function body and emits
-// order edges and nesting findings into the module collector.
+// lockWalker is lockorder's transfer for the flow walker: it tracks the
+// may-held set along one function body and emits order edges and nesting
+// findings into the module collector. A loop joins its body's held set
+// into the entry set once.
 type lockWalker struct {
 	mod      *ModuleInfo
 	ml       *moduleLocks
@@ -277,24 +261,8 @@ type lockWalker struct {
 	lockName bool // name contains "lock": sanctioned ordering helper
 }
 
-func (w *lockWalker) stmts(list []ast.Stmt, held heldSet) (heldSet, bool) {
-	for _, s := range list {
-		var term bool
-		held, term = w.stmt(s, held)
-		if term {
-			return held, true
-		}
-	}
-	return held, false
-}
-
-func (w *lockWalker) stmt(s ast.Stmt, held heldSet) (heldSet, bool) {
+func (w *lockWalker) stmt(s ast.Stmt, held heldSet) {
 	switch s := s.(type) {
-	case *ast.ExprStmt:
-		w.scan(s.X, held)
-		if call, ok := s.X.(*ast.CallExpr); ok && isPanicCall(call) {
-			return held, true
-		}
 	case *ast.DeferStmt:
 		// A deferred unlock releases only at function exit: for order
 		// purposes the lock stays held through the rest of the body. Any
@@ -306,123 +274,26 @@ func (w *lockWalker) stmt(s ast.Stmt, held heldSet) (heldSet, bool) {
 	case *ast.GoStmt:
 		// The goroutine starts with an empty held set; its body is walked
 		// separately as a function literal (or as its own FuncNode).
-	case *ast.ReturnStmt:
-		for _, res := range s.Results {
-			w.scan(res, held)
-		}
-		return held, true
-	case *ast.BlockStmt:
-		return w.stmts(s.List, held)
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			held, _ = w.stmt(s.Init, held)
-		}
-		w.scan(s.Cond, held)
-		bodyHeld, bodyTerm := w.stmts(s.Body.List, held.clone())
-		elseHeld, elseTerm := held, false
-		if s.Else != nil {
-			elseHeld, elseTerm = w.stmt(s.Else, held.clone())
-		}
-		switch {
-		case bodyTerm && elseTerm:
-			return held, true
-		case bodyTerm:
-			return elseHeld, false
-		case elseTerm:
-			return bodyHeld, false
-		default:
-			return bodyHeld.union(elseHeld), false
-		}
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			held, _ = w.stmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.scan(s.Tag, held)
-		}
-		return w.branches(s.Body, held)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			held, _ = w.stmt(s.Init, held)
-		}
-		return w.branches(s.Body, held)
-	case *ast.SelectStmt:
-		return w.branches(s.Body, held)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			held, _ = w.stmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			w.scan(s.Cond, held)
-		}
-		out, _ := w.stmts(s.Body.List, held.clone())
-		return held.union(out), false
-	case *ast.RangeStmt:
-		w.scan(s.X, held)
-		out, _ := w.stmts(s.Body.List, held.clone())
-		return held.union(out), false
-	case *ast.BranchStmt:
-		// break/continue/goto leaves this list; the loop-level clone keeps
-		// the approximation sound.
-		return held, true
 	default:
 		w.scan(s, held)
 	}
-	return held, false
 }
 
-// branches handles switch/type-switch/select clause bodies with clones
-// and unions the live outcomes.
-func (w *lockWalker) branches(body *ast.BlockStmt, held heldSet) (heldSet, bool) {
-	var live []heldSet
-	hasDefault := false
-	for _, c := range body.List {
-		var stmts []ast.Stmt
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			stmts = c.Body
-			if c.List == nil {
-				hasDefault = true
-			}
-		case *ast.CommClause:
-			stmts = c.Body
-			if c.Comm == nil {
-				hasDefault = true
-			}
-		}
-		out, term := w.stmts(stmts, held.clone())
-		if !term {
-			live = append(live, out)
-		}
-	}
-	if !hasDefault {
-		live = append(live, held)
-	}
-	if len(live) == 0 {
-		return held, true
-	}
-	out := live[0]
-	for _, o := range live[1:] {
-		out = out.union(o)
-	}
-	return out, false
+func (w *lockWalker) expr(e ast.Expr, held heldSet) { w.scan(e, held) }
+
+func (w *lockWalker) refine(ast.Expr, heldSet, heldSet) {}
+
+func (w *lockWalker) ends(call *ast.CallExpr) bool { return isPanicCall(call) }
+
+func (w *lockWalker) loop(_ ast.Stmt, entry heldSet, body func(heldSet) (heldSet, bool)) heldSet {
+	return loopJoin(entry, body, 1)
 }
 
 // scan visits the call expressions under n in source order (skipping
 // function literals, which run in their own frame) and applies each
 // call's lock effects to the held set.
 func (w *lockWalker) scan(n ast.Node, held heldSet) {
-	ast.Inspect(n, func(x ast.Node) bool {
-		switch x := x.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			w.call(x, held)
-		}
-		return true
-	})
+	eachCall(n, func(c *ast.CallExpr) { w.call(c, held) }, nil)
 }
 
 func (w *lockWalker) call(call *ast.CallExpr, held heldSet) {

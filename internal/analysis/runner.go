@@ -37,8 +37,8 @@ type RunResult struct {
 	// it themselves then).
 	Mod *ModuleInfo
 	// AnalyzerMS is wall-clock milliseconds spent per analyzer, summed
-	// across every analyzed package; typestate analyzers additionally
-	// charge their share of the engine's BuildModule precomputation.
+	// across every analyzed package; the global analyzers additionally
+	// charge their BuildModule pass (ModuleInfo.ms).
 	// Near-empty on a fully warm cached run (nothing re-analyzed).
 	AnalyzerMS map[string]float64
 }
@@ -209,11 +209,11 @@ func RunAnalyzersOpts(pkgs []*Package, analyzers []*Analyzer, opt RunOptions) *R
 	}
 	sortDiags(diags)
 	res.Diags = diags
-	// The typestate analyzers' real work happens once in BuildModule
-	// (computeTypestate); charge each protocol's engine time to its
-	// analyzer so BENCH_vet.json reflects where the milliseconds go.
+	// The global analyzers' real work happens once in BuildModule; charge
+	// each pass to its analyzer so BENCH_vet.json shows where the
+	// milliseconds go.
 	if mod != nil {
-		for name, v := range mod.TypestateMS() {
+		for name, v := range mod.ms {
 			res.AnalyzerMS[name] += v
 		}
 	}

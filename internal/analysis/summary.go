@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -204,65 +205,51 @@ func emptySummary(n *FuncNode) *Summary {
 	}
 }
 
-// walkState is the abstract state along one control-flow path.
+// walkState is the abstract state along one control-flow path. A join
+// keeps the facts of both paths: non-nil proofs, gates and releases that
+// hold on each, and the interval union of the charges.
 type walkState struct {
 	// nonNil holds identifiers proven non-nil at this point.
-	nonNil map[string]bool
+	nonNil mustSet[bool]
 	// gated is true once a completion-gate pass dominates this point.
 	gated bool
 	// charges bounds the cost constants charged so far on this path.
 	charges map[string]MinMax
 	// released holds canonical lock expressions released on this path.
-	released map[string]bool
+	released mustSet[bool]
 }
 
 func newWalkState() *walkState {
 	return &walkState{
-		nonNil:   map[string]bool{},
+		nonNil:   mustSet[bool]{},
 		charges:  map[string]MinMax{},
-		released: map[string]bool{},
+		released: mustSet[bool]{},
 	}
 }
 
-func (w *walkState) clone() *walkState {
-	c := &walkState{
-		nonNil:   make(map[string]bool, len(w.nonNil)),
+func (w *walkState) Clone() *walkState {
+	return &walkState{
+		nonNil:   w.nonNil.Clone(),
 		gated:    w.gated,
-		charges:  make(map[string]MinMax, len(w.charges)),
-		released: make(map[string]bool, len(w.released)),
+		charges:  maps.Clone(w.charges),
+		released: w.released.Clone(),
 	}
-	for k := range w.nonNil {
-		c.nonNil[k] = true
-	}
-	for k, v := range w.charges {
-		c.charges[k] = v
-	}
-	for k := range w.released {
-		c.released[k] = true
-	}
-	return c
 }
 
-// merge joins two live states at a control-flow join point.
-func (w *walkState) merge(o *walkState) *walkState {
+func (w *walkState) Join(o *walkState) *walkState {
 	out := &walkState{
-		nonNil:   map[string]bool{},
+		nonNil:   w.nonNil.Join(o.nonNil),
 		gated:    w.gated && o.gated,
 		charges:  map[string]MinMax{},
-		released: map[string]bool{},
-	}
-	for k := range w.nonNil {
-		if o.nonNil[k] {
-			out.nonNil[k] = true
-		}
+		released: w.released.Join(o.released),
 	}
 	mergeCharges(out.charges, w.charges, o.charges)
-	for k := range w.released {
-		if o.released[k] {
-			out.released[k] = true
-		}
-	}
 	return out
+}
+
+func (w *walkState) Equal(o *walkState) bool {
+	return w.gated == o.gated && w.nonNil.Equal(o.nonNil) &&
+		maps.Equal(w.charges, o.charges) && w.released.Equal(o.released)
 }
 
 // mergeCharges writes the per-key interval union of a and b into dst
@@ -319,8 +306,7 @@ func summarize(mod *ModuleInfo, n *FuncNode) *Summary {
 			idx++
 		}
 	}
-	st, terminated := w.stmts(n.Decl.Body.List, newWalkState())
-	if !terminated {
+	if st, live := walkFlow(w, n.Decl.Body, newWalkState()); live {
 		w.recordExit(st)
 	}
 	w.finish()
@@ -328,251 +314,101 @@ func summarize(mod *ModuleInfo, n *FuncNode) *Summary {
 }
 
 func (w *sumWalker) recordExit(st *walkState) {
-	ex := st.clone()
+	ex := st.Clone()
 	for k := range w.deferRelease {
 		ex.released[k] = true
 	}
 	w.exits = append(w.exits, ex)
 }
 
-// finish folds the recorded exits into the function-level summary.
+// finish joins the recorded exits into the function-level summary.
 func (w *sumWalker) finish() {
 	if len(w.exits) == 0 {
 		// Every path panics: no normal completion to constrain.
 		return
 	}
-	w.sum.GatesAllPaths = true
-	charges := map[string]MinMax{}
-	released := map[string]bool{}
-	for i, ex := range w.exits {
-		if !ex.gated {
-			w.sum.GatesAllPaths = false
-		}
-		if i == 0 {
-			for k, v := range ex.charges {
-				charges[k] = v
-			}
-			for k := range ex.released {
-				released[k] = true
-			}
-			continue
-		}
-		next := map[string]MinMax{}
-		mergeCharges(next, charges, ex.charges)
-		charges = next
-		for k := range released {
-			if !ex.released[k] {
-				delete(released, k)
-			}
-		}
+	ex := w.exits[0]
+	for _, o := range w.exits[1:] {
+		ex = ex.Join(o)
 	}
-	w.sum.Charges = charges
+	w.sum.GatesAllPaths = ex.gated
+	w.sum.Charges = ex.charges
 	// Only param-rooted releases are meaningful to callers.
-	for _, k := range sortedKeys(released) {
+	for _, k := range sortedKeys(ex.released) {
 		if strings.HasPrefix(k, "§") {
 			w.sum.Releases[k] = true
 		}
 	}
 }
 
-// stmts walks a statement list, returning the out-state and whether every
-// path through the list terminated (return or panic).
-func (w *sumWalker) stmts(list []ast.Stmt, st *walkState) (*walkState, bool) {
-	for _, s := range list {
-		var term bool
-		st, term = w.stmt(s, st)
-		if term {
-			return st, true
-		}
-	}
-	return st, false
-}
-
-func (w *sumWalker) stmt(s ast.Stmt, st *walkState) (*walkState, bool) {
+func (w *sumWalker) stmt(s ast.Stmt, st *walkState) {
 	switch s := s.(type) {
-	case *ast.ExprStmt:
-		w.scanCalls(s, st)
-		if call, ok := s.X.(*ast.CallExpr); ok && isPanicCall(call) {
-			return st, true
-		}
 	case *ast.ReturnStmt:
 		w.scanCalls(s, st)
 		w.recordExit(st)
-		return st, true
 	case *ast.DeferStmt:
 		w.deferCall(s.Call, st)
 	case *ast.GoStmt:
 		// A spawned goroutine is a different execution context.
-	case *ast.BlockStmt:
-		return w.stmts(s.List, st)
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, st)
-	case *ast.IfStmt:
-		return w.ifStmt(s, st)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			st, _ = w.stmt(s.Init, st)
-		}
-		w.scanExpr(s.Tag, st)
-		return w.branches(s.Body, st)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			st, _ = w.stmt(s.Init, st)
-		}
-		return w.branches(s.Body, st)
-	case *ast.SelectStmt:
-		return w.branches(s.Body, st)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			st, _ = w.stmt(s.Init, st)
-		}
-		w.scanExpr(s.Cond, st)
-		w.loopBody(s.Body, st)
-	case *ast.RangeStmt:
-		w.scanExpr(s.X, st)
-		w.loopBody(s.Body, st)
-	case *ast.BranchStmt:
-		// break/continue/goto leaves this list; the surrounding loop
-		// analysis keeps the approximation sound.
-		return st, true
 	default:
 		w.scanCalls(s, st)
 		if as, ok := s.(*ast.AssignStmt); ok {
-			for _, lhs := range as.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok {
-					delete(st.nonNil, id.Name)
-				}
-			}
+			killAssigned(as, st)
 		}
 	}
-	return st, false
 }
 
-// loopBody analyses a loop body against a copy of the state, then widens
-// the fall-through state: anything charged inside the body may repeat
-// (Max -> unbounded) or not run at all (Min unchanged), identifiers
-// assigned inside lose their non-nil proof, and gate state is not
-// trusted (zero iterations pass no gate).
-func (w *sumWalker) loopBody(body *ast.BlockStmt, st *walkState) {
-	entry := st.clone()
-	out, _ := w.stmts(body.List, st.clone())
-	for _, k := range sortedKeys(out.charges) {
-		if e := orZero(entry.charges, k); out.charges[k].Max > e.Max {
-			st.charges[k] = MinMax{Min: e.Min, Max: satMax}
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if as, ok := n.(*ast.AssignStmt); ok {
-			for _, lhs := range as.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok {
-					delete(st.nonNil, id.Name)
-				}
-			}
-		}
-		return true
-	})
-}
+func (w *sumWalker) expr(e ast.Expr, st *walkState) { w.scanCalls(e, st) }
 
-func (w *sumWalker) ifStmt(s *ast.IfStmt, st *walkState) (*walkState, bool) {
-	if s.Init != nil {
-		st, _ = w.stmt(s.Init, st)
-	}
-	w.scanExpr(s.Cond, st)
-	thenFacts, elseFacts := condFacts(s.Cond)
-
-	thenState := st.clone()
+// refine adds the nil-comparison facts of an if condition to each branch.
+func (w *sumWalker) refine(cond ast.Expr, then, els *walkState) {
+	thenFacts, elseFacts := condFacts(cond)
 	for _, id := range thenFacts {
-		thenState.nonNil[id] = true
+		then.nonNil[id] = true
 	}
-	thenState, thenTerm := w.stmts(s.Body.List, thenState)
-
-	elseState := st.clone()
 	for _, id := range elseFacts {
-		elseState.nonNil[id] = true
-	}
-	elseTerm := false
-	if s.Else != nil {
-		elseState, elseTerm = w.stmt(s.Else, elseState)
-	}
-	switch {
-	case thenTerm && elseTerm:
-		return st, true
-	case thenTerm:
-		return elseState, false
-	case elseTerm:
-		return thenState, false
-	default:
-		return thenState.merge(elseState), false
+		els.nonNil[id] = true
 	}
 }
 
-// branches handles switch/type-switch/select clause bodies with clones
-// and merges the live outcomes; without a default clause, falling past
-// the statement keeps the entry state live.
-func (w *sumWalker) branches(body *ast.BlockStmt, st *walkState) (*walkState, bool) {
-	hasDefault := false
-	var live []*walkState
-	for _, c := range body.List {
-		var stmts []ast.Stmt
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			stmts = c.Body
-			if c.List == nil {
-				hasDefault = true
-			}
-		case *ast.CommClause:
-			stmts = c.Body
-			if c.Comm == nil {
-				hasDefault = true
-			}
-		}
-		out, term := w.stmts(stmts, st.clone())
-		if !term {
-			live = append(live, out)
-		}
-	}
-	if !hasDefault {
-		live = append(live, st)
-	}
-	if len(live) == 0 {
-		return st, true
-	}
-	out := live[0]
-	for _, o := range live[1:] {
-		out = out.merge(o)
-	}
-	return out, false
-}
+func (w *sumWalker) ends(call *ast.CallExpr) bool { return isPanicCall(call) }
 
-// scanCalls processes every call expression inside a leaf statement, in
-// source order, skipping function-literal bodies.
-func (w *sumWalker) scanCalls(s ast.Stmt, st *walkState) {
+// loop analyses the body against a copy of the state, then widens the
+// entry state: anything charged inside the body may repeat (Max ->
+// unbounded) or not run at all (Min unchanged), identifiers assigned
+// inside lose their non-nil proof, and gate state is not trusted (zero
+// iterations pass no gate).
+func (w *sumWalker) loop(s ast.Stmt, st *walkState, body func(*walkState) (*walkState, bool)) *walkState {
+	if out, live := body(st); live {
+		for _, k := range sortedKeys(out.charges) {
+			if e := orZero(st.charges, k); out.charges[k].Max > e.Max {
+				st.charges[k] = MinMax{Min: e.Min, Max: satMax}
+			}
+		}
+	}
 	ast.Inspect(s, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			w.call(n, st)
+		if as, ok := n.(*ast.AssignStmt); ok {
+			killAssigned(as, st)
 		}
 		return true
 	})
+	return st
 }
 
-// scanExpr processes call expressions inside a bare expression (loop
-// condition, switch tag).
-func (w *sumWalker) scanExpr(e ast.Expr, st *walkState) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			w.call(n, st)
+// killAssigned drops the non-nil proofs of identifiers an assignment
+// overwrites.
+func killAssigned(as *ast.AssignStmt, st *walkState) {
+	for _, lhs := range as.Lhs {
+		if id, ok := lhs.(*ast.Ident); ok {
+			delete(st.nonNil, id.Name)
 		}
-		return true
-	})
+	}
+}
+
+// scanCalls applies every call under n in source order, skipping
+// function-literal bodies.
+func (w *sumWalker) scanCalls(n ast.Node, st *walkState) {
+	eachCall(n, func(c *ast.CallExpr) { w.call(c, st) }, nil)
 }
 
 // deferCall applies the exit-time effects of a deferred call: unlocks

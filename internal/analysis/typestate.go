@@ -435,14 +435,15 @@ func (o *objTrack) clone() *objTrack {
 
 // tsState is the abstract state along one control-flow path.
 type tsState struct {
+	pc      *protoC
 	bits    stateset
 	cleared bool
 	trace   []tsStep
 	objs    map[types.Object]*objTrack
 }
 
-func (s *tsState) clone() *tsState {
-	c := &tsState{bits: s.bits, cleared: s.cleared}
+func (s *tsState) Clone() *tsState {
+	c := &tsState{pc: s.pc, bits: s.bits, cleared: s.cleared}
 	c.trace = append(c.trace, s.trace...)
 	if s.objs != nil {
 		c.objs = make(map[types.Object]*objTrack, len(s.objs))
@@ -450,8 +451,7 @@ func (s *tsState) clone() *tsState {
 			cv := *v
 			tr := append([]tsStep(nil), v.trace...)
 			cv.trace = tr
-			cp := cv
-			c.objs[k] = &cp
+			c.objs[k] = &cv
 		}
 	}
 	return c
@@ -475,12 +475,13 @@ func addStep(steps []tsStep, st tsStep) []tsStep {
 	return append(steps, st)
 }
 
-// merge joins two live states. Ambient bits union; the may-mode cleared
+// Join merges two live states. Ambient bits union; the may-mode cleared
 // flag intersects and traces union (may-analysis); must-mode traces keep
 // the first non-empty witness. Per-value states union per object, with
 // values absent on one side gaining the absent bit.
-func (s *tsState) merge(o *tsState, pc *protoC) *tsState {
-	out := &tsState{bits: s.bits | o.bits, cleared: s.cleared && o.cleared}
+func (s *tsState) Join(o *tsState) *tsState {
+	pc := s.pc
+	out := &tsState{pc: pc, bits: s.bits | o.bits, cleared: s.cleared && o.cleared}
 	if pc.p.May {
 		out.trace = append(out.trace, s.trace...)
 		for _, st := range o.trace {
@@ -506,8 +507,7 @@ func (s *tsState) merge(o *tsState, pc *protoC) *tsState {
 			} else {
 				c.bits |= pc.noneBit
 			}
-			cp := c
-			out.objs[k] = &cp
+			out.objs[k] = &c
 		}
 		for k, v := range o.objs {
 			if _, ok := s.objs[k]; ok {
@@ -517,19 +517,16 @@ func (s *tsState) merge(o *tsState, pc *protoC) *tsState {
 			tr := append([]tsStep(nil), v.trace...)
 			c.trace = tr
 			c.bits |= pc.noneBit
-			cp := c
-			out.objs[k] = &cp
+			out.objs[k] = &c
 		}
 	}
 	return out
 }
 
-func (s *tsState) setFrom(o *tsState) {
-	s.bits, s.cleared, s.trace, s.objs = o.bits, o.cleared, o.trace, o.objs
-}
-
-// sig renders the convergence-relevant part of a state for loop
+// Equal compares the convergence-relevant part of two states for loop
 // fixpoints (traces excluded: they are witnesses, not lattice points).
+func (s *tsState) Equal(o *tsState) bool { return s.sig() == o.sig() }
+
 func (s *tsState) sig() string {
 	var b strings.Builder
 	b.WriteString(strconv.FormatUint(uint64(s.bits), 16))
@@ -614,7 +611,7 @@ func walkUnit(mod *ModuleInfo, res *protoResult, n *FuncNode, body *ast.BlockStm
 		sanctioned: map[*ast.Ident]bool{},
 		paramObjs:  map[types.Object]int{},
 	}
-	st := &tsState{}
+	st := &tsState{pc: pc}
 	if entryIdx >= 0 {
 		st.bits = 1 << uint(entryIdx)
 	} else {
@@ -626,8 +623,7 @@ func walkUnit(mod *ModuleInfo, res *protoResult, n *FuncNode, body *ast.BlockStm
 			w.trackParams(st)
 		}
 	}
-	out, terminated := w.stmts(body.List, st)
-	if !terminated {
+	if out, live := walkFlow(w, body, st); live {
 		w.recordExit(out)
 	}
 	w.finish()
@@ -694,7 +690,7 @@ func (w *tsWalker) report(v *ProtoViolation) {
 // recordExit replays defers in reverse order against a clone and folds
 // the result into the summary's exit facts and per-value obligations.
 func (w *tsWalker) recordExit(st *tsState) {
-	ex := st.clone()
+	ex := st.Clone()
 	for i := len(w.defers) - 1; i >= 0; i-- {
 		w.replayDefer(&w.defers[i], ex)
 	}
@@ -800,35 +796,17 @@ func (w *tsWalker) finish() {
 }
 
 // ---------------------------------------------------------------------
-// Control flow.
+// Transfer hooks for the flow walker.
 
-func (w *tsWalker) stmts(list []ast.Stmt, st *tsState) (*tsState, bool) {
-	for _, s := range list {
-		var term bool
-		st, term = w.stmt(s, st)
-		if term {
-			return st, true
-		}
-	}
-	return st, false
-}
-
-func (w *tsWalker) stmt(s ast.Stmt, st *tsState) (*tsState, bool) {
+func (w *tsWalker) stmt(s ast.Stmt, st *tsState) {
 	switch s := s.(type) {
-	case *ast.ExprStmt:
-		w.scanCalls(s, st)
-		if call, ok := s.X.(*ast.CallExpr); ok && w.isCrashCall(call) {
-			// A crash path terminates the protocol context: pending
-			// obligations die with the process.
-			return st, true
-		}
 	case *ast.ReturnStmt:
 		w.scanCalls(s, st)
 		if w.pc.p.PerValue {
 			w.discharge(s, st)
 		}
 		w.recordExit(st)
-		return st, true
+		return
 	case *ast.AssignStmt:
 		w.scanCalls(s, st)
 		if w.pc.p.PerValue {
@@ -845,94 +823,37 @@ func (w *tsWalker) stmt(s ast.Stmt, st *tsState) (*tsState, bool) {
 		// A spawned goroutine is a different execution context; tracked
 		// values it captures escape.
 		w.escapeIn(s, st)
-	case *ast.BlockStmt:
-		return w.stmts(s.List, st)
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, st)
-	case *ast.IfStmt:
-		return w.ifStmt(s, st)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			st, _ = w.stmt(s.Init, st)
-		}
-		w.scanExpr(s.Tag, st)
-		return w.branches(s.Body, st)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			st, _ = w.stmt(s.Init, st)
-		}
-		return w.branches(s.Body, st)
-	case *ast.SelectStmt:
-		return w.branches(s.Body, st)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			st, _ = w.stmt(s.Init, st)
-		}
-		w.scanExpr(s.Cond, st)
-		w.loopBody(s.Body, st)
-	case *ast.RangeStmt:
-		w.scanExpr(s.X, st)
-		w.loopBody(s.Body, st)
-	case *ast.BranchStmt:
-		// break/continue/goto leaves this list; the surrounding loop
-		// merge keeps the approximation sound.
-		return st, true
 	default:
 		w.scanCalls(s, st)
 	}
 	if w.pc.p.PerValue {
 		w.escapeScan(s, st)
 	}
-	return st, false
 }
 
-// loopBody: may-mode analyzes the body once and merges the
-// zero-iteration state (stores in the body may be pending after the loop,
-// fences in it are not guaranteed); must-mode iterates to a bounded
-// fixpoint so states reached late in iteration one feed back into
-// iteration two.
-func (w *tsWalker) loopBody(body *ast.BlockStmt, st *tsState) {
-	if w.pc.p.May {
-		out, _ := w.stmts(body.List, st.clone())
-		st.setFrom(st.merge(out, w.pc))
-		return
-	}
-	const loopMaxIter = 4
-	for i := 0; i < loopMaxIter; i++ {
-		before := st.sig()
-		out, _ := w.stmts(body.List, st.clone())
-		st.setFrom(st.merge(out, w.pc))
-		if st.sig() == before {
-			return
-		}
-	}
-}
+func (w *tsWalker) expr(e ast.Expr, st *tsState) { w.scanCalls(e, st) }
 
-func (w *tsWalker) ifStmt(s *ast.IfStmt, st *tsState) (*tsState, bool) {
-	if s.Init != nil {
-		st, _ = w.stmt(s.Init, st)
-	}
-	w.scanExpr(s.Cond, st)
-	thenState := st.clone()
-	elseState := st.clone()
+func (w *tsWalker) refine(cond ast.Expr, then, els *tsState) {
 	if w.pc.p.PerValue {
-		w.nilGuard(s.Cond, thenState, elseState)
+		w.nilGuard(cond, then, els)
 	}
-	thenState, thenTerm := w.stmts(s.Body.List, thenState)
-	elseTerm := false
-	if s.Else != nil {
-		elseState, elseTerm = w.stmt(s.Else, elseState)
+}
+
+// loop: may-mode analyzes the body once and merges the zero-iteration
+// state (stores in the body may be pending after the loop, fences in it
+// are not guaranteed); must-mode iterates to a bounded fixpoint so states
+// reached late in iteration one feed back into iteration two. Tracked
+// values the loop statement mentions outside a matched op escape.
+func (w *tsWalker) loop(s ast.Stmt, st *tsState, body func(*tsState) (*tsState, bool)) *tsState {
+	rounds := 4
+	if w.pc.p.May {
+		rounds = 1
 	}
-	switch {
-	case thenTerm && elseTerm:
-		return st, true
-	case thenTerm:
-		return elseState, false
-	case elseTerm:
-		return thenState, false
-	default:
-		return thenState.merge(elseState, w.pc), false
+	st = loopJoin(st, body, rounds)
+	if w.pc.p.PerValue {
+		w.escapeScan(s, st)
 	}
+	return st
 }
 
 // nilGuard refines per-value tracking across `if err != nil` / `== nil`
@@ -960,11 +881,9 @@ func (w *tsWalker) nilGuard(cond ast.Expr, thenState, elseState *tsState) {
 	if be.Op == token.EQL {
 		errSide, okSide = elseState, thenState
 	}
-	for _, states := range []*tsState{errSide} {
-		for _, o := range states.objs {
-			if o.err == obj {
-				o.bits = w.pc.noneBit
-			}
+	for _, o := range errSide.objs {
+		if o.err == obj {
+			o.bits = w.pc.noneBit
 		}
 	}
 	for _, o := range okSide.objs {
@@ -974,73 +893,17 @@ func (w *tsWalker) nilGuard(cond ast.Expr, thenState, elseState *tsState) {
 	}
 }
 
-func (w *tsWalker) branches(body *ast.BlockStmt, st *tsState) (*tsState, bool) {
-	hasDefault := false
-	var live []*tsState
-	for _, c := range body.List {
-		var stmts []ast.Stmt
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			stmts = c.Body
-			if c.List == nil {
-				hasDefault = true
-			}
-		case *ast.CommClause:
-			stmts = c.Body
-			if c.Comm == nil {
-				hasDefault = true
-			}
-		}
-		out, term := w.stmts(stmts, st.clone())
-		if !term {
-			live = append(live, out)
-		}
-	}
-	if !hasDefault {
-		live = append(live, st)
-	}
-	if len(live) == 0 {
-		return st, true
-	}
-	out := live[0]
-	for _, o := range live[1:] {
-		out = out.merge(o, w.pc)
-	}
-	return out, false
+// scanCalls applies every call under n in source order; function
+// literals are not entered, and tracked values they capture escape.
+func (w *tsWalker) scanCalls(n ast.Node, st *tsState) {
+	eachCall(n, func(c *ast.CallExpr) { w.call(c, st) },
+		func(lit *ast.FuncLit) { w.escapeIn(lit, st) })
 }
 
-func (w *tsWalker) scanCalls(s ast.Stmt, st *tsState) {
-	ast.Inspect(s, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			w.escapeIn(n, st)
-			return false
-		case *ast.CallExpr:
-			w.call(n, st)
-		}
-		return true
-	})
-}
-
-func (w *tsWalker) scanExpr(e ast.Expr, st *tsState) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			w.escapeIn(n, st)
-			return false
-		case *ast.CallExpr:
-			w.call(n, st)
-		}
-		return true
-	})
-}
-
-// isCrashCall recognizes process-terminating calls: panic, os.Exit, and
-// the log.Fatal family.
-func (w *tsWalker) isCrashCall(call *ast.CallExpr) bool {
+// ends recognizes process-terminating calls, which end a path: panic,
+// os.Exit, and the log.Fatal family. Pending obligations die with the
+// process.
+func (w *tsWalker) ends(call *ast.CallExpr) bool {
 	if isPanicCall(call) {
 		return true
 	}
@@ -1970,13 +1833,12 @@ type protoResult struct {
 	sums  map[*types.Func]*ProtocolSummary
 	lits  []*ProtocolSummary
 	diags []protoDiag
-	ms    float64
 }
 
 // computeTypestate runs every registered protocol bottom-up over the
 // SCCs (fixpoint inside recursive components), walks function literals
 // as anonymous units, and renders the findings for per-package replay.
-// Per-protocol wall time is recorded for the analyzer timing breakdown.
+// Each protocol's wall time is charged to its analyzer.
 func computeTypestate(mod *ModuleInfo) {
 	callNames := map[*FuncNode]map[string]bool{}
 	for _, n := range mod.Nodes {
@@ -1997,11 +1859,11 @@ func computeTypestate(mod *ModuleInfo) {
 		callNames[n] = names
 	}
 	for _, p := range Protocols() {
-		start := nowMS()
-		res := &protoResult{pc: compileProtocol(p), sums: map[*types.Func]*ProtocolSummary{}}
-		computeProtocol(mod, res, callNames)
-		res.ms = nowMS() - start
-		mod.typestate = append(mod.typestate, res)
+		mod.timed(p.Name, func(mod *ModuleInfo) {
+			res := &protoResult{pc: compileProtocol(p), sums: map[*types.Func]*ProtocolSummary{}}
+			computeProtocol(mod, res, callNames)
+			mod.typestate = append(mod.typestate, res)
+		})
 	}
 }
 
@@ -2164,16 +2026,6 @@ func (m *ModuleInfo) typestateDiags(name string) []protoDiag {
 		return res.diags
 	}
 	return nil
-}
-
-// TypestateMS returns per-analyzer engine wall time in milliseconds,
-// keyed by analyzer name (the timing breakdown BENCH_vet.json reports).
-func (m *ModuleInfo) TypestateMS() map[string]float64 {
-	out := map[string]float64{}
-	for _, res := range m.typestate {
-		out[res.pc.p.Name] = res.ms
-	}
-	return out
 }
 
 // ProtocolStats reports the state and transition counts of the protocol

@@ -455,6 +455,18 @@ func Bad(fs *FS, b []byte) {
 	fs.ReadAt(f, 0, b)
 }
 `, 1},
+		{"use after close in a for post statement flagged", handleFixture + `
+func Bad(fs *FS, b []byte) {
+	f, err := fs.Open("/x")
+	if err != nil {
+		return
+	}
+	f.Close()
+	for n := 0; n < len(b); fs.ReadAt(f, 0, b) {
+		n++
+	}
+}
+`, 1},
 		{"method call after close flagged via wildcard matcher", handleFixture + `
 func Bad(fs *FS) {
 	f, err := fs.Open("/x")

@@ -63,14 +63,14 @@ func redAdmissions() []service.PolicySpec {
 
 // RedCell is one (admission, parity-mode) point.
 type RedCell struct {
-	Admission  string  `json:"admission"`
-	Mode       string  `json:"mode"` // off | epoch | eager
-	EpochLenNS int64   `json:"epoch_len_ns,omitempty"`
-	FgP50NS    int64   `json:"fg_p50_ns"`
-	FgP99NS    int64   `json:"fg_p99_ns"`
-	FgP999NS   int64   `json:"fg_p999_ns"`
-	FgMeanNS   int64   `json:"fg_mean_ns"`
-	FgDone     int64   `json:"fg_completed"`
+	Admission  string `json:"admission"`
+	Mode       string `json:"mode"` // off | epoch | eager
+	EpochLenNS int64  `json:"epoch_len_ns,omitempty"`
+	FgP50NS    int64  `json:"fg_p50_ns"`
+	FgP99NS    int64  `json:"fg_p99_ns"`
+	FgP999NS   int64  `json:"fg_p999_ns"`
+	FgMeanNS   int64  `json:"fg_mean_ns"`
+	FgDone     int64  `json:"fg_completed"`
 	// P99Ratio is FgP99NS over the parity-off cell of the same
 	// admission policy (1.0 for the off cell itself).
 	P99Ratio float64 `json:"p99_ratio"`

@@ -93,9 +93,9 @@ func newPolicy(spec PolicySpec) (policy, error) {
 // admitAll is the no-admission baseline.
 type admitAll struct{}
 
-func (admitAll) name() string                               { return string(PolicyNone) }
-func (admitAll) admit(*Server, *tenant) bool                { return true }
-func (admitAll) complete(*Server, *tenant, sim.Duration)    {}
+func (admitAll) name() string                            { return string(PolicyNone) }
+func (admitAll) admit(*Server, *tenant) bool             { return true }
+func (admitAll) complete(*Server, *tenant, sim.Duration) {}
 
 // queueCap sheds every arrival beyond a fixed shared queue depth.
 type queueCap struct{ cap int }

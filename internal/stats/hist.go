@@ -57,7 +57,7 @@ func histUpper(i int) sim.Duration {
 	}
 	exp := i>>histSubBits + histSubBits - 1
 	sub := sim.Duration(i & (1<<histSubBits - 1))
-	return ((sub+(1<<histSubBits)+1)<<(exp-histSubBits)) - 1
+	return ((sub + (1 << histSubBits) + 1) << (exp - histSubBits)) - 1
 }
 
 // Add records one sample. Negative samples clamp to zero (virtual-time
