@@ -92,14 +92,10 @@ go test -race -tags easyio_invariants ./...
 echo '== bench smoke (one iteration of every benchmark)'
 go test -bench=. -benchtime=1x -run '^$' ./internal/sim .
 
-echo '== parallel runner byte-identity (-parallel 4 vs sequential)'
-same_output ./cmd/easyio-bench '-exp all -quick -parallel 1' '-exp all -quick -parallel 4'
+echo '== job pool byte-identity (every experiment, fig9 included; -workers 1 vs 4)'
+same_output ./cmd/easyio-bench '-exp all -quick -workers 1' '-exp all -quick -workers 4'
 
-echo '== serving sweep smoke (-parallel 1 vs 4 byte-identity)'
-same_output ./cmd/easyio-serve '-quick -parallel 1' '-quick -parallel 4'
-
-echo '== cluster scaling smoke (-simworkers 1 vs 4 byte-identity)'
-same_output ./cmd/easyio-bench '-exp fig9 -quick -simworkers 1' '-exp fig9 -quick -simworkers 4'
-same_output ./cmd/easyio-serve '-quick -simworkers 1' '-quick -simworkers 4'
+echo '== serving sweep + fleet cluster byte-identity (-workers 1 vs 4)'
+same_output ./cmd/easyio-serve '-quick -workers 1' '-quick -workers 4'
 
 echo 'check.sh: all gates green'

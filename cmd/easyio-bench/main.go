@@ -6,12 +6,13 @@
 //	easyio-bench -exp all            # everything (minutes)
 //	easyio-bench -exp fig9 -quick    # one figure, short windows
 //	easyio-bench -exp fig2,fig3,table2
-//	easyio-bench -exp all -parallel 8 -benchjson BENCH_sim.json
+//	easyio-bench -exp all -workers 8 -benchjson BENCH_sim.json
 //
 // Experiments: fig1 fig2 fig3 fig4 fig8 fig9 fig10 fig11 fig12 table1
-// table2. Independent sweep points fan out across -parallel workers; the
-// output is byte-identical for any worker count (each sweep point is its
-// own virtual machine, and results are printed in sweep order).
+// table2. Independent sweep points (Figure 9's 184 cells among them) fan
+// out across -workers goroutines; the output is byte-identical for any
+// worker count (each sweep point is its own virtual machine, and results
+// are printed in sweep order).
 package main
 
 import (
@@ -31,19 +32,11 @@ func main() {
 	quick := flag.Bool("quick", false, "short measurement windows (smoke test)")
 	seed := flag.Uint64("seed", 42, "simulation seed")
 	points := flag.Int("crashpoints", 1000, "crash states per Table 2 workload")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent sweep-point jobs (output is identical for any value)")
-	simworkers := flag.Int("simworkers", runtime.GOMAXPROCS(0), "goroutines per multi-domain simulation (output is identical for any value)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulation goroutines (output is identical for any value)")
 	benchjson := flag.String("benchjson", "", "write kernel perf + per-experiment wall-clock JSON to this file")
 	flag.Parse()
 
-	if *parallel < 1 {
-		*parallel = 1
-	}
-	bench.Workers = *parallel
-	if *simworkers < 1 {
-		*simworkers = 1
-	}
-	bench.SimWorkers = *simworkers
+	bench.SimWorkers = max(*workers, 1)
 
 	measure := 20 * sim.Millisecond
 	raw := 10 * sim.Millisecond
@@ -63,7 +56,7 @@ func main() {
 	}
 	all := want["all"]
 	ok := true
-	report := &bench.Report{Workers: *parallel, SimWorkers: *simworkers}
+	report := &bench.Report{Workers: bench.SimWorkers}
 	run := func(name string, fn func()) {
 		if all || want[name] {
 			fmt.Printf("==== %s ====\n", name)

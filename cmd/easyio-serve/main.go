@@ -8,7 +8,7 @@
 //
 //	easyio-serve                          # full sweep + million-request cell
 //	easyio-serve -quick                   # short windows, no capacity cell
-//	easyio-serve -parallel 4              # output identical for any value
+//	easyio-serve -workers 4               # output identical for any value
 //	easyio-serve -json BENCH_serve.json   # committed artifact
 //	easyio-serve -redjson BENCH_redundancy.json  # committed parity artifact
 //
@@ -17,7 +17,7 @@
 // windows (and the eager per-touch baseline for contrast).
 //
 // Every reported number is a virtual-time observable, so repeated runs
-// with the same -seed are byte-identical for any -parallel value.
+// with the same -seed are byte-identical for any -workers value.
 package main
 
 import (
@@ -34,21 +34,13 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "short measurement windows, skip the million-request cell (smoke test)")
 	seed := flag.Uint64("seed", 42, "simulation seed")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent sweep-point jobs (output is identical for any value)")
-	simworkers := flag.Int("simworkers", runtime.GOMAXPROCS(0), "goroutines per multi-domain simulation (output is identical for any value)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulation goroutines (output is identical for any value)")
 	jsonPath := flag.String("json", "", "write the serve report JSON to this file")
 	redJSONPath := flag.String("redjson", "", "write the redundancy report JSON to this file")
 	million := flag.Bool("million", false, "force the million-request capacity cell even with -quick")
 	flag.Parse()
 
-	if *parallel < 1 {
-		*parallel = 1
-	}
-	bench.Workers = *parallel
-	if *simworkers < 1 {
-		*simworkers = 1
-	}
-	bench.SimWorkers = *simworkers
+	bench.SimWorkers = max(*workers, 1)
 
 	measure := 20 * sim.Millisecond
 	runMillion := true

@@ -54,51 +54,38 @@ func fig9PanelJobs(wl fxmark.Workload, ioSize int) []fig9Job {
 	return jobs
 }
 
-// runFig9Cells executes every cell as an unlinked domain of one
-// sim.Cluster: each domain builds its instance (node-confined setup) and
-// runs its measure window on a real goroutine, up to SimWorkers at a
-// time. Unlinked domains have an unbounded horizon, so the cluster
-// degenerates to a single round — embarrassingly parallel, with results
-// collected into index-addressed slots so the output is byte-identical
+// runFig9Cells runs every cell as an independent job through runJobs:
+// each builds its own instance, runs its measure window and closes the
+// instance when done, so at most SimWorkers devices are alive at once.
+// Points land in index-addressed slots, so the output is byte-identical
 // for any worker count.
 func runFig9Cells(jobs []fig9Job, measure sim.Duration, seed uint64) []Fig9Point {
-	cl := sim.NewCluster(SimWorkers)
-	insts := make([]*Instance, len(jobs))
-	pends := make([]*fxmark.Pending, len(jobs))
-	for i, j := range jobs {
-		i, j := i, j
-		cl.AddDomain(fpfS("fig9/%s-%dk/%s/%d", j.wl, j.ioSize>>10, j.sys, j.cores), func(d *sim.Domain) {
-			inst, err := NewInstance(j.sys, j.cores, InstanceOptions{Seed: seed, Engine: d.Engine()})
-			if err != nil {
-				panic(err)
-			}
-			pend, err := fxmark.Start(inst.Eng, inst.RT, inst.FS, fxmark.Config{
-				Workload: j.wl,
-				Cores:    j.cores,
-				Uthreads: inst.Uthreads(),
-				IOSize:   j.ioSize,
-				Measure:  measure,
-				Seed:     seed,
-			})
-			if err != nil {
-				panic(err)
-			}
-			insts[i], pends[i] = inst, pend
-			d.SetDeadline(pend.End())
-		})
-	}
-	cl.Run()
 	points := make([]Fig9Point, len(jobs))
-	for i := range jobs {
-		res := pends[i].Result()
-		insts[i].Close()
+	runJobs(len(jobs), func(i int) {
+		j := jobs[i]
+		inst, err := NewInstance(j.sys, j.cores, InstanceOptions{Seed: seed})
+		if err != nil {
+			panic(err)
+		}
+		defer inst.Close()
+		res, err := fxmark.Run(inst.Eng, inst.RT, inst.FS, fxmark.Config{
+			Workload: j.wl,
+			Cores:    j.cores,
+			Uthreads: inst.Uthreads(),
+			IOSize:   j.ioSize,
+			Measure:  measure,
+			Seed:     seed,
+		})
+		if err != nil {
+			panic(err)
+		}
 		points[i] = Fig9Point{
-			Cores: jobs[i].cores,
+			Cores: j.cores,
 			Thr:   res.Throughput(),
 			Avg:   res.Lat.Mean(),
 			P99:   res.Lat.P99(),
 		}
-	}
+	})
 	return points
 }
 
@@ -133,7 +120,7 @@ func assembleFig9Panel(wl fxmark.Workload, ioSize int, jobs []fig9Job, points []
 	return p
 }
 
-// RunFig9Panel sweeps one panel under the cluster runner.
+// RunFig9Panel sweeps one panel.
 func RunFig9Panel(wl fxmark.Workload, ioSize int, measure sim.Duration, seed uint64) *Fig9Panel {
 	jobs := fig9PanelJobs(wl, ioSize)
 	return assembleFig9Panel(wl, ioSize, jobs, runFig9Cells(jobs, measure, seed))
@@ -170,9 +157,8 @@ func fig9AllJobs(cfgs []fig9PanelCfg) (jobs []fig9Job, offs []int) {
 // tables embedded in the paper's figure.
 func Fig9(w io.Writer, measure sim.Duration, seed uint64) []*Fig9Panel {
 	cfgs := fig9PanelCfgs()
-	// All four panels' cells go into ONE cluster, so -simworkers is the
-	// scaling axis for the whole figure (184 domains on up to SimWorkers
-	// goroutines).
+	// All four panels' cells go into one job pool (184 cells on up to
+	// SimWorkers goroutines).
 	jobs, offs := fig9AllJobs(cfgs)
 	points := runFig9Cells(jobs, measure, seed)
 	panels := make([]*Fig9Panel, len(cfgs))

@@ -46,8 +46,8 @@ func TestFleetSeedSensitivity(t *testing.T) {
 	}
 }
 
-// fig9SliceDigest runs a small fig9 job slice through the cluster runner
-// at a given SimWorkers value and folds the points into a string.
+// fig9SliceDigest runs a small fig9 job slice through the job pool at a
+// given SimWorkers value and folds the points into a string.
 func fig9SliceDigest(t *testing.T, workers int, seed uint64) string {
 	t.Helper()
 	old := SimWorkers
@@ -70,8 +70,8 @@ func fig9SliceDigest(t *testing.T, workers int, seed uint64) string {
 	return out
 }
 
-// TestFig9CellsWorkerMatrix: the cluster-run fig9 cells must produce
-// identical points for any worker count.
+// TestFig9CellsWorkerMatrix: fig9's cells must produce identical points
+// for any worker count.
 func TestFig9CellsWorkerMatrix(t *testing.T) {
 	want := fig9SliceDigest(t, 1, 42)
 	for _, w := range []int{2, 4, 8} {

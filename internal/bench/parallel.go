@@ -6,31 +6,25 @@ import (
 	"sync/atomic"
 )
 
-// Workers bounds how many simulation jobs the drivers run concurrently.
-// Each job is an independent virtual machine (its own engine, device and
-// filesystem), so host-side parallelism cannot perturb virtual time: the
-// drivers compute every sweep point into an index-addressed slot and only
-// then print, which makes the output byte-identical for any Workers
-// value. Set it (e.g. from easyio-bench's -parallel flag) before invoking
-// a driver.
-var Workers = runtime.GOMAXPROCS(0)
-
-// SimWorkers bounds how many goroutines a multi-domain sim.Cluster uses
-// inside a single experiment (fig9's cell fleet, the multi-node serving
-// cell). Orthogonal to Workers: Workers fans out whole independent
-// simulations, SimWorkers parallelizes domains within one simulation
-// under conservative lookahead. Digests are byte-identical for any value.
-// Set it (e.g. from the -simworkers flag) before invoking a driver.
+// SimWorkers is the drivers' one host-parallelism width. It bounds how
+// many independent simulation jobs runJobs runs at once (each job is its
+// own virtual machine: engine, device and filesystem), and how many
+// goroutines the multi-node serving cell's sim.Cluster uses for its
+// linked domains under conservative lookahead. Neither can perturb
+// virtual time: jobs compute into index-addressed slots that are printed
+// only afterwards, and the cluster merges cross-domain handoffs in a
+// fixed order. Output is byte-identical for any value. Set it (e.g. from
+// the -workers flag) before invoking a driver.
 var SimWorkers = runtime.GOMAXPROCS(0)
 
 // activeHelpers counts the *extra* goroutines across all concurrent
-// runJobs calls (nested calls share the budget of Workers-1). Slots are
+// runJobs calls (nested calls share the budget of SimWorkers-1). Slots are
 // try-acquired: a job that cannot get one simply runs on the goroutine
 // that requested it, so nesting can never deadlock.
 var activeHelpers atomic.Int64
 
 func acquireHelper() bool {
-	limit := int64(Workers - 1)
+	limit := int64(SimWorkers - 1)
 	for {
 		cur := activeHelpers.Load()
 		if cur >= limit {
@@ -51,7 +45,7 @@ type jobPanic struct {
 	val any
 }
 
-// runJobs executes fn(0..n-1), fanning out across up to Workers
+// runJobs executes fn(0..n-1), fanning out across up to SimWorkers
 // goroutines, and returns once every job has finished. fn must write its
 // result into a caller-owned slot for index i and must not touch shared
 // state. If any jobs panic, the panic of the lowest index is re-raised

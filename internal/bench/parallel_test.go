@@ -12,9 +12,9 @@ import (
 // TestRunJobsCoversAllIndices: every index runs exactly once, for worker
 // counts below, at, and above the job count.
 func TestRunJobsCoversAllIndices(t *testing.T) {
-	defer func(w int) { Workers = w }(Workers)
+	defer func(w int) { SimWorkers = w }(SimWorkers)
 	for _, workers := range []int{1, 2, 7, 64} {
-		Workers = workers
+		SimWorkers = workers
 		const n = 23
 		var counts [n]atomic.Int64
 		runJobs(n, func(i int) { counts[i].Add(1) })
@@ -29,9 +29,9 @@ func TestRunJobsCoversAllIndices(t *testing.T) {
 // TestRunJobsPanicLowestIndex: when several jobs panic, the re-raised
 // panic is the lowest index's regardless of worker count.
 func TestRunJobsPanicLowestIndex(t *testing.T) {
-	defer func(w int) { Workers = w }(Workers)
+	defer func(w int) { SimWorkers = w }(SimWorkers)
 	for _, workers := range []int{1, 8} {
-		Workers = workers
+		SimWorkers = workers
 		got := func() (r any) {
 			defer func() { r = recover() }()
 			runJobs(16, func(i int) {
@@ -51,8 +51,8 @@ func TestRunJobsPanicLowestIndex(t *testing.T) {
 // try-acquired, so inner calls fall back to the calling goroutine rather
 // than deadlocking).
 func TestRunJobsNested(t *testing.T) {
-	defer func(w int) { Workers = w }(Workers)
-	Workers = 4
+	defer func(w int) { SimWorkers = w }(SimWorkers)
+	SimWorkers = 4
 	var total atomic.Int64
 	runJobs(6, func(i int) {
 		runJobs(6, func(j int) { total.Add(1) })
@@ -70,8 +70,8 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 		t.Skip("runs full drivers twice")
 	}
 	render := func(workers int) []byte {
-		defer func(w int) { Workers = w }(Workers)
-		Workers = workers
+		defer func(w int) { SimWorkers = w }(SimWorkers)
+		SimWorkers = workers
 		var buf bytes.Buffer
 		Fig2(&buf, sim.Millisecond)
 		Fig3(&buf, sim.Millisecond)

@@ -28,11 +28,11 @@ type ExperimentTiming struct {
 	WallMS float64 `json:"wall_ms"`
 }
 
-// ScalingRow is one wall-clock measurement of the cluster-run fig9 cell
-// fleet at a fixed -simworkers value.
+// ScalingRow is one wall-clock measurement of fig9's 184 cells at a
+// fixed -workers value.
 type ScalingRow struct {
-	SimWorkers int     `json:"simworkers"`
-	WallMS     float64 `json:"wall_ms"`
+	Workers int     `json:"workers"`
+	WallMS  float64 `json:"wall_ms"`
 }
 
 // Report is the machine-readable benchmark summary easyio-bench emits
@@ -40,13 +40,11 @@ type ScalingRow struct {
 type Report struct {
 	Kernel      KernelPerf   `json:"kernel"`
 	Workers     int          `json:"workers"`
-	SimWorkers  int          `json:"simworkers,omitempty"`
 	Fig9Scaling []ScalingRow `json:"fig9_scaling,omitempty"`
-	// Fig9Speedup4W is wall(simworkers=1) / wall(simworkers=4) for the
-	// fig9 cell fleet — the tentpole's parallel-virtual-time payoff. On a
-	// single-CPU host this sits near 1.0 (GOMAXPROCS caps real
-	// parallelism); the scaling test asserts >= 2x only when the host has
-	// at least 4 CPUs.
+	// Fig9Speedup4W is wall(workers=1) / wall(workers=4) for fig9's
+	// cells. On a host with fewer than 4 CPUs this sits below 4x
+	// (GOMAXPROCS caps real parallelism); the scaling test asserts >= 2x
+	// only when the host has at least 4 CPUs.
 	Fig9Speedup4W float64            `json:"fig9_speedup_4w,omitempty"`
 	Experiments   []ExperimentTiming `json:"experiments,omitempty"`
 }
@@ -58,8 +56,8 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// MeasureFig9Scaling times the full fig9 cell fleet (all four panels,
-// one cluster) at -simworkers 1, 2 and 4, verifying along the way that
+// MeasureFig9Scaling times fig9's cells (all four panels, one job pool)
+// at -workers 1, 2 and 4, verifying along the way that
 // every worker count computes identical points, and returns the rows
 // plus the 4-worker speedup. The rows are wall-clock host metrics — the
 // one number in the report that legitimately varies across machines.
@@ -75,13 +73,13 @@ func MeasureFig9Scaling(measure sim.Duration, seed uint64) ([]ScalingRow, float6
 		t0 := time.Now()
 		points := runFig9Cells(jobs, measure, seed)
 		wall[w] = float64(time.Since(t0).Microseconds()) / 1000
-		rows = append(rows, ScalingRow{SimWorkers: w, WallMS: wall[w]})
+		rows = append(rows, ScalingRow{Workers: w, WallMS: wall[w]})
 		if base == nil {
 			base = points
 		} else {
 			for i := range points {
 				if points[i] != base[i] {
-					panic(fpfS("bench: fig9 cell %d diverged at simworkers=%d", i, w))
+					panic(fpfS("bench: fig9 cell %d diverged at workers=%d", i, w))
 				}
 			}
 		}

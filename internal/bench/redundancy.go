@@ -181,7 +181,7 @@ func redCell(adm service.PolicySpec, mode redMode, measure sim.Duration, seed ui
 }
 
 // Redundancy runs the admission x parity-mode sweep (each cell an
-// independent virtual machine, fanned out over Workers) and prints the
+// independent virtual machine, fanned out over SimWorkers) and prints the
 // trade-off table. The returned report is the BENCH_redundancy.json
 // payload.
 func Redundancy(w io.Writer, measure sim.Duration, seed uint64) *RedReport {

@@ -7,8 +7,8 @@ import (
 	"github.com/easyio-sim/easyio/internal/sim"
 )
 
-// TestFig9ScalingSpeedup asserts the tentpole's payoff: the cluster-run
-// fig9 cell fleet must be at least 2x faster at -simworkers 4 than at 1,
+// TestFig9ScalingSpeedup asserts the job pool's payoff: fig9's cells
+// must run at least 2x faster at -workers 4 than at 1,
 // with identical points (MeasureFig9Scaling panics on any divergence).
 // The assertion needs real parallelism, so it is skipped on hosts with
 // fewer than 4 CPUs — there the rows still get measured and recorded in
@@ -22,9 +22,9 @@ func TestFig9ScalingSpeedup(t *testing.T) {
 	}
 	rows, speedup := MeasureFig9Scaling(4*sim.Millisecond, 42)
 	for _, r := range rows {
-		t.Logf("simworkers=%d wall=%.1fms", r.SimWorkers, r.WallMS)
+		t.Logf("workers=%d wall=%.1fms", r.Workers, r.WallMS)
 	}
 	if speedup < 2 {
-		t.Fatalf("fig9 speedup at simworkers=4 is %.2fx, want >= 2x", speedup)
+		t.Fatalf("fig9 speedup at workers=4 is %.2fx, want >= 2x", speedup)
 	}
 }

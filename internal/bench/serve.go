@@ -217,7 +217,7 @@ func serveMillion(seed uint64) ServeMillionCell {
 }
 
 // Serve runs the full policy x load sweep (each cell an independent
-// virtual machine, fanned out over Workers) and prints the curves. With
+// virtual machine, fanned out over SimWorkers) and prints the curves. With
 // million set it appends the capacity cell. The returned report is the
 // BENCH_serve.json payload.
 func Serve(w io.Writer, measure sim.Duration, seed uint64, million bool) *ServeReport {

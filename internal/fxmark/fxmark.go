@@ -115,8 +115,7 @@ func Run(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config) 
 
 // Pending is a started-but-not-driven run: Start has done the untimed
 // setup and spawned the workers; the result is valid once the caller has
-// advanced the engine to at least End (RunUntil semantics — a cluster
-// domain does this with a deadline).
+// advanced the engine to at least End (RunUntil semantics).
 type Pending struct {
 	res *Result
 	end sim.Time
@@ -136,16 +135,19 @@ func Start(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config
 	cfg = cfg.withDefaults()
 	res := &Result{Span: cfg.Measure}
 	g := rng.New(cfg.Seed ^ 0xf8a1)
-
 	// Functional setup (untimed): pre-create the files.
 	shared := cfg.Workload == DWOM || cfg.Workload == DRBM
+	var zero []byte // one zero chunk serves every prefilled file
+	if shared || cfg.Workload == DRBL {
+		zero = make([]byte, prefillChunk)
+	}
 	var sharedFile *nova.File
 	if shared {
 		f, err := fs.Create(nil, "/fxmark-shared")
 		if err != nil {
 			return nil, err
 		}
-		if err := prefill(fs, f, cfg.FileSize); err != nil {
+		if err := prefill(fs, f, cfg.FileSize, zero); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -159,7 +161,7 @@ func Start(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config
 				return nil, err
 			}
 			if cfg.Workload == DRBL {
-				if err := prefill(fs, f, cfg.FileSize); err != nil {
+				if err := prefill(fs, f, cfg.FileSize, zero); err != nil {
 					f.Close()
 					return nil, err
 				}
@@ -219,16 +221,18 @@ func Start(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config
 	return &Pending{res: res, end: end}, nil
 }
 
-// prefill functionally sizes a file (ephemeral-aware: metadata only).
-func prefill(fs fsapi.FileSystem, f *nova.File, size int64) error {
-	const chunk = 1 << 20
-	b := make([]byte, chunk)
-	for off := int64(0); off < size; off += chunk {
+// prefillChunk is prefill's write size.
+const prefillChunk = 1 << 20
+
+// prefill functionally sizes a file (ephemeral-aware: metadata only) with
+// writes of zero, a caller-owned all-zero buffer of prefillChunk bytes.
+func prefill(fs fsapi.FileSystem, f *nova.File, size int64, zero []byte) error {
+	for off := int64(0); off < size; off += prefillChunk {
 		n := size - off
-		if n > chunk {
-			n = chunk
+		if n > prefillChunk {
+			n = prefillChunk
 		}
-		if _, err := fs.WriteAt(nil, f, off, b[:n]); err != nil {
+		if _, err := fs.WriteAt(nil, f, off, zero[:n]); err != nil {
 			return err
 		}
 	}

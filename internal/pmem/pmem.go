@@ -17,6 +17,7 @@
 package pmem
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 
@@ -200,18 +201,20 @@ func (d *Device) ReadAt(b []byte, off int64) {
 		if p := d.pages[pg]; p != nil {
 			copy(b[:n], p[po:int(po)+n])
 		} else {
-			for i := 0; i < n; i++ {
-				b[i] = 0
-			}
+			clear(b[:n])
 		}
 		b = b[n:]
 		off += int64(n)
 	}
 }
 
+// zeroPage is read-only: WriteAt compares stores against it.
+var zeroPage [pageSize]byte
+
 // WriteAt stores b at off. The store is immediately visible to readers but
 // only becomes durable at the next Fence (stores between fences may
-// survive a crash in any subset — see CrashImage).
+// survive a crash in any subset — see CrashImage). An all-zero store to an
+// absent page leaves it absent, since absent pages already read as zero.
 func (d *Device) WriteAt(off int64, b []byte) {
 	d.check(off, len(b))
 	if invariants.Enabled && d.tracking && len(d.records) > 0 &&
@@ -230,11 +233,11 @@ func (d *Device) WriteAt(off int64, b []byte) {
 		if n > len(b) {
 			n = len(b)
 		}
-		p := d.pages[pg]
-		if p == nil {
-			p = d.addPage(pg)
+		if p := d.pages[pg]; p != nil {
+			copy(p[po:int(po)+n], b[:n])
+		} else if !bytes.Equal(b[:n], zeroPage[:n]) {
+			copy(d.addPage(pg)[po:int(po)+n], b[:n])
 		}
-		copy(p[po:int(po)+n], b[:n])
 		b = b[n:]
 		off += int64(n)
 	}
