@@ -95,7 +95,7 @@ go test -bench=. -benchtime=1x -run '^$' ./internal/sim .
 echo '== job pool byte-identity (every experiment, fig9 included; -workers 1 vs 4)'
 same_output ./cmd/easyio-bench '-exp all -quick -workers 1' '-exp all -quick -workers 4'
 
-echo '== serving sweep + fleet cluster byte-identity (-workers 1 vs 4)'
+echo '== serving job pool byte-identity (serve and redundancy cells; -workers 1 vs 4)'
 same_output ./cmd/easyio-serve '-quick -workers 1' '-quick -workers 4'
 
 echo 'check.sh: all gates green'

@@ -44,8 +44,8 @@
 //	              coldpath annotation is live (staleallow for perf)
 //	svclifecycle  - service.Server lifecycle automaton (New -> StartArrivals
 //	              -> StartManager -> Inject* -> End -> Finish)
-//	horizonproto  - cluster horizon protocol (topology before Run, Send
-//	              only under a granted horizon, no Send after Shutdown)
+//	horizonproto  - cluster protocol (topology before Run, Send only
+//	              from event context, no Send after Shutdown)
 //	epochbudget   - channel-manager epoch budget (RegisterLApp before
 //	              Start, Report only while running, Stop once)
 //	handlestate   - fsapi/nova handles: Open -> use -> Close, no

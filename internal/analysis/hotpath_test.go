@@ -146,15 +146,12 @@ func simShapedFixture(stepDoc string) string {
 	return `package sim
 type Engine struct{ n int }
 type wheel struct{ n int }
-type Cluster struct{ n int }
 ` + stepDoc + `
 func (e *Engine) step() { e.n++ }
 //easyio:hotpath
 func (w *wheel) insert() { w.n++ }
 //easyio:hotpath
 func (w *wheel) advance() { w.n++ }
-//easyio:hotpath
-func (c *Cluster) deliver() { c.n++ }
 `
 }
 

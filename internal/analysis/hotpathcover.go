@@ -13,10 +13,11 @@ import (
 //
 //   - a *required hot root* — the known steady-state entry points of the
 //     six performance-critical subsystems (sim event dispatch, wheel
-//     schedule/fire, cluster handoff merge, stats.Hist recording, the
-//     service request lifecycle, pmem arbitration) — that is missing its
-//     //easyio:hotpath annotation, or that disappeared entirely (the
-//     required-roots table below must then be updated consciously);
+//     schedule/fire, stats.Hist recording, the service request
+//     lifecycle, pmem arbitration, redundancy dirty capture) — that is
+//     missing its //easyio:hotpath annotation, or that disappeared
+//     entirely (the required-roots table below must then be updated
+//     consciously);
 //   - a //easyio:hotpath annotation on a function no engine root (a
 //     main function of the cmd/ binaries) statically reaches — a stale
 //     contract certifying dead code;
@@ -59,7 +60,6 @@ var requiredHotRoots = []requiredHotRoot{
 	{"internal/sim", "Engine", "step", "sim event dispatch"},
 	{"internal/sim", "wheel", "insert", "timer-wheel schedule"},
 	{"internal/sim", "wheel", "advance", "timer-wheel fire"},
-	{"internal/sim", "Cluster", "deliver", "cluster handoff merge"},
 	{"internal/stats", "Hist", "Add", "latency histogram recording"},
 	{"internal/service", "Server", "Inject", "service request admission"},
 	{"internal/service", "Server", "execute", "service request execution"},

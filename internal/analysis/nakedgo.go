@@ -6,11 +6,11 @@ import "go/ast"
 // concurrency mechanism is sim.Proc: runtime coroutines (iter.Pull) that
 // the engine resumes one at a time in deterministic event order, with no
 // go statement of their own. A naked `go` statement races the OS
-// scheduler against the virtual clock. The sanctioned launch sites are
-// the host worker pools (sim.Cluster rounds, the bench job pool, the
-// analysis runner), each of which confines every engine or package it
-// touches to one worker and joins before merging; each carries an
-// //easyio:allow nakedgo comment saying so.
+// scheduler against the virtual clock; internal/sim itself has none. The
+// sanctioned launch sites are the two host worker pools (the bench job
+// pool and the analysis runner), each of which confines every engine or
+// package it touches to one worker and joins before merging; each
+// carries an //easyio:allow nakedgo comment saying so.
 var NakedGo = &Analyzer{
 	Name: "nakedgo",
 	Doc:  "forbid go statements — concurrency must go through sim.Proc",

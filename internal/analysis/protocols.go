@@ -47,15 +47,14 @@ var svcLifecycleProtocol = &Protocol{
 	},
 }
 
-// horizonProtocol is the cluster conservative-lookahead automaton:
-// topology (AddDomain/Link) is declared while building, Run grants
-// horizons, and Domain.Send is only legal from code executing under a
-// granted horizon — i.e. from domain handlers (closures), never from
-// coordinator code that provably holds the cluster in a concrete
-// build/ran/down state.
+// horizonProtocol is the sim.Cluster lifecycle automaton: topology
+// (AddDomain/Link) is declared while building, Run drives the shared
+// engine once, and Domain.Send is only legal from event context — i.e.
+// from domain handlers (closures), never from coordinator code that
+// provably holds the cluster in a concrete build/ran/down state.
 var horizonProtocol = &Protocol{
 	Name:        "horizonproto",
-	Doc:         "sim.Cluster horizon protocol: AddDomain/Link before Run, Shutdown after Run, Domain.Send only under a granted horizon",
+	Doc:         "sim.Cluster protocol: AddDomain/Link before Run, Shutdown after Run, Domain.Send only from event context",
 	Object:      "sim.Cluster",
 	States:      []string{"building", "ran", "down", "event"},
 	ExemptRecvs: []string{"Cluster", "Domain"},
@@ -64,24 +63,24 @@ var horizonProtocol = &Protocol{
 			Trans: [][2]string{{"", "building"}}},
 		{Name: "AddDomain", Recv: "Cluster", NArgs: anyArgs,
 			Trans: [][2]string{{"building", "building"}},
-			Msg:   "topology is fixed once Run grants horizons"},
+			Msg:   "topology is fixed once the cluster runs"},
 		{Name: "Link", Recv: "Cluster", NArgs: anyArgs,
 			Trans: [][2]string{{"building", "building"}},
-			Msg:   "links must be declared before Run so lookahead is computed from the full graph"},
+			Msg:   "links must be declared before Run, while the topology is still open"},
 		{Name: "Run", Recv: "Cluster", NArgs: anyArgs,
 			Trans: [][2]string{{"building", "ran"}},
 			Msg:   "a cluster runs once, after its topology is declared"},
 		{Name: "Shutdown", Recv: "Cluster", NArgs: anyArgs,
 			Trans: [][2]string{{"ran", "down"}},
-			Msg:   "Shutdown joins the workers after Run returns; no sends may follow"},
+			Msg:   "Shutdown unwinds the engine's procs after Run returns; no sends may follow"},
 		// "event" is never the target of any coordinator transition: a
 		// Send is legal only where the cluster state is unknown (domain
-		// handlers and other closures executing under a granted
-		// horizon), and illegal wherever the coordinator provably holds
-		// a concrete lifecycle state.
+		// handlers and other closures running as engine events), and
+		// illegal wherever the coordinator provably holds a concrete
+		// lifecycle state.
 		{Name: "Send", Recv: "Domain", NArgs: anyArgs,
 			Trans: [][2]string{{"event", "event"}},
-			Msg:   "cross-domain sends are only safe under a granted horizon (inside a domain handler), not from coordinator code"},
+			Msg:   "cross-domain sends run in event context (inside a domain handler), not from coordinator code"},
 	},
 }
 
@@ -248,7 +247,7 @@ var SvcLifecycle = &Analyzer{
 	Run:  runProtocol(svcLifecycleProtocol.Name),
 }
 
-// HorizonProto checks the cluster horizon-handoff automaton.
+// HorizonProto checks the sim.Cluster lifecycle automaton.
 var HorizonProto = &Analyzer{
 	Name: horizonProtocol.Name,
 	Doc:  horizonProtocol.Doc,

@@ -24,7 +24,7 @@ import (
 // instance and folds every observable into one FNV-64 digest; the digests
 // are committed under testdata/, so any perf-model, kernel, serving or
 // parity refactor that shifts a single event surfaces as explicit digest
-// churn in review. Three corpora share one harness:
+// churn in review. Four corpora share one harness:
 //
 //   - determinism (TestDigestCorpus): every system under test crossed with
 //     a low-sharing write (DWAL) and a medium-sharing overwrite (DWOM)
@@ -33,9 +33,11 @@ import (
 //     crossed with each arrival process.
 //   - redundancy (TestRedundancyDigestCorpus): one epoch-parity serving
 //     cell per (epoch length, admission policy).
+//   - fleet (TestFleetDigestCorpus): the router + node serving cell at two
+//     adjacent seeds.
 //
 // Each corpus also has a seed-sensitivity test proving its digests
-// discriminate. Regenerate all three golden files with:
+// discriminate. Regenerate all four golden files with:
 //
 //	go test ./internal/bench -run DigestCorpus -update-digests
 
@@ -413,4 +415,47 @@ func redCorpusDigest(t *testing.T, epochLen sim.Duration, pol service.PolicyKind
 		tr.Epochs, tr.StripesParity, tr.ParityBytes, tr.DataBytesRead, tr.EscalatedStripes,
 		tr.SealedEpoch(), tr.CommittedEpoch(), int64(tr.MaxLag), int64(tr.MeanLag()))
 	return h.Sum64()
+}
+
+// ---------------------------------------------------------------------------
+// Fleet corpus: any change to cross-domain delivery, link latency, or a
+// node's serving path surfaces here.
+
+// fleetCorpusCell pins the fleet cell at corpusSeed+offset.
+func fleetCorpusCell(offset uint64) corpusCell {
+	name := fmt.Sprintf("seed%d", corpusSeed+offset)
+	return corpusCell{
+		name:   name,
+		key:    "fleet/3ms/" + name,
+		digest: func(t *testing.T, seed uint64) uint64 { return fleetCorpusDigest(t, seed+offset) },
+	}
+}
+
+// TestFleetDigestCorpus checks the fleet cell at seeds 42 and 43 against
+// the committed golden digests.
+func TestFleetDigestCorpus(t *testing.T) {
+	checkGolden(t, goldenCorpus{kind: "fleet", prefix: "fleet_digests",
+		cells: []corpusCell{fleetCorpusCell(0), fleetCorpusCell(1)}})
+}
+
+// TestFleetSeedSensitivity: the fleet digest must propagate a seed change
+// through the router and every node, not average it away.
+func TestFleetSeedSensitivity(t *testing.T) {
+	checkSeedSensitivity(t, []corpusCell{fleetCorpusCell(0)})
+}
+
+// fleetCorpusDigest runs one 3 ms fleet cell and returns its digest:
+// router counters, the RTT histogram, every node's service result, and
+// the shared engine's clock and event sequence.
+func fleetCorpusDigest(t *testing.T, seed uint64) uint64 {
+	t.Helper()
+	cell := fleetCell(3*sim.Millisecond, seed)
+	if cell.Acked == 0 {
+		t.Fatal("fleet cell acked zero requests; digest is vacuous")
+	}
+	d, err := strconv.ParseUint(cell.Digest, 0, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

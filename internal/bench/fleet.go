@@ -17,9 +17,8 @@ import (
 // DMA engines, channel manager, caladan runtime and a service.Server fed
 // through Inject instead of local arrival chains — and acks every
 // completion back to the router, which accounts end-to-end (send to ack)
-// round-trip latency. The whole cell runs under sim.Cluster conservative
-// lookahead on up to SimWorkers goroutines; its digest is byte-identical
-// for any worker count.
+// round-trip latency. The domains share one sim.Cluster engine, so the
+// cell is one deterministic event stream; it does not read SimWorkers.
 
 const (
 	fleetNodes     = 3
@@ -66,20 +65,21 @@ type FleetCell struct {
 
 // fleetCell runs the multi-domain serving cell and folds every
 // observable — router counters, the RTT histogram, each node's full
-// service result, and each engine's clock and sequence counter — into
-// one digest.
+// service result, and the engine's clock and sequence counter — into one
+// digest.
 func fleetCell(measure sim.Duration, seed uint64) FleetCell {
-	cl := sim.NewCluster(SimWorkers)
+	cl := sim.NewCluster()
 	tenants := fleetTenants()
 
 	warm := sim.Time(fleetWarmup)
 	end := warm + sim.Time(measure)
-	nodeEnd := end + sim.Time(fleetDrain)
-	routerEnd := nodeEnd + sim.Time(fleetLinkFloor)
+	// The nodes drain for fleetDrain past the last arrival; the run goes
+	// one link floor further so the last acks reach the router.
+	runEnd := end + sim.Time(fleetDrain) + sim.Time(fleetLinkFloor)
 
 	var (
+		router   *sim.Domain
 		nodeDoms [fleetNodes]*sim.Domain
-		insts    [fleetNodes]*Instance
 		srvs     [fleetNodes]*service.Server
 		rtt      stats.Hist
 		sent     int64
@@ -87,51 +87,10 @@ func fleetCell(measure sim.Duration, seed uint64) FleetCell {
 		shed     int64
 	)
 
-	// routerInit is defined below (it references the node domains); the
-	// wrapper defers the lookup until the init round runs.
-	var routerInit func(*sim.Domain)
-	router := cl.AddDomain("fleet/router", func(d *sim.Domain) { routerInit(d) })
-	for n := 0; n < fleetNodes; n++ {
-		n := n
-		nodeDoms[n] = cl.AddDomain(fpfS("fleet/node%d", n), func(d *sim.Domain) {
-			inst, err := NewInstance(SysEasyIO, fleetCores, InstanceOptions{Seed: seed + uint64(n), Engine: d.Engine()})
-			if err != nil {
-				panic(err)
-			}
-			srv, err := service.New(inst.Eng, inst.RT, inst.CoreFS, service.Config{
-				Cores:   fleetCores,
-				Tenants: fleetTenants(),
-				Policy:  service.PolicySpec{Kind: service.PolicyEWMA},
-				Warmup:  fleetWarmup,
-				Measure: measure,
-				Drain:   fleetDrain,
-				Seed:    seed + uint64(n),
-			})
-			if err != nil {
-				panic(err)
-			}
-			srv.OnComplete = func(ti int, measured bool, lat sim.Duration) {
-				d.Send(router, fleetLinkFloor, func() {
-					if measured {
-						acked++
-						rtt.Add(lat + fleetLinkFloor)
-					}
-				})
-			}
-			srv.StartManager()
-			insts[n], srvs[n] = inst, srv
-			d.SetDeadline(nodeEnd)
-		})
-	}
-	for n := 0; n < fleetNodes; n++ {
-		cl.Link(router, nodeDoms[n], fleetLinkFloor)
-		cl.Link(nodeDoms[n], router, fleetLinkFloor)
-	}
-
 	// The router's arrival chains: one stream per (node, tenant), same
-	// processes a local Server would run, generated on the router clock
-	// and shipped across the link.
-	routerInit = func(d *sim.Domain) {
+	// processes a local Server would run, generated at the router and
+	// shipped across the link.
+	router = cl.AddDomain("fleet/router", func(d *sim.Domain) {
 		root := rng.New(seed ^ 0xf1ee7)
 		for n := 0; n < fleetNodes; n++ {
 			for ti := range tenants {
@@ -166,10 +125,44 @@ func fleetCell(measure sim.Duration, seed uint64) FleetCell {
 				}
 			}
 		}
-		d.SetDeadline(routerEnd)
+	})
+	for n := 0; n < fleetNodes; n++ {
+		n := n
+		nodeDoms[n] = cl.AddDomain(fpfS("fleet/node%d", n), func(d *sim.Domain) {
+			inst, err := NewInstance(SysEasyIO, fleetCores, InstanceOptions{Seed: seed + uint64(n), Engine: d.Engine()})
+			if err != nil {
+				panic(err)
+			}
+			srv, err := service.New(inst.Eng, inst.RT, inst.CoreFS, service.Config{
+				Cores:   fleetCores,
+				Tenants: fleetTenants(),
+				Policy:  service.PolicySpec{Kind: service.PolicyEWMA},
+				Warmup:  fleetWarmup,
+				Measure: measure,
+				Drain:   fleetDrain,
+				Seed:    seed + uint64(n),
+			})
+			if err != nil {
+				panic(err)
+			}
+			srv.OnComplete = func(ti int, measured bool, lat sim.Duration) {
+				d.Send(router, fleetLinkFloor, func() {
+					if measured {
+						acked++
+						rtt.Add(lat + fleetLinkFloor)
+					}
+				})
+			}
+			srv.StartManager()
+			srvs[n] = srv
+		})
+	}
+	for n := 0; n < fleetNodes; n++ {
+		cl.Link(router, nodeDoms[n], fleetLinkFloor)
+		cl.Link(nodeDoms[n], router, fleetLinkFloor)
 	}
 
-	cl.Run()
+	cl.Run(runEnd)
 	defer cl.Shutdown()
 
 	cell := FleetCell{
@@ -187,11 +180,10 @@ func fleetCell(measure sim.Duration, seed uint64) FleetCell {
 	rtt.Buckets(func(upper sim.Duration, count int64) {
 		fpf(h, "%d=%d,", upper, count)
 	})
-	fpf(h, "router:now=%d,seq=%d;", int64(router.Engine().Now()), router.Engine().Sequence())
+	eng := router.Engine()
+	fpf(h, "now=%d,seq=%d;", int64(eng.Now()), eng.Sequence())
 	for n := 0; n < fleetNodes; n++ {
-		res := srvs[n].Finish()
-		eng := insts[n].Eng
-		fpf(h, "node%d:res=%#016x,now=%d,seq=%d;", n, res.Digest(), int64(eng.Now()), eng.Sequence())
+		fpf(h, "node%d:res=%#016x;", n, srvs[n].Finish().Digest())
 	}
 	cell.Digest = fpfS("%#016x", h.Sum64())
 	return cell

@@ -8,13 +8,10 @@ import (
 
 // SimWorkers is the drivers' one host-parallelism width. It bounds how
 // many independent simulation jobs runJobs runs at once (each job is its
-// own virtual machine: engine, device and filesystem), and how many
-// goroutines the multi-node serving cell's sim.Cluster uses for its
-// linked domains under conservative lookahead. Neither can perturb
+// own virtual machine: engine, device and filesystem). It cannot perturb
 // virtual time: jobs compute into index-addressed slots that are printed
-// only afterwards, and the cluster merges cross-domain handoffs in a
-// fixed order. Output is byte-identical for any value. Set it (e.g. from
-// the -workers flag) before invoking a driver.
+// only afterwards, so output is byte-identical for any value. Set it
+// (e.g. from the -workers flag) before invoking a driver.
 var SimWorkers = runtime.GOMAXPROCS(0)
 
 // activeHelpers counts the *extra* goroutines across all concurrent

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/easyio-sim/easyio/internal/fxmark"
 	"github.com/easyio-sim/easyio/internal/sim"
 )
 
@@ -84,5 +85,40 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 	par := render(8)
 	if !bytes.Equal(seq, par) {
 		t.Fatalf("parallel output diverges from sequential:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", seq, par)
+	}
+}
+
+// fig9SliceDigest runs a small fig9 job slice through the job pool at a
+// given SimWorkers value and folds the points into a string.
+func fig9SliceDigest(t *testing.T, workers int, seed uint64) string {
+	t.Helper()
+	old := SimWorkers
+	SimWorkers = workers
+	defer func() { SimWorkers = old }()
+	jobs := []fig9Job{
+		{fxmark.DWAL, 16 << 10, SysEasyIO, 2},
+		{fxmark.DRBL, 16 << 10, SysNOVA, 4},
+		{fxmark.DWAL, 64 << 10, SysOdinfs, 2},
+		{fxmark.DRBL, 64 << 10, SysNOVADMA, 2},
+	}
+	points := runFig9Cells(jobs, 3*sim.Millisecond, seed)
+	out := ""
+	for _, p := range points {
+		if p.Thr == 0 {
+			t.Fatal("fig9 cell produced zero throughput; digest is vacuous")
+		}
+		out += fpfS("%d:%.6f:%d:%d;", p.Cores, p.Thr, int64(p.Avg), int64(p.P99))
+	}
+	return out
+}
+
+// TestFig9CellsWorkerMatrix: fig9's cells must produce identical points
+// for any worker count.
+func TestFig9CellsWorkerMatrix(t *testing.T) {
+	want := fig9SliceDigest(t, 1, 42)
+	for _, w := range []int{2, 4, 8} {
+		if got := fig9SliceDigest(t, w, 42); got != want {
+			t.Fatalf("workers=%d points %q != workers=1 points %q", w, got, want)
+		}
 	}
 }

@@ -1,146 +1,55 @@
 package sim
 
-import (
-	"fmt"
-	"math"
-	"sync"
-	"sync/atomic"
+import "fmt"
 
-	"github.com/easyio-sim/easyio/internal/invariants"
-)
+// A Cluster groups Engine-driven node state into named domains that share
+// one Engine and exchange messages only through Send over declared links.
+// Each link carries a latency floor (router/DMA delay) that every message
+// must respect, so the topology stays an honest model of a fleet: a node
+// cannot observe another node's effect sooner than the wire allows.
+//
+// There is one virtual clock. A Send is an engine event scheduled delay
+// ahead, ordered with every other event by the engine's (time, seq) rule,
+// so a cluster run is exactly as deterministic as a single-engine run.
 
-// Parallel virtual time. A Cluster runs N Engine domains — each owning
-// node-confined state (pmem device, DMA channels, scheduler, channel
-// manager) — on real goroutines under conservative lookahead, while
-// keeping every digest byte-identical for any worker count.
-//
-// The contract is the one partition.json certifies: domains share nothing
-// except messages. Cross-domain events travel only through Send, and every
-// link declares a minimum latency floor (router/DMA delay), so a domain
-// may safely execute all events strictly before its granted horizon
-//
-//	H(d) = min over inbound links (s→d) of EOT(s) + floor(s→d)
-//
-// where EOT(s), the earliest time s could still emit anything, is the
-// fixpoint of
-//
-//	EOT(s) = min(nextEvent(s), min over inbound (u→s) of EOT(u) + floor(u→s))
-//
-// computed by at most |domains| relaxation sweeps (it only decreases, and
-// positive floors keep cycles from collapsing it). Execution proceeds in
-// rounds: every domain with an event before its horizon runs its slice on
-// a worker goroutine; at the barrier all emitted handoffs are merged in
-// (arrival time, source domain id, source send seq) order and scheduled
-// into their destination engines, whose own (time, seq) order then fixes
-// the interleaving. Nothing in that order depends on how many workers ran
-// the round or how the OS scheduled them. Progress is guaranteed: the
-// domain holding the globally earliest event always has
-// nextEvent ≤ globalMin + floor ≤ H, so it is runnable.
-//
-// Safety of the merge: a handoff sent by s at time t arrives at
-// t + delay ≥ EOT(s) + floor(s→d) ≥ H(d), i.e. at or past every horizon
-// its destination has already been granted — deliveries never land in a
-// domain's executed past. Under the easyio_invariants tag both sides are
-// asserted: engines panic on any event at or past the granted horizon, and
-// the barrier panics if handoffs leave the queue out of merge order or
-// behind a destination clock.
-
-// timeInf marks "no event / no bound" in horizon arithmetic.
-const timeInf = Time(math.MaxInt64)
-
-// handoff is a cross-domain event in flight: scheduled into the
-// destination engine at the barrier, in (at, src, seq) order.
-type handoff struct {
-	at  Time
-	src int
-	seq uint64
-	dst int
-	fn  func()
-}
-
-// link is an inbound edge with its declared latency floor.
-type link struct {
-	src   *Domain
-	floor Duration
-}
-
-// Domain is one node of a Cluster: an Engine plus the node-confined state
-// its init function builds. All fields are owned by the single worker
-// running the domain's slice each round; the round barrier hands them to
-// the coordinator and back.
+// Domain is one node of a Cluster: a name, the links it may send over,
+// and the node-confined state its init function builds on the shared
+// engine.
 type Domain struct {
-	id   int
-	name string
-	eng  *Engine
-	cl   *Cluster
-	init func(*Domain)
-
-	deadline Time
-	bounded  bool
-
-	in       []link
-	outFloor map[int]Duration
-
-	outbox  []handoff
-	sendSeq uint64
-	done    bool
+	name  string
+	cl    *Cluster
+	init  func(*Domain)
+	floor map[*Domain]Duration
 }
 
-// Cluster coordinates multi-domain execution. Create with NewCluster, add
-// domains and links, then Run.
+// Cluster is a set of linked domains on one Engine. Create with
+// NewCluster, add domains and links, then Run.
 type Cluster struct {
-	// mu guards the panic list collected from worker goroutines. Domain
-	// state needs no guard: it is node-confined to whichever worker claims
-	// the domain's round index, with the round barrier ordering handoffs.
-	mu      sync.Mutex
+	eng     *Engine
 	domains []*Domain
-	workers int
 	ran     bool
-	panics  []clusterPanic
-	// merge is deliver's reusable merge buffer; steady-state rounds must
-	// not allocate per handoff (see //easyio:hotpath on deliver).
-	merge []handoff
 }
 
-type clusterPanic struct {
-	id  int
-	val any
+// NewCluster returns an empty cluster with a fresh engine.
+func NewCluster() *Cluster {
+	return &Cluster{eng: NewEngine()}
 }
 
-// NewCluster returns an empty cluster that will run rounds on up to
-// workers goroutines (clamped to at least 1). The digest of any scenario
-// is byte-identical for every workers value.
-func NewCluster(workers int) *Cluster {
-	if workers < 1 {
-		workers = 1
-	}
-	return &Cluster{workers: workers}
-}
-
-// AddDomain creates a domain with a fresh engine. init (optional) builds
-// the domain's node-confined state; it runs on a worker goroutine before
-// the first round, in parallel with other inits, and must not touch other
-// domains.
+// AddDomain creates a domain on the cluster's engine. init (optional)
+// builds the domain's node-confined state; Run calls it, in AddDomain
+// order, before the first event.
 func (c *Cluster) AddDomain(name string, init func(*Domain)) *Domain {
 	if c.ran {
 		panic("sim: AddDomain after Cluster.Run")
 	}
-	d := &Domain{
-		id:       len(c.domains),
-		name:     name,
-		eng:      NewEngine(),
-		cl:       c,
-		init:     init,
-		outFloor: make(map[int]Duration),
-	}
+	d := &Domain{name: name, cl: c, init: init, floor: make(map[*Domain]Duration)}
 	c.domains = append(c.domains, d)
 	return d
 }
 
 // Link declares that src may send to dst with at least floor of latency.
-// The floor is the lookahead: larger floors mean longer independent slices
-// and fewer barriers. It must be positive, or no domain could ever be
-// granted a horizon past its neighbor's clock.
+// The floor must be positive: a zero-latency link would let two nodes
+// act on each other within one instant.
 func (c *Cluster) Link(src, dst *Domain, floor Duration) {
 	if c.ran {
 		panic("sim: Link after Cluster.Run")
@@ -151,319 +60,44 @@ func (c *Cluster) Link(src, dst *Domain, floor Duration) {
 	if floor <= 0 {
 		panic(fmt.Sprintf("sim: link %s -> %s needs a positive latency floor", src.name, dst.name))
 	}
-	src.outFloor[dst.id] = floor
-	dst.in = append(dst.in, link{src: src, floor: floor})
+	src.floor[dst] = floor
 }
 
-// Engine returns the domain's engine, for wiring node state in init.
-func (d *Domain) Engine() *Engine { return d.eng }
+// Engine returns the engine every domain of the cluster runs on.
+func (d *Domain) Engine() *Engine { return d.cl.eng }
 
-// Name returns the domain's diagnostic name.
-func (d *Domain) Name() string { return d.name }
-
-// SetDeadline bounds the domain: it executes no event past t, advances
-// its clock to exactly t (RunUntil semantics), and then counts as done.
-func (d *Domain) SetDeadline(t Time) {
-	d.deadline = t
-	d.bounded = true
-}
-
-// Send emits fn to run on dst's engine delay nanoseconds from now. It must
-// be called from event context on d's own engine (the only place d's
-// clock is meaningful), the domains must be linked, and delay must be at
-// least the link's floor — the floor is a promise the lookahead already
-// spent. Delivery is deterministic: handoffs merge in (arrival time,
-// source domain, send seq) order at the round barrier.
+// Send runs fn delay nanoseconds from now, as a message from d to dst. It
+// must be called from event context, the domains must be linked, and
+// delay must be at least the link's floor.
 func (d *Domain) Send(dst *Domain, delay Duration, fn func()) {
-	floor, ok := d.outFloor[dst.id]
+	floor, ok := d.floor[dst]
 	if !ok {
 		panic(fmt.Sprintf("sim: send on unlinked pair %s -> %s", d.name, dst.name))
 	}
 	if delay < floor {
 		panic(fmt.Sprintf("sim: send %s -> %s with delay %dns below the link floor %dns", d.name, dst.name, delay, floor))
 	}
-	if !d.eng.inEvent {
+	if !d.cl.eng.inEvent {
 		panic("sim: Send outside event context on domain " + d.name)
 	}
-	d.sendSeq++
-	d.outbox = append(d.outbox, handoff{
-		at:  d.eng.now + Time(delay),
-		src: d.id,
-		seq: d.sendSeq,
-		dst: dst.id,
-		fn:  fn,
-	})
+	d.cl.eng.After(delay, fn)
 }
 
-// Run executes the cluster to completion: inits in parallel, then
-// lookahead rounds until every domain is done (deadline reached, engine
-// stopped) or idle with nothing in flight. Panics from domain code are
-// re-raised deterministically (lowest domain id wins), matching the
-// single-domain failure behaviour regardless of worker count.
-func (c *Cluster) Run() {
+// Run calls every domain's init, then processes events up to and
+// including end and advances the clock to end (Engine.RunUntil). A panic
+// in domain code surfaces from Run on the caller's goroutine.
+func (c *Cluster) Run(end Time) {
 	if c.ran {
 		panic("sim: Cluster.Run called twice")
 	}
 	c.ran = true
-	var inits []int
 	for _, d := range c.domains {
 		if d.init != nil {
-			inits = append(inits, d.id)
+			d.init(d)
 		}
 	}
-	c.parallelRound(inits, func(id int) {
-		d := c.domains[id]
-		init := d.init
-		d.init = nil
-		init(d)
-	})
-	n := len(c.domains)
-	nextT := make([]Time, n)
-	eot := make([]Time, n)
-	target := make([]Time, n)
-	var runnable []int
-	for {
-		for i, d := range c.domains {
-			if !d.done && d.eng.Stopped() {
-				d.done = true
-			}
-			nextT[i] = timeInf
-			if !d.done {
-				if t, ok := d.eng.nextPendingTime(); ok {
-					nextT[i] = t
-				}
-			}
-		}
-		// Earliest-output-time fixpoint.
-		copy(eot, nextT)
-		for iter := 0; iter < n; iter++ {
-			changed := false
-			for _, d := range c.domains {
-				for _, l := range d.in {
-					if e := eot[l.src.id]; e != timeInf && e+Time(l.floor) < eot[d.id] {
-						eot[d.id] = e + Time(l.floor)
-						changed = true
-					}
-				}
-			}
-			if !changed {
-				break
-			}
-		}
-		// Horizons, targets and the runnable set.
-		runnable = runnable[:0]
-		for i, d := range c.domains {
-			if d.done {
-				continue
-			}
-			h := timeInf
-			for _, l := range d.in {
-				if e := eot[l.src.id]; e != timeInf && e+Time(l.floor) < h {
-					h = e + Time(l.floor)
-				}
-			}
-			bound := timeInf
-			if h != timeInf {
-				bound = h - 1 // events strictly before the horizon
-			}
-			if d.bounded && d.deadline < bound {
-				bound = d.deadline
-			}
-			target[i] = bound
-			switch {
-			case nextT[i] != timeInf && nextT[i] <= bound:
-				runnable = append(runnable, i)
-			case d.bounded && bound >= d.deadline:
-				// No executable event up to the deadline, and the horizon
-				// proves none can arrive before it: finished. Advance the
-				// clock to the deadline (RunUntil semantics) so post-run
-				// inspection sees a consistent end time.
-				d.eng.RunUntil(d.deadline)
-				d.done = true
-			}
-		}
-		if len(runnable) == 0 {
-			for i, d := range c.domains {
-				if !d.done && nextT[i] != timeInf {
-					// Unreachable: the globally earliest event is always
-					// under its own horizon. Guard against livelock.
-					panic("sim: cluster stalled with pending events on domain " + d.name)
-				}
-			}
-			return
-		}
-		c.parallelRound(runnable, func(id int) {
-			d := c.domains[id]
-			bound := target[id]
-			if invariants.Enabled && bound != timeInf {
-				d.eng.setHorizon(bound + 1)
-			}
-			if bound == timeInf {
-				d.eng.Run()
-			} else {
-				d.eng.RunUntil(bound)
-			}
-			d.eng.clearHorizon()
-			if d.bounded && bound >= d.deadline && !d.eng.Stopped() {
-				d.done = true
-			}
-		})
-		c.deliver()
-	}
+	c.eng.RunUntil(end)
 }
 
-// deliver merges every outbox in (arrival, src, seq) order and schedules
-// the handoffs into their destination engines. Runs on the coordinator
-// between rounds.
-//
-//easyio:hotpath (cluster handoff merge: every cross-domain message funnels through here)
-func (c *Cluster) deliver() {
-	all := c.merge[:0]
-	for _, d := range c.domains {
-		all = append(all, d.outbox...)
-		for i := range d.outbox {
-			d.outbox[i].fn = nil
-		}
-		d.outbox = d.outbox[:0]
-	}
-	if len(all) == 0 {
-		c.merge = all
-		return
-	}
-	sortHandoffs(all)
-	for i, h := range all {
-		if invariants.Enabled {
-			if i > 0 {
-				p := all[i-1]
-				if h.at < p.at || (h.at == p.at && (h.src < p.src || (h.src == p.src && h.seq <= p.seq))) {
-					panic("sim: handoff queue drained out of merge order")
-				}
-			}
-			if dst := c.domains[h.dst]; h.at < dst.eng.now {
-				panic(fmt.Sprintf("sim: handoff into the past of domain %s (%v < %v)", dst.name, h.at, dst.eng.now))
-			}
-		}
-		c.domains[h.dst].eng.At(h.at, h.fn)
-	}
-	// Drop the closure references before parking the buffer, or the
-	// scratch would pin every delivered handoff until the next round.
-	for i := range all {
-		all[i].fn = nil
-	}
-	c.merge = all
-}
-
-// handoffLess is deliver's merge order: (arrival, src, seq). seq is
-// unique per src, so this is a total order and sort stability is moot.
-func handoffLess(a, b handoff) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.seq < b.seq
-}
-
-// sortHandoffs heap-sorts in place. sort.Slice would allocate its
-// closure on every round; this keeps deliver allocation-free.
-func sortHandoffs(hs []handoff) {
-	n := len(hs)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftHandoff(hs, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		hs[0], hs[i] = hs[i], hs[0]
-		siftHandoff(hs, 0, i)
-	}
-}
-
-func siftHandoff(hs []handoff, root, n int) {
-	for {
-		child := 2*root + 1
-		if child >= n {
-			return
-		}
-		if child+1 < n && handoffLess(hs[child], hs[child+1]) {
-			child++
-		}
-		if !handoffLess(hs[root], hs[child]) {
-			return
-		}
-		hs[root], hs[child] = hs[child], hs[root]
-		root = child
-	}
-}
-
-// parallelRound runs fn(id) for each id across up to c.workers
-// goroutines, joins, and re-raises the lowest-id panic if any.
-func (c *Cluster) parallelRound(ids []int, fn func(int)) {
-	if len(ids) == 0 {
-		return
-	}
-	w := c.workers
-	if w > len(ids) {
-		w = len(ids)
-	}
-	var next atomic.Int64
-	work := func() {
-		for {
-			k := int(next.Add(1)) - 1
-			if k >= len(ids) {
-				return
-			}
-			id := ids[k]
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						c.recordPanic(id, r)
-					}
-				}()
-				fn(id)
-			}()
-		}
-	}
-	var wg sync.WaitGroup
-	for extra := 0; extra < w-1; extra++ {
-		wg.Add(1)
-		// Rounds join on wg before any cross-domain state moves.
-		go func() { //easyio:allow nakedgo (cluster round pool: every domain a worker claims is node-confined to it for the slice, handoffs merge on the coordinator after the join, and panics funnel under mu)
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	c.raisePanics()
-}
-
-// recordPanic funnels a worker-goroutine panic under mu.
-func (c *Cluster) recordPanic(id int, val any) {
-	c.mu.Lock()
-	c.panics = append(c.panics, clusterPanic{id, val})
-	c.mu.Unlock()
-}
-
-func (c *Cluster) raisePanics() {
-	c.mu.Lock()
-	ps := c.panics
-	c.panics = nil
-	c.mu.Unlock()
-	if len(ps) == 0 {
-		return
-	}
-	first := ps[0]
-	for _, p := range ps[1:] {
-		if p.id < first.id {
-			first = p
-		}
-	}
-	panic(first.val)
-}
-
-// Shutdown kills every domain's live procs (post-run teardown).
-func (c *Cluster) Shutdown() {
-	for _, d := range c.domains {
-		d.eng.Shutdown()
-	}
-}
+// Shutdown kills the engine's live procs (post-run teardown).
+func (c *Cluster) Shutdown() { c.eng.Shutdown() }

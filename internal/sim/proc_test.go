@@ -6,70 +6,65 @@ import (
 )
 
 // TestProcPanicSurfacesFromRun: a panic inside a proc propagates out of
-// Engine.Run on the caller's goroutine, where it can be recovered, and the
-// proc is retired as done. Other parked procs still unwind on Shutdown.
+// Engine.Run (or Cluster.Run, whose domains share one engine) on the
+// caller's goroutine, where it can be recovered, and the proc is retired
+// as done. Other parked procs still unwind on Shutdown.
 func TestProcPanicSurfacesFromRun(t *testing.T) {
-	e := NewEngine()
-	parkedUnwound := false
-	e.StartProc("parked", func(p *Proc) {
-		defer func() { parkedUnwound = true }()
-		p.Pause()
-	})
-	bad := e.StartProc("bad", func(p *Proc) {
-		p.Sleep(10)
-		panic("boom")
-	})
-	got := func() (r any) {
-		defer func() { r = recover() }()
-		e.Run()
-		return nil
-	}()
-	if got != "boom" {
-		t.Fatalf("Run panicked with %v, want boom", got)
-	}
-	if e.Now() != 10 {
-		t.Fatalf("panic surfaced at %v, want 10", e.Now())
-	}
-	if !bad.Done() {
-		t.Fatal("panicked proc not marked done")
-	}
-	if _, live := e.procs[bad]; live {
-		t.Fatal("panicked proc still registered with the engine")
-	}
-	e.Shutdown()
-	if !parkedUnwound {
-		t.Fatal("Shutdown after a proc panic did not unwind the parked proc")
-	}
-}
-
-// TestClusterProcPanicReraised: under a Cluster a proc panic unwinds out
-// of the domain's engine on a worker goroutine, is funnelled through
-// recordPanic, and is re-raised by Run (lowest domain id first) for every
-// worker count.
-func TestClusterProcPanicReraised(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		got := func() (r any) {
-			defer func() { r = recover() }()
-			c := NewCluster(workers)
-			defer c.Shutdown()
-			for i := 0; i < 4; i++ {
-				i := i
-				c.AddDomain(fmt.Sprintf("d%d", i), func(d *Domain) {
-					d.Engine().StartProc("w", func(p *Proc) {
-						p.Sleep(Duration(5 + i))
-						if i >= 2 {
-							panic(fmt.Sprintf("proc boom %d", i))
-						}
-						p.Pause()
-					})
+	for _, viaCluster := range []bool{false, true} {
+		name := "engine"
+		if viaCluster {
+			name = "cluster"
+		}
+		t.Run(name, func(t *testing.T) {
+			parkedUnwound := false
+			parked := func(e *Engine) {
+				e.StartProc("parked", func(p *Proc) {
+					defer func() { parkedUnwound = true }()
+					p.Pause()
 				})
 			}
-			c.Run()
-			return nil
-		}()
-		if got != "proc boom 2" {
-			t.Fatalf("workers=%d re-raised %v, want proc boom 2", workers, got)
-		}
+			var bad *Proc
+			failing := func(e *Engine) {
+				bad = e.StartProc("bad", func(p *Proc) {
+					p.Sleep(10)
+					panic("boom")
+				})
+			}
+			var e *Engine
+			var run, shutdown func()
+			if viaCluster {
+				c := NewCluster()
+				c.AddDomain("quiet", func(d *Domain) { parked(d.Engine()) })
+				c.AddDomain("faulty", func(d *Domain) { failing(d.Engine()) })
+				e, run, shutdown = c.eng, func() { c.Run(100) }, c.Shutdown
+			} else {
+				e = NewEngine()
+				parked(e)
+				failing(e)
+				run, shutdown = e.Run, e.Shutdown
+			}
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				run()
+				return nil
+			}()
+			if got != "boom" {
+				t.Fatalf("Run panicked with %v, want boom", got)
+			}
+			if e.Now() != 10 {
+				t.Fatalf("panic surfaced at %v, want 10", e.Now())
+			}
+			if !bad.Done() {
+				t.Fatal("panicked proc not marked done")
+			}
+			if _, live := e.procs[bad]; live {
+				t.Fatal("panicked proc still registered with the engine")
+			}
+			shutdown()
+			if !parkedUnwound {
+				t.Fatal("Shutdown after a proc panic did not unwind the parked proc")
+			}
+		})
 	}
 }
 

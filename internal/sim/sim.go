@@ -157,11 +157,6 @@ type Engine struct {
 	// running is the proc currently executing a slice, tracked only when
 	// the easyio_invariants build tag asserts single-running-proc.
 	running *Proc
-	// horizon, when armed by the cluster layer, is the exclusive bound a
-	// domain has been granted; under the easyio_invariants tag step
-	// asserts no event at or past it executes.
-	horizon   Time
-	horizonOn bool
 }
 
 // NewEngine returns an empty engine with the clock at zero.
@@ -313,9 +308,6 @@ func (e *Engine) step(deadline Time, bounded bool) bool {
 			if ev.t < e.now {
 				panic(fmt.Sprintf("sim: event queue yielded time %v before now %v", ev.t, e.now))
 			}
-			if e.horizonOn && ev.t >= e.horizon {
-				panic(fmt.Sprintf("sim: event at %v executed at or past granted horizon %v", ev.t, e.horizon))
-			}
 		}
 		e.now = ev.t
 		e.live--
@@ -387,22 +379,6 @@ func (e *Engine) Pending() int {
 	}
 	return e.live
 }
-
-// nextPendingTime reports the earliest queued event time (cancelled events
-// included, as a conservative lower bound) without disturbing the queue.
-// The cluster layer uses it to compute lookahead horizons.
-func (e *Engine) nextPendingTime() (Time, bool) { return e.q.nextTime() }
-
-// setHorizon arms the granted-horizon assertion: under the
-// easyio_invariants tag, step panics if an event at or past bound
-// executes. The cluster layer arms it around each domain slice.
-func (e *Engine) setHorizon(bound Time) {
-	e.horizon = bound
-	e.horizonOn = true
-}
-
-// clearHorizon disarms the granted-horizon assertion.
-func (e *Engine) clearHorizon() { e.horizonOn = false }
 
 // Shutdown kills every live Proc, unwinding each parked coroutine so its
 // deferred functions run and its stack is released. It must be called

@@ -326,50 +326,6 @@ func sortEventsBySeq(list []*event) {
 	}
 }
 
-// nextTime reports the earliest resident event time (cancelled events
-// included — a conservative lower bound) without mutating the wheel. The
-// cluster layer uses it to compute earliest-output-time fixpoints.
-func (w *wheel) nextTime() (Time, bool) {
-	if w.dueIdx < len(w.due) {
-		return w.dueTime, true
-	}
-	if w.solo != nil {
-		return w.solo.t, true
-	}
-	best := Time(math.MaxInt64)
-	found := false
-	base := w.cursor &^ Time(wheelMask)
-	cur := int(w.cursor - base)
-	for s := w.nextSet(0, 0); s >= 0; s = w.nextSet(0, s+1) {
-		t := base + Time(s)
-		if s < cur {
-			t += wheelSlots
-		}
-		if t < best {
-			best, found = t, true
-		}
-	}
-	for lvl := 1; lvl < wheelLevels; lvl++ {
-		idx := int(w.cursor>>uint(wheelBits*lvl)) & wheelMask
-		s := w.nextSet(lvl, idx+1)
-		if s < 0 {
-			s = w.nextSet(lvl, 0)
-		}
-		if s < 0 {
-			continue
-		}
-		for _, ev := range w.slot[lvl][s] {
-			if ev.t < best {
-				best, found = ev.t, true
-			}
-		}
-	}
-	if len(w.far) > 0 && w.far[0].t < best {
-		best, found = w.far[0].t, true
-	}
-	return best, found
-}
-
 // nextSet returns the first occupied slot index >= from at lvl, or -1.
 func (w *wheel) nextSet(lvl, from int) int {
 	if from >= wheelSlots {

@@ -230,7 +230,8 @@ func TestWheelPendingAcrossLevels(t *testing.T) {
 // TestWheelSoloRegister pins the population-of-one fast path: a pure
 // timer chain stays parked in the solo register (never filing a slot), a
 // same-tick second insert demotes the older event ahead of the newcomer,
-// Stop reclaims a parked event through the sweep, and nextTime sees it.
+// Stop reclaims a parked event through the sweep, and the parked event
+// counts as the wheel's whole population.
 func TestWheelSoloRegister(t *testing.T) {
 	e := NewEngine()
 	n := 0
@@ -248,8 +249,8 @@ func TestWheelSoloRegister(t *testing.T) {
 	if e.q.solo == nil {
 		t.Fatal("first chain event not parked in solo register")
 	}
-	if nt, ok := e.q.nextTime(); !ok || nt != 1 {
-		t.Fatalf("nextTime = %v,%v with solo parked, want 1,true", nt, ok)
+	if e.q.solo.t != 1 || e.q.n != 1 {
+		t.Fatalf("solo at %v with n=%d, want 1 and 1", e.q.solo.t, e.q.n)
 	}
 	e.Run()
 	if n != 100 {
