@@ -98,4 +98,15 @@ same_output ./cmd/easyio-bench '-exp all -quick -workers 1' '-exp all -quick -wo
 echo '== serving job pool byte-identity (serve and redundancy cells; -workers 1 vs 4)'
 same_output ./cmd/easyio-serve '-quick -workers 1' '-quick -workers 4'
 
+echo '== -cpuprofile smoke (easyio-bench and easyio-serve write a non-empty profile)'
+for cmd in easyio-bench easyio-serve; do
+  go build -o /tmp/$cmd-prof ./cmd/$cmd
+done
+/tmp/easyio-bench-prof -exp fig8 -quick -cpuprofile /tmp/easyio-bench.prof > /dev/null
+/tmp/easyio-serve-prof -quick -cpuprofile /tmp/easyio-serve.prof > /dev/null
+for p in /tmp/easyio-bench.prof /tmp/easyio-serve.prof; do
+  test -s "$p" || { echo "$p is missing or empty"; exit 1; }
+done
+rm -f /tmp/easyio-bench-prof /tmp/easyio-serve-prof /tmp/easyio-bench.prof /tmp/easyio-serve.prof
+
 echo 'check.sh: all gates green'

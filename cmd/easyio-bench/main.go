@@ -7,6 +7,7 @@
 //	easyio-bench -exp fig9 -quick    # one figure, short windows
 //	easyio-bench -exp fig2,fig3,table2
 //	easyio-bench -exp all -workers 8 -benchjson BENCH_sim.json
+//	easyio-bench -exp fig9 -quick -cpuprofile fig9.prof  # go tool pprof fig9.prof
 //
 // Experiments: fig1 fig2 fig3 fig4 fig8 fig9 fig10 fig11 fig12 table1
 // table2. Independent sweep points (Figure 9's 184 cells among them) fan
@@ -34,8 +35,14 @@ func main() {
 	points := flag.Int("crashpoints", 1000, "crash states per Table 2 workload")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulation goroutines (output is identical for any value)")
 	benchjson := flag.String("benchjson", "", "write kernel perf + per-experiment wall-clock JSON to this file")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the whole run to this file")
 	flag.Parse()
 
+	stopProfile, err := bench.StartCPUProfile(*cpuprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	bench.SimWorkers = max(*workers, 1)
 
 	measure := 20 * sim.Millisecond
@@ -106,6 +113,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+	}
+	if err := stopProfile(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	if !ok {
 		os.Exit(1)

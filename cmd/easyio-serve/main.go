@@ -11,6 +11,7 @@
 //	easyio-serve -workers 4               # output identical for any value
 //	easyio-serve -json BENCH_serve.json   # committed artifact
 //	easyio-serve -redjson BENCH_redundancy.json  # committed parity artifact
+//	easyio-serve -quick -cpuprofile serve.prof   # go tool pprof serve.prof
 //
 // After the serving sweep it runs the redundancy experiment: the same
 // tenant mix with Vilamb-style epoch-batched parity riding the harvested
@@ -38,8 +39,14 @@ func main() {
 	jsonPath := flag.String("json", "", "write the serve report JSON to this file")
 	redJSONPath := flag.String("redjson", "", "write the redundancy report JSON to this file")
 	million := flag.Bool("million", false, "force the million-request capacity cell even with -quick")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the whole run to this file")
 	flag.Parse()
 
+	stopProfile, err := bench.StartCPUProfile(*cpuprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	bench.SimWorkers = max(*workers, 1)
 
 	measure := 20 * sim.Millisecond
@@ -63,6 +70,10 @@ func main() {
 	}
 	if *redJSONPath != "" {
 		writeJSON(*redJSONPath, redReport.WriteJSON)
+	}
+	if err := stopProfile(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }
 

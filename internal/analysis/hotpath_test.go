@@ -145,13 +145,15 @@ func (e *Engine) report() { sink(1) }
 func simShapedFixture(stepDoc string) string {
 	return `package sim
 type Engine struct{ n int }
-type wheel struct{ n int }
+type eventHeap []int
 ` + stepDoc + `
 func (e *Engine) step() { e.n++ }
 //easyio:hotpath
-func (w *wheel) insert() { w.n++ }
+func (h *eventHeap) push() {}
 //easyio:hotpath
-func (w *wheel) advance() { w.n++ }
+func (h *eventHeap) pop() {}
+//easyio:hotpath
+func (h *eventHeap) remove() {}
 `
 }
 

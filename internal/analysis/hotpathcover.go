@@ -12,8 +12,8 @@ import (
 // live. It reports
 //
 //   - a *required hot root* — the known steady-state entry points of the
-//     six performance-critical subsystems (sim event dispatch, wheel
-//     schedule/fire, stats.Hist recording, the service request
+//     six performance-critical subsystems (sim event dispatch, event-queue
+//     schedule/fire/cancel, stats.Hist recording, the service request
 //     lifecycle, pmem arbitration, redundancy dirty capture) — that is
 //     missing its //easyio:hotpath annotation, or that disappeared
 //     entirely (the required-roots table below must then be updated
@@ -58,8 +58,9 @@ type requiredHotRoot struct {
 // points of the performance-critical subsystems.
 var requiredHotRoots = []requiredHotRoot{
 	{"internal/sim", "Engine", "step", "sim event dispatch"},
-	{"internal/sim", "wheel", "insert", "timer-wheel schedule"},
-	{"internal/sim", "wheel", "advance", "timer-wheel fire"},
+	{"internal/sim", "eventHeap", "push", "event-queue schedule"},
+	{"internal/sim", "eventHeap", "pop", "event-queue fire"},
+	{"internal/sim", "eventHeap", "remove", "event-queue cancel"},
 	{"internal/stats", "Hist", "Add", "latency histogram recording"},
 	{"internal/service", "Server", "Inject", "service request admission"},
 	{"internal/service", "Server", "execute", "service request execution"},

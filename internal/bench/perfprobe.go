@@ -3,7 +3,9 @@ package bench
 import (
 	"encoding/json"
 	"io"
+	"os"
 	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"github.com/easyio-sim/easyio/internal/sim"
@@ -85,6 +87,27 @@ func MeasureFig9Scaling(measure sim.Duration, seed uint64) ([]ScalingRow, float6
 		}
 	}
 	return rows, wall[1] / wall[4]
+}
+
+// StartCPUProfile starts a CPU profile written to path, or does nothing
+// when path is empty. The returned stop ends the profile and closes the
+// file; call it once, after the work to be profiled.
+func StartCPUProfile(path string) (stop func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }
 
 // mallocs reads the cumulative allocation counter.

@@ -38,59 +38,19 @@ func BenchmarkProcSwitch(b *testing.B) {
 	e.Shutdown()
 }
 
-// ---------------------------------------------------------------------------
-// Timer-wheel vs. binary-heap head-to-head. The engine runs on the wheel;
-// these benchmarks drive both queue implementations directly with the same
-// workloads so the replacement stays an evidence-backed choice.
-
-// BenchmarkQueueChainHeap / BenchmarkQueueChainWheel: one pending event,
-// insert at t+1 and expire — the self-rescheduling timer chain that
-// dominates the kernel's hot path.
-func BenchmarkQueueChainHeap(b *testing.B) {
+// BenchmarkQueueSteady16 measures push+pop with 16 events resident: each
+// iteration pops the earliest event and reschedules it one horizon ahead,
+// so occupancy stays constant. Measured on the benchmark workloads, the
+// engine's queue holds about 10 events on average, at most 17 on the
+// serving cells and 40 on the Figure 9 sweep; 16 is that regime. The
+// deadlines hash-spread over the horizon so pushes land at varied depths.
+func BenchmarkQueueSteady16(b *testing.B) {
 	b.ReportAllocs()
+	const (
+		pending = 16
+		horizon = 16384
+	)
 	var h eventHeap
-	ev := new(event)
-	var t Time
-	var seq uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t++
-		seq++
-		ev.t, ev.seq = t, seq
-		h.push(ev)
-		if got := h.pop(); got != ev {
-			b.Fatal("heap returned wrong event")
-		}
-	}
-}
-
-func BenchmarkQueueChainWheel(b *testing.B) {
-	b.ReportAllocs()
-	var w wheel
-	w.init()
-	ev := new(event)
-	var t Time
-	var seq uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t++
-		seq++
-		ev.t, ev.seq = t, seq
-		w.insert(ev)
-		if got := w.peek(0, false); got != ev {
-			b.Fatal("wheel returned wrong event")
-		}
-		w.popDue()
-	}
-}
-
-// benchQueueSteady measures insert+expire with `pending` events resident:
-// each iteration pops the earliest event and reschedules it one horizon
-// ahead, so the queue stays at constant occupancy (the serving-cell shape,
-// where thousands of timers are in flight). The deltas hash-spread over
-// the horizon to defeat slot locality.
-func benchQueueSteady(b *testing.B, pending int, push func(*event), pop func() *event) {
-	const horizon = 16384
 	var t Time
 	var seq uint64
 	for i := 0; i < pending; i++ {
@@ -98,11 +58,11 @@ func benchQueueSteady(b *testing.B, pending int, push func(*event), pop func() *
 		seq++
 		ev.t = Time(1 + uint32(i)*2654435761%horizon)
 		ev.seq = seq
-		push(ev)
+		h.push(ev)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := pop()
+		ev := h.pop()
 		if ev.t < t {
 			b.Fatal("queue went backwards")
 		}
@@ -110,25 +70,8 @@ func benchQueueSteady(b *testing.B, pending int, push func(*event), pop func() *
 		seq++
 		ev.t += horizon
 		ev.seq = seq
-		push(ev)
+		h.push(ev)
 	}
-}
-
-func BenchmarkQueueSteady4096Heap(b *testing.B) {
-	b.ReportAllocs()
-	var h eventHeap
-	benchQueueSteady(b, 4096, h.push, h.pop)
-}
-
-func BenchmarkQueueSteady4096Wheel(b *testing.B) {
-	b.ReportAllocs()
-	var w wheel
-	w.init()
-	benchQueueSteady(b, 4096, w.insert, func() *event {
-		ev := w.peek(0, false)
-		w.popDue()
-		return ev
-	})
 }
 
 // BenchmarkTimerStop measures schedule+cancel pairs (the pmem arbitration

@@ -2,8 +2,8 @@ package sim
 
 import "testing"
 
-// TestPendingLiveCounter pins the O(1) Pending counter against every
-// transition: schedule, fire, Stop, double-Stop, and Stop-after-fire.
+// TestPendingLiveCounter pins Pending against every transition: schedule,
+// fire, Stop, double-Stop, and Stop-after-fire.
 func TestPendingLiveCounter(t *testing.T) {
 	e := NewEngine()
 	var tms []Timer
@@ -75,16 +75,15 @@ func TestStaleTimerAfterReuse(t *testing.T) {
 }
 
 // TestStoppedPooledEventNeverFiresStaleClosure: a stopped timer's event is
-// recycled once its deadline passes; the replacement scheduled into the
-// same struct must run its own callback exactly once and never the stale
-// one.
+// recycled at once; the replacement scheduled into the same struct must
+// run its own callback exactly once and never the stale one.
 func TestStoppedPooledEventNeverFiresStaleClosure(t *testing.T) {
 	e := NewEngine()
 	staleRuns, freshRuns := 0, 0
 	tm := e.After(5, func() { staleRuns++ })
 	tm.Stop()
-	e.After(10, func() {}) // carries the clock past the dead event
-	e.Run()                // pops + recycles the dead event
+	e.After(10, func() {}) // carries the clock past the cancelled deadline
+	e.Run()
 	// Reuse the pooled struct for a fresh event.
 	e.After(1, func() { freshRuns++ })
 	e.Run()
@@ -124,22 +123,35 @@ func TestSleepResumeNoAlloc(t *testing.T) {
 	}
 }
 
-// TestHeapCompaction: mass-cancelled events are dropped eagerly and do
-// not change what fires or when.
+// TestHeapCompaction: a mass cancel leaves the queue at once — every
+// cancelled event is back in the free list before anything fires — and
+// does not change what fires or when.
 func TestHeapCompaction(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
+	var tms []Timer
 	for i := 0; i < 500; i++ {
-		tm := e.After(Duration(1000+i), func() {})
-		tm.Stop()
+		tms = append(tms, e.After(Duration(1000+i), func() { t.Fatal("cancelled event fired") }))
+	}
+	e.After(1, func() {}) // one survivor the Stops must sift around
+	for _, tm := range tms {
+		if !tm.Stop() {
+			t.Fatal("Stop on pending timer returned false")
+		}
+	}
+	if got := e.Pending(); got != 1 {
+		t.Fatalf("Pending after cancel-only phase = %d, want 1", got)
+	}
+	if got := len(e.free); got != 500 {
+		t.Fatalf("free list holds %d events after 500 Stops, want 500", got)
 	}
 	// Live events interleaved after the cancelled batch.
 	for i := 0; i < 10; i++ {
 		i := i
 		e.After(Duration(10+i), func() { fired = append(fired, e.Now()) })
 	}
-	if got := e.Pending(); got != 10 {
-		t.Fatalf("Pending = %d, want 10", got)
+	if got := e.Pending(); got != 11 {
+		t.Fatalf("Pending = %d, want 11", got)
 	}
 	e.Run()
 	if len(fired) != 10 {

@@ -15,10 +15,10 @@
 // Exactly one Proc runs at a time, preserving determinism, and a panic in
 // a proc surfaces from Engine.Run on the caller's goroutine.
 //
-// The kernel's hot path is allocation-free in steady state: fired events
-// are recycled through a free list (Timer handles stay safe across reuse
-// via a generation counter), and Sleep/StartProc resume through a typed
-// event rather than a capturing closure.
+// The kernel's hot path is allocation-free in steady state: fired and
+// cancelled events are recycled through a free list (Timer handles stay
+// safe across reuse via a generation counter), and Sleep/StartProc resume
+// through a typed event rather than a capturing closure.
 package sim
 
 import (
@@ -61,91 +61,131 @@ const (
 type event struct {
 	t   Time
 	seq uint64
+	// idx is the event's position in Engine.q while it is queued; the
+	// heap's sifts keep it current so Timer.Stop can remove in place.
+	idx int
 	// gen invalidates stale Timer handles across free-list reuse: a
 	// Timer captures the generation at schedule time and Stop refuses to
-	// act once the event has been recycled.
+	// act once the event has fired or been cancelled and recycled.
 	gen  uint32
 	kind uint8
-	dead bool // set by Timer.Stop
 	fn   func()
 	proc *Proc // evResume target
 }
 
-// eventHeap is a hand-rolled binary min-heap ordered by (time, sequence).
+// before is the dispatch order: time, then sequence. Sequence numbers are
+// unique, so the order is total and ties never depend on heap shape.
+func before(a, b *event) bool {
+	return a.t < b.t || (a.t == b.t && a.seq < b.seq)
+}
+
+// eventHeap is a hand-rolled indexed binary min-heap ordered by before.
 // Avoiding container/heap keeps interface dispatch off the hot path.
+//
+// A binary heap suits the engine's traffic: across the benchmark
+// workloads the queue holds about 10 events on average and at most 40,
+// so a sift is a handful of comparisons. A timer wheel's slot and cascade
+// bookkeeping pays off only with thousands of outstanding timers.
 type eventHeap []*event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-
+// up sifts h[i] toward the root, moving parents down into the hole.
 func (h eventHeap) up(i int) {
+	ev := h[i]
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		p := (i - 1) / 2
+		parent := h[p]
+		if !before(ev, parent) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
+		h[i] = parent
+		parent.idx = i
+		i = p
 	}
+	h[i] = ev
+	ev.idx = i
 }
 
+// down sifts h[i] toward the leaves, moving the lesser child up into the
+// hole.
 func (h eventHeap) down(i int) {
 	n := len(h)
+	ev := h[i]
 	for {
-		l := 2*i + 1
-		if l >= n {
-			return
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		least := l
-		if r := l + 1; r < n && h.less(r, l) {
-			least = r
+		child := h[c]
+		if r := c + 1; r < n && before(h[r], child) {
+			c, child = r, h[r]
 		}
-		if !h.less(least, i) {
-			return
+		if !before(child, ev) {
+			break
 		}
-		h[i], h[least] = h[least], h[i]
-		i = least
+		h[i] = child
+		child.idx = i
+		i = c
 	}
+	h[i] = ev
+	ev.idx = i
 }
 
+// push queues ev. The append grows the engine-owned slice only until it
+// reaches the peak resident count.
+//
+//easyio:hotpath (event schedule: one call per event scheduled)
 func (h *eventHeap) push(ev *event) {
 	*h = append(*h, ev)
 	h.up(len(*h) - 1)
 }
 
+// pop removes and returns the earliest event. A queue of one — a
+// self-rescheduling timer chain — empties without a sift.
+//
+//easyio:hotpath (event fire: one call per event dispatched)
 func (h *eventHeap) pop() *event {
 	old := *h
-	n := len(old)
+	n := len(old) - 1
 	ev := old[0]
-	old[0] = old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	if n > 1 {
-		(*h).down(0)
+	last := old[n]
+	old[n] = nil
+	*h = old[:n]
+	if n > 0 {
+		old[0] = last
+		old[:n].down(0)
 	}
 	return ev
+}
+
+// remove deletes the event at position i. The last event fills the hole
+// and sifts whichever way restores the order: down if it is later than
+// its new children, up if it is earlier than its new parent.
+//
+//easyio:hotpath (timer cancel: one call per Timer.Stop that prevents a fire)
+func (h *eventHeap) remove(i int) {
+	old := *h
+	n := len(old) - 1
+	last := old[n]
+	old[n] = nil
+	*h = old[:n]
+	if i == n {
+		return
+	}
+	old[i] = last
+	old[:n].down(i)
+	if last.idx == i {
+		old[:n].up(i)
+	}
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // one with NewEngine.
 type Engine struct {
 	now Time
-	// q is the pending-event queue: a hierarchical timer wheel (wheel.go)
-	// with an overflow heap for far timers, yielding events in exact
-	// (time, seq) order.
-	q   wheel
-	seq uint64
-	// live counts scheduled, not-yet-fired, not-cancelled events so
-	// Pending is O(1). Timer.Stop decrements it exactly once per event.
-	live int
-	// dead counts cancelled events still resident in the queue, so both
-	// alloc and Timer.Stop can trigger compaction — a long run of Stops
-	// with no intervening schedules must not retain dead events.
-	dead  int
+	// q is the pending-event queue, yielding events in (time, seq) order.
+	// Cancelled events leave it at once, so len(q) is the pending count.
+	q     eventHeap
+	seq   uint64
 	free  []*event
 	procs map[*Proc]struct{}
 	// procSeq numbers procs at creation so Shutdown can kill the
@@ -161,9 +201,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine with the clock at zero.
 func NewEngine() *Engine {
-	e := &Engine{procs: make(map[*Proc]struct{})}
-	e.q.init()
-	return e
+	return &Engine{procs: make(map[*Proc]struct{})}
 }
 
 // Now returns the current virtual time.
@@ -176,12 +214,6 @@ func (e *Engine) alloc(t Time) *event {
 	if t < e.now {
 		t = e.now
 	}
-	// Cancelled events stay queued until their deadline; when they
-	// outnumber live ones (the pmem stop/reschedule pattern), drop them
-	// in one pass.
-	if e.dead > 64 && e.dead > e.live {
-		e.compact()
-	}
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -193,9 +225,7 @@ func (e *Engine) alloc(t Time) *event {
 	e.seq++
 	ev.t = t
 	ev.seq = e.seq
-	ev.dead = false
-	e.q.insert(ev)
-	e.live++
+	e.q.push(ev)
 	return ev
 }
 
@@ -208,23 +238,8 @@ func newEvent() *event {
 	return new(event)
 }
 
-// compact sweeps cancelled events out of the wheel and overflow heap. Pop
-// order is fully determined by the (time, seq) total order over live
-// events, so compaction is temporally invisible.
-//
-//easyio:coldpath (cancellation-churn maintenance; runs only after 64+ dead events pile up)
-func (e *Engine) compact() {
-	e.q.sweepDead(func(ev *event) {
-		e.dead--
-		e.release(ev)
-	})
-	if invariants.Enabled && e.dead != 0 {
-		panic(fmt.Sprintf("sim: %d dead events unaccounted after compaction", e.dead))
-	}
-}
-
-// release recycles a popped event into the free list. The generation bump
-// invalidates every Timer handle still pointing at it.
+// release recycles a fired or cancelled event into the free list. The
+// generation bump invalidates every Timer handle still pointing at it.
 func (e *Engine) release(ev *event) {
 	ev.gen++
 	ev.kind = evFunc
@@ -268,64 +283,52 @@ type Timer struct {
 
 // Stop cancels the timer if it has not fired. It reports whether the
 // cancellation prevented the event from running: false when the timer is
-// zero, already stopped, or its event already fired (the generation check
-// makes firing observable even after the event struct is recycled), so
-// the engine's live-event counter is decremented at most once.
+// zero, already stopped, or its event already fired. The event leaves the
+// queue and returns to the free list at once; the generation check keeps
+// the handle inert after that, even once the struct is reused.
 func (t Timer) Stop() bool {
-	if t.ev == nil || t.ev.gen != t.gen || t.ev.dead {
+	ev := t.ev
+	if ev == nil || ev.gen != t.gen {
 		return false
 	}
-	t.ev.dead = true
 	e := t.eng
-	e.live--
-	e.dead++
-	// Cancel-heavy workloads with no intervening schedules must not pile
-	// up dead events: Stop shares alloc's compaction trigger, keeping it
-	// O(1) amortized.
-	if e.dead > 64 && e.dead > e.live {
-		e.compact()
+	if invariants.Enabled && (ev.idx >= len(e.q) || e.q[ev.idx] != ev) {
+		panic(fmt.Sprintf("sim: stopped event at %v is not at its queue index %d", ev.t, ev.idx))
 	}
+	e.q.remove(ev.idx)
+	e.release(ev)
 	return true
 }
 
-// step runs the earliest pending event. It reports false if none remain or
-// the engine was stopped.
+// step runs the earliest pending event. It reports false if none remain,
+// none is due by deadline (when bounded), or the engine was stopped.
 //
 //easyio:hotpath (sim event dispatch: every event in every run goes through here)
 func (e *Engine) step(deadline Time, bounded bool) bool {
-	for {
-		ev := e.q.peek(deadline, bounded)
-		if ev == nil {
-			return false
-		}
-		e.q.popDue()
-		if ev.dead {
-			e.dead--
-			e.release(ev)
-			continue
-		}
-		if invariants.Enabled {
-			if ev.t < e.now {
-				panic(fmt.Sprintf("sim: event queue yielded time %v before now %v", ev.t, e.now))
-			}
-		}
-		e.now = ev.t
-		e.live--
-		// Capture the payload and recycle the struct before dispatch:
-		// once the event has fired, stale Timer handles must see the
-		// new generation, and the pool slot can back events scheduled
-		// from inside the callback.
-		kind, fn, proc := ev.kind, ev.fn, ev.proc
-		e.release(ev)
-		e.inEvent = true
-		if kind == evResume {
-			proc.Resume()
-		} else {
-			fn()
-		}
-		e.inEvent = false
-		return !e.stopped
+	if len(e.q) == 0 || (bounded && e.q[0].t > deadline) {
+		return false
 	}
+	ev := e.q.pop()
+	if invariants.Enabled {
+		if ev.t < e.now {
+			panic(fmt.Sprintf("sim: event queue yielded time %v before now %v", ev.t, e.now))
+		}
+	}
+	e.now = ev.t
+	// Capture the payload and recycle the struct before dispatch: once
+	// the event has fired, stale Timer handles must see the new
+	// generation, and the pool slot can back events scheduled from inside
+	// the callback.
+	kind, fn, proc := ev.kind, ev.fn, ev.proc
+	e.release(ev)
+	e.inEvent = true
+	if kind == evResume {
+		proc.Resume()
+	} else {
+		fn()
+	}
+	e.inEvent = false
+	return !e.stopped
 }
 
 // Run processes events until none remain or Stop is called.
@@ -358,27 +361,9 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // must end with identical sequence counters.
 func (e *Engine) Sequence() uint64 { return e.seq }
 
-// Pending reports the number of scheduled (non-cancelled) events in O(1),
-// from a live counter maintained by alloc, step and Timer.Stop.
-func (e *Engine) Pending() int {
-	if invariants.Enabled {
-		n, d := 0, 0
-		e.q.forEach(func(ev *event) {
-			if ev.dead {
-				d++
-			} else {
-				n++
-			}
-		})
-		if n != e.live {
-			panic(fmt.Sprintf("sim: live-event counter %d but queue holds %d live events", e.live, n))
-		}
-		if d != e.dead {
-			panic(fmt.Sprintf("sim: dead-event counter %d but queue holds %d dead events", e.dead, d))
-		}
-	}
-	return e.live
-}
+// Pending reports the number of scheduled, not-yet-fired, not-cancelled
+// events.
+func (e *Engine) Pending() int { return len(e.q) }
 
 // Shutdown kills every live Proc, unwinding each parked coroutine so its
 // deferred functions run and its stack is released. It must be called
