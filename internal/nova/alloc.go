@@ -1,5 +1,7 @@
 package nova
 
+import "math/bits"
+
 // Run is a contiguous extent of data blocks on the device.
 type Run struct {
 	Off   int64 // device byte offset, BlockSize-aligned
@@ -15,7 +17,7 @@ func (r Run) Bytes() int64 { return int64(r.Pages) * BlockSize }
 type allocator struct {
 	dataOff int64
 	nblocks int64
-	used    []bool
+	used    []uint64 // bit i%64 of word i/64 is set while block i is allocated
 	hint    int64
 	free    int64
 }
@@ -25,7 +27,7 @@ func newAllocator(dataOff, devSize int64) *allocator {
 	return &allocator{
 		dataOff: dataOff,
 		nblocks: n,
-		used:    make([]bool, n),
+		used:    make([]uint64, (n+63)/64),
 		free:    n,
 	}
 }
@@ -34,31 +36,64 @@ func newAllocator(dataOff, devSize int64) *allocator {
 func (a *allocator) FreeBlocks() int64 { return a.free }
 
 // allocRun finds one contiguous run of up to want pages (first fit from
-// the rotating hint). ok is false when the device is full.
+// the rotating hint, wrapping to block 0; a run itself never wraps). ok is
+// false when the device is full.
 func (a *allocator) allocRun(want int) (Run, bool) {
 	if a.free == 0 || want <= 0 {
 		return Run{}, false
 	}
-	start := a.hint
-	for scanned := int64(0); scanned < a.nblocks; {
-		i := (start + scanned) % a.nblocks
-		if a.used[i] {
-			scanned++
-			continue
-		}
-		// Extend the run.
-		n := int64(0)
-		for i+n < a.nblocks && n < int64(want) && !a.used[i+n] {
-			n++
-		}
-		for k := int64(0); k < n; k++ {
-			a.used[i+k] = true
-		}
-		a.free -= n
-		a.hint = (i + n) % a.nblocks
-		return Run{Off: a.dataOff + i*BlockSize, Pages: int(n)}, true
+	i := a.firstFree(a.hint)
+	if i < 0 {
+		i = a.firstFree(0) // a.free > 0, so this hits
 	}
-	return Run{}, false
+	// Extend the run over the free bits after i.
+	lim := min(a.nblocks, i+int64(want))
+	end := i
+	for end < lim {
+		if rest := a.used[end>>6] >> (end & 63); rest != 0 {
+			end += int64(bits.TrailingZeros64(rest))
+			break
+		}
+		end += 64 - end&63
+	}
+	end = min(end, lim)
+	for j := i; j < end; {
+		w, m, next := wordMask(j, end)
+		a.used[w] |= m
+		j = next
+	}
+	n := end - i
+	a.free -= n
+	a.hint = end % a.nblocks
+	return Run{Off: a.dataOff + i*BlockSize, Pages: int(n)}, true
+}
+
+// firstFree returns the first free block at or after from, or -1.
+func (a *allocator) firstFree(from int64) int64 {
+	w := from >> 6
+	if w >= int64(len(a.used)) {
+		return -1
+	}
+	free := ^a.used[w] &^ (1<<(from&63) - 1)
+	for free == 0 {
+		if w++; w == int64(len(a.used)) {
+			return -1
+		}
+		free = ^a.used[w]
+	}
+	if i := w<<6 + int64(bits.TrailingZeros64(free)); i < a.nblocks {
+		return i
+	}
+	return -1 // only the padding bits past the last block are clear
+}
+
+// wordMask returns the bitmap word holding block i, the mask of the blocks
+// of [i, end) in that word, and the first block past them.
+func wordMask(i, end int64) (w int64, m uint64, next int64) {
+	w = i >> 6
+	next = min(end, (w+1)<<6)
+	m = ^uint64(0) >> (64 - (next - i)) << (i & 63)
+	return w, m, next
 }
 
 // alloc satisfies pages blocks as a list of runs (contiguous when
@@ -85,11 +120,13 @@ func (a *allocator) alloc(dst []Run, pages int) ([]Run, bool) {
 // freeRun returns a run to the pool.
 func (a *allocator) freeRun(r Run) {
 	i := (r.Off - a.dataOff) / BlockSize
-	for k := int64(0); k < int64(r.Pages); k++ {
-		if !a.used[i+k] {
+	for end := i + int64(r.Pages); i < end; {
+		w, m, next := wordMask(i, end)
+		if a.used[w]&m != m {
 			panic("nova: double free of block")
 		}
-		a.used[i+k] = false
+		a.used[w] &^= m
+		i = next
 	}
 	a.free += int64(r.Pages)
 }
@@ -97,10 +134,10 @@ func (a *allocator) freeRun(r Run) {
 // markUsed claims blocks during recovery.
 func (a *allocator) markUsed(off int64, pages int) {
 	i := (off - a.dataOff) / BlockSize
-	for k := int64(0); k < int64(pages); k++ {
-		if !a.used[i+k] {
-			a.used[i+k] = true
-			a.free--
-		}
+	for end := i + int64(pages); i < end; {
+		w, m, next := wordMask(i, end)
+		a.free -= int64(bits.OnesCount64(m &^ a.used[w]))
+		a.used[w] |= m
+		i = next
 	}
 }

@@ -217,7 +217,7 @@ func (fs *FS) allocInode(kind byte) (*Inode, error) {
 				ino.Nlink = 2
 				ino.dirents = make(map[string]uint32)
 			} else {
-				ino.index = make(map[int64]int64)
+				ino.index = &blockIndex{}
 			}
 			fs.inodes[num] = ino
 			ino.writeSlot()
@@ -233,18 +233,17 @@ func (fs *FS) allocInode(kind byte) (*Inode, error) {
 func (fs *FS) dropInode(ino *Inode) {
 	fs.dev.WriteAt(ino.slotOff(), []byte{0})
 	fs.dev.Fence()
-	// Free data blocks in sorted order: freeing in map-iteration order
-	// would make allocator state (and thus every later allocation)
-	// nondeterministic across runs.
+	// Free data blocks in block order (the index walks in page order), so
+	// the free sequence is deterministic.
 	if ino.index != nil {
 		seen := map[int64]bool{}
-		blocks := make([]int64, 0, len(ino.index))
-		for _, b := range ino.index {
+		blocks := make([]int64, 0, ino.index.len())
+		ino.index.walk(0, func(_, b int64) {
 			if !seen[b] {
 				seen[b] = true
 				blocks = append(blocks, b)
 			}
-		}
+		})
 		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
 		for _, b := range blocks {
 			fs.alloc.freeRun(Run{Off: b, Pages: 1})

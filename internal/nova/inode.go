@@ -18,8 +18,9 @@ type Inode struct {
 	logHead int64
 	logTail int64
 
-	// index maps file page number -> data block device offset (files).
-	index map[int64]int64
+	// index maps file page number -> data block device offset (files;
+	// nil for directories).
+	index *blockIndex
 	// dirents maps name -> child ino (directories).
 	dirents map[string]uint32
 
@@ -49,7 +50,7 @@ func (ino *Inode) IsDir() bool { return ino.Kind == KindDir }
 // BlockFor returns the data block device offset backing file page pg, or
 // -1 if the page is a hole.
 func (ino *Inode) BlockFor(pg int64) int64 {
-	if b, ok := ino.index[pg]; ok {
+	if b := ino.index.get(pg); b != 0 {
 		return b
 	}
 	return -1
@@ -132,11 +133,9 @@ func (ino *Inode) applyWriteEntry(e *Entry, dst []Run) []Run {
 	replaced := dst
 	firstPg := e.FileOff / BlockSize
 	for i := int64(0); i < int64(e.Pages); i++ {
-		pg := firstPg + i
-		if old, ok := ino.index[pg]; ok {
+		if old := ino.index.set(firstPg+i, e.BlockOff+i*BlockSize); old != 0 {
 			replaced = appendRun(replaced, old)
 		}
-		ino.index[pg] = e.BlockOff + i*BlockSize
 	}
 	if end := e.FileOff + e.Size; end > ino.Size {
 		ino.Size = end
@@ -170,8 +169,8 @@ func (ino *Inode) ExtentRuns(dst []Run, off, n int64) []Run {
 	firstPg := off / BlockSize
 	lastPg := (off + n - 1) / BlockSize
 	for pg := firstPg; pg <= lastPg; pg++ {
-		b, ok := ino.index[pg]
-		if !ok {
+		b := ino.index.get(pg)
+		if b == 0 {
 			b = -1
 		}
 		if len(runs) > 0 {

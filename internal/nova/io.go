@@ -1,8 +1,6 @@
 package nova
 
 import (
-	"sort"
-
 	"github.com/easyio-sim/easyio/internal/caladan"
 	"github.com/easyio-sim/easyio/internal/perfmodel"
 	"github.com/easyio-sim/easyio/internal/sim"
@@ -353,20 +351,11 @@ func (fs *FS) Truncate(t *caladan.Task, f *File, size int64) error {
 	tail := fs.AppendEntries(ino, entries)
 	fs.CommitTail(ino, tail)
 	if size < ino.Size {
-		// Free truncated blocks in sorted page order; map order would
-		// leave the allocator bitmap history nondeterministic.
-		firstDead := (size + BlockSize - 1) / BlockSize
-		var dead []int64
-		for pg := range ino.index {
-			if pg >= firstDead {
-				dead = append(dead, pg)
-			}
-		}
-		sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
-		for _, pg := range dead {
-			fs.alloc.freeRun(Run{Off: ino.index[pg], Pages: 1})
-			delete(ino.index, pg)
-		}
+		// Free truncated blocks in ascending page order.
+		ino.index.walk((size+BlockSize-1)/BlockSize, func(pg, b int64) {
+			fs.alloc.freeRun(Run{Off: b, Pages: 1})
+			ino.index.del(pg)
+		})
 	}
 	ino.Size = size
 	if boundary != nil {

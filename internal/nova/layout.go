@@ -28,6 +28,7 @@ const (
 	InodeTableOff = 3 * BlockSize
 
 	InodeSlotSize = 128
+	slotsPerPage  = BlockSize / InodeSlotSize
 
 	// RootIno is the root directory's inode number. Ino 0 is invalid.
 	RootIno = 1

@@ -30,31 +30,37 @@ func (fs *FS) recover() error {
 		fs.dev.Fence()
 	}
 
-	// Step 2: scan the inode table and replay logs.
-	slot := make([]byte, InodeSlotSize)
+	// Step 2: scan the inode table a page of slots at a time and replay
+	// the logs of valid slots. Replay writes only the replayed inode's own
+	// slot, so the rest of the page buffer stays current.
+	page := make([]byte, BlockSize)
 	logPages := make(map[uint32][]int64)
-	for num := int64(1); num < fs.sb.numInodes; num++ {
-		fs.dev.ReadAt(slot, InodeTableOff+num*InodeSlotSize)
-		di := decodeInode(slot)
-		if di.valid != 1 {
-			continue
+	for base := int64(0); base < fs.sb.numInodes; base += slotsPerPage {
+		slots := min(slotsPerPage, fs.sb.numInodes-base)
+		fs.dev.ReadAt(page[:slots*InodeSlotSize], InodeTableOff+base*InodeSlotSize)
+		for k := int64(0); k < slots; k++ {
+			num, slot := base+k, page[k*InodeSlotSize:(k+1)*InodeSlotSize]
+			if num == 0 || slot[0] != 1 {
+				continue
+			}
+			di := decodeInode(slot)
+			ino := &Inode{
+				fs:      fs,
+				Num:     uint32(num),
+				Kind:    di.kind,
+				Nlink:   di.nlink,
+				Mtime:   di.mtime,
+				logHead: di.logHead,
+				logTail: di.logTail,
+			}
+			if di.kind == KindDir {
+				ino.dirents = make(map[string]uint32)
+			} else {
+				ino.index = &blockIndex{}
+			}
+			fs.inodes[num] = ino
+			logPages[ino.Num] = fs.replayLog(ino)
 		}
-		ino := &Inode{
-			fs:      fs,
-			Num:     uint32(num),
-			Kind:    di.kind,
-			Nlink:   di.nlink,
-			Mtime:   di.mtime,
-			logHead: di.logHead,
-			logTail: di.logTail,
-		}
-		if di.kind == KindDir {
-			ino.dirents = make(map[string]uint32)
-		} else {
-			ino.index = make(map[int64]int64)
-		}
-		fs.inodes[num] = ino
-		logPages[ino.Num] = fs.replayLog(ino)
 	}
 	if fs.inodes[RootIno] == nil {
 		return ErrNotExist
@@ -90,12 +96,11 @@ func (fs *FS) recover() error {
 		if ino == nil || ino.index == nil {
 			continue
 		}
-		blocks := make([]int64, 0, len(ino.index))
-		for _, b := range ino.index {
+		blocks := make([]int64, 0, ino.index.len())
+		ino.index.walk(0, func(_, b int64) {
 			blocks = append(blocks, b)
-		}
-		// Sorted so the rebuilt allocator bitmap is filled in a
-		// deterministic order regardless of map iteration.
+		})
+		// Sorted so the rebuilt allocator bitmap is filled in block order.
 		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
 		for _, b := range blocks {
 			fs.alloc.markUsed(b, 1)
@@ -153,13 +158,10 @@ func (fs *FS) applyRecovered(ino *Inode, e Entry) {
 		ecopy := e
 		ino.applyWriteEntry(&ecopy, nil) // replaced blocks implicitly freed by rebuild
 	case etSetAttr:
-		if e.NewSize < ino.Size {
-			firstDead := (e.NewSize + BlockSize - 1) / BlockSize
-			for pg := range ino.index {
-				if pg >= firstDead {
-					delete(ino.index, pg)
-				}
-			}
+		if e.NewSize < ino.Size && ino.index != nil {
+			ino.index.walk((e.NewSize+BlockSize-1)/BlockSize, func(pg, _ int64) {
+				ino.index.del(pg)
+			})
 		}
 		ino.Size = e.NewSize
 		ino.Mtime = e.Mtime
