@@ -66,7 +66,11 @@ type jsonTraceStep struct {
 // benchReport is the BENCH_vet.json shape: enough to track the vet's own
 // wall-clock cost and cache effectiveness across commits.
 type benchReport struct {
-	WallMS      float64 `json:"wall_ms"`
+	WallMS float64 `json:"wall_ms"`
+	// ParseMS is ParseModule; TypeCheckMS is TypeCheck, which a fully
+	// warm run skips (0). Both are inside WallMS.
+	ParseMS     float64 `json:"parse_ms"`
+	TypeCheckMS float64 `json:"typecheck_ms"`
 	Packages    int     `json:"packages"`
 	CacheHits   int     `json:"cache_hits"`
 	CacheMisses int     `json:"cache_misses"`
@@ -120,6 +124,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	parseMS := msSince(start)
 	pkgs := filterPackages(all, flag.Args())
 
 	// The closure hash is only sound over the full loaded graph; a
@@ -142,11 +147,14 @@ func main() {
 	// check runs only when the cache actually misses — a warm run never
 	// type-checks (entries are only written by type-clean runs).
 	typeErrs := 0
+	var typeCheckMS float64
 	res := analysis.RunAnalyzersOpts(pkgs, analyzers, analysis.RunOptions{
 		Workers: *parallel,
 		Cache:   cache,
 		EnsureTypes: func() {
+			t := time.Now()
 			analysis.TypeCheck(all)
+			typeCheckMS = msSince(t)
 			for _, pkg := range all {
 				for _, e := range pkg.TypeErrors {
 					fmt.Fprintf(os.Stderr, "typecheck: %v\n", e)
@@ -156,7 +164,7 @@ func main() {
 		},
 	})
 	diags := res.Diags
-	wallMS := float64(time.Since(start).Microseconds()) / 1000
+	wallMS := msSince(start)
 
 	if *asJSON {
 		out := make([]jsonFinding, 0, len(diags))
@@ -209,6 +217,8 @@ func main() {
 	if *benchPath != "" {
 		rep := benchReport{
 			WallMS:      wallMS,
+			ParseMS:     parseMS,
+			TypeCheckMS: typeCheckMS,
 			Packages:    res.Packages,
 			CacheHits:   res.CacheHits,
 			CacheMisses: res.CacheMisses,
@@ -373,6 +383,12 @@ func filterPackages(pkgs []*analysis.Package, patterns []string) []*analysis.Pac
 		}
 	}
 	return out
+}
+
+// msSince is the wall-clock time since t in milliseconds, to the
+// microsecond.
+func msSince(t time.Time) float64 {
+	return float64(time.Since(t).Microseconds()) / 1000
 }
 
 // findModuleRoot walks up from the working directory to go.mod.

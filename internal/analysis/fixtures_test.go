@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -37,7 +36,7 @@ func fixturePkgFile(t *testing.T, path, filename, src string) *Package {
 	}
 	var terrs []error
 	conf := types.Config{
-		Importer: importer.ForCompiler(fset, "source", nil),
+		Importer: newStdImporter(fset),
 		Error:    func(err error) { terrs = append(terrs, err) },
 	}
 	tpkg, _ := conf.Check(path, fset, []*ast.File{f}, info)
@@ -63,11 +62,13 @@ type fixtureSrc struct {
 // fixtureModule type-checks several inline packages as one module (list
 // dependencies before their importers). Analyzers that classify by
 // module membership (simtime's host mode) see modPath as the module
-// path.
+// path. One stdImporter serves the whole fixture module, as in
+// TypeCheck.
 func fixtureModule(t *testing.T, modPath string, srcs []fixtureSrc) []*Package {
 	t.Helper()
 	fset := token.NewFileSet()
 	checked := map[string]*types.Package{}
+	imp := &moduleImporter{stdlib: newStdImporter(fset), modPath: modPath, checked: checked}
 	var pkgs []*Package
 	for i, s := range srcs {
 		f, err := parser.ParseFile(fset, "fixture"+itoa(i)+".go", s.Src, parser.ParseComments)
@@ -82,12 +83,8 @@ func fixtureModule(t *testing.T, modPath string, srcs []fixtureSrc) []*Package {
 		}
 		var terrs []error
 		conf := types.Config{
-			Importer: &moduleImporter{
-				stdlib:  importer.ForCompiler(fset, "source", nil),
-				modPath: modPath,
-				checked: checked,
-			},
-			Error: func(err error) { terrs = append(terrs, err) },
+			Importer: imp,
+			Error:    func(err error) { terrs = append(terrs, err) },
 		}
 		tpkg, _ := conf.Check(s.Path, fset, []*ast.File{f}, info)
 		if len(terrs) > 0 {

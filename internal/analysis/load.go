@@ -3,14 +3,14 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/build/constraint"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -45,8 +45,9 @@ type Package struct {
 // LoadModule parses and type-checks every non-test package under the
 // module rooted at root (the directory containing go.mod). Packages are
 // returned in deterministic (import-path) order. Standard-library
-// dependencies are type-checked from GOROOT source, so the loader needs
-// no toolchain invocation and no third-party dependency.
+// dependencies are type-checked from GOROOT source by a stdImporter, so
+// the loader needs no toolchain invocation and no third-party
+// dependency.
 func LoadModule(root string) ([]*Package, error) {
 	pkgs, err := ParseModule(root)
 	if err != nil {
@@ -111,7 +112,10 @@ func ParseModule(root string) ([]*Package, error) {
 
 // TypeCheck type-checks already-parsed packages in their dependency
 // order, resolving module-internal imports against the in-progress load
-// and everything else from GOROOT source.
+// and everything else from GOROOT source. Each call builds its own
+// stdImporter, so every call pays for a cold load of the standard
+// library the module imports: each package in that closure is resolved,
+// parsed and checked once per call, and nothing outlives the call.
 func TypeCheck(order []*Package) {
 	if len(order) == 0 {
 		return
@@ -120,7 +124,7 @@ func TypeCheck(order []*Package) {
 	modPath := order[0].modPath
 	checked := map[string]*types.Package{}
 	imp := &moduleImporter{
-		stdlib:  importer.ForCompiler(fset, "source", nil),
+		stdlib:  newStdImporter(fset),
 		modPath: modPath,
 		checked: checked,
 	}
@@ -155,7 +159,8 @@ func parseDir(fset *token.FileSet, dir string) (*Package, error) {
 	name := ""
 	for _, e := range entries {
 		fn := e.Name()
-		if e.IsDir() || !strings.HasSuffix(fn, ".go") || strings.HasSuffix(fn, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(fn, ".go") || strings.HasSuffix(fn, "_test.go") ||
+			!goodOSArchFile(fn) {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, fn), nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -179,9 +184,12 @@ func parseDir(fset *token.FileSet, dir string) (*Package, error) {
 	return &Package{Dir: dir, Name: name, Fset: fset, Files: files}, nil
 }
 
-// buildIncluded evaluates a file's //go:build constraint for the default
-// build: GOOS/GOARCH and go1.x tags hold, custom tags (easyio_invariants)
-// do not. Files without a constraint are always included.
+// buildIncluded evaluates a file's //go:build constraint with go/build's
+// tag set for build.Default (matchBuildTag), so custom tags
+// (easyio_invariants) do not hold and go1.x holds only up to the
+// toolchain's release. Files without a constraint are always included.
+// It reads the parsed file: build.Default.MatchFile would read every
+// file a second time.
 func buildIncluded(f *ast.File) bool {
 	for _, cg := range f.Comments {
 		if cg.Pos() >= f.Package {
@@ -195,13 +203,85 @@ func buildIncluded(f *ast.File) bool {
 			if err != nil {
 				return true // malformed: let the compiler complain, not us
 			}
-			return expr.Eval(func(tag string) bool {
-				return tag == runtime.GOOS || tag == runtime.GOARCH ||
-					strings.HasPrefix(tag, "go1")
-			})
+			return expr.Eval(matchBuildTag)
 		}
 	}
 	return true
+}
+
+// matchBuildTag reports whether go/build holds tag for build.Default:
+// GOOS (and the OS it implies), GOARCH, the compiler, "unix" on unix
+// systems, "cgo" when cgo is enabled, and the tool, build and release
+// tags.
+func matchBuildTag(tag string) bool {
+	ctxt := &build.Default
+	switch {
+	case tag == ctxt.GOOS, tag == ctxt.GOARCH, tag == ctxt.Compiler,
+		tag == "cgo" && ctxt.CgoEnabled,
+		tag == "unix" && unixOS(ctxt.GOOS),
+		tag == "linux" && ctxt.GOOS == "android",
+		tag == "solaris" && ctxt.GOOS == "illumos",
+		tag == "darwin" && ctxt.GOOS == "ios":
+		return true
+	case tag == "boringcrypto":
+		tag = "goexperiment.boringcrypto" // go/build's old name for it
+	}
+	return slices.Contains(ctxt.BuildTags, tag) || slices.Contains(ctxt.ToolTags, tag) ||
+		slices.Contains(ctxt.ReleaseTags, tag)
+}
+
+// goodOSArchFile applies go/build's file-name rule: a name whose last
+// _-separated elements (after the first _, before the extension and an
+// optional _test) are a known GOOS and/or GOARCH builds only where those
+// tags hold, so foo_windows.go is not analysed on linux.
+func goodOSArchFile(name string) bool {
+	name, _, _ = strings.Cut(name, ".")
+	i := strings.Index(name, "_")
+	if i < 0 {
+		return true
+	}
+	l := strings.Split(name[i:], "_")
+	if n := len(l); l[n-1] == "test" {
+		l = l[:n-1]
+	}
+	n := len(l)
+	if n >= 2 && knownOS(l[n-2]) && knownArch(l[n-1]) {
+		return matchBuildTag(l[n-1]) && matchBuildTag(l[n-2])
+	}
+	if n >= 1 && (knownOS(l[n-1]) || knownArch(l[n-1])) {
+		return matchBuildTag(l[n-1])
+	}
+	return true
+}
+
+// knownOS, unixOS and knownArch are go/build's lists (internal/syslist),
+// which it does not export.
+func knownOS(s string) bool {
+	switch s {
+	case "aix", "android", "darwin", "dragonfly", "freebsd", "hurd", "illumos", "ios", "js",
+		"linux", "nacl", "netbsd", "openbsd", "plan9", "solaris", "wasip1", "windows", "zos":
+		return true
+	}
+	return false
+}
+
+func unixOS(s string) bool {
+	switch s {
+	case "aix", "android", "darwin", "dragonfly", "freebsd", "hurd", "illumos", "ios",
+		"linux", "netbsd", "openbsd", "solaris":
+		return true
+	}
+	return false
+}
+
+func knownArch(s string) bool {
+	switch s {
+	case "386", "amd64", "amd64p32", "arm", "armbe", "arm64", "arm64be", "loong64", "mips",
+		"mipsle", "mips64", "mips64le", "mips64p32", "mips64p32le", "ppc", "ppc64", "ppc64le",
+		"riscv", "riscv64", "s390", "s390x", "sparc", "sparc64", "wasm":
+		return true
+	}
+	return false
 }
 
 // modulePath extracts the module declaration from a go.mod file.
@@ -284,7 +364,7 @@ func topoSort(byPath map[string]*Package, modPath string) ([]*Package, error) {
 // moduleImporter resolves module-internal imports from the in-progress
 // load and everything else from GOROOT source.
 type moduleImporter struct {
-	stdlib  types.Importer
+	stdlib  *stdImporter
 	modPath string
 	checked map[string]*types.Package
 }
@@ -297,4 +377,83 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 		return nil, fmt.Errorf("analysis: internal package %s not yet checked (topo-sort bug?)", path)
 	}
 	return m.stdlib.Import(path)
+}
+
+// stdImporter type-checks standard-library packages from GOROOT source,
+// doing go/internal/srcimporter's work once per import path. srcimporter
+// resolves the path with go/build, which reads the header of every file
+// in the package's directory, on each import edge before it looks in its
+// own cache; here an edge into a loaded package is one map lookup.
+// Every path resolves from $GOROOT/src, so std's vendored imports
+// (golang.org/x/...) find $GOROOT/src/vendor as they do under
+// srcimporter, and go/build never invokes the go command.
+type stdImporter struct {
+	fset   *token.FileSet
+	sizes  types.Sizes
+	srcDir string
+	// pkgs holds each import path's result. A path still loading holds
+	// its import-cycle error, which is what a re-entrant import returns.
+	pkgs map[string]stdResult
+}
+
+type stdResult struct {
+	pkg *types.Package
+	err error
+}
+
+func newStdImporter(fset *token.FileSet) *stdImporter {
+	return &stdImporter{
+		fset:   fset,
+		sizes:  types.SizesFor("gc", build.Default.GOARCH),
+		srcDir: filepath.Join(build.Default.GOROOT, "src"),
+		pkgs:   map[string]stdResult{"unsafe": {pkg: types.Unsafe}},
+	}
+}
+
+func (s *stdImporter) Import(path string) (*types.Package, error) {
+	if r, ok := s.pkgs[path]; ok {
+		return r.pkg, r.err
+	}
+	s.pkgs[path] = stdResult{err: fmt.Errorf("import cycle through package %q", path)}
+	pkg, err := s.load(path)
+	s.pkgs[path] = stdResult{pkg, err}
+	return pkg, err
+}
+
+// load resolves, parses and checks one package, skipping function
+// bodies. Like srcimporter, it drops the package on a hard type error,
+// which leaves it possibly incomplete, and keeps it on soft ones.
+func (s *stdImporter) load(path string) (*types.Package, error) {
+	bp, err := build.Default.Import(path, s.srcDir, 0)
+	if err != nil {
+		return nil, err
+	}
+	if len(bp.CgoFiles) > 0 {
+		return nil, fmt.Errorf("analysis: package %q has cgo files, which the GOROOT source importer does not run cgo on", bp.ImportPath)
+	}
+	files := make([]*ast.File, len(bp.GoFiles))
+	for i, name := range bp.GoFiles {
+		if files[i], err = parser.ParseFile(s.fset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution); err != nil {
+			return nil, err
+		}
+	}
+	var hardErr error
+	conf := types.Config{
+		IgnoreFuncBodies: true,
+		Sizes:            s.sizes,
+		Importer:         s,
+		Error: func(err error) {
+			if te, _ := err.(types.Error); hardErr == nil && !te.Soft {
+				hardErr = err
+			}
+		},
+	}
+	pkg, err := conf.Check(bp.ImportPath, s.fset, files, nil)
+	if err != nil {
+		if hardErr != nil {
+			pkg, err = nil, hardErr
+		}
+		return pkg, fmt.Errorf("type-checking package %q failed (%v)", bp.ImportPath, err)
+	}
+	return pkg, nil
 }
