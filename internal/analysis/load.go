@@ -82,7 +82,7 @@ func ParseModule(root string) ([]*Package, error) {
 			name == "testdata" || name == "vendor") {
 			return filepath.SkipDir
 		}
-		pkg, err := parseDir(fset, path)
+		pkg, err := parseDir(fset, path, false)
 		if err != nil {
 			return err
 		}
@@ -148,9 +148,13 @@ func TypeCheck(order []*Package) {
 	}
 }
 
-// parseDir parses the non-test .go files of one directory, or returns
-// nil when the directory holds no Go sources.
-func parseDir(fset *token.FileSet, dir string) (*Package, error) {
+// parseDir parses the non-test .go files of one directory that go/build
+// would build for build.Default (goodOSArchFile, then buildIncluded), or
+// returns nil when there are none. With declsOnly it blanks each file's
+// function bodies before parsing (blankFuncBodies): positions stay exact,
+// but the files declare without implementing, which suits only packages
+// nothing analyses, such as the standard library.
+func parseDir(fset *token.FileSet, dir string, declsOnly bool) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -163,7 +167,17 @@ func parseDir(fset *token.FileSet, dir string) (*Package, error) {
 			!goodOSArchFile(fn) {
 			continue
 		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, fn), nil, parser.ParseComments|parser.SkipObjectResolution)
+		path := filepath.Join(dir, fn)
+		var src any // nil: the parser reads the file
+		if declsOnly {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return nil, err
+			}
+			blankFuncBodies(b)
+			src = b
+		}
+		f, err := parser.ParseFile(fset, path, src, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
@@ -230,11 +244,15 @@ func matchBuildTag(tag string) bool {
 		slices.Contains(ctxt.ReleaseTags, tag)
 }
 
-// goodOSArchFile applies go/build's file-name rule: a name whose last
-// _-separated elements (after the first _, before the extension and an
-// optional _test) are a known GOOS and/or GOARCH builds only where those
-// tags hold, so foo_windows.go is not analysed on linux.
+// goodOSArchFile applies go/build's file-name rules: a name starting
+// with _ or . never builds, and a name whose last _-separated elements
+// (after the first _, before the extension and an optional _test) are a
+// known GOOS and/or GOARCH builds only where those tags hold, so
+// foo_windows.go is not analysed on linux.
 func goodOSArchFile(name string) bool {
+	if strings.HasPrefix(name, "_") || strings.HasPrefix(name, ".") {
+		return false
+	}
 	name, _, _ = strings.Cut(name, ".")
 	i := strings.Index(name, "_")
 	if i < 0 {
@@ -379,14 +397,14 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	return m.stdlib.Import(path)
 }
 
-// stdImporter type-checks standard-library packages from GOROOT source,
-// doing go/internal/srcimporter's work once per import path. srcimporter
-// resolves the path with go/build, which reads the header of every file
-// in the package's directory, on each import edge before it looks in its
-// own cache; here an edge into a loaded package is one map lookup.
-// Every path resolves from $GOROOT/src, so std's vendored imports
-// (golang.org/x/...) find $GOROOT/src/vendor as they do under
-// srcimporter, and go/build never invokes the go command.
+// stdImporter type-checks standard-library packages from GOROOT source
+// by declarations only, once per import path: an edge into a loaded
+// package is one map lookup. Every path resolves from $GOROOT/src with
+// go/build's FindOnly mode, which reads no file, so std's vendored
+// imports (golang.org/x/...) find $GOROOT/src/vendor as they do under
+// go/importer's "source" importer, and go/build never invokes the go
+// command. The directory is then read by the module loader's parseDir,
+// with its file filter, and with function bodies blanked.
 type stdImporter struct {
 	fset   *token.FileSet
 	sizes  types.Sizes
@@ -420,22 +438,33 @@ func (s *stdImporter) Import(path string) (*types.Package, error) {
 	return pkg, err
 }
 
-// load resolves, parses and checks one package, skipping function
-// bodies. Like srcimporter, it drops the package on a hard type error,
-// which leaves it possibly incomplete, and keeps it on soft ones.
+// load resolves, parses and checks one package by its declarations.
+// Like go/importer's "source" importer, it drops the package on a hard
+// type error, which leaves it possibly incomplete, and keeps it on soft
+// ones.
 func (s *stdImporter) load(path string) (*types.Package, error) {
-	bp, err := build.Default.Import(path, s.srcDir, 0)
+	bp, err := build.Default.Import(path, s.srcDir, build.FindOnly)
 	if err != nil {
 		return nil, err
 	}
-	if len(bp.CgoFiles) > 0 {
-		return nil, fmt.Errorf("analysis: package %q has cgo files, which the GOROOT source importer does not run cgo on", bp.ImportPath)
+	p, err := parseDir(s.fset, bp.Dir, true)
+	if err != nil {
+		return nil, err
 	}
-	files := make([]*ast.File, len(bp.GoFiles))
-	for i, name := range bp.GoFiles {
-		if files[i], err = parser.ParseFile(s.fset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution); err != nil {
-			return nil, err
+	var files []*ast.File
+	if p != nil {
+		for _, f := range p.Files {
+			switch {
+			case !importsC(f):
+				files = append(files, f)
+			case build.Default.CgoEnabled:
+				return nil, fmt.Errorf("analysis: package %q has cgo files, which the GOROOT source importer does not run cgo on", bp.ImportPath)
+			}
+			// go/build ignores a cgo file when cgo is disabled.
 		}
+	}
+	if len(files) == 0 {
+		return nil, &build.NoGoError{Dir: bp.Dir}
 	}
 	var hardErr error
 	conf := types.Config{
@@ -456,4 +485,14 @@ func (s *stdImporter) load(path string) (*types.Package, error) {
 		return pkg, fmt.Errorf("type-checking package %q failed (%v)", bp.ImportPath, err)
 	}
 	return pkg, nil
+}
+
+// importsC reports whether f imports the cgo pseudo-package "C".
+func importsC(f *ast.File) bool {
+	for _, spec := range f.Imports {
+		if strings.Trim(spec.Path.Value, `"`) == "C" {
+			return true
+		}
+	}
+	return false
 }

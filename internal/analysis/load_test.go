@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"errors"
 	"go/build"
 	"go/importer"
 	"go/parser"
@@ -213,6 +214,32 @@ func TestStdImporterSelfImportIsACycle(t *testing.T) {
 	}
 }
 
+// TestStdImporterNoBuildableFiles imports a directory whose Go files all
+// fall to the file filter: like go/build, the importer must report
+// build.NoGoError rather than return no package and no error.
+func TestStdImporterNoBuildableFiles(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "empty")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a_test.go", "_b.go", ".c.go", "d.go"} {
+		src := "package empty\n"
+		if name == "d.go" {
+			src = "//go:build ignore\n\n" + src
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	imp := newStdImporter(token.NewFileSet())
+	imp.srcDir = filepath.Dir(dir)
+	p, err := imp.Import("./empty")
+	var noGo *build.NoGoError
+	if p != nil || !errors.As(err, &noGo) {
+		t.Fatalf("Import of a directory without buildable files = (%v, %v), want (nil, *build.NoGoError)", p, err)
+	}
+}
+
 // TestBuildIncludedMatchesGoBuild checks the loader's file filter
 // (goodOSArchFile, then buildIncluded on the parsed file) against
 // build.Default.MatchFile over a table of file names and constraints.
@@ -220,7 +247,7 @@ func TestBuildIncludedMatchesGoBuild(t *testing.T) {
 	names := []string{
 		"a.go", "linux.go", "windows.go", "a_linux.go", "a_windows.go", "a_amd64.go",
 		"a_arm64.go", "a_linux_amd64.go", "a_linux_arm64.go", "a_windows_amd64.go",
-		"a_unix.go", "a_foo_linux.go", "a_linux_foo.go", "a_windows_test.go",
+		"a_unix.go", "a_foo_linux.go", "a_linux_foo.go", "a_windows_test.go", "_a.go", ".a.go",
 		"a_" + build.Default.GOOS + "_" + build.Default.GOARCH + ".go",
 	}
 	constraints := []string{

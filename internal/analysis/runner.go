@@ -41,6 +41,11 @@ type RunResult struct {
 	// charge their BuildModule pass (ModuleInfo.ms).
 	// Near-empty on a fully warm cached run (nothing re-analyzed).
 	AnalyzerMS map[string]float64
+	// BuildModuleMS is the wall-clock milliseconds of this run's
+	// BuildModule call; 0 when the run built no module view. It overlaps
+	// AnalyzerMS: the global analyzers' passes run inside BuildModule and
+	// are charged to both.
+	BuildModuleMS float64
 }
 
 // RunAnalyzersOpts is the full-featured runner. Semantics match
@@ -121,7 +126,9 @@ func RunAnalyzersOpts(pkgs []*Package, analyzers []*Analyzer, opt RunOptions) *R
 				typeClean = false
 			}
 		}
+		t0 := nowMS()
 		mod = BuildModule(pkgs)
+		res.BuildModuleMS = nowMS() - t0
 		res.Mod = mod
 	}
 

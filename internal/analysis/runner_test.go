@@ -97,6 +97,9 @@ func TestRunnerCacheWarmIdentical(t *testing.T) {
 	if typeChecked {
 		t.Fatal("warm all-hit run invoked the type checker")
 	}
+	if cold.BuildModuleMS <= 0 || warm.BuildModuleMS != 0 {
+		t.Fatalf("BuildModuleMS cold=%v warm=%v, want it charged only when the module view is built", cold.BuildModuleMS, warm.BuildModuleMS)
+	}
 	if !reflect.DeepEqual(cold.Diags, warm.Diags) {
 		t.Fatalf("cold and warm findings differ:\n%v\n%v", cold.Diags, warm.Diags)
 	}
