@@ -90,7 +90,7 @@ echo '== go test -race -tags easyio_invariants ./...'
 go test -race -tags easyio_invariants ./...
 
 echo '== bench smoke (one iteration of every benchmark)'
-go test -run '^$' -bench . -benchtime 1x ./internal/nova ./internal/sim .
+go test -run '^$' -bench . -benchtime 1x ./...
 
 echo '== job pool byte-identity (every experiment, fig9 included; -workers 1 vs 4)'
 same_output ./cmd/easyio-bench '-exp all -quick -workers 1' '-exp all -quick -workers 4'

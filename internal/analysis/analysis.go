@@ -45,7 +45,8 @@
 //	svclifecycle  - service.Server lifecycle automaton (New -> StartArrivals
 //	              -> StartManager -> Inject* -> End -> Finish)
 //	horizonproto  - cluster protocol (topology before Run, Send only
-//	              from event context, no Send after Shutdown)
+//	              from event context, no Send after Shutdown);
+//	              fixture-only: internal/sim has no Cluster
 //	epochbudget   - channel-manager epoch budget (RegisterLApp before
 //	              Start, Report only while running, Stop once)
 //	handlestate   - fsapi/nova handles: Open -> use -> Close, no

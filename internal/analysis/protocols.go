@@ -52,6 +52,11 @@ var svcLifecycleProtocol = &Protocol{
 // engine once, and Domain.Send is only legal from event context — i.e.
 // from domain handlers (closures), never from coordinator code that
 // provably holds the cluster in a concrete build/ran/down state.
+//
+// It is vestigial: internal/sim no longer has a Cluster (the fleet cell
+// runs on one sim.Engine), so the protocol guards no module code, only its
+// typestate_test.go fixtures. It stays registered while the benchmark
+// reports its per-analyzer timing.
 var horizonProtocol = &Protocol{
 	Name:        "horizonproto",
 	Doc:         "sim.Cluster protocol: AddDomain/Link before Run, Shutdown after Run, Domain.Send only from event context",

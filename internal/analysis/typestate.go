@@ -13,9 +13,9 @@ package analysis
 //
 // Three protocol shapes share one walker:
 //
-//   - Ambient must-mode (svclifecycle, horizonproto, epochbudget): one
-//     protocol instance per control-flow context, tracked as a bitset of
-//     possible states. A call is a violation only when *no* currently
+//   - Ambient must-mode (svclifecycle, horizonproto (fixture-only),
+//     epochbudget): one protocol instance per control-flow context,
+//     tracked as a bitset of possible states. A call is a violation only when *no* currently
 //     possible state admits it, so unknown entry states never produce
 //     false positives; per-entry-state summary walks make the check
 //     interprocedural (a helper's conditional violations fire at call

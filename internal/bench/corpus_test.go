@@ -444,6 +444,21 @@ func TestFleetSeedSensitivity(t *testing.T) {
 	checkSeedSensitivity(t, []corpusCell{fleetCorpusCell(0)})
 }
 
+// TestFleetConservation: every measured request the router sends across
+// the link comes back as exactly one ack or one shed notice before the run
+// ends, so the fleet loses and duplicates nothing in either direction.
+func TestFleetConservation(t *testing.T) {
+	for _, seed := range []uint64{corpusSeed, corpusSeed + 1} {
+		cell := fleetCell(3*sim.Millisecond, seed)
+		if cell.Acked == 0 {
+			t.Errorf("seed %d: fleet cell acked zero requests", seed)
+		}
+		if cell.Sent != cell.Acked+cell.Shed {
+			t.Errorf("seed %d: sent %d != acked %d + shed %d", seed, cell.Sent, cell.Acked, cell.Shed)
+		}
+	}
+}
+
 // fleetCorpusDigest runs one 3 ms fleet cell and returns its digest:
 // router counters, the RTT histogram, every node's service result, and
 // the shared engine's clock and event sequence.

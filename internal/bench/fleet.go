@@ -10,15 +10,17 @@ import (
 	"github.com/easyio-sim/easyio/internal/stats"
 )
 
-// The fleet cell is the serving experiment's multi-domain configuration:
-// a router domain generating every tenant's open-loop arrivals, fanned
-// out over fleetNodes EasyIO node domains across links with a 2µs floor
-// (a top-of-rack RTT share). Each node runs a full instance — device,
-// DMA engines, channel manager, caladan runtime and a service.Server fed
-// through Inject instead of local arrival chains — and acks every
-// completion back to the router, which accounts end-to-end (send to ack)
-// round-trip latency. The domains share one sim.Cluster engine, so the
-// cell is one deterministic event stream; it does not read SimWorkers.
+// The fleet cell is the serving experiment's multi-node configuration:
+// a router generating every tenant's open-loop arrivals, fanned out over
+// fleetNodes EasyIO nodes across a link with a 2µs delay (a top-of-rack
+// RTT share). Each node runs a full instance — device, DMA engines,
+// channel manager, caladan runtime and a service.Server fed through
+// Inject instead of local arrival chains — and acks every completion back
+// to the router, which accounts end-to-end (send to ack) round-trip
+// latency. Router and nodes share one sim.Engine and every hop is an
+// Engine.After of exactly fleetLinkFloor, so no node sees another's effect
+// sooner than the wire allows and the cell is one deterministic event
+// stream; it does not read SimWorkers.
 
 const (
 	fleetNodes     = 3
@@ -63,12 +65,12 @@ type FleetCell struct {
 	Digest      string `json:"digest"`
 }
 
-// fleetCell runs the multi-domain serving cell and folds every
-// observable — router counters, the RTT histogram, each node's full
-// service result, and the engine's clock and sequence counter — into one
-// digest.
+// fleetCell runs the multi-node serving cell and folds every observable
+// — router counters, the RTT histogram, each node's full service result,
+// and the engine's clock and sequence counter — into one digest.
 func fleetCell(measure sim.Duration, seed uint64) FleetCell {
-	cl := sim.NewCluster()
+	eng := sim.NewEngine()
+	defer eng.Shutdown()
 	tenants := fleetTenants()
 
 	warm := sim.Time(fleetWarmup)
@@ -78,92 +80,79 @@ func fleetCell(measure sim.Duration, seed uint64) FleetCell {
 	runEnd := end + sim.Time(fleetDrain) + sim.Time(fleetLinkFloor)
 
 	var (
-		router   *sim.Domain
-		nodeDoms [fleetNodes]*sim.Domain
-		srvs     [fleetNodes]*service.Server
-		rtt      stats.Hist
-		sent     int64
-		acked    int64
-		shed     int64
+		srvs  [fleetNodes]*service.Server
+		rtt   stats.Hist
+		sent  int64
+		acked int64
+		shed  int64
 	)
 
 	// The router's arrival chains: one stream per (node, tenant), same
 	// processes a local Server would run, generated at the router and
 	// shipped across the link.
-	router = cl.AddDomain("fleet/router", func(d *sim.Domain) {
-		root := rng.New(seed ^ 0xf1ee7)
-		for n := 0; n < fleetNodes; n++ {
-			for ti := range tenants {
-				n, ti := n, ti
-				spec := tenants[ti].Arrival
-				g := root.Fork(uint64(n*8 + ti))
-				var sched func(at sim.Time)
-				sched = func(at sim.Time) {
-					d.Engine().At(at, func() {
-						measured := at >= warm
-						if measured {
-							sent++
-						}
-						d.Send(nodeDoms[n], fleetLinkFloor, func() {
-							if !srvs[n].Inject(ti, at, measured) {
-								nodeDoms[n].Send(router, fleetLinkFloor, func() {
-									if measured {
-										shed++
-									}
-								})
-							}
-						})
-						nxt := at + sim.Time(spec.Next(g, at))
-						if nxt < end {
-							sched(nxt)
+	root := rng.New(seed ^ 0xf1ee7)
+	for n := 0; n < fleetNodes; n++ {
+		for ti := range tenants {
+			spec := tenants[ti].Arrival
+			g := root.Fork(uint64(n*8 + ti))
+			var sched func(at sim.Time)
+			sched = func(at sim.Time) {
+				eng.At(at, func() {
+					measured := at >= warm
+					if measured {
+						sent++
+					}
+					eng.After(fleetLinkFloor, func() {
+						if !srvs[n].Inject(ti, at, measured) {
+							eng.After(fleetLinkFloor, func() {
+								if measured {
+									shed++
+								}
+							})
 						}
 					})
-				}
-				first := sim.Time(spec.Next(g, 0))
-				if first < end {
-					sched(first)
-				}
-			}
-		}
-	})
-	for n := 0; n < fleetNodes; n++ {
-		n := n
-		nodeDoms[n] = cl.AddDomain(fpfS("fleet/node%d", n), func(d *sim.Domain) {
-			inst, err := NewInstance(SysEasyIO, fleetCores, InstanceOptions{Seed: seed + uint64(n), Engine: d.Engine()})
-			if err != nil {
-				panic(err)
-			}
-			srv, err := service.New(inst.Eng, inst.RT, inst.CoreFS, service.Config{
-				Cores:   fleetCores,
-				Tenants: fleetTenants(),
-				Policy:  service.PolicySpec{Kind: service.PolicyEWMA},
-				Warmup:  fleetWarmup,
-				Measure: measure,
-				Drain:   fleetDrain,
-				Seed:    seed + uint64(n),
-			})
-			if err != nil {
-				panic(err)
-			}
-			srv.OnComplete = func(ti int, measured bool, lat sim.Duration) {
-				d.Send(router, fleetLinkFloor, func() {
-					if measured {
-						acked++
-						rtt.Add(lat + fleetLinkFloor)
+					nxt := at + sim.Time(spec.Next(g, at))
+					if nxt < end {
+						sched(nxt)
 					}
 				})
 			}
-			srv.StartManager()
-			srvs[n] = srv
-		})
+			first := sim.Time(spec.Next(g, 0))
+			if first < end {
+				sched(first)
+			}
+		}
 	}
 	for n := 0; n < fleetNodes; n++ {
-		cl.Link(router, nodeDoms[n], fleetLinkFloor)
-		cl.Link(nodeDoms[n], router, fleetLinkFloor)
+		inst, err := NewInstance(SysEasyIO, fleetCores, InstanceOptions{Seed: seed + uint64(n), Engine: eng})
+		if err != nil {
+			panic(err)
+		}
+		srv, err := service.New(inst.Eng, inst.RT, inst.CoreFS, service.Config{
+			Cores:   fleetCores,
+			Tenants: fleetTenants(),
+			Policy:  service.PolicySpec{Kind: service.PolicyEWMA},
+			Warmup:  fleetWarmup,
+			Measure: measure,
+			Drain:   fleetDrain,
+			Seed:    seed + uint64(n),
+		})
+		if err != nil {
+			panic(err)
+		}
+		srv.OnComplete = func(ti int, measured bool, lat sim.Duration) {
+			eng.After(fleetLinkFloor, func() {
+				if measured {
+					acked++
+					rtt.Add(lat + fleetLinkFloor)
+				}
+			})
+		}
+		srv.StartManager()
+		srvs[n] = srv
 	}
 
-	cl.Run(runEnd)
-	defer cl.Shutdown()
+	eng.RunUntil(runEnd)
 
 	cell := FleetCell{
 		Nodes:       fleetNodes,
@@ -180,7 +169,6 @@ func fleetCell(measure sim.Duration, seed uint64) FleetCell {
 	rtt.Buckets(func(upper sim.Duration, count int64) {
 		fpf(h, "%d=%d,", upper, count)
 	})
-	eng := router.Engine()
 	fpf(h, "now=%d,seq=%d;", int64(eng.Now()), eng.Sequence())
 	for n := 0; n < fleetNodes; n++ {
 		fpf(h, "node%d:res=%#016x;", n, srvs[n].Finish().Digest())

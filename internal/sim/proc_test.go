@@ -6,66 +6,42 @@ import (
 )
 
 // TestProcPanicSurfacesFromRun: a panic inside a proc propagates out of
-// Engine.Run (or Cluster.Run, whose domains share one engine) on the
-// caller's goroutine, where it can be recovered, and the proc is retired
-// as done. Other parked procs still unwind on Shutdown.
+// Engine.Run on the caller's goroutine, where it can be recovered, and the
+// proc is retired as done. Other parked procs still unwind on Shutdown.
 func TestProcPanicSurfacesFromRun(t *testing.T) {
-	for _, viaCluster := range []bool{false, true} {
-		name := "engine"
-		if viaCluster {
-			name = "cluster"
-		}
-		t.Run(name, func(t *testing.T) {
-			parkedUnwound := false
-			parked := func(e *Engine) {
-				e.StartProc("parked", func(p *Proc) {
-					defer func() { parkedUnwound = true }()
-					p.Pause()
-				})
-			}
-			var bad *Proc
-			failing := func(e *Engine) {
-				bad = e.StartProc("bad", func(p *Proc) {
-					p.Sleep(10)
-					panic("boom")
-				})
-			}
-			var e *Engine
-			var run, shutdown func()
-			if viaCluster {
-				c := NewCluster()
-				c.AddDomain("quiet", func(d *Domain) { parked(d.Engine()) })
-				c.AddDomain("faulty", func(d *Domain) { failing(d.Engine()) })
-				e, run, shutdown = c.eng, func() { c.Run(100) }, c.Shutdown
-			} else {
-				e = NewEngine()
-				parked(e)
-				failing(e)
-				run, shutdown = e.Run, e.Shutdown
-			}
-			got := func() (r any) {
-				defer func() { r = recover() }()
-				run()
-				return nil
-			}()
-			if got != "boom" {
-				t.Fatalf("Run panicked with %v, want boom", got)
-			}
-			if e.Now() != 10 {
-				t.Fatalf("panic surfaced at %v, want 10", e.Now())
-			}
-			if !bad.Done() {
-				t.Fatal("panicked proc not marked done")
-			}
-			if _, live := e.procs[bad]; live {
-				t.Fatal("panicked proc still registered with the engine")
-			}
-			shutdown()
-			if !parkedUnwound {
-				t.Fatal("Shutdown after a proc panic did not unwind the parked proc")
-			}
+	t.Run("engine", func(t *testing.T) {
+		e := NewEngine()
+		parkedUnwound := false
+		e.StartProc("parked", func(p *Proc) {
+			defer func() { parkedUnwound = true }()
+			p.Pause()
 		})
-	}
+		bad := e.StartProc("bad", func(p *Proc) {
+			p.Sleep(10)
+			panic("boom")
+		})
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			e.Run()
+			return nil
+		}()
+		if got != "boom" {
+			t.Fatalf("Run panicked with %v, want boom", got)
+		}
+		if e.Now() != 10 {
+			t.Fatalf("panic surfaced at %v, want 10", e.Now())
+		}
+		if !bad.Done() {
+			t.Fatal("panicked proc not marked done")
+		}
+		if _, live := e.procs[bad]; live {
+			t.Fatal("panicked proc still registered with the engine")
+		}
+		e.Shutdown()
+		if !parkedUnwound {
+			t.Fatal("Shutdown after a proc panic did not unwind the parked proc")
+		}
+	})
 }
 
 // TestShutdownUnwindsInCreationOrder: Shutdown kills parked procs in

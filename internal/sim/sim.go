@@ -191,7 +191,6 @@ type Engine struct {
 	// procSeq numbers procs at creation so Shutdown can kill the
 	// surviving set in a deterministic (creation) order.
 	procSeq uint64
-	stopped bool
 	// inEvent guards against Proc misuse (Resume outside event context).
 	inEvent bool
 	// running is the proc currently executing a slice, tracked only when
@@ -300,8 +299,8 @@ func (t Timer) Stop() bool {
 	return true
 }
 
-// step runs the earliest pending event. It reports false if none remain,
-// none is due by deadline (when bounded), or the engine was stopped.
+// step runs the earliest pending event. It reports false if none remain
+// or none is due by deadline (when bounded).
 //
 //easyio:hotpath (sim event dispatch: every event in every run goes through here)
 func (e *Engine) step(deadline Time, bounded bool) bool {
@@ -328,10 +327,10 @@ func (e *Engine) step(deadline Time, bounded bool) bool {
 		fn()
 	}
 	e.inEvent = false
-	return !e.stopped
+	return true
 }
 
-// Run processes events until none remain or Stop is called.
+// Run processes events until none remain.
 func (e *Engine) Run() {
 	for e.step(0, false) {
 	}
@@ -342,19 +341,13 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(t Time) {
 	for e.step(t, true) {
 	}
-	if !e.stopped && e.now < t {
+	if e.now < t {
 		e.now = t
 	}
 }
 
 // RunFor processes events for d nanoseconds of virtual time from now.
 func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now + Time(d)) }
-
-// Stop halts Run/RunUntil after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
 
 // Sequence returns the total number of events ever scheduled — a cheap
 // determinism witness: two runs of the same scenario with the same seed
@@ -415,10 +408,6 @@ type Proc struct {
 	// pseq is the creation sequence number; Shutdown kills survivors in
 	// this order so teardown is as deterministic as the run.
 	pseq uint64
-
-	// tag lets runtimes attach the reason the proc paused (e.g. the
-	// scheduler request a uthread made). Owned by the embedding runtime.
-	tag any
 }
 
 // NewProc creates a coroutine that will execute fn when first resumed.
@@ -455,12 +444,6 @@ func (p *Proc) Now() Time { return p.eng.now }
 
 // Done reports whether the proc has finished.
 func (p *Proc) Done() bool { return p.state == procDone }
-
-// Tag returns the runtime-owned annotation set by SetTag.
-func (p *Proc) Tag() any { return p.tag }
-
-// SetTag attaches a runtime-owned annotation readable after the proc pauses.
-func (p *Proc) SetTag(v any) { p.tag = v }
 
 // Resume runs the proc synchronously until it pauses or finishes. It must
 // be called from event context (inside an event callback). It reports

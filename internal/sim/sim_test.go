@@ -100,26 +100,6 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.After(Duration(i), func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-	if !e.Stopped() {
-		t.Fatal("engine not stopped")
-	}
-}
-
 func TestProcSleep(t *testing.T) {
 	e := NewEngine()
 	var times []Time
@@ -206,22 +186,6 @@ func TestShutdownKillsParkedProc(t *testing.T) {
 	if reached {
 		t.Fatal("parked proc ran past Pause after kill")
 	}
-}
-
-func TestProcTag(t *testing.T) {
-	e := NewEngine()
-	p := e.NewProc("t", func(p *Proc) {
-		p.SetTag("blocked-on-io")
-		p.Pause()
-	})
-	e.After(0, func() {
-		p.Resume()
-		if p.Tag() != "blocked-on-io" {
-			t.Errorf("tag = %v", p.Tag())
-		}
-	})
-	e.Run()
-	e.Shutdown()
 }
 
 func TestDeterminism(t *testing.T) {
