@@ -34,6 +34,8 @@ echo '== easyio-vet cache smoke (warm rerun byte-identical, all hits)'
 go build -o /tmp/easyio-vet-check ./cmd/easyio-vet
 rm -rf /tmp/easyio-vet-cache-check
 /tmp/easyio-vet-check -cache-dir /tmp/easyio-vet-cache-check -benchjson /tmp/easyio-vet-cold.json ./... > /tmp/easyio-vet-cold.txt
+n=$(ls /tmp/easyio-vet-cache-check/*.json | wc -l)
+test "$n" -eq 1 || { echo "cold cached run left $n cache entries, want one per tree state"; exit 1; }
 /tmp/easyio-vet-check -cache-dir /tmp/easyio-vet-cache-check -benchjson /tmp/easyio-vet-warm.json ./... > /tmp/easyio-vet-warm.txt
 diff /tmp/easyio-vet-cold.txt /tmp/easyio-vet-warm.txt
 grep -q '"cache_hits": 0' /tmp/easyio-vet-cold.json || { echo "cold run unexpectedly hit the cache"; exit 1; }

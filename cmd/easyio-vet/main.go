@@ -13,13 +13,12 @@
 // Exit status: 0 clean, 1 findings, 2 load/type-check or I/O failure —
 // CI can tell a regression from a broken build.
 //
-// Full-module runs are incremental by default: per-package findings are
-// cached under .easyio-vet-cache/ keyed by a content hash of each
-// package's interprocedural closure, so a warm rerun skips both the
-// type checker and the analyzers for unchanged packages while printing
-// byte-identical output. -nocache forces a cold run; package-filtered
-// runs never use the cache (the filtered subgraph cannot hash the
-// closure soundly).
+// Full-module runs are cached by default: the run's findings are stored
+// under .easyio-vet-cache/, keyed by a content hash of the whole module,
+// so a rerun over an unchanged tree skips both the type checker and the
+// analyzers while printing byte-identical output. Any edit misses and
+// re-runs everything. -nocache forces a cold run; package-filtered runs
+// never use the cache.
 //
 // Intentional violations are suppressed in source with a rationale:
 //
@@ -67,23 +66,23 @@ type jsonTraceStep struct {
 // wall-clock cost and cache effectiveness across commits.
 type benchReport struct {
 	WallMS float64 `json:"wall_ms"`
-	// ParseMS is ParseModule; TypeCheckMS is TypeCheck, which a fully
-	// warm run skips (0). Both are inside WallMS.
+	// ParseMS is ParseModule; TypeCheckMS is TypeCheck, which a warm
+	// run skips (0). Both are inside WallMS.
 	ParseMS     float64 `json:"parse_ms"`
 	TypeCheckMS float64 `json:"typecheck_ms"`
 	// BuildModuleMS is the run's BuildModule call (call graph, effect
-	// summaries and the global analyzers' module-wide passes); 0 on a
-	// fully warm run.
+	// summaries and the module-wide analyzers' passes); 0 on a warm
+	// run.
 	BuildModuleMS float64 `json:"build_module_ms"`
 	Packages      int     `json:"packages"`
 	CacheHits     int     `json:"cache_hits"`
 	CacheMisses   int     `json:"cache_misses"`
 	Findings      int     `json:"findings"`
 	Workers       int     `json:"workers"`
-	// Analyzers breaks the run down per analyzer in milliseconds; near
-	// empty on a fully warm run, where nothing is re-analyzed. A global
-	// analyzer includes its BuildModule pass, so those milliseconds count
-	// in both build_module_ms and here.
+	// Analyzers breaks the run down per analyzer in milliseconds; empty
+	// on a warm run, where nothing is analyzed. A module-wide analyzer
+	// includes its BuildModule pass, so those milliseconds count in both
+	// build_module_ms and here.
 	Analyzers map[string]float64 `json:"analyzers"`
 }
 
@@ -95,7 +94,6 @@ func main() {
 	sarifPath := flag.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
 	benchPath := flag.String("benchjson", "", "write runner telemetry (BENCH_vet.json shape) to this file")
 	cacheDir := flag.String("cache-dir", "", "fact cache directory (default <module root>/.easyio-vet-cache)")
-	cacheMax := flag.Int("cache-maxentries", 0, "cache entry cap with LRU eviction (0 = framework default, negative = unlimited)")
 	noCache := flag.Bool("nocache", false, "disable the fact cache for this run")
 	partitionPath := flag.String("partition", "", "write the concurrency partition report (confinement classes + lock-order graph) as JSON to this file")
 	flag.Parse()
@@ -132,9 +130,8 @@ func main() {
 	parseMS := msSince(start)
 	pkgs := filterPackages(all, flag.Args())
 
-	// The closure hash is only sound over the full loaded graph; a
-	// package-filtered run cannot see edits outside its slice, so it
-	// always analyzes fresh.
+	// Findings in a filtered slice still depend on the packages outside
+	// it, so a package-filtered run always analyzes fresh.
 	var cache *analysis.Cache
 	if !*noCache && len(pkgs) == len(all) {
 		dir := *cacheDir
@@ -142,9 +139,6 @@ func main() {
 			dir = filepath.Join(root, ".easyio-vet-cache")
 		}
 		cache = analysis.OpenCache(dir)
-		if *cacheMax != 0 {
-			cache.WithMaxEntries(*cacheMax)
-		}
 	}
 
 	// Fail loudly on type errors: analyzers degrade silently without
@@ -209,7 +203,7 @@ func main() {
 	if *partitionPath != "" {
 		mod := res.Mod
 		if mod == nil {
-			// A fully warm run never type-checked; the report needs the
+			// A warm run never type-checked; the report needs the
 			// typed module view, so build it now (cache entries are only
 			// written by type-clean runs, so this cannot fail loudly).
 			analysis.TypeCheck(all)

@@ -61,16 +61,16 @@
 // reporter on the persistorder result: redundant fences and pending
 // stores left at call-graph roots.
 //
-// lockorder/confinement/atomichygiene are *global* analyzers
-// (Analyzer.Global): their findings are a property of the whole module,
-// precomputed once in BuildModule and replayed per package; the runner
-// caches them in a single module-wide entry (see runner.go) and they
-// feed the committable partition report (partition.go).
+// lockorder/confinement/atomichygiene and noalloc/boxing/hotpathcover
+// are module-wide analyzers: their findings are a property of the whole
+// module, precomputed once in BuildModule and replayed per package by
+// their Run. lockorder/confinement/atomichygiene also feed the
+// committable partition report (partition.go).
 //
 // cmd/easyio-vet is the CLI driver; it exits nonzero on findings, so CI
-// gates every PR on these invariants. runner.go adds per-package
-// parallel execution and a content-hash keyed fact cache for incremental
-// runs; both preserve byte-identical findings.
+// gates every PR on these invariants. runner.go adds parallel execution
+// over packages and a whole-module content-hash fact cache (cache.go);
+// both preserve byte-identical findings.
 package analysis
 
 import (
@@ -103,10 +103,6 @@ type Analyzer struct {
 	Doc string
 	// Run inspects pass.Pkg and reports findings via pass.Reportf.
 	Run func(pass *Pass)
-	// Global marks a module-wide analyzer: its findings depend on every
-	// package, so the runner caches them in one module-keyed entry
-	// instead of per-package closure-keyed entries.
-	Global bool
 }
 
 // Pass carries one (analyzer, package) unit of work.
@@ -177,8 +173,9 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return RunAnalyzersOpts(pkgs, analyzers, RunOptions{}).Diags
 }
 
-// sortDiags orders findings by (file, line, column, analyzer) — the
-// stable order every runner variant must produce.
+// sortDiags orders findings by (file, line, column, analyzer, message) —
+// the order every runner variant must produce, whatever order the
+// findings were collected in.
 func sortDiags(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -191,7 +188,10 @@ func sortDiags(diags []Diagnostic) {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 }
 

@@ -24,12 +24,11 @@ import (
 //
 // Lock regions are tracked per function, path-sensitively, with the
 // same defer semantics as lockorder: a deferred unlock holds until
-// function exit. AtomicHygiene is a global analyzer (see runner.go).
+// function exit. AtomicHygiene is a module-wide analyzer (see lockorder.go).
 var AtomicHygiene = &Analyzer{
-	Name:   "atomichygiene",
-	Doc:    "forbid mixed atomic/plain field access and plain access to mutex-guarded fields outside the lock",
-	Global: true,
-	Run:    runAtomicHygiene,
+	Name: "atomichygiene",
+	Doc:  "forbid mixed atomic/plain field access and plain access to mutex-guarded fields outside the lock",
+	Run:  runAtomicHygiene,
 }
 
 func runAtomicHygiene(pass *Pass) {

@@ -12,12 +12,11 @@ package analysis
 //
 // Boxing shares noalloc's summaries, cold-context discharge, and hot
 // root reachability (see noalloc.go); it differs only in which site
-// class it reports. It is a global analyzer precomputed by BuildModule.
+// class it reports. It is a module-wide analyzer precomputed by BuildModule.
 var Boxing = &Analyzer{
-	Name:   "boxing",
-	Doc:    "forbid interface boxing and fmt calls reachable from hot paths",
-	Global: true,
-	Run:    runBoxing,
+	Name: "boxing",
+	Doc:  "forbid interface boxing and fmt calls reachable from hot paths",
+	Run:  runBoxing,
 }
 
 func runBoxing(pass *Pass) {

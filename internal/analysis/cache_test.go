@@ -3,6 +3,7 @@ package analysis
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -32,7 +33,8 @@ func age(t *testing.T, dir, name string, d time.Duration) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	dir := t.TempDir()
-	c := OpenCache(dir).WithMaxEntries(2)
+	c := OpenCache(dir)
+	c.maxEntries = 2
 	ent := cacheEntry{Findings: []Diagnostic{}}
 
 	c.put("k1", ent)
@@ -63,44 +65,44 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCacheUnlimitedWhenCapDisabled(t *testing.T) {
-	dir := t.TempDir()
-	c := OpenCache(dir).WithMaxEntries(-1)
-	ent := cacheEntry{Findings: []Diagnostic{}}
-	for _, k := range []string{"a", "b", "c", "d", "e"} {
-		c.put(k, ent)
-	}
-	if got := cacheFiles(t, dir); len(got) != 5 {
-		t.Fatalf("cap disabled yet entries were pruned: %v", got)
-	}
-}
-
 // TestCacheDefaultCapBoundsRealRun exercises the cap through the runner
-// over a real on-disk module: with maxEntries 1, the per-package and
-// module-global entries cannot all survive, yet a rerun still produces
-// identical findings (evicted entries just re-analyze).
+// over a real on-disk module: each run writes exactly one entry, and with
+// maxEntries 1 a new tree state evicts the old one, yet every run still
+// produces the uncached findings.
 func TestCacheDefaultCapBoundsRealRun(t *testing.T) {
+	if OpenCache(t.TempDir()).maxEntries != defaultCacheEntries {
+		t.Fatalf("OpenCache default cap = %d, want %d", OpenCache(t.TempDir()).maxEntries, defaultCacheEntries)
+	}
 	root := writeTempModule(t)
 	dir := filepath.Join(root, ".cache")
-	cache := OpenCache(dir).WithMaxEntries(1)
+	cache := OpenCache(dir)
+	cache.maxEntries = 1
 
 	first := RunAnalyzersOpts(loadTemp(t, root), All(), RunOptions{Cache: cache})
-	if got := cacheFiles(t, dir); len(got) != 1 {
-		t.Fatalf("cap 1: %d entries on disk (%v)", len(got), got)
+	firstFiles := cacheFiles(t, dir)
+	if len(firstFiles) != 1 {
+		t.Fatalf("one run wrote %d entries (%v), want 1", len(firstFiles), firstFiles)
 	}
+	appendFile(t, filepath.Join(root, "b", "b.go"), "\nfunc Extra() {}\n")
 	second := RunAnalyzersOpts(loadTemp(t, root), All(), RunOptions{Cache: cache})
-	if len(first.Diags) != len(second.Diags) {
-		t.Fatalf("findings changed under eviction: %v vs %v", first.Diags, second.Diags)
+	if got := cacheFiles(t, dir); len(got) != 1 || got[0] == firstFiles[0] {
+		t.Fatalf("cap 1 after a second tree state: entries %v, want one replacing %v", got, firstFiles)
 	}
-	if OpenCache(dir).maxEntries != defaultCacheEntries {
-		t.Fatalf("OpenCache default cap = %d, want %d", OpenCache(dir).maxEntries, defaultCacheEntries)
+	third := RunAnalyzersOpts(loadTemp(t, root), All(), RunOptions{Cache: cache})
+	if third.CacheMisses != 0 {
+		t.Fatalf("rerun of the second tree state missed: hits=%d misses=%d", third.CacheHits, third.CacheMisses)
+	}
+	for _, res := range []*RunResult{first, second, third} {
+		if want := RunAnalyzers(loadTemp(t, root), All()); !reflect.DeepEqual(res.Diags, want) {
+			t.Fatalf("cached findings %v, want the uncached %v", res.Diags, want)
+		}
 	}
 }
 
 // TestCacheKeyIncludesProtocolSpecs proves a protocol-spec edit
 // invalidates warm cache entries: the typestate fingerprint is folded
-// into every key's prelude, so adding a transition to a declared
-// automaton changes both the per-package and the module-global key.
+// into the key, so adding a transition to a declared automaton changes
+// it even though no hashed source changed.
 func TestCacheKeyIncludesProtocolSpecs(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "fixture.go")
@@ -110,9 +112,9 @@ func TestCacheKeyIncludesProtocolSpecs(t *testing.T) {
 	}
 	pkg := fixturePkgFile(t, "fx", file, src)
 
-	before, gBefore := cacheKeys([]*Package{pkg}, All())
-	if before[pkg] == "" || gBefore == "" {
-		t.Fatalf("disk-backed fixture produced empty cache keys (%q, %q)", before[pkg], gBefore)
+	before := cacheKey([]*Package{pkg}, All())
+	if before == "" {
+		t.Fatal("disk-backed fixture produced an empty cache key")
 	}
 
 	op := &svcLifecycleProtocol.Ops[3]
@@ -120,11 +122,7 @@ func TestCacheKeyIncludesProtocolSpecs(t *testing.T) {
 	op.Trans = append([][2]string{{"ending", "running"}}, saved...)
 	defer func() { op.Trans = saved }()
 
-	after, gAfter := cacheKeys([]*Package{pkg}, All())
-	if after[pkg] == before[pkg] {
-		t.Errorf("per-package cache key unchanged after protocol-spec edit: %q", after[pkg])
-	}
-	if gAfter == gBefore {
-		t.Errorf("module-global cache key unchanged after protocol-spec edit: %q", gAfter)
+	if after := cacheKey([]*Package{pkg}, All()); after == before {
+		t.Errorf("cache key unchanged after protocol-spec edit: %q", after)
 	}
 }

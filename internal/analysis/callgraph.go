@@ -54,9 +54,9 @@ type ModuleInfo struct {
 	// Summaries holds the computed effect summary per function.
 	Summaries map[*types.Func]*Summary
 
-	// locks/conf/atomicH are the module-wide concurrency-soundness views
-	// the global analyzers (lockorder, confinement, atomichygiene) replay
-	// and BuildPartition renders.
+	// locks/conf/atomicH are the concurrency-soundness views that
+	// lockorder, confinement and atomichygiene replay and BuildPartition
+	// renders.
 	locks   *moduleLocks
 	conf    *confinementInfo
 	atomicH *atomicInfo

@@ -33,12 +33,11 @@ import (
 // dynamic-dispatch holes. ULock is NOT a guard here: it orders virtual
 // concurrency inside one node and protects nothing across real threads.
 //
-// Confinement is a global analyzer (see lockorder.go / runner.go).
+// Confinement is a module-wide analyzer (see lockorder.go).
 var Confinement = &Analyzer{
-	Name:   "confinement",
-	Doc:    "certify mutable types reachable from sim/core/service as node-confined, router-message, immutable-after-init, or shared-guarded",
-	Global: true,
-	Run:    runConfinement,
+	Name: "confinement",
+	Doc:  "certify mutable types reachable from sim/core/service as node-confined, router-message, immutable-after-init, or shared-guarded",
+	Run:  runConfinement,
 }
 
 func runConfinement(pass *Pass) {

@@ -26,12 +26,11 @@ import (
 //     function is later wired into a hot path;
 //   - both annotations on one function (contradictory).
 //
-// HotPathCover is a global analyzer precomputed by BuildModule.
+// HotPathCover is a module-wide analyzer precomputed by BuildModule.
 var HotPathCover = &Analyzer{
-	Name:   "hotpathcover",
-	Doc:    "require hot roots annotated and every hotpath/coldpath annotation live",
-	Global: true,
-	Run:    runHotPathCover,
+	Name: "hotpathcover",
+	Doc:  "require hot roots annotated and every hotpath/coldpath annotation live",
+	Run:  runHotPathCover,
 }
 
 func runHotPathCover(pass *Pass) {

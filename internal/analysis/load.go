@@ -37,8 +37,8 @@ type Package struct {
 	// still runs syntactically when present).
 	TypeErrors []error
 
-	// modPath is the module path the package was loaded under (cache
-	// keys need it to resolve module-internal imports without types).
+	// modPath is the module path the package was loaded under
+	// (TypeCheck resolves module-internal imports with it).
 	modPath string
 }
 

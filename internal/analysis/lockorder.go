@@ -32,14 +32,13 @@ import (
 // held set first, so unlock-then-relock callees are not misread as
 // nesting.
 //
-// LockOrder is a global analyzer: its findings are a property of the
-// whole module, precomputed by BuildModule and replayed into the package
-// that owns each position (see runner.go for how global findings cache).
+// LockOrder is a module-wide analyzer: its findings are a property of
+// the whole module, precomputed by BuildModule and replayed into the
+// package that owns each position.
 var LockOrder = &Analyzer{
-	Name:   "lockorder",
-	Doc:    "forbid lock-acquisition cycles and unordered same-class lock nesting",
-	Global: true,
-	Run:    runLockOrder,
+	Name: "lockorder",
+	Doc:  "forbid lock-acquisition cycles and unordered same-class lock nesting",
+	Run:  runLockOrder,
 }
 
 func runLockOrder(pass *Pass) {
@@ -54,7 +53,7 @@ func runLockOrder(pass *Pass) {
 }
 
 // modDiag is a module-level finding precomputed by BuildModule and
-// replayed by a global analyzer into the package owning its position.
+// replayed by a module-wide analyzer into the package owning its position.
 type modDiag struct {
 	Pkg *Package
 	Pos token.Pos

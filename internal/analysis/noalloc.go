@@ -40,14 +40,13 @@ import (
 // values, interface dispatch) are summary holes: they are counted per
 // root as dynamic_calls in the partition report, not silently ignored.
 //
-// NoAlloc is a global analyzer: summaries and root reachability are a
+// NoAlloc is a module-wide analyzer: summaries and root reachability are a
 // property of the whole module, precomputed by BuildModule and replayed
 // into the package owning each site (see runner.go for caching).
 var NoAlloc = &Analyzer{
-	Name:   "noalloc",
-	Doc:    "forbid heap allocation reachable from //easyio:hotpath roots",
-	Global: true,
-	Run:    runNoAlloc,
+	Name: "noalloc",
+	Doc:  "forbid heap allocation reachable from //easyio:hotpath roots",
+	Run:  runNoAlloc,
 }
 
 func runNoAlloc(pass *Pass) {

@@ -147,23 +147,6 @@ func (idx *suppressionIndex) filter(diags []Diagnostic) []Diagnostic {
 	return out
 }
 
-// filterPkg drops suppressed diagnostics like filter, additionally
-// returning the (file, line, analyzer) triples the suppressions
-// consumed, so a cache entry can replay usage marks and staleallow stays
-// exact for cached packages.
-func (idx *suppressionIndex) filterPkg(diags []Diagnostic) ([]Diagnostic, []UsedAllow) {
-	var kept []Diagnostic
-	var used []UsedAllow
-	for _, d := range diags {
-		if idx.allows(d.Pos.Filename, d.Pos.Line, d.Analyzer) {
-			used = append(used, UsedAllow{File: d.Pos.Filename, Line: d.Pos.Line, Analyzer: d.Analyzer})
-		} else {
-			kept = append(kept, d)
-		}
-	}
-	return kept, used
-}
-
 // staleFindings audits the allow comments after filtering: a name that is
 // not a registered analyzer is a typo that would silently suppress
 // nothing; a name whose analyzer ran but suppressed nothing is a stale

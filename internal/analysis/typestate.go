@@ -2076,8 +2076,8 @@ func (m *ModuleInfo) ProtocolStatuses() []ProtocolStatus {
 }
 
 // TypestateFingerprint renders every protocol spec canonically; the
-// fact cache folds it into its key prelude so editing a protocol
-// invalidates warm entries.
+// fact cache folds it into its key so editing a protocol invalidates
+// warm entries.
 func TypestateFingerprint() string {
 	var b strings.Builder
 	for _, p := range Protocols() {
