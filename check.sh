@@ -23,6 +23,9 @@ go vet ./...
 echo '== gofmt -l . (every file formatted)'
 test -z "$(gofmt -l .)" || { gofmt -l .; echo "run gofmt -w on the files above"; exit 1; }
 
+echo '== internal/analysis non-test lines (informational, no gate)'
+find internal/analysis -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+
 echo '== go run ./cmd/easyio-vet ./...'
 go run ./cmd/easyio-vet ./...
 

@@ -83,9 +83,6 @@ func computeAtomicHygiene(mod *ModuleInfo) {
 	// body with mutex-region tracking to classify every field access.
 	for _, fn := range mod.Nodes {
 		pkg := fn.Pkg
-		if pkg.Info == nil {
-			continue
-		}
 		ast.Inspect(fn.Decl.Body, func(x ast.Node) bool {
 			call, ok := x.(*ast.CallExpr)
 			if !ok || !isAtomicFuncCall(pkg.Info, call) {
@@ -109,11 +106,7 @@ func computeAtomicHygiene(mod *ModuleInfo) {
 		})
 	}
 	for _, fn := range mod.Nodes {
-		pkg := fn.Pkg
-		if pkg.Info == nil {
-			continue
-		}
-		w := &regionWalker{pkg: pkg, fn: fn, initCtx: confInitContext(fn)}
+		w := &regionWalker{pkg: fn.Pkg, fn: fn, initCtx: confInitContext(fn)}
 		w.record = func(key fieldKey, acc fieldAccess) {
 			if acc.guarded && acc.write && !acc.initCtx {
 				guardedWrite[key] = true
@@ -182,23 +175,8 @@ func fieldKeyOf(info *types.Info, sel *ast.SelectorExpr) (fieldKey, bool) {
 	if !ok || s.Kind() != types.FieldVal {
 		return fieldKey{}, false
 	}
-	tv, ok := info.Types[sel.X]
-	if !ok || tv.Type == nil {
-		return fieldKey{}, false
-	}
-	t := tv.Type
-	for {
-		p, ok := t.(*types.Pointer)
-		if !ok {
-			break
-		}
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return fieldKey{}, false
-	}
-	if _, ok := named.Obj().Type().Underlying().(*types.Struct); !ok {
+	named := namedStruct(info.Types[sel.X].Type)
+	if named == nil {
 		return fieldKey{}, false
 	}
 	return fieldKey{owner: named.Obj(), field: sel.Sel.Name}, true

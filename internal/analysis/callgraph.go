@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // This file builds the module-wide call graph the summary layer
@@ -29,6 +30,10 @@ type FuncNode struct {
 	Callees []*FuncNode
 	// Callers is the reverse edge set, in deterministic node order.
 	Callers []*FuncNode
+	// callNames are the names of every call's callee in the body
+	// (`f` of f() and x.f()), resolved or not; the typestate engine's
+	// op-name pre-filter reads them.
+	callNames map[string]bool
 	// Refs are module-internal functions referenced as values rather
 	// than called (method values handed to hooks, function arguments):
 	// the address-taken set. Summary propagation ignores them (a value
@@ -127,7 +132,7 @@ func BuildModule(pkgs []*Package) *ModuleInfo {
 				if obj == nil {
 					continue
 				}
-				node := &FuncNode{Obj: obj, Decl: fd, Pkg: pkg}
+				node := &FuncNode{Obj: obj, Decl: fd, Pkg: pkg, callNames: map[string]bool{}}
 				mod.Funcs[obj] = node
 				mod.Nodes = append(mod.Nodes, node)
 			}
@@ -145,8 +150,10 @@ func BuildModule(pkgs []*Package) *ModuleInfo {
 				switch fun := ast.Unparen(call.Fun).(type) {
 				case *ast.Ident:
 					callIdent[fun] = true
+					n.callNames[fun.Name] = true
 				case *ast.SelectorExpr:
 					callIdent[fun.Sel] = true
+					n.callNames[fun.Sel.Name] = true
 				}
 				if callee := staticCallee(n.Pkg.Info, call); callee != nil {
 					if cn := mod.Funcs[callee]; cn != nil && !seen[cn] {
@@ -172,7 +179,7 @@ func BuildModule(pkgs []*Package) *ModuleInfo {
 			c.Callers = append(c.Callers, n)
 		}
 	}
-	mod.SCCs = tarjanSCC(mod.Nodes)
+	mod.SCCs = tarjan(mod.Nodes, func(n *FuncNode) []*FuncNode { return n.Callees })
 	computeSummaries(mod)
 	mod.timed("lockorder", computeLockOrder)
 	mod.timed("confinement", computeConfinement)
@@ -236,68 +243,111 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// tarjanSCC computes strongly connected components over the Callees
-// edges. With edges pointing caller -> callee, Tarjan emits each SCC
-// before any SCC that calls into it, i.e. bottom-up.
-func tarjanSCC(nodes []*FuncNode) [][]*FuncNode {
-	index := make(map[*FuncNode]int, len(nodes))
-	low := make(map[*FuncNode]int, len(nodes))
-	onStack := make(map[*FuncNode]bool, len(nodes))
-	var stack []*FuncNode
-	var sccs [][]*FuncNode
-	next := 0
-	var strong func(n *FuncNode)
-	strong = func(n *FuncNode) {
-		index[n] = next
-		low[n] = next
-		next++
-		stack = append(stack, n)
-		onStack[n] = true
-		for _, m := range n.Callees {
-			if _, seen := index[m]; !seen {
-				strong(m)
-				if low[m] < low[n] {
-					low[n] = low[m]
-				}
-			} else if onStack[m] && index[m] < low[n] {
-				low[n] = index[m]
+// tarjan computes the strongly connected components of the graph whose
+// edges are succ, starting depth-first searches from nodes in order. Each
+// SCC is emitted after every SCC it reaches: with edges pointing caller ->
+// callee, that is bottom-up.
+func tarjan[N comparable](nodes []N, succ func(N) []N) [][]N {
+	index := make(map[N]int, len(nodes))
+	low := make(map[N]int, len(nodes))
+	onStack := make(map[N]bool, len(nodes))
+	var stack []N
+	var sccs [][]N
+	var strong func(v N)
+	strong = func(v N) {
+		low[v] = len(index)
+		index[v] = len(index)
+		stack = append(stack, v)
+		onStack[v] = true
+		for _, u := range succ(v) {
+			if _, seen := index[u]; !seen {
+				strong(u)
+				low[v] = min(low[v], low[u])
+			} else if onStack[u] {
+				low[v] = min(low[v], index[u])
 			}
 		}
-		if low[n] == index[n] {
-			var scc []*FuncNode
+		if low[v] == index[v] {
+			var scc []N
 			for {
-				m := stack[len(stack)-1]
+				u := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				onStack[m] = false
-				scc = append(scc, m)
-				if m == n {
+				onStack[u] = false
+				scc = append(scc, u)
+				if u == v {
 					break
 				}
 			}
 			sccs = append(sccs, scc)
 		}
 	}
-	for _, n := range nodes {
-		if _, seen := index[n]; !seen {
-			strong(n)
+	for _, v := range nodes {
+		if _, seen := index[v]; !seen {
+			strong(v)
 		}
 	}
 	return sccs
 }
 
-// selfRecursive reports whether an SCC is genuinely recursive (more than
-// one member, or a self-loop).
-func selfRecursive(scc []*FuncNode) bool {
-	if len(scc) > 1 {
-		return true
-	}
-	n := scc[0]
-	for _, c := range n.Callees {
-		if c == n {
-			return true
+// sccFixpoint fills facts bottom-up over mod.SCCs. A function outside any
+// recursion is summarized once. The members of a recursive SCC (more than
+// one member, or a self-loop) start from empty and are re-summarized until
+// no fingerprint changes, at most six rounds; if they still change,
+// widen (when non-nil) closes the SCC before any caller is summarized.
+func sccFixpoint[F interface{ fingerprint() string }](mod *ModuleInfo, facts map[*types.Func]F, empty, summarize func(*FuncNode) F, widen func(scc []*FuncNode)) {
+	for _, scc := range mod.SCCs {
+		if len(scc) == 1 && !slices.Contains(scc[0].Callees, scc[0]) {
+			facts[scc[0].Obj] = summarize(scc[0])
+			continue
+		}
+		for _, n := range scc {
+			facts[n.Obj] = empty(n)
+		}
+		stable := false
+		for round := 0; round < 6 && !stable; round++ {
+			stable = true
+			for _, n := range scc {
+				next := summarize(n)
+				if next.fingerprint() != facts[n.Obj].fingerprint() {
+					stable = false
+				}
+				facts[n.Obj] = next
+			}
+		}
+		if !stable && widen != nil {
+			widen(scc)
 		}
 	}
-	return false
+}
+
+// derefNamed strips every pointer from t and returns the named type
+// underneath, or nil (t nil or not named).
+func derefNamed(t types.Type) *types.Named {
+	for p, ok := t.(*types.Pointer); ok; p, ok = t.(*types.Pointer) {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
+}
+
+// namedStruct is derefNamed restricted to a struct type declared in a
+// package, or nil.
+func namedStruct(t types.Type) *types.Named {
+	n := derefNamed(t)
+	if n == nil || n.Obj().Pkg() == nil {
+		return nil
+	}
+	if _, ok := n.Obj().Type().Underlying().(*types.Struct); !ok {
+		return nil
+	}
+	return n
+}
+
+// namedTypeIs reports whether t, behind any pointers, is a named type
+// with the given name.
+func namedTypeIs(t types.Type, name string) bool {
+	n := derefNamed(t)
+	return n != nil && n.Obj().Name() == name
 }
 
 // fsMethodNames collects the method names of every interface type named

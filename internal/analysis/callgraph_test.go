@@ -65,3 +65,67 @@ func methodExpr(i *Impl)   { (*Impl).M(i) }  // method expression: unresolved
 		}
 	}
 }
+
+// TestTarjan checks the generic SCC decomposition against a brute-force
+// oracle on small graphs: two nodes share an SCC exactly when each
+// reaches the other, and every SCC is emitted after every SCC it reaches
+// (the bottom-up order the summary fixpoint and lockorder's cycle scan
+// rely on).
+func TestTarjan(t *testing.T) {
+	cases := []struct {
+		name  string
+		nodes []string
+		edges map[string][]string
+	}{
+		{"self-loop", []string{"a", "b"}, map[string][]string{"a": {"a", "b"}}},
+		{"2-cycle", []string{"a", "b"}, map[string][]string{"a": {"b"}, "b": {"a"}}},
+		{"3-cycle with a tail", []string{"t", "a", "b", "c", "u"},
+			map[string][]string{"t": {"a"}, "a": {"b"}, "b": {"c"}, "c": {"a", "u"}}},
+		{"diamond", []string{"a", "b", "c", "d"},
+			map[string][]string{"a": {"b", "c"}, "b": {"d"}, "c": {"d"}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			succ := func(v string) []string { return tc.edges[v] }
+			// reach[v][u]: u is reachable from v (reflexively).
+			reach := map[string]map[string]bool{}
+			for _, v := range tc.nodes {
+				reach[v] = map[string]bool{v: true}
+				for work := []string{v}; len(work) > 0; {
+					x := work[len(work)-1]
+					work = work[:len(work)-1]
+					for _, u := range succ(x) {
+						if !reach[v][u] {
+							reach[v][u] = true
+							work = append(work, u)
+						}
+					}
+				}
+			}
+			sccs := tarjan(tc.nodes, succ)
+			sccOf := map[string]int{}
+			for i, scc := range sccs {
+				for _, v := range scc {
+					if _, dup := sccOf[v]; dup {
+						t.Fatalf("%s is in two SCCs: %v", v, sccs)
+					}
+					sccOf[v] = i
+				}
+			}
+			for _, v := range tc.nodes {
+				if _, ok := sccOf[v]; !ok {
+					t.Fatalf("%s is in no SCC: %v", v, sccs)
+				}
+				for _, u := range tc.nodes {
+					mutual := reach[v][u] && reach[u][v]
+					if same := sccOf[v] == sccOf[u]; same != mutual {
+						t.Errorf("%s, %s: same SCC %v, mutually reachable %v; SCCs %v", v, u, same, mutual, sccs)
+					}
+					if reach[v][u] && sccOf[u] > sccOf[v] {
+						t.Errorf("%s reaches %s but its SCC is emitted first; SCCs %v", v, u, sccs)
+					}
+				}
+			}
+		})
+	}
+}

@@ -95,17 +95,10 @@ func computeConfinement(mod *ModuleInfo) {
 	mod.conf = ci
 
 	moduleNamed := func(t types.Type) *types.Named {
-		named, ok := t.(*types.Named)
-		if !ok || named.Obj().Pkg() == nil {
-			return nil
+		if named, ok := t.(*types.Named); ok && namedStruct(named) != nil && mod.pkgPaths[named.Obj().Pkg().Path()] {
+			return named
 		}
-		if _, ok := named.Obj().Type().Underlying().(*types.Struct); !ok {
-			return nil
-		}
-		if !mod.pkgPaths[named.Obj().Pkg().Path()] {
-			return nil
-		}
-		return named
+		return nil
 	}
 
 	// Reachability: seed with every named struct type declared in a root
@@ -330,18 +323,8 @@ func confInitContext(fn *FuncNode) bool {
 		return false
 	}
 	for i := 0; i < sig.Results().Len(); i++ {
-		t := sig.Results().At(i).Type()
-		for {
-			p, ok := t.(*types.Pointer)
-			if !ok {
-				break
-			}
-			t = p.Elem()
-		}
-		if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
-			if _, isStruct := named.Obj().Type().Underlying().(*types.Struct); isStruct {
-				return true
-			}
+		if namedStruct(sig.Results().At(i).Type()) != nil {
+			return true
 		}
 	}
 	return false
@@ -351,26 +334,11 @@ func confInitContext(fn *FuncNode) bool {
 // struct that owns field f, or nil.
 func selectorBase(info *types.Info, e ast.Expr) (*types.Named, string) {
 	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-	if !ok || info == nil {
+	if !ok {
 		return nil, ""
 	}
-	tv, ok := info.Types[sel.X]
-	if !ok || tv.Type == nil {
-		return nil, ""
-	}
-	t := tv.Type
-	for {
-		p, ok := t.(*types.Pointer)
-		if !ok {
-			break
-		}
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return nil, ""
-	}
-	if _, ok := named.Obj().Type().Underlying().(*types.Struct); !ok {
+	named := namedStruct(info.Types[sel.X].Type)
+	if named == nil {
 		return nil, ""
 	}
 	return named, sel.Sel.Name

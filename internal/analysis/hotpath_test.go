@@ -188,8 +188,30 @@ func (e *Engine) step() {
 	}
 }
 `, 0},
-		{"both annotations contradict", hotFixturePrelude + `
-`, hotFixturePrelude + `
+		{"coldpath called only from an error arm is stale", "", hotFixturePrelude + `
+func (e *Engine) pop() (int, error) { return 0, nil }
+//easyio:coldpath (error recovery)
+func (e *Engine) reset() { e.buf = make([]byte, 64) }
+//easyio:hotpath
+func (e *Engine) step() {
+	if _, err := e.pop(); err != nil {
+		e.reset()
+	}
+}
+`, 1},
+		{"coldpath reached only from the second hot root is live", "", hotFixturePrelude + `
+//easyio:hotpath
+func (e *Engine) step() { e.queue = e.queue[:0] }
+//easyio:coldpath (high-water growth)
+func (e *Engine) grow() { e.buf = make([]byte, 64) }
+//easyio:hotpath
+func (e *Engine) drain() {
+	if cap(e.buf) == 0 {
+		e.grow()
+	}
+}
+`, 0},
+		{"both annotations contradict", "", hotFixturePrelude + `
 //easyio:hotpath
 //easyio:coldpath
 func (e *Engine) step() { e.queue = e.queue[:0] }

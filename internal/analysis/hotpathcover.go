@@ -137,41 +137,6 @@ func emitCoverFindings(mod *ModuleInfo, hot *moduleHot) {
 	// unjudgeable; skip rather than reject every annotation.
 	judgeLive := len(reach) > 0
 
-	// Hot-reachable set (non-cold edges from annotated roots), and which
-	// coldpath functions a hot path discharges through.
-	hotReach := map[*FuncNode]bool{}
-	coldUsed := map[*FuncNode]bool{}
-	for _, root := range hot.roots {
-		queue = append(queue[:0], root)
-		if !hotReach[root] {
-			hotReach[root] = true
-		}
-		seen := map[*FuncNode]bool{root: true}
-		for len(queue) > 0 {
-			n := queue[0]
-			queue = queue[1:]
-			hotReach[n] = true
-			f := hot.facts[n.Obj]
-			if f == nil {
-				continue
-			}
-			for _, c := range f.calls {
-				if c.cold {
-					continue
-				}
-				cf := hot.facts[c.callee.Obj]
-				if cf != nil && cf.cold {
-					coldUsed[c.callee] = true
-					continue
-				}
-				if !seen[c.callee] {
-					seen[c.callee] = true
-					queue = append(queue, c.callee)
-				}
-			}
-		}
-	}
-
 	for _, n := range mod.Nodes {
 		f := hot.facts[n.Obj]
 		if f == nil {
@@ -186,7 +151,7 @@ func emitCoverFindings(mod *ModuleInfo, hot *moduleHot) {
 			hot.cover = append(hot.cover, modDiag{Pkg: n.Pkg, Pos: n.Decl.Pos(),
 				Msg: "//easyio:hotpath on " + hotLabel(n) + " but no engine root (cmd main) reaches it; the contract certifies dead code — wire the path or drop the annotation"})
 		}
-		if f.cold && len(hot.roots) > 0 && !coldUsed[n] {
+		if f.cold && len(hot.roots) > 0 && !hot.coldUsed[n] {
 			hot.cover = append(hot.cover, modDiag{Pkg: n.Pkg, Pos: n.Decl.Pos(),
 				Msg: "stale //easyio:coldpath on " + hotLabel(n) + ": no hot path discharges through it; delete the annotation"})
 		}
@@ -202,16 +167,10 @@ func reqLabel(req requiredHotRoot) string {
 
 // recvName returns the name of n's receiver type, or "".
 func recvName(n *FuncNode) string {
-	sig, ok := n.Obj.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
+	if recv := n.Obj.Type().(*types.Signature).Recv(); recv != nil {
+		if named := derefNamed(recv.Type()); named != nil {
+			return named.Obj().Name()
+		}
 	}
 	return ""
 }

@@ -191,29 +191,16 @@ func lockRecv(call *ast.CallExpr) ast.Expr {
 // lockClass canonicalizes a lock receiver into its module-wide class: a
 // struct field becomes "pkg.Type.field" (every instance of that field is
 // one class), a package-level var "pkg.name", and a function-local var
-// "pkg.Func#name" (each function's locals are private classes). Without
-// type information the rendered expression is the class, scoped to the
+// "pkg.Func#name" (each function's locals are private classes). Any
+// other receiver falls back to its rendered expression, scoped to the
 // package.
 func lockClass(n *FuncNode, e ast.Expr) string {
 	info := n.Pkg.Info
 	e = ast.Unparen(e)
 	switch e := e.(type) {
 	case *ast.SelectorExpr:
-		if info == nil {
-			break
-		}
-		if tv, ok := info.Types[e.X]; ok && tv.Type != nil {
-			t := tv.Type
-			for {
-				p, ok := t.(*types.Pointer)
-				if !ok {
-					break
-				}
-				t = p.Elem()
-			}
-			if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
-				return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + e.Sel.Name
-			}
+		if named := derefNamed(info.Types[e.X].Type); named != nil && named.Obj().Pkg() != nil {
+			return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + e.Sel.Name
 		}
 		// Qualified package-level var: pkg.mu.
 		if id, ok := e.X.(*ast.Ident); ok {
@@ -224,9 +211,6 @@ func lockClass(n *FuncNode, e ast.Expr) string {
 			}
 		}
 	case *ast.Ident:
-		if info == nil {
-			break
-		}
 		if v, ok := info.Uses[e].(*types.Var); ok && v.Pkg() != nil {
 			if v.Parent() == v.Pkg().Scope() {
 				return v.Pkg().Path() + "." + v.Name()
@@ -390,7 +374,7 @@ func (w *lockWalker) edge(from, to string, pos token.Pos) {
 	w.ml.edges = append(w.ml.edges, lockEdge{From: from, To: to, Pos: pos, Pkg: w.node.Pkg})
 }
 
-// lockCycleScan runs Tarjan over the class graph and reports every
+// lockCycleScan runs tarjan over the class graph and reports every
 // strongly connected component of more than one class as a deadlock
 // cycle, anchored at its first recorded edge with the full acquisition
 // cycle (and each edge's evidence site) in the message.
@@ -406,51 +390,7 @@ func lockCycleScan(ml *moduleLocks) {
 	for _, k := range order {
 		sort.Strings(adj[k])
 	}
-
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	next := 0
-	var sccs [][]string
-	var strong func(v string)
-	strong = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, u := range adj[v] {
-			if _, seen := index[u]; !seen {
-				strong(u)
-				if low[u] < low[v] {
-					low[v] = low[u]
-				}
-			} else if onStack[u] && index[u] < low[v] {
-				low[v] = index[u]
-			}
-		}
-		if low[v] == index[v] {
-			var scc []string
-			for {
-				u := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[u] = false
-				scc = append(scc, u)
-				if u == v {
-					break
-				}
-			}
-			sccs = append(sccs, scc)
-		}
-	}
-	for _, v := range order {
-		if _, seen := index[v]; !seen {
-			strong(v)
-		}
-	}
-
-	for _, scc := range sccs {
+	for _, scc := range tarjan(order, func(v string) []string { return adj[v] }) {
 		if len(scc) < 2 {
 			continue // distinct-class edges cannot self-loop
 		}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -196,6 +197,38 @@ func plainB(a *A, b *B) {
 		wantFindings(t, diags, 1, "lockorder")
 		if !strings.Contains(diags[0].Message, "lock-order cycle") {
 			t.Fatalf("want a lock-order cycle report, got %q", diags[0].Message)
+		}
+	})
+
+	t.Run("two disjoint cycles", func(t *testing.T) {
+		// A → B → C → A and D ⇄ E are separate components: each is one
+		// finding anchored at its first edge, and the scan emits them in
+		// class-name order.
+		src := lockOrderPrelude + `
+type C struct{ Mu mu }
+type D struct{ Mu mu }
+type E struct{ Mu mu }
+
+func ab(a *A, b *B) { a.Mu.Lock(); b.Mu.Lock(); b.Mu.Unlock(); a.Mu.Unlock() }
+func bc(b *B, c *C) { b.Mu.Lock(); c.Mu.Lock(); c.Mu.Unlock(); b.Mu.Unlock() }
+func ca(c *C, a *A) { c.Mu.Lock(); a.Mu.Lock(); a.Mu.Unlock(); c.Mu.Unlock() }
+func de(d *D, e *E) { d.Mu.Lock(); e.Mu.Lock(); e.Mu.Unlock(); d.Mu.Unlock() }
+func ed(d *D, e *E) { e.Mu.Lock(); d.Mu.Lock(); d.Mu.Unlock(); e.Mu.Unlock() }
+`
+		diags := runFixture(t, LockOrder, "", src)
+		wantFindings(t, diags, 2, "lockorder")
+		for i, want := range []string{
+			"lock-order cycle: fixture.A.Mu → fixture.B.Mu (acquired at fixture.go:15) → fixture.C.Mu (acquired at fixture.go:16) → fixture.A.Mu (acquired at fixture.go:17)",
+			"lock-order cycle: fixture.D.Mu → fixture.E.Mu (acquired at fixture.go:18) → fixture.D.Mu (acquired at fixture.go:19)",
+		} {
+			if diags[i].Message != want {
+				t.Errorf("finding %d:\n got %q\nwant %q", i, diags[i].Message, want)
+			}
+		}
+		mod := BuildModule([]*Package{fixturePkg(t, "", src)})
+		got := fmt.Sprint(mod.locks.cycles)
+		if want := "[[fixture.A.Mu fixture.B.Mu fixture.C.Mu fixture.A.Mu] [fixture.D.Mu fixture.E.Mu fixture.D.Mu]]"; got != want {
+			t.Errorf("cycles %s, want %s", got, want)
 		}
 	})
 

@@ -144,6 +144,9 @@ type moduleHot struct {
 	// reach is the union of hot-reachable functions (non-cold edges from
 	// every root), kept for the -gcflags=-m escape cross-check.
 	reach map[*FuncNode]bool
+	// coldUsed holds the //easyio:coldpath functions some hot path
+	// discharges through; hotpathcover reports the others as stale.
+	coldUsed map[*FuncNode]bool
 }
 
 // HotRootStatus is the per-root contract status rendered into the
@@ -201,9 +204,7 @@ func computeHotPaths(mod *ModuleInfo) {
 			cold: funcMarked(n.Decl, coldpathMarker),
 		}
 		hot.facts[n.Obj] = f
-		if n.Pkg.Info != nil {
-			scanAllocs(mod, n, f)
-		}
+		scanAllocs(mod, n, f)
 		if f.hot {
 			hot.roots = append(hot.roots, n)
 		}
@@ -964,6 +965,7 @@ func callSignature(info *types.Info, call *ast.CallExpr) *types.Signature {
 // and precomputes noalloc/boxing findings plus per-root status rows.
 func emitHotFindings(mod *ModuleInfo, hot *moduleHot) {
 	hot.reach = map[*FuncNode]bool{}
+	hot.coldUsed = map[*FuncNode]bool{}
 	reportedFresh := map[token.Pos]bool{}
 	reportedBox := map[token.Pos]bool{}
 	for _, root := range hot.roots {
@@ -990,6 +992,7 @@ func emitHotFindings(mod *ModuleInfo, hot *moduleHot) {
 				if cf != nil && cf.cold {
 					// //easyio:coldpath discharges the whole callee.
 					status.ColdDischarges++
+					hot.coldUsed[c.callee] = true
 					continue
 				}
 				if _, seen := parent[c.callee]; seen {

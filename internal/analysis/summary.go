@@ -150,50 +150,28 @@ func (s *Summary) fingerprint() string {
 
 // computeSummaries runs the walker bottom-up over the SCCs. Inside a
 // recursive component the member summaries are iterated to a fixpoint;
-// if sccMaxIter rounds do not converge, charge maxima are widened to
-// satMax and one closing round is run.
+// if that does not converge, charge maxima are widened to satMax and one
+// closing round is run.
 func computeSummaries(mod *ModuleInfo) {
-	const sccMaxIter = 6
-	for _, scc := range mod.SCCs {
-		if !selfRecursive(scc) {
-			n := scc[0]
-			mod.Summaries[n.Obj] = summarize(mod, n)
-			continue
+	sccFixpoint(mod, mod.Summaries, emptySummary, mod.summarize, func(scc []*FuncNode) {
+		// Widening: recursion kept inflating charge counts. Pin every
+		// charged constant's Max to "unbounded" and close with one more
+		// round so the widened values propagate inside the SCC.
+		for _, n := range scc {
+			for k, mm := range mod.Summaries[n.Obj].Charges {
+				mod.Summaries[n.Obj].Charges[k] = MinMax{Min: mm.Min, Max: satMax}
+			}
 		}
 		for _, n := range scc {
-			mod.Summaries[n.Obj] = emptySummary(n)
-		}
-		stable := false
-		for iter := 0; iter < sccMaxIter && !stable; iter++ {
-			stable = true
-			for _, n := range scc {
-				next := summarize(mod, n)
-				if next.fingerprint() != mod.Summaries[n.Obj].fingerprint() {
-					stable = false
-				}
-				mod.Summaries[n.Obj] = next
-			}
-		}
-		if !stable {
-			// Widening: recursion kept inflating charge counts. Pin every
-			// charged constant's Max to "unbounded" and close with one
-			// more round so the widened values propagate inside the SCC.
-			for _, n := range scc {
-				for k, mm := range mod.Summaries[n.Obj].Charges {
-					mod.Summaries[n.Obj].Charges[k] = MinMax{Min: mm.Min, Max: satMax}
+			next := mod.summarize(n)
+			for k, mm := range next.Charges {
+				if prev, ok := mod.Summaries[n.Obj].Charges[k]; ok && prev.Max == satMax {
+					next.Charges[k] = MinMax{Min: mm.Min, Max: satMax}
 				}
 			}
-			for _, n := range scc {
-				next := summarize(mod, n)
-				for k, mm := range next.Charges {
-					if prev, ok := mod.Summaries[n.Obj].Charges[k]; ok && prev.Max == satMax {
-						next.Charges[k] = MinMax{Min: mm.Min, Max: satMax}
-					}
-				}
-				mod.Summaries[n.Obj] = next
-			}
+			mod.Summaries[n.Obj] = next
 		}
-	}
+	})
 }
 
 func emptySummary(n *FuncNode) *Summary {
@@ -284,9 +262,9 @@ type sumWalker struct {
 	exits        []*walkState
 }
 
-func summarize(mod *ModuleInfo, n *FuncNode) *Summary {
+func (m *ModuleInfo) summarize(n *FuncNode) *Summary {
 	w := &sumWalker{
-		mod:          mod,
+		mod:          m,
 		node:         n,
 		params:       map[string]int{},
 		sum:          emptySummary(n),
@@ -612,27 +590,7 @@ func (w *sumWalker) chargedConsts(args []ast.Expr) []string {
 // typeNamed reports whether expr's type (possibly behind pointers) is a
 // named type with the given name.
 func (w *sumWalker) typeNamed(expr ast.Expr, name string) bool {
-	info := w.node.Pkg.Info
-	if info == nil {
-		return false
-	}
-	tv, ok := info.Types[expr]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	return namedTypeIs(tv.Type, name)
-}
-
-func namedTypeIs(t types.Type, name string) bool {
-	for {
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-			continue
-		}
-		break
-	}
-	n, ok := t.(*types.Named)
-	return ok && n.Obj().Name() == name
+	return namedTypeIs(w.node.Pkg.Info.Types[expr].Type, name)
 }
 
 // canonLock canonicalizes a rendered lock receiver ("ino.Mu") into a

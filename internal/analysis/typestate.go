@@ -297,6 +297,23 @@ func (pc *protoC) step(c *opC, bits stateset) stateset {
 	return next
 }
 
+// transfer applies a callee's entry → exit map (ProtocolSummary.xfer) to
+// the possible states bits. An entry state with no normal exit maps to
+// itself; a nil map yields 0, which callers read as "no change".
+func (pc *protoC) transfer(xfer []stateset, bits stateset) stateset {
+	var next stateset
+	for i, x := range xfer {
+		if bits&(1<<uint(i)) == 0 {
+			continue
+		}
+		if x == 0 {
+			x = 1 << uint(i)
+		}
+		next |= x
+	}
+	return next
+}
+
 // exemptUnit reports whether a function implements the protocol (its
 // package or receiver type is exempt) and must not be walked or applied.
 func (pc *protoC) exemptUnit(n *FuncNode) bool {
@@ -425,12 +442,6 @@ type objTrack struct {
 	err   types.Object
 	param int // parameter index, or -1
 	trace []tsStep
-}
-
-func (o *objTrack) clone() *objTrack {
-	c := *o
-	c.trace = append([]tsStep(nil), o.trace...)
-	return &c
 }
 
 // tsState is the abstract state along one control-flow path.
@@ -632,9 +643,6 @@ func walkUnit(mod *ModuleInfo, res *protoResult, n *FuncNode, body *ast.BlockStm
 // trackParams seeds per-value tracking for parameters of the tracked
 // type: assumed open-or-closed-or-absent, no exit obligation.
 func (w *tsWalker) trackParams(st *tsState) {
-	if w.node.Decl.Type.Params == nil || w.info() == nil {
-		return
-	}
 	idx := 0
 	for _, f := range w.node.Decl.Type.Params.List {
 		for _, name := range f.Names {
@@ -870,7 +878,7 @@ func (w *tsWalker) nilGuard(cond ast.Expr, thenState, elseState *tsState) {
 	} else if isNilIdent(be.X) {
 		id, _ = ast.Unparen(be.Y).(*ast.Ident)
 	}
-	if id == nil || w.info() == nil {
+	if id == nil {
 		return
 	}
 	obj := w.info().Uses[id]
@@ -929,23 +937,7 @@ func (w *tsWalker) ends(call *ast.CallExpr) bool {
 
 // recvTypeName resolves the named type of a method-call receiver.
 func (w *tsWalker) recvTypeName(expr ast.Expr) string {
-	info := w.info()
-	if info == nil {
-		return ""
-	}
-	tv, ok := info.Types[expr]
-	if !ok || tv.Type == nil {
-		return ""
-	}
-	t := tv.Type
-	for {
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-			continue
-		}
-		break
-	}
-	if n, ok := t.(*types.Named); ok {
+	if n := derefNamed(w.info().Types[expr].Type); n != nil {
 		return n.Obj().Name()
 	}
 	return ""
@@ -999,7 +991,7 @@ func (w *tsWalker) matchOp(call *ast.CallExpr) (*opC, *ast.SelectorExpr) {
 
 // isMethodRecv distinguishes `x.M()` (x a value) from `pkg.F()`.
 func (w *tsWalker) isMethodRecv(sel *ast.SelectorExpr) bool {
-	if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && w.info() != nil {
+	if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
 		if _, isPkg := w.info().Uses[id].(*types.PkgName); isPkg {
 			return false
 		}
@@ -1025,11 +1017,7 @@ func (w *tsWalker) isPkgFunc(call *ast.CallExpr, suffix string) bool {
 }
 
 func (w *tsWalker) hasResultType(call *ast.CallExpr, name string) bool {
-	info := w.info()
-	if info == nil {
-		return false
-	}
-	tv, ok := info.Types[call]
+	tv, ok := w.info().Types[call]
 	if !ok || tv.Type == nil {
 		return false
 	}
@@ -1045,12 +1033,8 @@ func (w *tsWalker) hasResultType(call *ast.CallExpr, name string) bool {
 }
 
 func (w *tsWalker) hasArgType(call *ast.CallExpr, name string) bool {
-	info := w.info()
-	if info == nil {
-		return false
-	}
 	for _, a := range call.Args {
-		if tv, ok := info.Types[a]; ok && tv.Type != nil && namedTypeIs(tv.Type, name) {
+		if namedTypeIs(w.info().Types[a].Type, name) {
 			return true
 		}
 	}
@@ -1111,15 +1095,13 @@ func (w *tsWalker) call(call *ast.CallExpr, st *tsState) {
 		// tracked values passed to it escape (handled by escapeScan).
 		return
 	}
-	if info := w.info(); info != nil {
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-			if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-				return
-			}
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		if _, isBuiltin := w.info().Uses[id].(*types.Builtin); isBuiltin {
+			return
 		}
-		if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-			return // type conversion
-		}
+	}
+	if w.info().Types[call.Fun].IsType() {
+		return // type conversion
 	}
 	// Dynamic dispatch: unknown protocol effect. Must-mode keeps the
 	// ambient state and tracked arguments escape via escapeScan; may-mode
@@ -1227,7 +1209,7 @@ func (w *tsWalker) applyOpPV(c *opC, call *ast.CallExpr, sel *ast.SelectorExpr, 
 	if c.op.ArgType != "" {
 		for _, a := range call.Args {
 			if id, ok := ast.Unparen(a).(*ast.Ident); ok {
-				if tv, ok := w.info().Types[a]; ok && tv.Type != nil && namedTypeIs(tv.Type, c.op.ArgType) {
+				if namedTypeIs(w.info().Types[a].Type, c.op.ArgType) {
 					w.sanctioned[id] = true
 					if o := w.lookup(id, st); o != nil {
 						targets = append(targets, o)
@@ -1264,9 +1246,6 @@ func (w *tsWalker) applyObjOp(c *opC, pos token.Pos, desc string, o *objTrack) {
 }
 
 func (w *tsWalker) lookup(id *ast.Ident, st *tsState) *objTrack {
-	if w.info() == nil {
-		return nil
-	}
 	obj := w.info().Uses[id]
 	if obj == nil {
 		obj = w.info().Defs[id]
@@ -1347,22 +1326,9 @@ func (w *tsWalker) applyCallee(call *ast.CallExpr, fn *types.Func, cs *ProtocolS
 			})
 		}
 	}
-	if cs.xfer != nil {
-		var next stateset
-		for i := 0; i <= w.pc.nstates; i++ {
-			if st.bits&(1<<uint(i)) == 0 {
-				continue
-			}
-			x := cs.xfer[i]
-			if x == 0 {
-				x = 1 << uint(i) // no normal exit: identity
-			}
-			next |= x
-		}
-		if next != 0 && next != st.bits {
-			st.bits = next
-			st.trace = addStep(st.trace, tsStep{pos: call.Pos(), desc: "call " + fn.Name() + ": " + w.pc.render(next)})
-		}
+	if next := w.pc.transfer(cs.xfer, st.bits); next != 0 && next != st.bits {
+		st.bits = next
+		st.trace = addStep(st.trace, tsStep{pos: call.Pos(), desc: "call " + fn.Name() + ": " + w.pc.render(next)})
 	}
 }
 
@@ -1469,7 +1435,7 @@ func (w *tsWalker) bind(s *ast.AssignStmt, st *tsState) {
 		return
 	}
 	id, ok := ast.Unparen(s.Lhs[valIdx]).(*ast.Ident)
-	if !ok || id.Name == "_" || w.info() == nil {
+	if !ok || id.Name == "_" {
 		return
 	}
 	obj := w.info().Defs[id]
@@ -1540,11 +1506,7 @@ func (w *tsWalker) freshTarget() int {
 // call's result tuple.
 func (w *tsWalker) resultIndexes(call *ast.CallExpr) (valIdx, errIdx int) {
 	valIdx, errIdx = -1, -1
-	info := w.info()
-	if info == nil {
-		return
-	}
-	tv, ok := info.Types[call]
+	tv, ok := w.info().Types[call]
 	if !ok || tv.Type == nil {
 		return
 	}
@@ -1610,7 +1572,7 @@ func (w *tsWalker) discharge(s *ast.ReturnStmt, st *tsState) {
 // function literal, a go statement): the value's lifetime leaves this
 // unit's control flow.
 func (w *tsWalker) escapeIn(n ast.Node, st *tsState) {
-	if st.objs == nil || w.info() == nil {
+	if st.objs == nil {
 		return
 	}
 	ast.Inspect(n, func(x ast.Node) bool {
@@ -1630,7 +1592,7 @@ func (w *tsWalker) escapeIn(n ast.Node, st *tsState) {
 // unknown call. Selector bases (`v.field`) and nil comparisons are not
 // escapes.
 func (w *tsWalker) escapeScan(s ast.Stmt, st *tsState) {
-	if st.objs == nil || w.info() == nil {
+	if st.objs == nil {
 		return
 	}
 	skip := map[*ast.Ident]bool{}
@@ -1691,10 +1653,9 @@ func (w *tsWalker) deferCall(call *ast.CallExpr, st *tsState) {
 			if c.op.ArgType != "" {
 				for _, a := range call.Args {
 					if id, ok := ast.Unparen(a).(*ast.Ident); ok {
-						if o := w.lookup(id, st); o != nil {
+						if w.lookup(id, st) != nil {
 							w.sanctioned[id] = true
 							if obj := w.info().Uses[id]; obj != nil {
-								_ = o
 								d.argObjs = append(d.argObjs, obj)
 							}
 						}
@@ -1798,21 +1759,8 @@ func (w *tsWalker) replayDefer(d *tsDefer, ex *tsState) {
 			}
 		})
 	default:
-		if cs.xfer != nil {
-			var next stateset
-			for i := 0; i <= w.pc.nstates; i++ {
-				if ex.bits&(1<<uint(i)) == 0 {
-					continue
-				}
-				x := cs.xfer[i]
-				if x == 0 {
-					x = 1 << uint(i)
-				}
-				next |= x
-			}
-			if next != 0 {
-				ex.bits = next
-			}
+		if next := w.pc.transfer(cs.xfer, ex.bits); next != 0 {
+			ex.bits = next
 		}
 	}
 }
@@ -1840,28 +1788,10 @@ type protoResult struct {
 // as anonymous units, and renders the findings for per-package replay.
 // Each protocol's wall time is charged to its analyzer.
 func computeTypestate(mod *ModuleInfo) {
-	callNames := map[*FuncNode]map[string]bool{}
-	for _, n := range mod.Nodes {
-		names := map[string]bool{}
-		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
-			call, ok := x.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			switch fun := ast.Unparen(call.Fun).(type) {
-			case *ast.SelectorExpr:
-				names[fun.Sel.Name] = true
-			case *ast.Ident:
-				names[fun.Name] = true
-			}
-			return true
-		})
-		callNames[n] = names
-	}
 	for _, p := range Protocols() {
 		mod.timed(p.Name, func(mod *ModuleInfo) {
 			res := &protoResult{pc: compileProtocol(p), sums: map[*types.Func]*ProtocolSummary{}}
-			computeProtocol(mod, res, callNames)
+			computeProtocol(mod, res)
 			mod.typestate = append(mod.typestate, res)
 		})
 	}
@@ -1869,10 +1799,9 @@ func computeTypestate(mod *ModuleInfo) {
 
 // touched reports whether a function performs protocol ops directly or
 // through a summarized callee.
-func (res *protoResult) touched(n *FuncNode, callNames map[*FuncNode]map[string]bool) bool {
-	names := callNames[n]
+func (res *protoResult) touched(n *FuncNode) bool {
 	for name := range res.pc.opNames {
-		if names[name] {
+		if n.callNames[name] {
 			return true
 		}
 	}
@@ -1895,11 +1824,11 @@ func (res *protoResult) touched(n *FuncNode, callNames map[*FuncNode]map[string]
 	return false
 }
 
-func computeProtocol(mod *ModuleInfo, res *protoResult, callNames map[*FuncNode]map[string]bool) {
+func computeProtocol(mod *ModuleInfo, res *protoResult) {
 	pc := res.pc
 	summarize := func(n *FuncNode) *ProtocolSummary {
 		sum := &ProtocolSummary{node: n}
-		if pc.exemptUnit(n) || !res.touched(n, callNames) {
+		if pc.exemptUnit(n) || !res.touched(n) {
 			return sum
 		}
 		sum.touches = true
@@ -1914,28 +1843,8 @@ func computeProtocol(mod *ModuleInfo, res *protoResult, callNames map[*FuncNode]
 		}
 		return sum
 	}
-	for _, scc := range mod.SCCs {
-		if !selfRecursive(scc) {
-			n := scc[0]
-			res.sums[n.Obj] = summarize(n)
-			continue
-		}
-		for _, n := range scc {
-			res.sums[n.Obj] = &ProtocolSummary{node: n}
-		}
-		const sccMaxIter = 6
-		stable := false
-		for iter := 0; iter < sccMaxIter && !stable; iter++ {
-			stable = true
-			for _, n := range scc {
-				next := summarize(n)
-				if next.fingerprint() != res.sums[n.Obj].fingerprint() {
-					stable = false
-				}
-				res.sums[n.Obj] = next
-			}
-		}
-	}
+	empty := func(n *FuncNode) *ProtocolSummary { return &ProtocolSummary{node: n} }
+	sccFixpoint(mod, res.sums, empty, summarize, nil)
 	for _, n := range mod.Nodes {
 		if pc.exemptUnit(n) {
 			continue
