@@ -100,6 +100,9 @@ go test -run '^$' -bench . -benchtime 1x ./...
 echo '== job pool byte-identity (every experiment, fig9 included; -workers 1 vs 4)'
 same_output ./cmd/easyio-bench '-exp all -quick -workers 1' '-exp all -quick -workers 4'
 
+echo '== full results reproduce byte for byte (easyio-bench -exp all -seed 42 vs results_full.txt)'
+go run ./cmd/easyio-bench -exp all -seed 42 | cmp - results_full.txt || { echo "results_full.txt no longer reproduces; virtual time moved"; exit 1; }
+
 echo '== serving job pool byte-identity (serve and redundancy cells; -workers 1 vs 4)'
 same_output ./cmd/easyio-serve '-quick -workers 1' '-quick -workers 4'
 

@@ -63,7 +63,7 @@ func main() {
 	}
 	all := want["all"]
 	ok := true
-	report := &bench.Report{Workers: bench.SimWorkers}
+	report := &bench.Report{Workers: bench.SimWorkers, NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	run := func(name string, fn func()) {
 		if all || want[name] {
 			fmt.Printf("==== %s ====\n", name)

@@ -98,13 +98,19 @@ func Run(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config) 
 	// compressed/sample/graph files) and output file.
 	inputs := make([]*nova.File, cfg.Uthreads)
 	outputs := make([]*nova.File, cfg.Uthreads)
-	blob := make([]byte, spec.ReadSize)
+	// One zero source and one read sink serve every uthread. The source
+	// is the payload of every store (input prefill and output writes);
+	// only filesystems copy from it. The sink is write-only scratch: no
+	// code inspects what a read returned. All uthreads run on this
+	// engine's goroutine, and the sink never doubles as a source.
+	zero := make([]byte, max(spec.ReadSize, spec.WriteSize))
+	sink := make([]byte, spec.ReadSize)
 	for i := range inputs {
 		in, err := fs.Create(nil, fmt.Sprintf("/app-in-%d", i))
 		if err != nil {
 			return nil, err
 		}
-		if _, err := fs.WriteAt(nil, in, 0, blob); err != nil {
+		if _, err := fs.WriteAt(nil, in, 0, zero[:spec.ReadSize]); err != nil {
 			in.Close()
 			return nil, err
 		}
@@ -125,19 +131,14 @@ func Run(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config) 
 	for i := 0; i < cfg.Uthreads; i++ {
 		i := i
 		rt.Spawn(i%cfg.Cores, spec.Name+fmt.Sprint(i), func(task *caladan.Task) {
-			rbuf := make([]byte, spec.ReadSize)
-			var wbuf []byte
-			if spec.WriteSize > 0 {
-				wbuf = make([]byte, spec.WriteSize)
-			}
 			for task.Now() < end {
 				opStart := task.Now()
-				if _, err := fs.ReadAt(task, inputs[i], 0, rbuf); err != nil {
+				if _, err := fs.ReadAt(task, inputs[i], 0, sink); err != nil {
 					panic("apps: read: " + err.Error())
 				}
 				task.Compute(spec.Compute)
 				if spec.WriteSize > 0 {
-					if _, err := fs.WriteAt(task, outputs[i], 0, wbuf); err != nil {
+					if _, err := fs.WriteAt(task, outputs[i], 0, zero[:spec.WriteSize]); err != nil {
 						panic("apps: write: " + err.Error())
 					}
 				}

@@ -191,9 +191,16 @@ func Fig12(w io.Writer, span sim.Duration, seed uint64) {
 		if mode == "DMA-Throttling" {
 			fs.Manager().Start()
 		}
+		// One zero source feeds every store in the cell (the web file's
+		// prefill and the GC's bulk writes), and one read sink serves
+		// every request. The sink is write-only scratch: no code inspects
+		// what a read returned, every uthread runs on this cell's engine,
+		// and the sink never doubles as a source.
+		zero := make([]byte, 2<<20)
+		sink := make([]byte, 64<<10)
 		// File set for the web server.
 		webFile := mustIO(fs.Create(nil, "/web"))
-		mustIO(fs.FS.WriteAt(nil, webFile, 0, make([]byte, 1<<20)))
+		mustIO(fs.FS.WriteAt(nil, webFile, 0, zero[:1<<20]))
 		gcFile := mustIO(fs.Create(nil, "/gcdst"))
 
 		end := sim.Time(span)
@@ -213,8 +220,7 @@ func Fig12(w io.Writer, span sim.Duration, seed uint64) {
 				reqPool++
 				inst.RT.Spawn(reqPool%2, "req", func(task *caladan.Task) {
 					start := task.Now()
-					buf := make([]byte, 64<<10)
-					mustIO(fs.ReadAt(task, webFile, 0, buf))
+					mustIO(fs.ReadAt(task, webFile, 0, sink))
 					d := sim.Duration(task.Now() - start)
 					if start >= gcStart && start < gcEnd {
 						busy.Add(d)
@@ -230,9 +236,8 @@ func Fig12(w io.Writer, span sim.Duration, seed uint64) {
 		// GC: 2 MB bulk writes back-to-back during the middle window.
 		inst.RT.Spawn(1, "gc", func(task *caladan.Task) {
 			task.Sleep(sim.Duration(gcStart))
-			buf := make([]byte, 2<<20)
 			for task.Now() < gcEnd {
-				mustIO(fs.WriteAtClass(task, gcFile, 0, buf, core.ClassB))
+				mustIO(fs.WriteAtClass(task, gcFile, 0, zero, core.ClassB))
 				if mode == "CPU-Throttling" {
 					// Caladan-style CPU quota on the GC: the tiny slice
 					// still suffices to submit descriptors, so DMA

@@ -40,8 +40,12 @@ type ScalingRow struct {
 // Report is the machine-readable benchmark summary easyio-bench emits
 // with -benchjson.
 type Report struct {
-	Kernel      KernelPerf   `json:"kernel"`
-	Workers     int          `json:"workers"`
+	Kernel  KernelPerf `json:"kernel"`
+	Workers int        `json:"workers"`
+	// NumCPU and GOMAXPROCS describe the host the wall-clock numbers
+	// were measured on; compare reports only across equal values.
+	NumCPU      int          `json:"num_cpu"`
+	GOMAXPROCS  int          `json:"gomaxprocs"`
 	Fig9Scaling []ScalingRow `json:"fig9_scaling,omitempty"`
 	// Fig9Speedup4W is wall(workers=1) / wall(workers=4) for fig9's
 	// cells. On a host with fewer than 4 CPUs this sits below 4x

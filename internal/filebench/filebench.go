@@ -102,13 +102,20 @@ func Run(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config) 
 	}
 	// Pre-populate the file set.
 	files := make([]*nova.File, cfg.Files)
-	blob := make([]byte, cfg.FileSize)
+	// One zero source and one read sink serve every uthread. The source
+	// is the payload of every store (prefill, whole-file writes, appends);
+	// only filesystems copy from it. The sink is write-only scratch: no
+	// code inspects what a read returned. All uthreads run on this
+	// engine's goroutine, and the sink never doubles as a source.
+	zero := make([]byte, max(cfg.FileSize, cfg.AppendSize))
+	sink := make([]byte, cfg.FileSize)
+	wbuf, abuf := zero[:cfg.FileSize], zero[:cfg.AppendSize]
 	for i := range files {
 		f, err := fs.Create(nil, fmt.Sprintf("/fb/f%04d", i))
 		if err != nil {
 			return nil, err
 		}
-		if _, err := fs.WriteAt(nil, f, 0, blob); err != nil {
+		if _, err := fs.WriteAt(nil, f, 0, wbuf); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -131,9 +138,6 @@ func Run(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config) 
 		i := i
 		wg := g.Fork(uint64(i))
 		rt.Spawn(i%cfg.Cores, fmt.Sprintf("fb-%d", i), func(task *caladan.Task) {
-			rbuf := make([]byte, cfg.FileSize)
-			wbuf := make([]byte, cfg.FileSize)
-			abuf := make([]byte, cfg.AppendSize)
 			seq := 0
 			for task.Now() < end {
 				opStart := task.Now()
@@ -150,7 +154,7 @@ func Run(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config) 
 					mustOp("write", err)
 					_, err = fs.Append(task, nf, abuf)
 					mustOp("append", err)
-					_, err = fs.ReadAt(task, nf, 0, rbuf)
+					_, err = fs.ReadAt(task, nf, 0, sink)
 					mustOp("read", err)
 					_, err = fs.Stat(task, name)
 					mustOp("stat", err)
@@ -160,7 +164,7 @@ func Run(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config) 
 					// 10 reads : 1 log append (Table 1 R/W ratio).
 					for k := 0; k < 10; k++ {
 						f := files[wg.Intn(len(files))]
-						_, err := fs.ReadAt(task, f, 0, rbuf)
+						_, err := fs.ReadAt(task, f, 0, sink)
 						mustOp("read", err)
 					}
 					_, err := fs.Append(task, logFile, abuf)

@@ -137,17 +137,13 @@ func Start(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config
 	g := rng.New(cfg.Seed ^ 0xf8a1)
 	// Functional setup (untimed): pre-create the files.
 	shared := cfg.Workload == DWOM || cfg.Workload == DRBM
-	var zero []byte // one zero chunk serves every prefilled file
-	if shared || cfg.Workload == DRBL {
-		zero = make([]byte, prefillChunk)
-	}
 	var sharedFile *nova.File
 	if shared {
 		f, err := fs.Create(nil, "/fxmark-shared")
 		if err != nil {
 			return nil, err
 		}
-		if err := prefill(fs, f, cfg.FileSize, zero); err != nil {
+		if err := prefill(fs, f, cfg.FileSize); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -161,7 +157,7 @@ func Start(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config
 				return nil, err
 			}
 			if cfg.Workload == DRBL {
-				if err := prefill(fs, f, cfg.FileSize, zero); err != nil {
+				if err := prefill(fs, f, cfg.FileSize); err != nil {
 					f.Close()
 					return nil, err
 				}
@@ -174,6 +170,12 @@ func Start(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config
 	warmEnd := start + sim.Time(cfg.Warmup)
 	end := warmEnd + sim.Time(cfg.Measure)
 
+	// One I/O buffer serves every uthread: it is write-only scratch. Each
+	// workload either only reads into it (DRBL, DRBM: the files hold
+	// prefilled zeros) or only writes from it (DWAL, DWOM: an all-zero
+	// payload), and no code inspects what a read returned. All uthreads
+	// run on this engine's goroutine.
+	buf := make([]byte, cfg.IOSize)
 	for i := 0; i < cfg.Uthreads; i++ {
 		i := i
 		wg := g.Fork(uint64(i))
@@ -183,12 +185,11 @@ func Start(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config
 				f = files[i]
 			}
 			appendPos := int64(0)
-			myBuf := make([]byte, cfg.IOSize)
 			for task.Now() < end {
 				opStart := task.Now()
 				switch cfg.Workload {
 				case DWAL:
-					_, err := fs.Append(task, f, myBuf)
+					_, err := fs.Append(task, f, buf)
 					mustOp("append", err)
 					appendPos += int64(cfg.IOSize)
 					if appendPos > cfg.AppendCap {
@@ -198,11 +199,11 @@ func Start(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config
 					}
 				case DRBL, DRBM:
 					off := alignedOff(wg, cfg.FileSize, cfg.IOSize)
-					_, err := fs.ReadAt(task, f, off, myBuf)
+					_, err := fs.ReadAt(task, f, off, buf)
 					mustOp("read", err)
 				case DWOM:
 					off := alignedOff(wg, cfg.FileSize, cfg.IOSize)
-					_, err := fs.WriteAt(task, f, off, myBuf)
+					_, err := fs.WriteAt(task, f, off, buf)
 					mustOp("write", err)
 				default:
 					panic("fxmark: unknown workload " + string(cfg.Workload))
@@ -224,15 +225,19 @@ func Start(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config
 // prefillChunk is prefill's write size.
 const prefillChunk = 1 << 20
 
+// zeroChunk is prefill's payload. It is read-only: filesystems only copy
+// from a write's buffer, so every engine goroutine may share it.
+var zeroChunk [prefillChunk]byte
+
 // prefill functionally sizes a file (ephemeral-aware: metadata only) with
-// writes of zero, a caller-owned all-zero buffer of prefillChunk bytes.
-func prefill(fs fsapi.FileSystem, f *nova.File, size int64, zero []byte) error {
+// zero-filled writes of up to prefillChunk bytes.
+func prefill(fs fsapi.FileSystem, f *nova.File, size int64) error {
 	for off := int64(0); off < size; off += prefillChunk {
 		n := size - off
 		if n > prefillChunk {
 			n = prefillChunk
 		}
-		if _, err := fs.WriteAt(nil, f, off, zero[:n]); err != nil {
+		if _, err := fs.WriteAt(nil, f, off, zeroChunk[:n]); err != nil {
 			return err
 		}
 	}

@@ -96,7 +96,7 @@ func (f *Flow) Cancel() bool {
 	f.dev.advance()
 	f.done = true
 	f.dev.removeFlow(f)
-	f.dev.recompute()
+	f.dev.invalidate()
 	return true
 }
 
@@ -112,11 +112,16 @@ type Device struct {
 	flows   []*Flow
 	pending sim.Timer
 	lastAdv sim.Time
+	// settle is set while recompute is registered as the current
+	// instant's settle hook: the flow set changed and the rates and the
+	// pending completion time are stale until the instant ends.
+	settle bool
 
-	// completeDueFn is the pre-bound completion callback recompute hands
-	// to eng.After; a method value there would allocate one bound-method
-	// closure per arbitration round (see //easyio:hotpath on recompute).
-	completeDueFn func()
+	// completeDueFn and recomputeFn are the pre-bound callbacks invalidate
+	// hands to the engine; a method value there would allocate one
+	// bound-method closure per flow change (see //easyio:hotpath on
+	// invalidate).
+	completeDueFn, recomputeFn func()
 
 	// freeGroups recycles emptied arbitration groups (and their flows
 	// slice capacity): bursty traffic drains and re-forms groups
@@ -164,6 +169,7 @@ func New(eng *sim.Engine, model perfmodel.Memory, size int64) *Device {
 		pages: make(map[int64]*[pageSize]byte),
 	}
 	d.completeDueFn = d.completeDue
+	d.recomputeFn = d.recompute
 	return d
 }
 
@@ -319,7 +325,7 @@ func (d *Device) StartFlow(spec FlowSpec) *Flow {
 	d.advance()
 	d.flows = append(d.flows, f)
 	d.attach(f)
-	d.recompute()
+	d.invalidate()
 	return f
 }
 
@@ -480,6 +486,9 @@ func (d *Device) advance() {
 	if dt <= 0 {
 		return
 	}
+	if invariants.Enabled && d.settle {
+		panic("pmem: virtual time moved before the arbitration settled")
+	}
 	for _, f := range d.flows {
 		f.remaining -= f.rate * dt
 	}
@@ -520,10 +529,26 @@ func (d *Device) intrinsic(f *Flow, cpuR, cpuW int) float64 {
 }
 
 // maxmin computes a weighted max-min fair allocation of cap across items
-// whose demands are given by limit. Result is written into alloc. sat is
-// caller-provided scratch (all false on entry) so the arbitration path
-// allocates nothing.
+// whose demands are given by limit and whose weights are positive. Result
+// is written into alloc. sat is caller-provided scratch (all false on
+// entry) so the arbitration path allocates nothing.
+//
+// An uncontended call (the limits sum to at most cap·(1−1e-9)) returns
+// alloc = limit without the rounds. That is the rounds' own answer, bit for bit:
+// the unsaturated limits never sum to more than remaining, so the
+// smallest limit/weight ratio is at most remaining/wsum and every round
+// saturates at least one item, each at exactly its limit. The 1e-9
+// margin absorbs the rounding in remaining, which is orders of magnitude
+// smaller.
 func maxmin(limit, weight, alloc []float64, sat []bool, cap float64) {
+	var demand float64
+	for _, l := range limit {
+		demand += l
+	}
+	if demand <= cap*(1-1e-9) {
+		copy(alloc, limit)
+		return
+	}
 	n := len(limit)
 	remaining := cap
 	for {
@@ -609,16 +634,44 @@ func (d *Device) checkArbCounters() {
 	}
 }
 
-// recompute reallocates bandwidth and schedules the next completion event.
-// Must be called with progress already advanced to now. Population counts
-// and the ordered DMA group set are maintained incrementally by
-// attach/detach, so each call is one allocation-free pass over the flows
-// — no map rebuild, no sort.
+// unsettled is where the pending completion waits while the arbitration
+// is stale: later than any real event, so it cannot fire before recompute
+// retimes it at the end of the instant.
+const unsettled = sim.Time(math.MaxInt64)
+
+// invalidate marks the arbitration stale after the flow set changed. It
+// re-arms the pending completion as a placeholder, spending the sequence
+// number an eagerly scheduled completion would spend, so the event that
+// recompute later retimes keeps the (time, seq) slot of the eager
+// schedule. The first change in an instant registers recompute as the
+// instant's settle hook; later changes in the same instant cost only the
+// timer swap. Deferring is exact: until the clock moves, advance is a
+// no-op and nothing reads a flow's rate.
 //
-//easyio:hotpath (pmem bandwidth arbitration: runs on every flow attach/detach/completion)
-func (d *Device) recompute() {
+//easyio:hotpath (pmem arbitration invalidation: one call per flow start, cancel or completion round)
+func (d *Device) invalidate() {
 	d.pending.Stop()
 	d.pending = sim.Timer{}
+	if len(d.flows) == 0 {
+		return
+	}
+	d.pending = d.eng.At(unsettled, d.completeDueFn)
+	if !d.settle {
+		d.settle = true
+		d.eng.OnSettle(d.recomputeFn)
+	}
+}
+
+// recompute reallocates bandwidth and moves the pending completion event
+// to its real time. It runs once per instant in which the flow set
+// changed, as the engine's settle hook, with progress already advanced to
+// now. Population counts and the ordered DMA group set are maintained
+// incrementally by attach/detach, so each call is one allocation-free
+// pass over the flows — no map rebuild, no sort.
+//
+//easyio:hotpath (pmem bandwidth arbitration: runs once per instant in which the flow set changed)
+func (d *Device) recompute() {
+	d.settle = false
 	if len(d.flows) == 0 {
 		return
 	}
@@ -709,8 +762,8 @@ func (d *Device) recompute() {
 			best = t
 		}
 	}
-	ns := sim.Duration(best*1e9) + 1 // round up to the next ns
-	d.pending = d.eng.After(ns, d.completeDueFn)
+	ns := sim.Time(best*1e9) + 1 // round up to the next ns
+	d.pending.Retime(d.eng.Now() + ns)
 }
 
 // completeDue fires flows whose bytes have fully streamed.
@@ -729,7 +782,7 @@ func (d *Device) completeDue() {
 		}
 	}
 	d.flows = rest
-	d.recompute()
+	d.invalidate()
 	for _, f := range fired {
 		if f.spec.OnDone != nil {
 			f.spec.OnDone()

@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -346,5 +347,118 @@ func TestRecordsReturnsDeepCopy(t *testing.T) {
 	}
 	if fresh[1].Epoch != 1 || fresh[1].Off != 64 {
 		t.Fatalf("record aliased: %+v", fresh[1])
+	}
+}
+
+// six CPU and DMA flows start in one event, one of them is cancelled in
+// that same event, another event at the same instant adds a seventh, and
+// the first flow to finish starts two more from its OnDone. Every
+// completion's virtual time and the engine's sequence counter at that
+// moment are literals: arbitration may be reorganised, but the schedule
+// it produces may not move by a nanosecond or an event.
+func TestFlowBurstSchedule(t *testing.T) {
+	eng, d := newDev()
+	var log []string
+	mark := func(name string) func() {
+		return func() { log = append(log, fmt.Sprintf("%s@%d#%d", name, eng.Now(), eng.Sequence())) }
+	}
+	lateStarted := false
+	first := func() {
+		if lateStarted {
+			return
+		}
+		lateStarted = true
+		d.StartFlow(FlowSpec{Kind: FlowCPU, Bytes: 96 << 10, OnDone: mark("late-cpu-read")})
+		d.StartFlow(FlowSpec{Write: true, Kind: FlowDMA, Group: 1, Bytes: 256 << 10, OnDone: mark("late-dma-write")})
+	}
+	burst := []struct {
+		name string
+		spec FlowSpec
+	}{
+		{"cpu-read", FlowSpec{Kind: FlowCPU, Bytes: 64 << 10}},
+		{"cpu-write", FlowSpec{Write: true, Kind: FlowCPU, Bytes: 48 << 10}},
+		{"cpu-write-remote", FlowSpec{Write: true, Kind: FlowCPU, Bytes: 80 << 10, Remote: true}},
+		{"dma-read-g0", FlowSpec{Kind: FlowDMA, Group: 0, Bytes: 1 << 20, Weight: 4}},
+		{"dma-read-g0-small", FlowSpec{Kind: FlowDMA, Group: 0, Bytes: 16 << 10}},
+		{"dma-write-g1", FlowSpec{Write: true, Kind: FlowDMA, Group: 1, Bytes: 512 << 10, Weight: 2}},
+	}
+	var flows []*Flow
+	eng.At(1000, func() {
+		for _, b := range burst {
+			b := b
+			spec := b.spec
+			spec.OnDone = func() { mark(b.name)(); first() }
+			flows = append(flows, d.StartFlow(spec))
+		}
+		if !flows[4].Cancel() {
+			t.Error("cancel of a live flow failed")
+		}
+	})
+	eng.At(1000, func() {
+		d.StartFlow(FlowSpec{Kind: FlowDMA, Group: 1, Bytes: 128 << 10, OnDone: mark("dma-read-g1")})
+	})
+	// A mid-flight cancel at a later instant, and a flow started on an
+	// idle device long after the burst has drained.
+	eng.At(20_000, func() { flows[5].Cancel() })
+	eng.At(10_000_000, func() {
+		d.StartFlow(FlowSpec{Write: true, Kind: FlowCPU, Bytes: 4 << 10, OnDone: mark("idle-cpu-write")})
+	})
+	eng.Run()
+	want := []string{
+		"cpu-write@32458#14",
+		"cpu-write-remote@66396#17",
+		"cpu-read@68355#18",
+		"dma-read-g1@69971#19",
+		"late-dma-write@79376#20",
+		"late-cpu-read@103321#21",
+		"dma-read-g0@237899#21",
+		"idle-cpu-write@10002049#22",
+	}
+	if len(log) != len(want) {
+		t.Fatalf("completions = %q, want %q", log, want)
+	}
+	for i := range want {
+		if log[i] != want[i] {
+			t.Errorf("completion %d = %s, want %s", i, log[i], want[i])
+		}
+	}
+	if got := eng.Sequence(); got != 22 {
+		t.Errorf("Sequence() = %d, want 22", got)
+	}
+}
+
+// TestFlowRoundsNoAllocs pins the //easyio:hotpath contract on invalidate
+// and recompute dynamically: once the flow pool, the arbitration groups,
+// the scratch buffers and the engine's settle list reach high water, a
+// burst of same-instant starts, a chained start from OnDone and every
+// completion round allocate nothing.
+func TestFlowRoundsNoAllocs(t *testing.T) {
+	eng, d := newDev()
+	chained := FlowSpec{Write: true, Kind: FlowDMA, Group: 1, Bytes: 32 << 10}
+	chain := func() { d.StartFlow(chained) }
+	specs := [...]FlowSpec{
+		{Kind: FlowCPU, Bytes: 16 << 10, OnDone: chain},
+		{Write: true, Kind: FlowCPU, Bytes: 24 << 10},
+		{Kind: FlowDMA, Group: 0, Bytes: 256 << 10, Weight: 4},
+		{Kind: FlowDMA, Group: 0, Bytes: 8 << 10},
+		{Write: true, Kind: FlowDMA, Group: 1, Bytes: 128 << 10},
+	}
+	burst := func() {
+		for _, s := range specs {
+			d.StartFlow(s)
+		}
+	}
+	cycle := func() {
+		eng.After(1000, burst)
+		eng.Run()
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Fatalf("flow burst and completion rounds allocate %.1f times per cycle", a)
+	}
+	if d.ActiveFlows() != 0 {
+		t.Fatalf("ActiveFlows = %d after cycle", d.ActiveFlows())
 	}
 }

@@ -4,16 +4,27 @@ import "testing"
 
 // TestScheduleStopFireNoAllocs pins the contract the noalloc analyzer
 // certifies statically for the //easyio:hotpath roots eventHeap.push,
-// eventHeap.pop and eventHeap.remove: once the event free list and the
-// queue reach their high-water marks, a cycle that schedules timers,
-// cancels some of them mid-queue and fires the rest performs no heap
-// allocation.
+// eventHeap.pop, eventHeap.remove and Engine.runSettle: once the event
+// free list, the queue and the settle list reach their high-water marks,
+// a cycle that schedules timers, cancels some of them mid-queue, parks
+// one at a placeholder time, retimes it from a settle hook and fires the
+// rest performs no heap allocation.
 func TestScheduleStopFireNoAllocs(t *testing.T) {
 	eng := NewEngine()
 	defer eng.Shutdown()
 	fn := func() {}
 	delays := [...]Duration{1, 3, 3, 100, 255, 4 << 10, 1 << 20, 1 << 30}
 	var tms [len(delays)]Timer
+	// The pmem pattern: invalidate re-arms a placeholder and registers a
+	// pre-bound hook once; the hook retimes the placeholder when the
+	// instant settles.
+	var placeholder Timer
+	settle := func() { placeholder.Retime(eng.Now() + 5) }
+	invalidate := func() {
+		placeholder.Stop()
+		placeholder = eng.At(never, fn)
+		eng.OnSettle(settle)
+	}
 	cycle := func() {
 		for i, d := range delays {
 			tms[i] = eng.After(d, fn)
@@ -22,6 +33,7 @@ func TestScheduleStopFireNoAllocs(t *testing.T) {
 		tms[3].Stop()
 		tms[0].Stop()
 		tms[7].Stop()
+		eng.After(2, invalidate)
 		eng.RunFor(1 << 31)
 	}
 	// Warm the free list and the queue's backing array to high water.

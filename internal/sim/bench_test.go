@@ -75,7 +75,7 @@ func BenchmarkQueueSteady16(b *testing.B) {
 }
 
 // BenchmarkTimerStop measures schedule+cancel pairs (the pmem arbitration
-// pattern: every recompute stops the previous completion timer).
+// pattern: every flow-set change stops the previous completion timer).
 func BenchmarkTimerStop(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()

@@ -172,9 +172,17 @@ func (h *eventHeap) remove(i int) {
 		return
 	}
 	old[i] = last
-	old[:n].down(i)
-	if last.idx == i {
-		old[:n].up(i)
+	old[:n].fix(i)
+}
+
+// fix restores the order around h[i] after its event was replaced or
+// retimed: it sifts down if the event is later than its children, up if
+// it is earlier than its parent.
+func (h eventHeap) fix(i int) {
+	ev := h[i]
+	h.down(i)
+	if ev.idx == i {
+		h.up(i)
 	}
 }
 
@@ -196,6 +204,9 @@ type Engine struct {
 	// running is the proc currently executing a slice, tracked only when
 	// the easyio_invariants build tag asserts single-running-proc.
 	running *Proc
+	// settle holds the end-of-instant hooks registered with OnSettle. They
+	// run once the last event at now has fired, before the clock moves.
+	settle []func()
 }
 
 // NewEngine returns an empty engine with the clock at zero.
@@ -299,11 +310,62 @@ func (t Timer) Stop() bool {
 	return true
 }
 
+// Retime moves a still-queued timer's event to absolute time at (clamped
+// to now). The event keeps its sequence number, so among events at that
+// time it fires in the order it was first scheduled. Retime reports
+// false, and does nothing, when the timer is zero, stopped or fired.
+func (t Timer) Retime(at Time) bool {
+	ev := t.ev
+	if ev == nil || ev.gen != t.gen {
+		return false
+	}
+	e := t.eng
+	if invariants.Enabled && (ev.idx >= len(e.q) || e.q[ev.idx] != ev) {
+		panic(fmt.Sprintf("sim: retimed event at %v is not at its queue index %d", ev.t, ev.idx))
+	}
+	if at < e.now {
+		at = e.now
+	}
+	ev.t = at
+	e.q.fix(ev.idx)
+	return true
+}
+
+// OnSettle registers fn to run once the current virtual instant settles:
+// after the last event at now, including events scheduled at now while
+// the instant runs, and before step, RunUntil or Run advances the clock
+// or returns. A hook may itself schedule events or register hooks; the
+// instant then goes on until both are exhausted. Each registration runs
+// once. The hook slice grows only to the peak number of registrants per
+// instant, so steady-state registration does not allocate.
+func (e *Engine) OnSettle(fn func()) {
+	e.settle = append(e.settle, fn)
+}
+
+// runSettle runs the registered end-of-instant hooks in registration
+// order, including any a hook registers, and empties the list.
+//
+//easyio:hotpath (end-of-instant hook dispatch: once per instant with a registrant)
+func (e *Engine) runSettle() {
+	e.inEvent = true
+	for i := 0; i < len(e.settle); i++ {
+		fn := e.settle[i]
+		e.settle[i] = nil
+		fn()
+	}
+	e.settle = e.settle[:0]
+	e.inEvent = false
+}
+
 // step runs the earliest pending event. It reports false if none remain
-// or none is due by deadline (when bounded).
+// or none is due by deadline (when bounded). Before it looks past the
+// current instant, it runs the instant's settle hooks.
 //
 //easyio:hotpath (sim event dispatch: every event in every run goes through here)
 func (e *Engine) step(deadline Time, bounded bool) bool {
+	if len(e.settle) > 0 && (len(e.q) == 0 || e.q[0].t > e.now) {
+		e.runSettle()
+	}
 	if len(e.q) == 0 || (bounded && e.q[0].t > deadline) {
 		return false
 	}
