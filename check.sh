@@ -26,6 +26,9 @@ test -z "$(gofmt -l .)" || { gofmt -l .; echo "run gofmt -w on the files above";
 echo '== internal/analysis non-test lines (informational, no gate)'
 find internal/analysis -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
+echo '== module non-test lines, excluding testdata and the nested benchmark module (informational, no gate)'
+find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './cmd/easyio-benchmark/*' | xargs cat | wc -l
+
 echo '== go run ./cmd/easyio-vet ./...'
 go run ./cmd/easyio-vet ./...
 
@@ -96,6 +99,12 @@ go test -race -tags easyio_invariants ./...
 
 echo '== bench smoke (one iteration of every benchmark)'
 go test -run '^$' -bench . -benchtime 1x ./...
+
+echo '== example and CLI programs run clean (examples/*, easyio-demo, easyio-crashtest -points 40)'
+for p in ./examples/* ./cmd/easyio-demo; do
+  go run "$p" > /dev/null || { echo "$p exited non-zero"; exit 1; }
+done
+go run ./cmd/easyio-crashtest -points 40 > /dev/null || { echo "easyio-crashtest -points 40 exited non-zero"; exit 1; }
 
 echo '== job pool byte-identity (every experiment, fig9 included; -workers 1 vs 4)'
 same_output ./cmd/easyio-bench '-exp all -quick -workers 1' '-exp all -quick -workers 4'

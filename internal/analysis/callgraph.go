@@ -201,11 +201,6 @@ func (m *ModuleInfo) timed(name string, pass func(*ModuleInfo)) {
 	m.ms[name] += nowMS() - t0
 }
 
-// HasPkgPath reports whether path is one of the loaded module packages.
-func (m *ModuleInfo) HasPkgPath(path string) bool {
-	return m.pkgPaths[path]
-}
-
 // staticCallee resolves a call expression to the concrete *types.Func it
 // invokes, or nil for interface dispatch, function values, conversions
 // and builtins.

@@ -15,10 +15,10 @@
 // Fileserver and Webserver live in package filebench; the table here
 // reexposes them so Figure 10 can sweep all eight uniformly.
 //
-// The functional variants in funcs.go run the real transforms (codec,
-// kdtree, graph, crypto/aes, regexp) on the bytes the filesystem returns;
-// the benchmark path charges the calibrated virtual time instead, since
-// wall-clock host compute must not perturb the virtual clock.
+// The functional kernels in funcs.go run real transforms (codec, graph,
+// regexp) on the bytes the filesystem returns; only examples/analytics
+// calls them. Figure 10 charges the calibrated virtual time instead,
+// since wall-clock host compute must not perturb the virtual clock.
 package apps
 
 import (

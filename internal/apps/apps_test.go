@@ -9,11 +9,9 @@ import (
 	"github.com/easyio-sim/easyio/internal/core"
 	"github.com/easyio-sim/easyio/internal/fsapi"
 	"github.com/easyio-sim/easyio/internal/graph"
-	"github.com/easyio-sim/easyio/internal/kdtree"
 	"github.com/easyio-sim/easyio/internal/nova"
 	"github.com/easyio-sim/easyio/internal/perfmodel"
 	"github.com/easyio-sim/easyio/internal/pmem"
-	"github.com/easyio-sim/easyio/internal/rng"
 	"github.com/easyio-sim/easyio/internal/sim"
 )
 
@@ -92,41 +90,6 @@ func TestSnappyPipelineFunctional(t *testing.T) {
 	}
 }
 
-func TestAESFunctional(t *testing.T) {
-	eng, rt, fs := newEasyIO(t, 1, false)
-	data := make([]byte, 50000)
-	rng.New(11).Bytes(data)
-	key := bytes.Repeat([]byte{7}, 16)
-	var once, twice []byte
-	rt.Spawn(0, "aes", func(task *caladan.Task) {
-		in, _ := fs.Create(task, "/plain")
-		fs.WriteAt(task, in, 0, data)
-		if err := AESEncryptFile(task, fs, key, "/plain", "/ct"); err != nil {
-			t.Error(err)
-			return
-		}
-		ct, _ := fs.Open(task, "/ct")
-		once = make([]byte, ct.Size())
-		fs.ReadAt(task, ct, 0, once)
-		// CTR is an involution under the same key+IV.
-		if err := AESEncryptFile(task, fs, key, "/ct", "/rt"); err != nil {
-			t.Error(err)
-			return
-		}
-		rt2, _ := fs.Open(task, "/rt")
-		twice = make([]byte, rt2.Size())
-		fs.ReadAt(task, rt2, 0, twice)
-	})
-	eng.Run()
-	eng.Shutdown()
-	if bytes.Equal(once, data) {
-		t.Fatal("ciphertext equals plaintext")
-	}
-	if !bytes.Equal(twice, data) {
-		t.Fatal("CTR double-encrypt did not recover plaintext")
-	}
-}
-
 func TestGrepFunctional(t *testing.T) {
 	eng, rt, fs := newEasyIO(t, 1, false)
 	content := []byte("alpha match one\nno hit here\nanother match line\nmatchless\n")
@@ -171,38 +134,6 @@ func TestBFSFunctional(t *testing.T) {
 	eng.Shutdown()
 	if got != wantReach {
 		t.Fatalf("reachable = %d, want %d", got, wantReach)
-	}
-}
-
-func TestKNNFunctional(t *testing.T) {
-	eng, rt, fs := newEasyIO(t, 1, false)
-	g := rng.New(5)
-	var pts []kdtree.Point
-	for i := 0; i < 200; i++ {
-		pts = append(pts, kdtree.Point{Coords: []float64{g.Float64() * 100, g.Float64() * 100, g.Float64() * 100}, ID: i})
-	}
-	tree := kdtree.Build(pts)
-	samples := make([]byte, 24*50)
-	g.Bytes(samples)
-	var ids []int
-	rt.Spawn(0, "knn", func(task *caladan.Task) {
-		f, _ := fs.Create(task, "/samples")
-		fs.WriteAt(task, f, 0, samples)
-		out, err := KNNQueryFile(task, fs, tree, "/samples")
-		if err != nil {
-			t.Error(err)
-		}
-		ids = out
-	})
-	eng.Run()
-	eng.Shutdown()
-	if len(ids) != 50 {
-		t.Fatalf("%d results, want 50", len(ids))
-	}
-	for _, id := range ids {
-		if id < 0 || id >= 200 {
-			t.Fatalf("bad id %d", id)
-		}
 	}
 }
 

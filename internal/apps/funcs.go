@@ -1,22 +1,18 @@
 package apps
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
-	"fmt"
 	"regexp"
 
 	"github.com/easyio-sim/easyio/internal/caladan"
 	"github.com/easyio-sim/easyio/internal/codec"
 	"github.com/easyio-sim/easyio/internal/fsapi"
 	"github.com/easyio-sim/easyio/internal/graph"
-	"github.com/easyio-sim/easyio/internal/kdtree"
 )
 
 // Functional application kernels: unlike the Run loop (which charges
 // calibrated virtual compute), these execute the real transforms on the
-// bytes the filesystem returns. The examples use them to demonstrate the
-// public API on genuine workloads.
+// bytes the filesystem returns. examples/analytics uses them to
+// demonstrate the public API on genuine workloads.
 
 // SnappyDecompressFile reads a codec-compressed file, decompresses it and
 // writes the plain bytes to dstPath. It returns the decompressed size.
@@ -45,58 +41,6 @@ func SnappyDecompressFile(t *caladan.Task, fs fsapi.FileSystem, srcPath, dstPath
 	return len(plain), nil
 }
 
-// SnappyCompressFile reads a plain file, compresses it and writes the
-// result, returning the compressed size.
-func SnappyCompressFile(t *caladan.Task, fs fsapi.FileSystem, srcPath, dstPath string) (int, error) {
-	src, err := fs.Open(t, srcPath)
-	if err != nil {
-		return 0, err
-	}
-	defer src.Close()
-	plain := make([]byte, src.Size())
-	if _, err := fs.ReadAt(t, src, 0, plain); err != nil {
-		return 0, err
-	}
-	comp := codec.Compress(nil, plain)
-	dst, err := fs.OpenOrCreate(t, dstPath)
-	if err != nil {
-		return 0, err
-	}
-	defer dst.Close()
-	if _, err := fs.WriteAt(t, dst, 0, comp); err != nil {
-		return 0, err
-	}
-	return len(comp), nil
-}
-
-// AESEncryptFile encrypts a file with AES-CTR under key (16/24/32 bytes)
-// and writes the ciphertext.
-func AESEncryptFile(t *caladan.Task, fs fsapi.FileSystem, key []byte, srcPath, dstPath string) error {
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return err
-	}
-	src, err := fs.Open(t, srcPath)
-	if err != nil {
-		return err
-	}
-	defer src.Close()
-	plain := make([]byte, src.Size())
-	if _, err := fs.ReadAt(t, src, 0, plain); err != nil {
-		return err
-	}
-	iv := make([]byte, block.BlockSize())
-	out := make([]byte, len(plain))
-	cipher.NewCTR(block, iv).XORKeyStream(out, plain)
-	dst, err := fs.OpenOrCreate(t, dstPath)
-	if err != nil {
-		return err
-	}
-	defer dst.Close()
-	_, err = fs.WriteAt(t, dst, 0, out)
-	return err
-}
-
 // GrepFile counts lines of the file matching pattern.
 func GrepFile(t *caladan.Task, fs fsapi.FileSystem, pattern, path string) (int, error) {
 	re, err := regexp.Compile(pattern)
@@ -123,44 +67,6 @@ func GrepFile(t *caladan.Task, fs fsapi.FileSystem, pattern, path string) (int, 
 		}
 	}
 	return count, nil
-}
-
-// KNNQueryFile reads a sample file of float64 triples (24 bytes each,
-// little-endian) and returns the ID of the nearest tree point for each
-// sample.
-func KNNQueryFile(t *caladan.Task, fs fsapi.FileSystem, tree *kdtree.Tree, path string) ([]int, error) {
-	f, err := fs.Open(t, path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	data := make([]byte, f.Size())
-	if _, err := fs.ReadAt(t, f, 0, data); err != nil {
-		return nil, err
-	}
-	const rec = 24
-	var out []int
-	for i := 0; i+rec <= len(data); i += rec {
-		q := []float64{
-			f64(data[i:]), f64(data[i+8:]), f64(data[i+16:]),
-		}
-		p, _, ok := tree.Nearest(q)
-		if !ok {
-			return nil, fmt.Errorf("apps: empty tree")
-		}
-		out = append(out, p.ID)
-	}
-	return out, nil
-}
-
-func f64(b []byte) float64 {
-	var u uint64
-	for i := 7; i >= 0; i-- {
-		u = u<<8 | uint64(b[i])
-	}
-	// Interpret the raw bits as a bounded coordinate rather than a float
-	// bit pattern (sample files are arbitrary bytes in tests).
-	return float64(u%1000) / 10
 }
 
 // BFSFromFile reads a serialized graph and runs BFS from src, returning

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -63,12 +65,44 @@ func TestFig9PanelShape(t *testing.T) {
 	}
 }
 
+// TestFig12Shape checks §6.4.3's claim on Figure 12's printed table: only
+// DMA throttling shields the web server from the colocated GC's bulk
+// writes (CPU throttling leaves its DMA bandwidth untouched), and no mode
+// moves the latency outside the GC window by more than 10%.
 func TestFig12Shape(t *testing.T) {
-	var sb strings.Builder
-	Fig12(&sb, 4*sim.Millisecond, 7)
-	out := sb.String()
-	if !strings.Contains(out, "DMA-Throttling") {
-		t.Fatalf("missing modes:\n%s", out)
+	for _, seed := range []uint64{7, 42} {
+		var sb strings.Builder
+		Fig12(&sb, 4*sim.Millisecond, seed)
+		out := sb.String()
+		// mode -> {idle-mean, gc-mean} in µs.
+		rows := map[string][2]float64{}
+		for _, line := range strings.Split(out, "\n") {
+			f := strings.Fields(line)
+			if len(f) != 5 || !strings.HasSuffix(f[0], "-Throttling") {
+				continue
+			}
+			idle, err1 := strconv.ParseFloat(f[1], 64)
+			gc, err2 := strconv.ParseFloat(f[2], 64)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("seed %d: bad row %q", seed, line)
+			}
+			rows[f[0]] = [2]float64{idle, gc}
+		}
+		no, cpu, dma := rows["No-Throttling"], rows["CPU-Throttling"], rows["DMA-Throttling"]
+		if len(rows) != 3 || no[1] == 0 {
+			t.Fatalf("seed %d: want three modes with GC-window samples:\n%s", seed, out)
+		}
+		if dma[1] > 0.8*no[1] {
+			t.Errorf("seed %d: DMA-Throttling gc-mean %.2f us, want <= 0.8x No-Throttling's %.2f", seed, dma[1], no[1])
+		}
+		if cpu[1] < 0.9*no[1] {
+			t.Errorf("seed %d: CPU-Throttling gc-mean %.2f us, want >= 0.9x No-Throttling's %.2f", seed, cpu[1], no[1])
+		}
+		for mode, r := range rows {
+			if math.Abs(r[0]-no[0]) > 0.1*no[0] {
+				t.Errorf("seed %d: %s idle-mean %.2f us not within 10%% of No-Throttling's %.2f", seed, mode, r[0], no[0])
+			}
+		}
 	}
 }
 

@@ -72,12 +72,6 @@ func New(eng *sim.Engine, opts Options) *Runtime {
 	return rt
 }
 
-// Engine returns the simulation engine.
-func (rt *Runtime) Engine() *sim.Engine { return rt.eng }
-
-// CPU returns the software cost profile in effect.
-func (rt *Runtime) CPU() perfmodel.CPU { return rt.cpu }
-
 // NumCores returns the core count.
 func (rt *Runtime) NumCores() int { return len(rt.cores) }
 
@@ -191,9 +185,6 @@ func (ut *UThread) Name() string { return ut.name }
 // or method value, which would allocate per completion.
 func (ut *UThread) WakeFn() func() { return ut.wakeFn }
 
-// Done reports whether the uthread has finished.
-func (ut *UThread) Done() bool { return ut.state == utDone }
-
 // request is what a uthread asked for when it paused.
 type request struct {
 	kind    reqKind
@@ -277,9 +268,6 @@ type Core struct {
 	dispatchFn   func()
 	runCurrentFn func()
 }
-
-// ID returns the core index.
-func (c *Core) ID() int { return c.id }
 
 // QueueLen reports the runnable queue length.
 func (c *Core) QueueLen() int { return len(c.runq) }
@@ -450,9 +438,6 @@ func (c *Core) stealable() bool {
 type Task struct {
 	ut *UThread
 }
-
-// Runtime returns the owning runtime.
-func (t *Task) Runtime() *Runtime { return t.ut.rt }
 
 // Scratch returns the uthread's opaque filesystem scratch slot.
 func (t *Task) Scratch() any { return t.ut.scratch }

@@ -66,9 +66,6 @@ func (l *ULock) Unlock() {
 // Held reports whether the lock is currently owned.
 func (l *ULock) Held() bool { return l.held }
 
-// Waiters reports the number of parked lockers.
-func (l *ULock) Waiters() int { return len(l.waiters) }
-
 // WaitQueue parks uthreads until Broadcast — the filesystems' "level-2"
 // completion gate (uthreads waiting for an in-flight DMA write to land).
 type WaitQueue struct {

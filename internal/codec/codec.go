@@ -1,7 +1,8 @@
 // Package codec implements a Snappy-style LZ77 byte compressor: greedy
 // hash-table matching, literal runs and (offset, length) copies. It backs
-// the Snappy application of §6.3 and the examples — a real codec, so the
-// decompress-and-rewrite pipelines move real data through the filesystem.
+// apps.SnappyDecompressFile in examples/analytics — a real codec, so that
+// pipeline moves real data through the filesystem. (Figure 10's Snappy
+// app charges calibrated compute instead.)
 //
 // Format: a varint-encoded uncompressed length, then a tag stream.
 // Tag byte low 2 bits: 0 = literal (upper bits+1 = length, lengths > 60
@@ -13,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrCorrupt reports malformed compressed input.
@@ -101,7 +103,7 @@ func emitCopy(dst []byte, offset, length int) []byte {
 // DecodedLen returns the uncompressed length stored in src.
 func DecodedLen(src []byte) (int, error) {
 	v, n := binary.Uvarint(src)
-	if n <= 0 {
+	if n <= 0 || v > math.MaxInt {
 		return 0, ErrCorrupt
 	}
 	return int(v), nil
@@ -115,7 +117,10 @@ func Decompress(src []byte) ([]byte, error) {
 	}
 	_, hn := binary.Uvarint(src)
 	src = src[hn:]
-	out := make([]byte, 0, total)
+	// The header is untrusted: reserve at most what the input could hold
+	// as literals, let copies grow out by append, and reject any tag that
+	// would write past the header's length.
+	out := make([]byte, 0, min(total, len(src)))
 	for len(src) > 0 {
 		v, n := binary.Uvarint(src)
 		if n <= 0 {
@@ -125,7 +130,7 @@ func Decompress(src []byte) ([]byte, error) {
 		length := int(v >> 1)
 		switch v & 1 {
 		case tagLiteral:
-			if length > len(src) {
+			if length > len(src) || length > total-len(out) {
 				return nil, ErrCorrupt
 			}
 			out = append(out, src[:length]...)
@@ -137,7 +142,7 @@ func Decompress(src []byte) ([]byte, error) {
 			}
 			src = src[n:]
 			offset := int(off64)
-			if offset <= 0 || offset > len(out) || length < minMatch {
+			if offset <= 0 || offset > len(out) || length < minMatch || length > total-len(out) {
 				return nil, ErrCorrupt
 			}
 			// Overlapping copies are legal (RLE-style).

@@ -2,6 +2,9 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -73,9 +76,41 @@ func TestRoundtripProperty(t *testing.T) {
 	}
 }
 
+// uvarints concatenates the uvarint encodings of vs.
+func uvarints(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
 func TestCorruptInputs(t *testing.T) {
-	if _, err := Decompress([]byte{}); err == nil {
-		t.Fatal("empty input accepted")
+	lit := func(s string) []byte { return append(uvarints(uint64(len(s))<<1|tagLiteral), s...) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	cases := []struct {
+		name string
+		in   []byte
+	}{
+		{"empty", []byte{}},
+		// 10-byte inputs whose length header does not fit an allocation.
+		{"header 1<<62", cat(uvarints(1<<62), []byte{0})},
+		{"header 1<<63", uvarints(1 << 63)},
+		{"literal past header", cat(uvarints(2), lit("abcd"))},
+		{"copy past header", cat(uvarints(8), lit("abcd"), uvarints(1<<24<<1|tagCopy, 1))},
+	}
+	for _, c := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decompress(c.in)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", c.name, err)
+		}
+		// A corrupt header must not buy memory: nothing past it is decoded.
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("%s: decoding allocated %d bytes", c.name, n)
+		}
 	}
 	src := bytes.Repeat([]byte("xyz"), 100)
 	enc := Compress(nil, src)

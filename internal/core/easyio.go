@@ -123,10 +123,6 @@ func Mount(dev *pmem.Device, engines []*dma.Engine, opts Options) (*FS, error) {
 // Manager returns the channel manager.
 func (fs *FS) Manager() *Manager { return fs.mgr }
 
-// SetBusyPoll switches the completion-wait style at runtime (Fig 8 uses
-// busy-polling with a single uthread per core).
-func (fs *FS) SetBusyPoll(v bool) { fs.opts.BusyPoll = v }
-
 // waitCompletion blocks the uthread until its operation's descriptors
 // land: Park releases the core (the harvested window); BusyPoll holds it.
 func (fs *FS) waitCompletion(t *caladan.Task) {

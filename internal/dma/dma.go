@@ -63,18 +63,17 @@ func (d *Desc) size() int {
 
 // Engine is one socket's DMA engine.
 type Engine struct {
-	eng    *sim.Engine
-	dev    *pmem.Device
-	id     int
-	cbBase int64
-	chans  []*Channel
+	eng   *sim.Engine
+	dev   *pmem.Device
+	id    int
+	chans []*Channel
 }
 
 // NewEngine creates an engine with nchans channels whose completion
 // buffers occupy [cbBase, cbBase+nchans*CBStride) on dev. id distinguishes
 // engines for per-engine bandwidth caps.
 func NewEngine(dev *pmem.Device, id, nchans int, cbBase int64) *Engine {
-	e := &Engine{eng: dev.Engine(), dev: dev, id: id, cbBase: cbBase}
+	e := &Engine{eng: dev.Engine(), dev: dev, id: id}
 	for i := 0; i < nchans; i++ {
 		c := &Channel{
 			eng: e,
@@ -96,10 +95,6 @@ func (e *Engine) NumChannels() int { return len(e.chans) }
 
 // Channel returns channel i.
 func (e *Engine) Channel(i int) *Channel { return e.chans[i] }
-
-// CBBase returns the persistent completion-buffer region base. Exported to
-// userspace read-only in EasyIO (§4.2).
-func (e *Engine) CBBase() int64 { return e.cbBase }
 
 // Channel is one hardware channel: a descriptor ring served FIFO.
 type Channel struct {
@@ -143,11 +138,6 @@ func (c *Channel) QueueDepth() int {
 	}
 	return d
 }
-
-// SubmittedSN returns the SN the *next* submitted descriptor will receive
-// minus... it reports the total descriptors ever submitted; descriptor k
-// (1-based) has SN k.
-func (c *Channel) SubmittedSN() uint64 { return c.submitted }
 
 // CompletedSN returns the volatile count of completed descriptors.
 func (c *Channel) CompletedSN() uint64 { return c.completed }

@@ -17,31 +17,13 @@ import (
 // WQ is one DSA work queue.
 type WQ struct {
 	dsa      *DSA
-	id       int
 	priority int
 	cb       int64
 	queue    []*Desc
 
 	submitted uint64
 	completed uint64
-	bytesDone int64
-	enabled   bool
 }
-
-// ID returns the work queue index.
-func (q *WQ) ID() int { return q.id }
-
-// Priority returns the arbiter weight (higher = dispatched first).
-func (q *WQ) Priority() int { return q.priority }
-
-// SetPriority adjusts the arbiter weight.
-func (q *WQ) SetPriority(p int) { q.priority = p }
-
-// Depth reports queued (not yet dispatched) descriptors.
-func (q *WQ) Depth() int { return len(q.queue) }
-
-// CompletedSN mirrors Channel.CompletedSN for WQs.
-func (q *WQ) CompletedSN() uint64 { return q.completed }
 
 // DurableSN reads the WQ's persistent completion buffer.
 func (q *WQ) DurableSN() uint64 {
@@ -49,24 +31,6 @@ func (q *WQ) DurableSN() uint64 {
 	cnt := q.dsa.dev.Read8(q.cb + 8)
 	return cnt*RingSize + addr
 }
-
-// BytesCompleted reports cumulative payload bytes.
-func (q *WQ) BytesCompleted() int64 { return q.bytesDone }
-
-// Enable and Disable mirror the WQ ENABLE register (the DSA analogue of
-// CHANCMD throttling, §5).
-func (q *WQ) Enable() {
-	if !q.enabled {
-		q.enabled = true
-		q.dsa.dispatch()
-	}
-}
-
-// Disable stops dispatching from this WQ; in-flight descriptors finish.
-func (q *WQ) Disable() { q.enabled = false }
-
-// Enabled reports the WQ state.
-func (q *WQ) Enabled() bool { return q.enabled }
 
 // Submit enqueues descriptors. Unlike I/OAT channels, completion order is
 // in-order per WQ (the arbiter dispatches a WQ's head only when its
@@ -108,7 +72,7 @@ func NewDSA(dev *pmem.Device, id int, priorities []int, pes int, cbBase int64) *
 	d := &DSA{eng: dev.Engine(), dev: dev, id: id, inflight: map[*WQ]bool{}}
 	for i, p := range priorities {
 		d.wqs = append(d.wqs, &WQ{
-			dsa: d, id: i, priority: p, enabled: true,
+			dsa: d, priority: p,
 			cb: cbBase + int64(i)*CBStride,
 		})
 	}
@@ -117,9 +81,6 @@ func NewDSA(dev *pmem.Device, id int, priorities []int, pes int, cbBase int64) *
 	}
 	return d
 }
-
-// WQCount returns the number of work queues.
-func (d *DSA) WQCount() int { return len(d.wqs) }
 
 // Queue returns WQ i.
 func (d *DSA) Queue(i int) *WQ { return d.wqs[i] }
@@ -141,7 +102,7 @@ func (d *DSA) dispatch() {
 		}
 		var best *WQ
 		for _, q := range d.wqs {
-			if !q.enabled || len(q.queue) == 0 || d.inflight[q] {
+			if len(q.queue) == 0 || d.inflight[q] {
 				continue
 			}
 			if best == nil || q.priority > best.priority {
@@ -182,7 +143,6 @@ func (d *DSA) run(p *pe, q *WQ, desc *Desc) {
 					d.dev.Fence()
 				}
 				q.completed++
-				q.bytesDone += int64(desc.size())
 				d.dev.Write8(q.cb, q.completed%RingSize)
 				d.dev.Write8(q.cb+8, q.completed/RingSize)
 				d.dev.Fence()

@@ -80,23 +80,6 @@ func TestDSAPriorityArbitration(t *testing.T) {
 	}
 }
 
-func TestDSADisableStopsDispatch(t *testing.T) {
-	se, _, d := newDSA(t, []int{1}, 2)
-	q := d.Queue(0)
-	q.Disable()
-	done := false
-	q.Submit(&Desc{Write: true, Size: 4096, OnComplete: func(uint64) { done = true }})
-	se.RunFor(10 * sim.Millisecond)
-	if done {
-		t.Fatal("disabled WQ dispatched")
-	}
-	q.Enable()
-	se.Run()
-	if !done {
-		t.Fatal("enable did not resume dispatch")
-	}
-}
-
 func TestDSASNOrderingPerWQ(t *testing.T) {
 	se, _, d := newDSA(t, []int{1}, 4)
 	var sns []uint64

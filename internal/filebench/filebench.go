@@ -79,9 +79,6 @@ type Result struct {
 	Span sim.Duration
 }
 
-// Throughput returns iterations/second.
-func (r *Result) Throughput() float64 { return stats.Throughput(int(r.Ops), r.Span) }
-
 // Run executes the personality; same contract as fxmark.Run.
 // mustOp panics on a workload I/O error: the personality loops operate
 // on files the generator itself created, so failures mean corrupted

@@ -87,9 +87,6 @@ type Result struct {
 // Throughput returns operations per second over the measure window.
 func (r *Result) Throughput() float64 { return stats.Throughput(int(r.Ops), r.Span) }
 
-// Bandwidth returns GB/s moved over the measure window.
-func (r *Result) Bandwidth() float64 { return stats.GBps(r.Bytes, r.Span) }
-
 // Run executes the workload on fs over rt's cores [0, cfg.Cores) and
 // blocks (in wall time) until the virtual run completes. The caller owns
 // the engine and must have created rt; Run spawns the workers, drives the

@@ -1,12 +1,13 @@
 // Package graph provides a serializable adjacency-list graph and
-// breadth-first search, backing the BFS application of §6.3 (which reads
-// serialized graph data from files, builds the graph in memory, and runs
-// BFS from a given vertex).
+// breadth-first search. apps.BFSFromFile in examples/analytics reads a
+// serialized graph from a file, builds it in memory and runs BFS from a
+// given vertex. (Figure 10's BFS app charges calibrated compute instead.)
 package graph
 
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"sort"
 
 	"github.com/easyio-sim/easyio/internal/rng"
@@ -101,14 +102,17 @@ func Unmarshal(b []byte) (*Graph, error) {
 		b = b[n:]
 		return v, true
 	}
+	// Every vertex needs at least one byte (its degree) and every edge at
+	// least one (its delta), so a count larger than the remaining input is
+	// corrupt; vertex IDs are int32.
 	nv, ok := getUv()
-	if !ok {
+	if !ok || nv > uint64(len(b)) || nv > math.MaxInt32 {
 		return nil, ErrCorrupt
 	}
 	g := New(int(nv))
 	for u := 0; u < int(nv); u++ {
 		deg, ok := getUv()
-		if !ok {
+		if !ok || deg > uint64(len(b)) {
 			return nil, ErrCorrupt
 		}
 		prev := int32(0)

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"encoding/binary"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -76,6 +78,30 @@ func TestMarshalRoundtrip(t *testing.T) {
 }
 
 func TestUnmarshalCorrupt(t *testing.T) {
+	uvarints := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	cases := []struct {
+		name string
+		in   []byte
+	}{
+		{"vertex count 1<<62", uvarints(1 << 62)},
+		{"vertex count 1<<63", uvarints(1 << 63)},
+		{"vertex count 1<<40", uvarints(1 << 40)},
+		{"vertex count 1<<31", uvarints(1<<31, 0, 0)},
+		{"vertex count past input", uvarints(3, 0, 0)},
+		{"degree past input", uvarints(2, 1<<40, 0)},
+		{"neighbour out of range", uvarints(2, 1, 2, 0)},
+	}
+	for _, c := range cases {
+		if _, err := Unmarshal(c.in); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", c.name, err)
+		}
+	}
 	g := Random(50, 4, 1)
 	b := g.Marshal()
 	for cut := 0; cut < len(b); cut += 11 {

@@ -19,7 +19,6 @@ var (
 	ErrExist    = errors.New("nova: file exists")
 	ErrIsDir    = errors.New("nova: is a directory")
 	ErrNotDir   = errors.New("nova: not a directory")
-	ErrNotEmpty = errors.New("nova: directory not empty")
 	ErrNoSpace  = errors.New("nova: no space left on device")
 	ErrNoInode  = errors.New("nova: inode table full")
 )
@@ -166,15 +165,6 @@ func (fs *FS) Size() int64 { return fs.sb.size }
 
 // CPUCosts returns the software cost profile in effect.
 func (fs *FS) CPUCosts() perfmodel.CPU { return fs.cpu }
-
-// Ephemeral reports whether functional data copies are disabled.
-func (fs *FS) Ephemeral() bool { return fs.opts.EphemeralData }
-
-// Mover returns the data mover in use.
-func (fs *FS) Mover() DataMover { return fs.mover }
-
-// SetMover swaps the data mover (used by EasyIO, which wraps the FS).
-func (fs *FS) SetMover(m DataMover) { fs.mover = m }
 
 // Now returns the current virtual time as an mtime value.
 func (fs *FS) Now() uint64 { return uint64(fs.eng.Now()) }
@@ -358,9 +348,6 @@ func (f *File) assertOpen(op string) {
 // Inode returns the file's inode.
 func (f *File) Inode() *Inode { return f.ino }
 
-// FS returns the owning filesystem.
-func (f *File) FS() *FS { return f.fs }
-
 // Size returns the current file size.
 func (f *File) Size() int64 {
 	f.assertOpen("Size")
@@ -467,33 +454,6 @@ func (fs *FS) Unlink(t *caladan.Task, path string) error {
 		ttail := fs.AppendEntries(target, []*Entry{{Type: etLinkChange, LinkDelta: -1, Mtime: fs.Now()}})
 		fs.CommitTail(target, ttail)
 	}
-	return nil
-}
-
-// Rmdir removes an empty directory.
-func (fs *FS) Rmdir(t *caladan.Task, path string) error {
-	fs.Charge(t, fs.cpu.Syscall+fs.cpu.MetaAppend+fs.cpu.MetaCommit)
-	dir, name, err := fs.lookupDir(path)
-	if err != nil {
-		return err
-	}
-	dir.Mu.Lock(t)
-	defer dir.Mu.Unlock()
-	num, ok := dir.dirents[name]
-	if !ok {
-		return ErrNotExist
-	}
-	target := fs.inodes[num]
-	if !target.IsDir() {
-		return ErrNotDir
-	}
-	if len(target.dirents) != 0 {
-		return ErrNotEmpty
-	}
-	tail := fs.AppendEntries(dir, []*Entry{{Type: etDentryDel, Ino: num, Name: name, Mtime: fs.Now()}})
-	fs.CommitTail(dir, tail)
-	delete(dir.dirents, name)
-	fs.dropInode(target)
 	return nil
 }
 

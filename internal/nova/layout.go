@@ -168,13 +168,9 @@ type Entry struct {
 	Mtime uint64
 }
 
-// encode serializes the entry with a leading (type, length) header.
-func (e *Entry) encode() []byte {
-	return e.appendTo(nil)
-}
-
-// appendTo serializes the entry onto b (pass a reusable buffer's [:0] to
-// keep the log-append path allocation-free) and returns the grown slice.
+// appendTo serializes the entry with a leading (type, length) header onto
+// b (pass a reusable buffer's [:0] to keep the log-append path
+// allocation-free) and returns the grown slice.
 func (e *Entry) appendTo(b []byte) []byte {
 	start := len(b)
 	b = append(b, e.Type, 0, 0) // length patched below

@@ -192,14 +192,6 @@ func TestMkdirAndNesting(t *testing.T) {
 	if err != nil || len(names) != 1 || names[0] != "file" {
 		t.Fatalf("readdir = %v, %v", names, err)
 	}
-	if err := fs.Rmdir(nil, "/d"); err != ErrNotEmpty {
-		t.Fatalf("rmdir non-empty: %v", err)
-	}
-	fs.Unlink(nil, "/d/e/file")
-	fs.Rmdir(nil, "/d/e")
-	if err := fs.Rmdir(nil, "/d"); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestRenameSameDir(t *testing.T) {

@@ -76,9 +76,6 @@ func (fs *FS) StartWorkers(rt *caladan.Runtime, cores []int) {
 	}
 }
 
-// Workers reports the delegate count.
-func (fs *FS) Workers() int { return len(fs.workers) }
-
 func (w *worker) loop(task *caladan.Task) {
 	for {
 		if len(w.queue) == 0 {

@@ -27,16 +27,6 @@ func (d *Device) EnableTracking() {
 	}
 }
 
-// DisableTracking stops recording and releases the snapshot.
-func (d *Device) DisableTracking() {
-	d.tracking = false
-	d.records = nil
-	d.base = nil
-}
-
-// Tracking reports whether persistence tracking is active.
-func (d *Device) Tracking() bool { return d.tracking }
-
 // Records returns the tracked stores in program order. The result is a
 // deep copy: callers (crashmonkey mutates subsets while exploring crash
 // states) must not be able to corrupt the device's own record stream

@@ -310,16 +310,6 @@ func TestEpochBounds(t *testing.T) {
 	}
 }
 
-func TestDisableTracking(t *testing.T) {
-	_, d := newDev()
-	d.EnableTracking()
-	d.WriteAt(0, []byte{1})
-	d.DisableTracking()
-	if d.Tracking() || d.Records() != nil {
-		t.Fatal("tracking not disabled")
-	}
-}
-
 func TestRecordsReturnsDeepCopy(t *testing.T) {
 	_, d := newDev()
 	d.EnableTracking()

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -92,23 +91,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64) bool {
-		p := New(seed).Perm(20)
-		seen := make([]bool, 20)
-		for _, v := range p {
-			if v < 0 || v >= 20 || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBytesFills(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 8, 9, 64, 100} {
 		b := make([]byte, n)
@@ -123,20 +105,6 @@ func TestBytesFills(t *testing.T) {
 			if zero == n {
 				t.Fatalf("Bytes left buffer all-zero for n=%d", n)
 			}
-		}
-	}
-}
-
-func TestShuffleDeterministic(t *testing.T) {
-	mk := func() []int {
-		s := []int{0, 1, 2, 3, 4, 5, 6, 7}
-		New(21).Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-		return s
-	}
-	a, b := mk(), mk()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("shuffle nondeterministic")
 		}
 	}
 }

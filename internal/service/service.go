@@ -33,10 +33,8 @@ import (
 	"hash/fnv"
 	"math"
 
-	"github.com/easyio-sim/easyio/internal/apps"
 	"github.com/easyio-sim/easyio/internal/caladan"
 	"github.com/easyio-sim/easyio/internal/core"
-	"github.com/easyio-sim/easyio/internal/filebench"
 	"github.com/easyio-sim/easyio/internal/nova"
 	"github.com/easyio-sim/easyio/internal/rng"
 	"github.com/easyio-sim/easyio/internal/sim"
@@ -61,22 +59,6 @@ func (m Mix) withDefaults() Mix {
 		m.WriteEvery = 1
 	}
 	return m
-}
-
-// SpecMix derives a mix from one of the §6.3 application profiles
-// (Table 1 read/write sizes and calibrated compute).
-func SpecMix(s apps.Spec) Mix {
-	return Mix{Name: s.Name, ReadSize: s.ReadSize, WriteSize: s.WriteSize, Compute: s.Compute}
-}
-
-// PersonalityMix derives a mix from a Filebench personality: Webserver
-// is 256 KB whole-file reads with a 16 KB log append every 10th
-// request; Fileserver is 1 MB reads and writes on every request.
-func PersonalityMix(p filebench.Personality) Mix {
-	if p == filebench.Webserver {
-		return Mix{Name: string(p), ReadSize: 256 << 10, WriteSize: 16 << 10, WriteEvery: 10}
-	}
-	return Mix{Name: string(p), ReadSize: 1 << 20, WriteSize: 1 << 20, WriteEvery: 1}
 }
 
 // TenantSpec describes one tenant of the serving layer.

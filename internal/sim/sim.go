@@ -498,9 +498,6 @@ func (e *Engine) StartProc(name string, fn func(*Proc)) *Proc {
 // Name returns the proc's diagnostic name.
 func (p *Proc) Name() string { return p.name }
 
-// Engine returns the engine the proc belongs to.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 

@@ -6,7 +6,7 @@ import (
 	"github.com/easyio-sim/easyio/internal/sim"
 )
 
-// Hist is a mergeable log-bucketed latency histogram. Recorder stores
+// Hist is a log-bucketed latency histogram. Recorder stores
 // every sample and sorts on demand, which is exact but unsuitable for
 // serving runs with millions of requests; Hist folds each sample into a
 // fixed bucket array (no per-sample allocation) at the cost of a bounded
@@ -82,9 +82,6 @@ func (h *Hist) Add(d sim.Duration) {
 // Count reports the number of recorded samples.
 func (h *Hist) Count() int64 { return h.count }
 
-// Sum reports the exact sample total.
-func (h *Hist) Sum() sim.Duration { return sim.Duration(h.sum) }
-
 // Mean returns the exact average sample, or 0 with no samples.
 func (h *Hist) Mean() sim.Duration {
 	if h.count == 0 {
@@ -136,25 +133,6 @@ func (h *Hist) P50() sim.Duration   { return h.Percentile(50) }
 func (h *Hist) P99() sim.Duration   { return h.Percentile(99) }
 func (h *Hist) P999() sim.Duration  { return h.Percentile(99.9) }
 func (h *Hist) P9999() sim.Duration { return h.Percentile(99.99) }
-
-// Merge folds other into h. Bucket counts add exactly, so merging
-// per-shard histograms is equivalent to recording every sample into one.
-func (h *Hist) Merge(other *Hist) {
-	if other.count == 0 {
-		return
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	if h.count == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	h.count += other.count
-	h.sum += other.sum
-	if other.max > h.max {
-		h.max = other.max
-	}
-}
 
 // Reset discards all samples.
 func (h *Hist) Reset() { *h = Hist{} }

@@ -69,33 +69,6 @@ func TestHistVsRecorder(t *testing.T) {
 	}
 }
 
-// TestHistMerge proves sharded recording merges to the same histogram as
-// recording every sample into one.
-func TestHistMerge(t *testing.T) {
-	g := rng.New(11)
-	var whole Hist
-	shards := make([]Hist, 4)
-	for i := 0; i < 10_000; i++ {
-		d := sim.Duration(g.Intn(1_000_000))
-		whole.Add(d)
-		shards[i%len(shards)].Add(d)
-	}
-	var merged Hist
-	for i := range shards {
-		merged.Merge(&shards[i])
-	}
-	if merged != whole {
-		t.Fatal("merged shards differ from whole-stream histogram")
-	}
-	// Merging into an empty histogram preserves min.
-	var empty Hist
-	empty.Merge(&whole)
-	if empty.Min() != whole.Min() || empty.Count() != whole.Count() {
-		t.Fatalf("merge into empty: min %d count %d, want %d %d",
-			empty.Min(), empty.Count(), whole.Min(), whole.Count())
-	}
-}
-
 // TestHistNoAllocs pins the no-per-sample-allocation contract Add and
 // Percentile rely on for million-request serving runs.
 func TestHistNoAllocs(t *testing.T) {

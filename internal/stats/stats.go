@@ -72,14 +72,6 @@ func (r *Recorder) Percentile(p float64) sim.Duration {
 func (r *Recorder) P50() sim.Duration { return r.Percentile(50) }
 func (r *Recorder) P99() sim.Duration { return r.Percentile(99) }
 
-// Reset discards all samples.
-func (r *Recorder) Reset() {
-	r.samples = r.samples[:0]
-	r.sorted = false
-	r.sum = 0
-	r.max = 0
-}
-
 // Point is one (time, value) observation in a Series.
 type Point struct {
 	T sim.Time
@@ -95,29 +87,6 @@ type Series struct {
 // Add appends an observation.
 func (s *Series) Add(t sim.Time, v float64) {
 	s.Points = append(s.Points, Point{T: t, V: v})
-}
-
-// Max returns the maximum value, or 0 for an empty series.
-func (s *Series) Max() float64 {
-	m := 0.0
-	for i, p := range s.Points {
-		if i == 0 || p.V > m {
-			m = p.V
-		}
-	}
-	return m
-}
-
-// Mean returns the average value, or 0 for an empty series.
-func (s *Series) Mean() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range s.Points {
-		sum += p.V
-	}
-	return sum / float64(len(s.Points))
 }
 
 // Throughput derives operations/second from a count over a virtual span.

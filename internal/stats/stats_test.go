@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -92,25 +93,14 @@ func TestPercentileMatchesSortProperty(t *testing.T) {
 	}
 }
 
-func TestRecorderReset(t *testing.T) {
-	var r Recorder
-	r.Add(100)
-	r.Reset()
-	if r.Count() != 0 || r.Mean() != 0 || r.Max() != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
 func TestSeries(t *testing.T) {
 	var s Series
 	s.Add(0, 1.5)
 	s.Add(10, 3.5)
 	s.Add(20, 2.0)
-	if s.Max() != 3.5 {
-		t.Fatalf("max = %v", s.Max())
-	}
-	if got := s.Mean(); got < 2.33 || got > 2.34 {
-		t.Fatalf("mean = %v", got)
+	want := []Point{{0, 1.5}, {10, 3.5}, {20, 2.0}}
+	if !reflect.DeepEqual(s.Points, want) {
+		t.Fatalf("points = %v, want %v", s.Points, want)
 	}
 }
 
