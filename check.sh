@@ -62,13 +62,19 @@ echo '== easyio-vet parallel determinism (-parallel 4 vs 1, uncached)'
 /tmp/easyio-vet-check -nocache -parallel 4 -partition /tmp/easyio-vet-part4.json ./... > /tmp/easyio-vet-p4.txt
 diff /tmp/easyio-vet-p1.txt /tmp/easyio-vet-p4.txt
 
+echo '== easyio-vet type-check determinism (GOMAXPROCS=1 vs default, uncached)'
+GOMAXPROCS=1 /tmp/easyio-vet-check -nocache -partition /tmp/easyio-vet-partg1.json ./... > /tmp/easyio-vet-g1.txt
+/tmp/easyio-vet-check -nocache -partition /tmp/easyio-vet-partdef.json ./... > /tmp/easyio-vet-def.txt
+diff /tmp/easyio-vet-g1.txt /tmp/easyio-vet-def.txt
+diff /tmp/easyio-vet-partg1.json /tmp/easyio-vet-partdef.json
+
 echo '== partition report (deterministic, matches committed, lock graph acyclic)'
 diff /tmp/easyio-vet-part1.json /tmp/easyio-vet-part4.json
 diff /tmp/easyio-vet-part1.json partition.json || { echo "partition.json is stale; regenerate with: go run ./cmd/easyio-vet -nocache -partition partition.json ./..."; exit 1; }
 grep -q '"acyclic": true' partition.json || { echo "lock-order graph is not acyclic"; exit 1; }
 grep -q '"unguarded_findings": 0' partition.json || { echo "unguarded cross-node shared-mutable state detected"; exit 1; }
 test "$(grep -c '"status": "clean"' partition.json)" -eq 6 || { echo "a typestate protocol is violated module-wide (see partition.json protocols)"; exit 1; }
-rm -rf /tmp/easyio-vet-check /tmp/easyio-vet-cache-check /tmp/easyio-vet-cold.* /tmp/easyio-vet-warm.* /tmp/easyio-vet-p1.txt /tmp/easyio-vet-p4.txt /tmp/easyio-vet-part1.json /tmp/easyio-vet-part4.json
+rm -rf /tmp/easyio-vet-check /tmp/easyio-vet-cache-check /tmp/easyio-vet-cold.* /tmp/easyio-vet-warm.* /tmp/easyio-vet-p1.txt /tmp/easyio-vet-p4.txt /tmp/easyio-vet-part1.json /tmp/easyio-vet-part4.json /tmp/easyio-vet-g1.txt /tmp/easyio-vet-def.txt /tmp/easyio-vet-partg1.json /tmp/easyio-vet-partdef.json
 
 echo '== redundancy artifact gate (epoch-parity p99 <= 1.2x off, lag within bound)'
 awk '

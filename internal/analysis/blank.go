@@ -5,7 +5,7 @@ import "bytes"
 // blankFuncBodies overwrites the inside of every top-level function body
 // in the Go source src with spaces, in place, and keeps every newline, so
 // each offset, line and column in src stays where it was. The standard
-// library is loaded by declarations only (stdImporter): go/types skips
+// library is loaded by declarations only (loader): go/types skips
 // function bodies when checking it, and parsing bodies it then throws
 // away is most of the cost of a load. Function literals, composite
 // literals and a body holding a //line or /*line directive (which would

@@ -197,7 +197,7 @@ func (T) m() {}; type T int
 }
 
 // TestBlankFuncBodiesStdClosure checks blankFuncBodies on every file
-// stdImporter builds for the module's standard-library closure.
+// the loader builds for the module's standard-library closure.
 // -blank-goroot widens it to every parseable .go file under
 // $GOROOT/src.
 func TestBlankFuncBodiesStdClosure(t *testing.T) {
@@ -213,7 +213,7 @@ func TestBlankFuncBodiesStdClosure(t *testing.T) {
 			t.Fatal(err)
 		}
 	} else {
-		imp := newStdImporter(token.NewFileSet())
+		imp := newLoader(token.NewFileSet())
 		for path := range closure(t, imp, moduleStdImports(t)) {
 			if path == "unsafe" {
 				continue

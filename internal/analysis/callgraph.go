@@ -77,6 +77,10 @@ type ModuleInfo struct {
 	// keyed by the analyzer that replays it; RunAnalyzersOpts adds it
 	// into RunResult.AnalyzerMS.
 	ms map[string]float64
+	// callGraphMS and summariesMS are BuildModule's own wall time in
+	// milliseconds: the call graph with its SCCs, then the effect
+	// summaries. RunAnalyzersOpts copies them into RunResult.
+	callGraphMS, summariesMS float64
 
 	pkgs      []*Package
 	pkgPaths  map[string]bool
@@ -108,6 +112,7 @@ func (m *ModuleInfo) SummaryFor(fn *types.Func) *Summary {
 // BuildModule constructs the call graph and effect summaries for one set
 // of loaded packages.
 func BuildModule(pkgs []*Package) *ModuleInfo {
+	t0 := nowMS()
 	mod := &ModuleInfo{
 		Funcs:     map[*types.Func]*FuncNode{},
 		Summaries: map[*types.Func]*Summary{},
@@ -180,7 +185,10 @@ func BuildModule(pkgs []*Package) *ModuleInfo {
 		}
 	}
 	mod.SCCs = tarjan(mod.Nodes, func(n *FuncNode) []*FuncNode { return n.Callees })
+	t1 := nowMS()
+	mod.callGraphMS = t1 - t0
 	computeSummaries(mod)
+	mod.summariesMS = nowMS() - t1
 	mod.timed("lockorder", computeLockOrder)
 	mod.timed("confinement", computeConfinement)
 	mod.timed("atomichygiene", computeAtomicHygiene)

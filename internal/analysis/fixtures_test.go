@@ -36,7 +36,7 @@ func fixturePkgFile(t *testing.T, path, filename, src string) *Package {
 	}
 	var terrs []error
 	conf := types.Config{
-		Importer: newStdImporter(fset),
+		Importer: newLoader(fset),
 		Error:    func(err error) { terrs = append(terrs, err) },
 	}
 	tpkg, _ := conf.Check(path, fset, []*ast.File{f}, info)
@@ -60,46 +60,31 @@ type fixtureSrc struct {
 }
 
 // fixtureModule type-checks several inline packages as one module (list
-// dependencies before their importers). Analyzers that classify by
-// module membership (simtime's host mode) see modPath as the module
-// path. One stdImporter serves the whole fixture module, as in
-// TypeCheck.
+// dependencies before their importers) with TypeCheck, as the loader
+// does. Analyzers that classify by module membership (simtime's host
+// mode) see modPath as the module path.
 func fixtureModule(t *testing.T, modPath string, srcs []fixtureSrc) []*Package {
 	t.Helper()
 	fset := token.NewFileSet()
-	checked := map[string]*types.Package{}
-	imp := &moduleImporter{stdlib: newStdImporter(fset), modPath: modPath, checked: checked}
 	var pkgs []*Package
 	for i, s := range srcs {
 		f, err := parser.ParseFile(fset, "fixture"+itoa(i)+".go", s.Src, parser.ParseComments)
 		if err != nil {
 			t.Fatalf("parse fixture %s: %v", s.Path, err)
 		}
-		info := &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		}
-		var terrs []error
-		conf := types.Config{
-			Importer: imp,
-			Error:    func(err error) { terrs = append(terrs, err) },
-		}
-		tpkg, _ := conf.Check(s.Path, fset, []*ast.File{f}, info)
-		if len(terrs) > 0 {
-			t.Fatalf("fixture %s does not type-check: %v", s.Path, terrs)
-		}
-		checked[s.Path] = tpkg
 		pkgs = append(pkgs, &Package{
 			Path:    s.Path,
 			Name:    f.Name.Name,
 			Fset:    fset,
 			Files:   []*ast.File{f},
-			Types:   tpkg,
-			Info:    info,
 			modPath: modPath,
 		})
+	}
+	TypeCheck(pkgs)
+	for _, pkg := range pkgs {
+		if len(pkg.TypeErrors) > 0 {
+			t.Fatalf("fixture %s does not type-check: %v", pkg.Path, pkg.TypeErrors)
+		}
 	}
 	return pkgs
 }

@@ -10,9 +10,12 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 )
 
 // Package is one parsed, type-checked package of the module under
@@ -45,7 +48,7 @@ type Package struct {
 // LoadModule parses and type-checks every non-test package under the
 // module rooted at root (the directory containing go.mod). Packages are
 // returned in deterministic (import-path) order. Standard-library
-// dependencies are type-checked from GOROOT source by a stdImporter, so
+// dependencies are type-checked from GOROOT source by TypeCheck, so
 // the loader needs no toolchain invocation and no third-party
 // dependency.
 func LoadModule(root string) ([]*Package, error) {
@@ -110,42 +113,61 @@ func ParseModule(root string) ([]*Package, error) {
 	return topoSort(byPath, modPath)
 }
 
-// TypeCheck type-checks already-parsed packages in their dependency
-// order, resolving module-internal imports against the in-progress load
-// and everything else from GOROOT source. Each call builds its own
-// stdImporter, so every call pays for a cold load of the standard
-// library the module imports: each package in that closure is resolved,
-// parsed and checked once per call, and nothing outlives the call.
+// TypeCheck type-checks already-parsed packages, and the standard
+// library they import, over their import DAG. Module-internal imports
+// resolve against the packages before them in order; everything else
+// resolves from GOROOT source (loader).
+//
+// Parsing stays on the calling goroutine and walks the imports in the
+// order a serial load requests them from go/types: the packages in
+// order, each file's import specs in source order, depth first, each
+// standard-library package parsed before its imports. The shared
+// FileSet therefore gives every file the same base on every run and at
+// any GOMAXPROCS, so every token.Pos is fixed. Only checking fans out:
+// each package is checked as soon as every package it imports is, on up
+// to runtime.GOMAXPROCS(0) concurrent checks, while the walk runs ahead
+// of them. TypeCheck returns when every check has finished.
+//
+// Each call builds its own loader, so every call pays for a cold load of
+// the standard library the module imports: each package in that closure
+// is resolved, parsed and checked once per call, and nothing outlives
+// the call.
 func TypeCheck(order []*Package) {
 	if len(order) == 0 {
 		return
 	}
-	fset := order[0].Fset
+	l := newLoader(order[0].Fset)
 	modPath := order[0].modPath
-	checked := map[string]*types.Package{}
-	imp := &moduleImporter{
-		stdlib:  newStdImporter(fset),
-		modPath: modPath,
-		checked: checked,
-	}
+	checked := map[string]*loadNode{}
 	for _, pkg := range order {
-		info := &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		deps := imports{}
+		for _, path := range importPaths(pkg.Files) {
+			switch {
+			case !inModule(path, modPath):
+				deps[path] = l.std(path)
+			case checked[path] != nil:
+				deps[path] = checked[path]
+			default:
+				deps[path] = finished(nil, fmt.Errorf("analysis: internal package %s not yet checked (topo-sort bug?)", path))
+			}
 		}
-		conf := types.Config{
-			Importer: imp,
-			Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
-		}
-		tpkg, _ := conf.Check(pkg.Path, fset, pkg.Files, info)
-		pkg.Types = tpkg
-		pkg.Info = info
-		if tpkg != nil {
-			checked[pkg.Path] = tpkg
-		}
+		checked[pkg.Path] = l.schedule(deps, func() (*types.Package, error) {
+			pkg.Info = &types.Info{
+				Types:      map[ast.Expr]types.TypeAndValue{},
+				Defs:       map[*ast.Ident]types.Object{},
+				Uses:       map[*ast.Ident]types.Object{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+			}
+			conf := types.Config{
+				Importer: deps,
+				Sizes:    l.sizes,
+				Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
+			}
+			pkg.Types, _ = conf.Check(pkg.Path, l.fset, pkg.Files, pkg.Info)
+			return pkg.Types, nil
+		})
 	}
+	l.wg.Wait()
 }
 
 // parseDir parses the non-test .go files of one directory that go/build
@@ -317,21 +339,41 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("analysis: no module declaration in %s", gomod)
 }
 
-// imports lists the module-internal import paths of a package.
+// moduleImports lists the module-internal import paths of a package,
+// sorted.
 func moduleImports(pkg *Package, modPath string) []string {
+	var out []string
+	for _, path := range importPaths(pkg.Files) {
+		if inModule(path, modPath) {
+			out = append(out, path)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// importPaths lists the distinct import paths of files in the order
+// go/types requests them from its importer: file by file, each file's
+// specs in source order.
+func importPaths(files []*ast.File) []string {
 	seen := map[string]bool{}
 	var out []string
-	for _, f := range pkg.Files {
+	for _, f := range files {
 		for _, spec := range f.Imports {
-			path := strings.Trim(spec.Path.Value, `"`)
-			if (path == modPath || strings.HasPrefix(path, modPath+"/")) && !seen[path] {
+			path, err := strconv.Unquote(spec.Path.Value)
+			if err == nil && !seen[path] {
 				seen[path] = true
 				out = append(out, path)
 			}
 		}
 	}
-	sort.Strings(out)
 	return out
+}
+
+// inModule reports whether the import path names a package of the module
+// modPath.
+func inModule(path, modPath string) bool {
+	return path == modPath || strings.HasPrefix(path, modPath+"/")
 }
 
 // topoSort orders packages so every module-internal dependency precedes
@@ -379,77 +421,111 @@ func topoSort(byPath map[string]*Package, modPath string) ([]*Package, error) {
 	return order, nil
 }
 
-// moduleImporter resolves module-internal imports from the in-progress
-// load and everything else from GOROOT source.
-type moduleImporter struct {
-	stdlib  *stdImporter
-	modPath string
-	checked map[string]*types.Package
-}
-
-func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	if path == m.modPath || strings.HasPrefix(path, m.modPath+"/") {
-		if p, ok := m.checked[path]; ok {
-			return p, nil
-		}
-		return nil, fmt.Errorf("analysis: internal package %s not yet checked (topo-sort bug?)", path)
-	}
-	return m.stdlib.Import(path)
-}
-
-// stdImporter type-checks standard-library packages from GOROOT source
-// by declarations only, once per import path: an edge into a loaded
-// package is one map lookup. Every path resolves from $GOROOT/src with
-// go/build's FindOnly mode, which reads no file, so std's vendored
-// imports (golang.org/x/...) find $GOROOT/src/vendor as they do under
-// go/importer's "source" importer, and go/build never invokes the go
-// command. The directory is then read by the module loader's parseDir,
-// with its file filter, and with function bodies blanked.
-type stdImporter struct {
+// loader is TypeCheck's import-DAG scheduler. std walks a
+// standard-library package on the caller's goroutine: every path
+// resolves from $GOROOT/src with go/build's FindOnly mode, which reads
+// no file, so std's vendored imports (golang.org/x/...) find
+// $GOROOT/src/vendor as they do under go/importer's "source" importer,
+// and go/build never invokes the go command. The directory is then read
+// by the module loader's parseDir, with its file filter and with
+// function bodies blanked, and its imports are walked before std
+// returns. schedule runs each package's check on its own goroutine once
+// its imports are checked, holding one of the sem slots while it runs.
+type loader struct {
 	fset   *token.FileSet
 	sizes  types.Sizes
 	srcDir string
-	// pkgs holds each import path's result. A path still loading holds
-	// its import-cycle error, which is what a re-entrant import returns.
-	pkgs map[string]stdResult
+	// pkgs holds each standard-library import path's node, so an edge
+	// into a walked package is one map lookup. A path whose imports are
+	// still being walked holds a finished node carrying its import-cycle
+	// error: that is what an import from inside its own closure gets, and
+	// the check that asks never waits on itself.
+	pkgs map[string]*loadNode
+	sem  chan struct{}
+	wg   sync.WaitGroup
 }
 
-type stdResult struct {
-	pkg *types.Package
-	err error
-}
-
-func newStdImporter(fset *token.FileSet) *stdImporter {
-	return &stdImporter{
+func newLoader(fset *token.FileSet) *loader {
+	return &loader{
 		fset:   fset,
 		sizes:  types.SizesFor("gc", build.Default.GOARCH),
 		srcDir: filepath.Join(build.Default.GOROOT, "src"),
-		pkgs:   map[string]stdResult{"unsafe": {pkg: types.Unsafe}},
+		pkgs:   map[string]*loadNode{"unsafe": finished(types.Unsafe, nil)},
+		sem:    make(chan struct{}, runtime.GOMAXPROCS(0)),
 	}
 }
 
-func (s *stdImporter) Import(path string) (*types.Package, error) {
-	if r, ok := s.pkgs[path]; ok {
-		return r.pkg, r.err
-	}
-	s.pkgs[path] = stdResult{err: fmt.Errorf("import cycle through package %q", path)}
-	pkg, err := s.load(path)
-	s.pkgs[path] = stdResult{pkg, err}
-	return pkg, err
+// loadNode is one package of the import DAG. Its check's result is set
+// before done closes and read only after.
+type loadNode struct {
+	pkg  *types.Package
+	err  error
+	done chan struct{}
 }
 
-// load resolves, parses and checks one package by its declarations.
-// Like go/importer's "source" importer, it drops the package on a hard
-// type error, which leaves it possibly incomplete, and keeps it on soft
-// ones.
-func (s *stdImporter) load(path string) (*types.Package, error) {
-	bp, err := build.Default.Import(path, s.srcDir, build.FindOnly)
-	if err != nil {
-		return nil, err
+// finished returns a node whose result is known without a check.
+func finished(pkg *types.Package, err error) *loadNode {
+	n := &loadNode{pkg: pkg, err: err, done: make(chan struct{})}
+	close(n.done)
+	return n
+}
+
+// imports is one package's importer: the nodes of its import paths,
+// every one finished before its check starts.
+type imports map[string]*loadNode
+
+func (m imports) Import(path string) (*types.Package, error) {
+	n, ok := m[path]
+	if !ok {
+		return nil, fmt.Errorf("analysis: import %q was not walked before the check", path)
 	}
-	p, err := parseDir(s.fset, bp.Dir, true)
+	return n.pkg, n.err
+}
+
+// schedule returns a node that check's result finishes. check starts on
+// a goroutine once every node in deps has finished and a sem slot is
+// free.
+func (l *loader) schedule(deps imports, check func() (*types.Package, error)) *loadNode {
+	n := &loadNode{done: make(chan struct{})}
+	l.wg.Add(1)
+	go func() { //easyio:allow nakedgo (host-side type-check pool: each check writes only its own node and package, reads its imports only after their done channels close, and TypeCheck joins on wg before any result is read)
+		defer l.wg.Done()
+		for _, d := range deps {
+			<-d.done
+		}
+		l.sem <- struct{}{}
+		n.pkg, n.err = check()
+		<-l.sem
+		close(n.done)
+	}()
+	return n
+}
+
+// std walks the standard-library package path once per loader and
+// returns its node; an error to resolve, parse or check it is the
+// node's error.
+func (l *loader) std(path string) *loadNode {
+	if n, ok := l.pkgs[path]; ok {
+		return n
+	}
+	l.pkgs[path] = finished(nil, fmt.Errorf("import cycle through package %q", path))
+	n := l.load(path)
+	l.pkgs[path] = n
+	return n
+}
+
+// load resolves and parses one package, walks its imports, and schedules
+// a check of its declarations. Like go/importer's "source" importer, the
+// check drops the package on a hard type error, which leaves it possibly
+// incomplete, and keeps it on soft ones.
+func (l *loader) load(path string) *loadNode {
+	bp, err := build.Default.Import(path, l.srcDir, build.FindOnly)
 	if err != nil {
-		return nil, err
+		return finished(nil, err)
+	}
+	p, err := parseDir(l.fset, bp.Dir, true)
+	if err != nil {
+		return finished(nil, err)
 	}
 	var files []*ast.File
 	if p != nil {
@@ -458,33 +534,39 @@ func (s *stdImporter) load(path string) (*types.Package, error) {
 			case !importsC(f):
 				files = append(files, f)
 			case build.Default.CgoEnabled:
-				return nil, fmt.Errorf("analysis: package %q has cgo files, which the GOROOT source importer does not run cgo on", bp.ImportPath)
+				return finished(nil, fmt.Errorf("analysis: package %q has cgo files, which the GOROOT source importer does not run cgo on", bp.ImportPath))
 			}
 			// go/build ignores a cgo file when cgo is disabled.
 		}
 	}
 	if len(files) == 0 {
-		return nil, &build.NoGoError{Dir: bp.Dir}
+		return finished(nil, &build.NoGoError{Dir: bp.Dir})
 	}
-	var hardErr error
-	conf := types.Config{
-		IgnoreFuncBodies: true,
-		Sizes:            s.sizes,
-		Importer:         s,
-		Error: func(err error) {
-			if te, _ := err.(types.Error); hardErr == nil && !te.Soft {
-				hardErr = err
-			}
-		},
+	deps := imports{}
+	for _, dep := range importPaths(files) {
+		deps[dep] = l.std(dep)
 	}
-	pkg, err := conf.Check(bp.ImportPath, s.fset, files, nil)
-	if err != nil {
-		if hardErr != nil {
-			pkg, err = nil, hardErr
+	return l.schedule(deps, func() (*types.Package, error) {
+		var hardErr error
+		conf := types.Config{
+			IgnoreFuncBodies: true,
+			Sizes:            l.sizes,
+			Importer:         deps,
+			Error: func(err error) {
+				if te, _ := err.(types.Error); hardErr == nil && !te.Soft {
+					hardErr = err
+				}
+			},
 		}
-		return pkg, fmt.Errorf("type-checking package %q failed (%v)", bp.ImportPath, err)
-	}
-	return pkg, nil
+		pkg, err := conf.Check(bp.ImportPath, l.fset, files, nil)
+		if err != nil {
+			if hardErr != nil {
+				pkg, err = nil, hardErr
+			}
+			return pkg, fmt.Errorf("type-checking package %q failed (%v)", bp.ImportPath, err)
+		}
+		return pkg, nil
+	})
 }
 
 // importsC reports whether f imports the cgo pseudo-package "C".

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"errors"
+	"fmt"
 	"go/build"
 	"go/importer"
 	"go/parser"
@@ -9,10 +10,12 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // moduleStdImports lists every import of the module's non-test packages
@@ -97,13 +100,21 @@ func describe(p *types.Package) []string {
 	return out
 }
 
-// TestStdImporterMatchesSourceImporter is the stdImporter's oracle:
-// over the standard-library closure the module imports, it must build
-// the same packages as go/importer's "source" importer, which it
-// replaced.
+// Import makes the loader a types.Importer for the tests: it walks one
+// standard-library root, as TypeCheck does for each import, and waits
+// for every check that walk scheduled.
+func (l *loader) Import(path string) (*types.Package, error) {
+	n := l.std(path)
+	l.wg.Wait()
+	return n.pkg, n.err
+}
+
+// TestStdImporterMatchesSourceImporter is the loader's oracle: over the
+// standard-library closure the module imports, it must build the same
+// packages as go/importer's "source" importer, which it replaced.
 func TestStdImporterMatchesSourceImporter(t *testing.T) {
 	roots := moduleStdImports(t)
-	got := closure(t, newStdImporter(token.NewFileSet()), roots)
+	got := closure(t, newLoader(token.NewFileSet()), roots)
 	want := closure(t, importer.ForCompiler(token.NewFileSet(), "source", nil), roots)
 	if len(got) != len(want) {
 		t.Errorf("closure has %d packages, source importer's has %d", len(got), len(want))
@@ -112,7 +123,7 @@ func TestStdImporterMatchesSourceImporter(t *testing.T) {
 	for path, wp := range want {
 		gp, ok := got[path]
 		if !ok {
-			t.Errorf("%s: missing from the stdImporter closure", path)
+			t.Errorf("%s: missing from the loader's closure", path)
 			continue
 		}
 		g, w := describe(gp), describe(wp)
@@ -174,7 +185,7 @@ func TestTypeCheckLoadsStdlibCold(t *testing.T) {
 }
 
 func TestStdImporterMissingPackage(t *testing.T) {
-	imp := newStdImporter(token.NewFileSet())
+	imp := newLoader(token.NewFileSet())
 	for range 2 { // the second import answers from the cache
 		p, err := imp.Import("example.com/no/such/package")
 		if err == nil || p != nil {
@@ -188,7 +199,7 @@ func TestStdImporterCgoPackageIsAnError(t *testing.T) {
 	if err != nil || len(bp.CgoFiles) == 0 {
 		t.Skip("runtime/cgo has no cgo files in this configuration")
 	}
-	_, err = newStdImporter(token.NewFileSet()).Import("runtime/cgo")
+	_, err = newLoader(token.NewFileSet()).Import("runtime/cgo")
 	if err == nil || !strings.Contains(err.Error(), `"runtime/cgo"`) {
 		t.Fatalf("Import(runtime/cgo) error = %v, want one naming the package", err)
 	}
@@ -206,7 +217,7 @@ func TestStdImporterSelfImportIsACycle(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "cyc", "cyc.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	imp := newStdImporter(token.NewFileSet())
+	imp := newLoader(token.NewFileSet())
 	imp.srcDir = dir // resolve the local path "./cyc" against dir
 	_, err := imp.Import("./cyc")
 	if err == nil || !strings.Contains(err.Error(), "import cycle") {
@@ -231,13 +242,155 @@ func TestStdImporterNoBuildableFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	imp := newStdImporter(token.NewFileSet())
+	imp := newLoader(token.NewFileSet())
 	imp.srcDir = filepath.Dir(dir)
 	p, err := imp.Import("./empty")
 	var noGo *build.NoGoError
 	if p != nil || !errors.As(err, &noGo) {
 		t.Fatalf("Import of a directory without buildable files = (%v, %v), want (nil, *build.NoGoError)", p, err)
 	}
+}
+
+// TestStdImporterTwoPackageCycle loads ./a, which imports ./b, which
+// imports ./a back: the edge that closes the cycle must fail with a
+// cycle error, and the load must return rather than have a check wait on
+// a node that is waiting on it.
+func TestStdImporterTwoPackageCycle(t *testing.T) {
+	dir := t.TempDir()
+	for _, p := range [][2]string{{"a", "b"}, {"b", "a"}} {
+		if err := os.Mkdir(filepath.Join(dir, p[0]), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		src := "package " + p[0] + "\n\nimport _ \"./" + p[1] + "\"\n"
+		if err := os.WriteFile(filepath.Join(dir, p[0], p[0]+".go"), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	imp := newLoader(token.NewFileSet())
+	imp.srcDir = dir
+	var err error
+	returnsWithin(t, func() { _, err = imp.Import("./a") })
+	if err == nil || !strings.Contains(err.Error(), "import cycle") {
+		t.Fatalf("two-package cycle error = %v, want an import cycle", err)
+	}
+}
+
+// TestTypeCheckMissingImport checks a module package that imports a path
+// nothing provides: TypeCheck must return, with a type error naming the
+// path on that package.
+func TestTypeCheckMissingImport(t *testing.T) {
+	root := writeModule(t)
+	src := "package main\n\nimport _ \"example.com/no/such/package\"\n\nfunc main() {}\n"
+	if err := os.WriteFile(filepath.Join(root, "main.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := ParseModule(root)
+	if err != nil {
+		t.Fatalf("ParseModule: %v", err)
+	}
+	returnsWithin(t, func() { TypeCheck(pkgs) })
+	errs := pkgs[0].TypeErrors
+	if len(errs) == 0 || !strings.Contains(errs[0].Error(), "example.com/no/such/package") {
+		t.Fatalf("type errors %v, want one naming the missing import", errs)
+	}
+}
+
+// TestTypeCheckModuleSizesFollowGOARCH checks that module packages are
+// sized for the target GOARCH, as the standard library is: on 386 a
+// uintptr is 4 bytes, where go/types' default sizes say 8.
+func TestTypeCheckModuleSizesFollowGOARCH(t *testing.T) {
+	defer func(arch string) { build.Default.GOARCH = arch }(build.Default.GOARCH)
+	build.Default.GOARCH = "386"
+	root := writeModule(t)
+	src := "package main\n\nimport \"unsafe\"\n\nconst N = unsafe.Sizeof(uintptr(0))\n\nfunc main() {}\n"
+	if err := os.WriteFile(filepath.Join(root, "main.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := ParseModule(root)
+	if err != nil {
+		t.Fatalf("ParseModule: %v", err)
+	}
+	TypeCheck(pkgs)
+	if errs := pkgs[0].TypeErrors; len(errs) > 0 {
+		t.Fatalf("type errors: %v", errs)
+	}
+	if got := pkgs[0].Types.Scope().Lookup("N").(*types.Const).Val().String(); got != "4" {
+		t.Errorf("unsafe.Sizeof(uintptr(0)) = %s on 386, want 4", got)
+	}
+}
+
+// returnsWithin fails the test if f has not returned after a minute,
+// which here means the loader deadlocked.
+func returnsWithin(t *testing.T, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("the load did not return: a check is waiting on itself")
+	}
+}
+
+// loadFingerprint parses and type-checks this module at the given
+// GOMAXPROCS and renders everything that must not depend on it: the
+// FileSet's file sequence (name, base and size of every file, the
+// standard library's included), each module package's type errors, and
+// every package-scope object, qualified by package path.
+func loadFingerprint(t *testing.T, procs int) []string {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := ParseModule(root)
+	if err != nil {
+		t.Fatalf("ParseModule: %v", err)
+	}
+	TypeCheck(pkgs)
+	var out []string
+	pkgs[0].Fset.Iterate(func(f *token.File) bool {
+		out = append(out, fmt.Sprintf("file %s base %d size %d", f.Name(), f.Base(), f.Size()))
+		return true
+	})
+	for _, pkg := range pkgs {
+		out = append(out, "package "+pkg.Path)
+		for _, err := range pkg.TypeErrors {
+			out = append(out, "error "+err.Error())
+		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			out = append(out, "object "+types.ObjectString(scope.Lookup(name), nil))
+		}
+	}
+	return out
+}
+
+// TestTypeCheckDeterministicAcrossGOMAXPROCS type-checks the module with
+// one check at a time and with four at once: parsing stays serial, so the
+// FileSet, and with it every token.Pos, must come out the same, and so
+// must the type errors and every package's scope.
+func TestTypeCheckDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	one, four := loadFingerprint(t, 1), loadFingerprint(t, 4)
+	if len(one) != len(four) {
+		t.Errorf("GOMAXPROCS 1 gives %d lines, GOMAXPROCS 4 gives %d", len(one), len(four))
+	}
+	for i := range min(len(one), len(four)) {
+		if one[i] != four[i] {
+			t.Fatalf("line %d: GOMAXPROCS 1 gives %q, GOMAXPROCS 4 gives %q", i, one[i], four[i])
+		}
+	}
+	files := 0
+	for _, line := range one {
+		if strings.HasPrefix(line, "file ") {
+			files++
+		}
+	}
+	t.Logf("%d files, %d lines agree", files, len(one))
 }
 
 // TestBuildIncludedMatchesGoBuild checks the loader's file filter

@@ -43,6 +43,13 @@ type RunResult struct {
 	// AnalyzerMS: the module-wide analyzers' passes run inside
 	// BuildModule and are charged to both.
 	BuildModuleMS float64
+	// CallGraphMS and SummariesMS are BuildModule's own work, 0 when
+	// the run built no module view: the call graph with its SCCs, then
+	// the effect summaries. BuildModuleMS is these two, the
+	// module-wide analyzers' passes in AnalyzerMS, and the lookup
+	// tables BuildModule precomputes for the analyzers.
+	CallGraphMS float64
+	SummariesMS float64
 }
 
 // RunAnalyzersOpts is the full-featured runner. Semantics match
@@ -75,6 +82,8 @@ func RunAnalyzersOpts(pkgs []*Package, analyzers []*Analyzer, opt RunOptions) *R
 	t0 := nowMS()
 	mod := BuildModule(pkgs)
 	res.BuildModuleMS = nowMS() - t0
+	res.CallGraphMS = mod.callGraphMS
+	res.SummariesMS = mod.summariesMS
 	res.Mod = mod
 
 	ranStale := false
