@@ -57,9 +57,9 @@ for p in svclifecycle horizonproto epochbudget handlestate persistorder parityep
 done
 awk -v t="$ts_ms" -v w="$cold_wall" 'BEGIN { exit !(t <= 0.25 * w) }' || { echo "typestate engine ($ts_ms ms) exceeds 25% of cold wall-clock ($cold_wall ms)"; exit 1; }
 
-echo '== easyio-vet parallel determinism (-parallel 4 vs 1, uncached)'
-/tmp/easyio-vet-check -nocache -parallel 1 -partition /tmp/easyio-vet-part1.json ./... > /tmp/easyio-vet-p1.txt
-/tmp/easyio-vet-check -nocache -parallel 4 -partition /tmp/easyio-vet-part4.json ./... > /tmp/easyio-vet-p4.txt
+echo '== easyio-vet parallel determinism (GOMAXPROCS=4 vs 1, uncached)'
+GOMAXPROCS=1 /tmp/easyio-vet-check -nocache -partition /tmp/easyio-vet-part1.json ./... > /tmp/easyio-vet-p1.txt
+GOMAXPROCS=4 /tmp/easyio-vet-check -nocache -partition /tmp/easyio-vet-part4.json ./... > /tmp/easyio-vet-p4.txt
 diff /tmp/easyio-vet-p1.txt /tmp/easyio-vet-p4.txt
 
 echo '== easyio-vet type-check determinism (GOMAXPROCS=1 vs default, uncached)'
@@ -67,6 +67,9 @@ GOMAXPROCS=1 /tmp/easyio-vet-check -nocache -partition /tmp/easyio-vet-partg1.js
 /tmp/easyio-vet-check -nocache -partition /tmp/easyio-vet-partdef.json ./... > /tmp/easyio-vet-def.txt
 diff /tmp/easyio-vet-g1.txt /tmp/easyio-vet-def.txt
 diff /tmp/easyio-vet-partg1.json /tmp/easyio-vet-partdef.json
+
+echo '== easyio-vet package-filtered run judges module-wide rules on the whole module'
+/tmp/easyio-vet-check -nocache internal/pmem internal/sim
 
 echo '== partition report (deterministic, matches committed, lock graph acyclic)'
 diff /tmp/easyio-vet-part1.json /tmp/easyio-vet-part4.json

@@ -3,26 +3,33 @@
 // findings. CI and check.sh gate every change on it:
 //
 //	go run ./cmd/easyio-vet ./...          # whole module
-//	go run ./cmd/easyio-vet internal/core  # one package (suffix match)
+//	go run ./cmd/easyio-vet internal/core  # one package and those below it
 //	go run ./cmd/easyio-vet -list          # show the analyzers
 //	go run ./cmd/easyio-vet -only lockbalance ./...
 //	go run ./cmd/easyio-vet -json ./...    # findings as a JSON array
-//	go run ./cmd/easyio-vet -parallel 8 -sarif vet.sarif ./...
+//	go run ./cmd/easyio-vet -sarif vet.sarif ./...
 //	go run ./cmd/easyio-vet -partition partition.json ./...
 //
-// Type checking runs up to GOMAXPROCS package checks at once (set the
-// GOMAXPROCS environment variable to change it); -parallel bounds only
-// the per-package analyzer pool. Output is identical at any width.
+// A package pattern matches whole import-path segments ("bench" is
+// internal/bench, not internal/filebench) and the packages below them;
+// a pattern that matches no package exits 2. Patterns only select which
+// findings are printed: every run analyzes the whole module, because
+// the module-wide rules (lock order, confinement, hot paths, protocols)
+// judge a package by its callers and callees elsewhere.
+//
+// GOMAXPROCS is the one width knob: it bounds both the concurrent type
+// checks and the per-package analyzer pool (set the GOMAXPROCS
+// environment variable to change it). Output is identical at any width.
 //
 // Exit status: 0 clean, 1 findings, 2 load/type-check or I/O failure —
 // CI can tell a regression from a broken build.
 //
-// Full-module runs are cached by default: the run's findings are stored
+// Runs are cached by default: the run's findings are stored
 // under .easyio-vet-cache/, keyed by a content hash of the whole module,
 // so a rerun over an unchanged tree skips both the type checker and the
 // analyzers while printing byte-identical output. Any edit misses and
-// re-runs everything. -nocache forces a cold run; package-filtered runs
-// never use the cache.
+// re-runs everything. -nocache forces a cold run. -partition always
+// describes the whole module.
 //
 // Intentional violations are suppressed in source with a rationale:
 //
@@ -97,7 +104,6 @@ func main() {
 	list := flag.Bool("list", false, "list registered analyzers and exit")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	asJSON := flag.Bool("json", false, "emit findings as a JSON array instead of file:line:col text")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent package analyses")
 	sarifPath := flag.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
 	benchPath := flag.String("benchjson", "", "write runner telemetry (BENCH_vet.json shape) to this file")
 	cacheDir := flag.String("cache-dir", "", "fact cache directory (default <module root>/.easyio-vet-cache)")
@@ -135,12 +141,13 @@ func main() {
 		fatal(err)
 	}
 	parseMS := msSince(start)
-	pkgs := filterPackages(all, flag.Args())
+	pkgs, err := filterPackages(all, flag.Args())
+	if err != nil {
+		fatal(err)
+	}
 
-	// Findings in a filtered slice still depend on the packages outside
-	// it, so a package-filtered run always analyzes fresh.
 	var cache *analysis.Cache
-	if !*noCache && len(pkgs) == len(all) {
+	if !*noCache {
 		dir := *cacheDir
 		if dir == "" {
 			dir = filepath.Join(root, ".easyio-vet-cache")
@@ -154,8 +161,9 @@ func main() {
 	// type-checks (entries are only written by type-clean runs).
 	typeErrs := 0
 	var typeCheckMS float64
-	res := analysis.RunAnalyzersOpts(pkgs, analyzers, analysis.RunOptions{
-		Workers: *parallel,
+	workers := runtime.GOMAXPROCS(0)
+	res := analysis.RunAnalyzersOpts(all, analyzers, analysis.RunOptions{
+		Workers: workers,
 		Cache:   cache,
 		EnsureTypes: func() {
 			t := time.Now()
@@ -170,6 +178,9 @@ func main() {
 		},
 	})
 	diags := res.Diags
+	if len(pkgs) < len(all) {
+		diags = inPackages(diags, pkgs)
+	}
 	wallMS := msSince(start)
 
 	if *asJSON {
@@ -214,7 +225,7 @@ func main() {
 			// typed module view, so build it now (cache entries are only
 			// written by type-clean runs, so this cannot fail loudly).
 			analysis.TypeCheck(all)
-			mod = analysis.BuildModule(pkgs)
+			mod = analysis.BuildModule(all)
 		}
 		if err := analysis.WritePartition(*partitionPath, analysis.BuildPartition(mod, root)); err != nil {
 			fatal(err)
@@ -232,7 +243,7 @@ func main() {
 			CacheHits:     res.CacheHits,
 			CacheMisses:   res.CacheMisses,
 			Findings:      len(diags),
-			Workers:       *parallel,
+			Workers:       workers,
 			Analyzers:     res.AnalyzerMS,
 		}
 		b, err := json.MarshalIndent(rep, "", "  ")
@@ -368,27 +379,56 @@ func writeSARIF(path, root string, analyzers []*analysis.Analyzer, diags []analy
 }
 
 // filterPackages applies the CLI package patterns: "./..." (or no
-// arguments) keeps everything; anything else matches import-path or
-// directory suffixes.
-func filterPackages(pkgs []*analysis.Package, patterns []string) []*analysis.Package {
-	keepAll := len(patterns) == 0
-	for _, p := range patterns {
-		if p == "./..." || p == "..." || p == "." {
-			keepAll = true
-		}
+// arguments) keeps everything; any other pattern keeps the packages
+// whose import path holds it as whole "/"-separated segments, so
+// "internal/core" keeps internal/core and the packages below it. A
+// trailing "/" or "/..." is ignored. A pattern that matches no package
+// is an error.
+func filterPackages(pkgs []*analysis.Package, patterns []string) ([]*analysis.Package, error) {
+	if len(patterns) == 0 {
+		return pkgs, nil
 	}
-	if keepAll {
-		return pkgs
+	segs := make([]string, len(patterns))
+	for i, p := range patterns {
+		if p == "./..." || p == "..." || p == "." {
+			return pkgs, nil
+		}
+		p = strings.TrimPrefix(filepath.ToSlash(p), "./")
+		segs[i] = "/" + strings.TrimSuffix(strings.TrimSuffix(p, "/..."), "/") + "/"
 	}
 	var out []*analysis.Package
+	hit := make([]bool, len(patterns))
 	for _, pkg := range pkgs {
-		for _, p := range patterns {
-			p = strings.TrimPrefix(filepath.ToSlash(p), "./")
-			p = strings.TrimSuffix(p, "/...")
-			if strings.HasSuffix(pkg.Path, p) || strings.Contains(pkg.Path+"/", "/"+p+"/") {
-				out = append(out, pkg)
-				break
+		keep := false
+		for i, seg := range segs {
+			if strings.Contains("/"+pkg.Path+"/", seg) {
+				hit[i], keep = true, true
 			}
+		}
+		if keep {
+			out = append(out, pkg)
+		}
+	}
+	for i, p := range patterns {
+		if !hit[i] {
+			return nil, fmt.Errorf("package pattern %q matches no package", p)
+		}
+	}
+	return out, nil
+}
+
+// inPackages keeps the findings located in the files of pkgs.
+func inPackages(diags []analysis.Diagnostic, pkgs []*analysis.Package) []analysis.Diagnostic {
+	files := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			files[pkg.Fset.Position(f.Pos()).Filename] = true
+		}
+	}
+	var out []analysis.Diagnostic
+	for _, d := range diags {
+		if files[d.Pos.Filename] {
+			out = append(out, d)
 		}
 	}
 	return out

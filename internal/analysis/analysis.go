@@ -61,11 +61,13 @@
 // reporter on the persistorder result: redundant fences and pending
 // stores left at call-graph roots.
 //
-// lockorder/confinement/atomichygiene and noalloc/boxing/hotpathcover
-// are module-wide analyzers: their findings are a property of the whole
-// module, precomputed once in BuildModule and replayed per package by
-// their Run. lockorder/confinement/atomichygiene also feed the
-// committable partition report (partition.go).
+// Thirteen analyzers are module-wide: lockorder/confinement/atomichygiene,
+// noalloc/boxing/hotpathcover, the six protocols and fencehygiene. Their
+// findings are a property of the whole module: a BuildModule pass
+// records them once, keyed by analyzer name, and their one Run
+// (runModule) replays them into the package owning each position.
+// lockorder/confinement/atomichygiene also feed the committable
+// partition report (partition.go).
 //
 // cmd/easyio-vet is the CLI driver; it exits nonzero on findings, so CI
 // gates every PR on these invariants. runner.go adds parallel execution

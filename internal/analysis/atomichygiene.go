@@ -28,18 +28,7 @@ import (
 var AtomicHygiene = &Analyzer{
 	Name: "atomichygiene",
 	Doc:  "forbid mixed atomic/plain field access and plain access to mutex-guarded fields outside the lock",
-	Run:  runAtomicHygiene,
-}
-
-func runAtomicHygiene(pass *Pass) {
-	if pass.Mod == nil || pass.Mod.atomicH == nil {
-		return
-	}
-	for _, d := range pass.Mod.atomicH.findings {
-		if d.Pkg == pass.Pkg {
-			pass.Reportf(d.Pos, "%s", d.Msg)
-		}
-	}
+	Run:  runModule,
 }
 
 // fieldKey identifies one struct field module-wide.
@@ -62,15 +51,7 @@ type fieldAccess struct {
 	guarded bool // inside a lock region of the owning struct's mutex
 }
 
-// atomicInfo is the module-wide access classification.
-type atomicInfo struct {
-	findings []modDiag
-}
-
 func computeAtomicHygiene(mod *ModuleInfo) {
-	ai := &atomicInfo{}
-	mod.atomicH = ai
-
 	atomicFields := map[fieldKey]bool{}         // fields accessed via sync/atomic funcs
 	atomicSites := map[*ast.SelectorExpr]bool{} // the &x.f selectors inside those calls
 	guardedWrite := map[fieldKey]bool{}         // fields written inside a lock region
@@ -130,7 +111,7 @@ func computeAtomicHygiene(mod *ModuleInfo) {
 			if acc.write {
 				verb = "written"
 			}
-			ai.findings = append(ai.findings, modDiag{
+			mod.report("atomichygiene", modDiag{
 				Pkg: acc.pkg, Pos: acc.pos,
 				Msg: fmt.Sprintf("%s: field %s is accessed with sync/atomic elsewhere; this plain access is %s non-atomically and can tear", acc.fn, key, verb),
 			})
@@ -140,12 +121,12 @@ func computeAtomicHygiene(mod *ModuleInfo) {
 			continue
 		}
 		if acc.write {
-			ai.findings = append(ai.findings, modDiag{
+			mod.report("atomichygiene", modDiag{
 				Pkg: acc.pkg, Pos: acc.pos,
 				Msg: fmt.Sprintf("%s: field %s is written under its mutex elsewhere; this unguarded write races with the lock region", acc.fn, key),
 			})
 		} else {
-			ai.findings = append(ai.findings, modDiag{
+			mod.report("atomichygiene", modDiag{
 				Pkg: acc.pkg, Pos: acc.pos,
 				Msg: fmt.Sprintf("%s: field %s is written inside a lock region elsewhere; this plain read outside the lock can observe a torn or stale value", acc.fn, key),
 			})

@@ -16,16 +16,5 @@ package analysis
 var Boxing = &Analyzer{
 	Name: "boxing",
 	Doc:  "forbid interface boxing and fmt calls reachable from hot paths",
-	Run:  runBoxing,
-}
-
-func runBoxing(pass *Pass) {
-	if pass.Mod == nil || pass.Mod.hot == nil {
-		return
-	}
-	for _, d := range pass.Mod.hot.boxing {
-		if d.Pkg == pass.Pkg {
-			pass.Reportf(d.Pos, "%s", d.Msg)
-		}
-	}
+	Run:  runModule,
 }

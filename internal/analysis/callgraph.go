@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"slices"
 )
@@ -59,20 +60,22 @@ type ModuleInfo struct {
 	// Summaries holds the computed effect summary per function.
 	Summaries map[*types.Func]*Summary
 
-	// locks/conf/atomicH are the concurrency-soundness views that
-	// lockorder, confinement and atomichygiene replay and BuildPartition
-	// renders.
-	locks   *moduleLocks
-	conf    *confinementInfo
-	atomicH *atomicInfo
-	// hot is the module-wide hot-path allocation-contract view the
-	// perf-contract analyzers (noalloc, boxing, hotpathcover) replay and
-	// BuildPartition renders (noalloc.go).
+	// locks/conf are the concurrency-soundness views BuildPartition
+	// renders beside the lockorder/confinement findings.
+	locks *moduleLocks
+	conf  *confinementInfo
+	// hot is the module-wide hot-path allocation-contract view behind
+	// noalloc, boxing and hotpathcover, which BuildPartition and the
+	// escape cross-check render (noalloc.go).
 	hot *moduleHot
 	// typestate holds the per-protocol results of the declarative
 	// typestate engine (typestate.go), one entry per registered
 	// protocol, in Protocols() order.
 	typestate []*protoResult
+	// findings holds every module-wide analyzer's findings, keyed by
+	// analyzer name, in the order its BuildModule pass found them;
+	// runModule replays them into the owning packages.
+	findings map[string][]modDiag
 	// ms is the wall time of each global pass above, in milliseconds,
 	// keyed by the analyzer that replays it; RunAnalyzersOpts adds it
 	// into RunResult.AnalyzerMS.
@@ -82,11 +85,40 @@ type ModuleInfo struct {
 	// summaries. RunAnalyzersOpts copies them into RunResult.
 	callGraphMS, summariesMS float64
 
-	pkgs      []*Package
-	pkgPaths  map[string]bool
-	fsMethods map[string]bool
-	ifaceMths map[string]bool
-	gatedCtx  map[*FuncNode]bool
+	pkgs     []*Package
+	pkgPaths map[string]bool
+	// fsMethods and ifaceMths are the method names of the module's
+	// interfaces named FileSystem, and of all its interfaces.
+	fsMethods, ifaceMths map[string]bool
+	// gated is entryGated's result, read by cbgate.
+	gated map[*FuncNode]bool
+}
+
+// modDiag is a module-level finding precomputed by BuildModule and
+// replayed by runModule into the package owning its position.
+type modDiag struct {
+	Pkg *Package
+	Pos token.Pos
+	Msg string
+	// Trace is the protocol state trace of a typestate finding; nil for
+	// every other analyzer.
+	Trace []TraceStep
+}
+
+// report records one finding of the module-wide analyzer name.
+func (m *ModuleInfo) report(name string, d modDiag) {
+	m.findings[name] = append(m.findings[name], d)
+}
+
+// runModule is the Run of every module-wide analyzer: it replays the
+// findings BuildModule recorded under the analyzer's name into the
+// package that owns each position.
+func runModule(pass *Pass) {
+	for _, d := range pass.Mod.findings[pass.Analyzer.Name] {
+		if d.Pkg == pass.Pkg {
+			pass.reportTrace(d.Pos, d.Msg, d.Trace)
+		}
+	}
 }
 
 // NodesOf returns the nodes declared in pkg, in declaration order.
@@ -116,6 +148,7 @@ func BuildModule(pkgs []*Package) *ModuleInfo {
 	mod := &ModuleInfo{
 		Funcs:     map[*types.Func]*FuncNode{},
 		Summaries: map[*types.Func]*Summary{},
+		findings:  map[string][]modDiag{},
 		ms:        map[string]float64{},
 		pkgs:      pkgs,
 		pkgPaths:  map[string]bool{},
@@ -189,16 +222,14 @@ func BuildModule(pkgs []*Package) *ModuleInfo {
 	mod.callGraphMS = t1 - t0
 	computeSummaries(mod)
 	mod.summariesMS = nowMS() - t1
+	mod.fsMethods, mod.ifaceMths = interfaceMethodNames(pkgs)
+	mod.gated = entryGated(mod)
 	mod.timed("lockorder", computeLockOrder)
 	mod.timed("confinement", computeConfinement)
 	mod.timed("atomichygiene", computeAtomicHygiene)
 	mod.timed("noalloc", computeHotPaths)
 	computeTypestate(mod)
-	// Precompute the lazily memoized views so Pass.Mod is read-only
-	// during (possibly parallel) analyzer execution.
-	mod.fsMethodNames()
-	mod.interfaceMethodNames()
-	mod.entryGated()
+	mod.timed("fencehygiene", computeFenceHygiene)
 	return mod
 }
 
@@ -353,48 +384,15 @@ func namedTypeIs(t types.Type, name string) bool {
 	return n != nil && n.Obj().Name() == name
 }
 
-// fsMethodNames collects the method names of every interface type named
-// "FileSystem" in the loaded packages — the syscall-visible surface the
-// protocol analyzers anchor their entry-point rules to.
-func (m *ModuleInfo) fsMethodNames() map[string]bool {
-	if m.fsMethods != nil {
-		return m.fsMethods
-	}
-	set := map[string]bool{}
-	for _, pkg := range m.pkgs {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSpec)
-				if !ok || ts.Name.Name != "FileSystem" {
-					return true
-				}
-				it, ok := ts.Type.(*ast.InterfaceType)
-				if !ok {
-					return true
-				}
-				for _, mth := range it.Methods.List {
-					for _, nm := range mth.Names {
-						set[nm.Name] = true
-					}
-				}
-				return true
-			})
-		}
-	}
-	m.fsMethods = set
-	return set
-}
-
-// interfaceMethodNames collects the method names of every interface type
-// declared anywhere in the module. A method whose name matches one may be
-// invoked via dynamic dispatch the static call graph cannot see, so
-// root-based checks (fencehygiene's leak analysis) must not judge it.
-func (m *ModuleInfo) interfaceMethodNames() map[string]bool {
-	if m.ifaceMths != nil {
-		return m.ifaceMths
-	}
-	set := map[string]bool{}
-	for _, pkg := range m.pkgs {
+// interfaceMethodNames collects the method names of every interface
+// type declared in pkgs (all), and of those named "FileSystem" alone
+// (fs): the syscall-visible surface the entry-point rules anchor to. A
+// method whose name is in all may be invoked via dynamic dispatch the
+// static call graph cannot see, so root-based checks (fencehygiene's
+// leak analysis) must not judge it.
+func interfaceMethodNames(pkgs []*Package) (fs, all map[string]bool) {
+	fs, all = map[string]bool{}, map[string]bool{}
+	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				ts, ok := n.(*ast.TypeSpec)
@@ -407,22 +405,24 @@ func (m *ModuleInfo) interfaceMethodNames() map[string]bool {
 				}
 				for _, mth := range it.Methods.List {
 					for _, nm := range mth.Names {
-						set[nm.Name] = true
+						all[nm.Name] = true
+						if ts.Name.Name == "FileSystem" {
+							fs[nm.Name] = true
+						}
 					}
 				}
 				return true
 			})
 		}
 	}
-	m.ifaceMths = set
-	return set
+	return fs, all
 }
 
 // IsFSEntry reports whether n is a syscall-visible filesystem entry
 // point — a method whose name appears in a FileSystem interface and that
 // takes a *Task parameter — and returns that parameter's index.
 func (m *ModuleInfo) IsFSEntry(n *FuncNode) (taskParam int, ok bool) {
-	if n.Decl.Recv == nil || !m.fsMethodNames()[n.Decl.Name.Name] {
+	if n.Decl.Recv == nil || !m.fsMethods[n.Decl.Name.Name] {
 		return 0, false
 	}
 	sig, ok := n.Obj.Type().(*types.Signature)
@@ -442,10 +442,7 @@ func (m *ModuleInfo) IsFSEntry(n *FuncNode) (taskParam int, ok bool) {
 // fixpoint over the summary call sites; roots are pessimistically
 // ungated, and edges only seen inside function literals count as ungated
 // calls from their enclosing function).
-func (m *ModuleInfo) entryGated() map[*FuncNode]bool {
-	if m.gatedCtx != nil {
-		return m.gatedCtx
-	}
+func entryGated(m *ModuleInfo) map[*FuncNode]bool {
 	type site struct {
 		caller *FuncNode
 		gated  bool
@@ -486,6 +483,5 @@ func (m *ModuleInfo) entryGated() map[*FuncNode]bool {
 			}
 		}
 	}
-	m.gatedCtx = g
 	return g
 }

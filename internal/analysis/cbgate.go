@@ -21,16 +21,12 @@ var CBGate = &Analyzer{
 
 func runCBGate(pass *Pass) {
 	mod := pass.Mod
-	if mod == nil {
-		return
-	}
 	if strings.HasSuffix(pass.Pkg.Path, "internal/dma") {
 		return // the package that implements the completion buffer
 	}
-	gated := mod.entryGated()
 	for _, n := range mod.NodesOf(pass.Pkg) {
 		sum := mod.SummaryFor(n.Obj)
-		if sum == nil || len(sum.SNReads) == 0 || gated[n] {
+		if sum == nil || len(sum.SNReads) == 0 || mod.gated[n] {
 			continue
 		}
 		for _, r := range sum.SNReads {

@@ -22,9 +22,6 @@ var ChargeBalance = &Analyzer{
 
 func runChargeBalance(pass *Pass) {
 	mod := pass.Mod
-	if mod == nil {
-		return
-	}
 	for _, n := range mod.NodesOf(pass.Pkg) {
 		if _, ok := mod.IsFSEntry(n); !ok {
 			continue

@@ -37,18 +37,7 @@ import (
 var Confinement = &Analyzer{
 	Name: "confinement",
 	Doc:  "certify mutable types reachable from sim/core/service as node-confined, router-message, immutable-after-init, or shared-guarded",
-	Run:  runConfinement,
-}
-
-func runConfinement(pass *Pass) {
-	if pass.Mod == nil || pass.Mod.conf == nil {
-		return
-	}
-	for _, d := range pass.Mod.conf.findings {
-		if d.Pkg == pass.Pkg {
-			pass.Reportf(d.Pos, "%s", d.Msg)
-		}
-	}
+	Run:  runModule,
 }
 
 // Confinement class names (also the partition-report vocabulary).
@@ -78,9 +67,8 @@ type typeConf struct {
 
 // confinementInfo is the module-wide confinement view.
 type confinementInfo struct {
-	roots    []string
-	types    []*typeConf // sorted by Name
-	findings []modDiag
+	roots []string
+	types []*typeConf // sorted by Name
 }
 
 // confRootPkg reports whether an import path is one of the partition
@@ -296,7 +284,7 @@ func computeConfinement(mod *ModuleInfo) {
 			} else {
 				tc.Class = ClassSharedUnguarded
 				for _, ev := range escapes[n] {
-					ci.findings = append(ci.findings, modDiag{
+					mod.report("confinement", modDiag{
 						Pkg: ev.Pkg,
 						Pos: ev.Pos,
 						Msg: fmt.Sprintf("mutable type %s escapes its node (%s: %s) with no guard field; confine it, make it a router message, or guard it with sync/atomic/chan state", nm, ev.Kind, ev.Note),

@@ -1,5 +1,7 @@
 package analysis
 
+import "fmt"
+
 // FenceHygiene checks the two failure modes around Device.Fence that the
 // persistorder protocol check cannot see:
 //
@@ -25,21 +27,20 @@ package analysis
 var FenceHygiene = &Analyzer{
 	Name: "fencehygiene",
 	Doc:  "no redundant back-to-back fences, no stores left unfenced at call-graph roots",
-	Run:  runFenceHygiene,
+	Run:  runModule,
 }
 
-func runFenceHygiene(pass *Pass) {
-	if pass.Mod == nil {
-		return
-	}
-	res := pass.Mod.protocolResult(persistProtocol.Name)
+// computeFenceHygiene is fencehygiene's BuildModule pass over the
+// persistorder engine result.
+func computeFenceHygiene(mod *ModuleInfo) {
+	res := mod.protocolResult(persistProtocol.Name)
 	redundant := func(sum *ProtocolSummary) {
 		for _, pos := range sum.redundant {
-			pass.Reportf(pos, "redundant Device.Fence: the device is already clean on every path here (no persistent store since the previous fence); delete it — fences are charged on the critical path")
+			mod.report("fencehygiene", modDiag{Pkg: sum.node.Pkg, Pos: pos,
+				Msg: "redundant Device.Fence: the device is already clean on every path here (no persistent store since the previous fence); delete it — fences are charged on the critical path"})
 		}
 	}
-	iface := pass.Mod.interfaceMethodNames()
-	for _, n := range pass.Mod.NodesOf(pass.Pkg) {
+	for _, n := range mod.Nodes {
 		sum := res.sums[n.Obj]
 		redundant(sum)
 		// Leak check: only judged at roots the static graph can close
@@ -47,18 +48,16 @@ func runFenceHygiene(pass *Pass) {
 		if len(n.Callers) > 0 || len(sum.exitTrace) == 0 {
 			continue
 		}
-		if n.Decl.Recv != nil && iface[n.Decl.Name.Name] {
+		if n.Decl.Recv != nil && mod.ifaceMths[n.Decl.Name.Name] {
 			continue
 		}
 		first := sum.exitTrace[0]
-		fp := pass.Pkg.Fset.Position(first.pos)
-		pass.Reportf(first.pos,
-			"persistent store %s (%s:%d) can exit %s unfenced, and no caller exists to fence it; the store may never become durable",
-			first.desc, shortFile(fp.Filename), fp.Line, n.Decl.Name.Name)
+		fp := n.Pkg.Fset.Position(first.pos)
+		mod.report("fencehygiene", modDiag{Pkg: n.Pkg, Pos: first.pos,
+			Msg: fmt.Sprintf("persistent store %s (%s:%d) can exit %s unfenced, and no caller exists to fence it; the store may never become durable",
+				first.desc, shortFile(fp.Filename), fp.Line, n.Decl.Name.Name)})
 	}
 	for _, sum := range res.lits {
-		if sum.node.Pkg == pass.Pkg {
-			redundant(sum)
-		}
+		redundant(sum)
 	}
 }

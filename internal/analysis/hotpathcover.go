@@ -30,18 +30,7 @@ import (
 var HotPathCover = &Analyzer{
 	Name: "hotpathcover",
 	Doc:  "require hot roots annotated and every hotpath/coldpath annotation live",
-	Run:  runHotPathCover,
-}
-
-func runHotPathCover(pass *Pass) {
-	if pass.Mod == nil || pass.Mod.hot == nil {
-		return
-	}
-	for _, d := range pass.Mod.hot.cover {
-		if d.Pkg == pass.Pkg {
-			pass.Reportf(d.Pos, "%s", d.Msg)
-		}
-	}
+	Run:  runModule,
 }
 
 // requiredHotRoot names one function the perf contract must cover, keyed
@@ -92,12 +81,12 @@ func emitCoverFindings(mod *ModuleInfo, hot *moduleHot) {
 				if len(pkg.Files) > 0 {
 					pos = pkg.Files[0].Pos()
 				}
-				hot.cover = append(hot.cover, modDiag{Pkg: pkg, Pos: pos,
+				mod.report("hotpathcover", modDiag{Pkg: pkg, Pos: pos,
 					Msg: "required hot root " + reqLabel(req) + " (" + req.label + ") not found; re-annotate its replacement and update requiredHotRoots in hotpathcover.go"})
 				continue
 			}
 			if f := hot.facts[n.Obj]; f != nil && !f.hot {
-				hot.cover = append(hot.cover, modDiag{Pkg: pkg, Pos: n.Decl.Pos(),
+				mod.report("hotpathcover", modDiag{Pkg: pkg, Pos: n.Decl.Pos(),
 					Msg: hotLabel(n) + " is a required hot root (" + req.label + ") but is not annotated //easyio:hotpath"})
 			}
 		}
@@ -143,16 +132,16 @@ func emitCoverFindings(mod *ModuleInfo, hot *moduleHot) {
 			continue
 		}
 		if f.hot && f.cold {
-			hot.cover = append(hot.cover, modDiag{Pkg: n.Pkg, Pos: n.Decl.Pos(),
+			mod.report("hotpathcover", modDiag{Pkg: n.Pkg, Pos: n.Decl.Pos(),
 				Msg: hotLabel(n) + " is annotated both //easyio:hotpath and //easyio:coldpath; pick one"})
 			continue
 		}
 		if f.hot && judgeLive && !reach[n] {
-			hot.cover = append(hot.cover, modDiag{Pkg: n.Pkg, Pos: n.Decl.Pos(),
+			mod.report("hotpathcover", modDiag{Pkg: n.Pkg, Pos: n.Decl.Pos(),
 				Msg: "//easyio:hotpath on " + hotLabel(n) + " but no engine root (cmd main) reaches it; the contract certifies dead code — wire the path or drop the annotation"})
 		}
 		if f.cold && len(hot.roots) > 0 && !hot.coldUsed[n] {
-			hot.cover = append(hot.cover, modDiag{Pkg: n.Pkg, Pos: n.Decl.Pos(),
+			mod.report("hotpathcover", modDiag{Pkg: n.Pkg, Pos: n.Decl.Pos(),
 				Msg: "stale //easyio:coldpath on " + hotLabel(n) + ": no hot path discharges through it; delete the annotation"})
 		}
 	}

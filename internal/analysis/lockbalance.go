@@ -140,7 +140,7 @@ func (lb *lockBalancer) reportHeld(pos token.Pos, held lockSet, where string) {
 // reports releases rooted at its parameters; ReleasedLocks substitutes the
 // caller's argument expressions so the keys match this walker's lockSet.
 func (lb *lockBalancer) applyCallee(call *ast.CallExpr, held lockSet) {
-	if lb.pass.Mod == nil || len(held) == 0 {
+	if len(held) == 0 {
 		return
 	}
 	callee := staticCallee(lb.pass.Pkg.Info, call)

@@ -38,26 +38,7 @@ import (
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "forbid lock-acquisition cycles and unordered same-class lock nesting",
-	Run:  runLockOrder,
-}
-
-func runLockOrder(pass *Pass) {
-	if pass.Mod == nil || pass.Mod.locks == nil {
-		return
-	}
-	for _, d := range pass.Mod.locks.findings {
-		if d.Pkg == pass.Pkg {
-			pass.Reportf(d.Pos, "%s", d.Msg)
-		}
-	}
-}
-
-// modDiag is a module-level finding precomputed by BuildModule and
-// replayed by a module-wide analyzer into the package owning its position.
-type modDiag struct {
-	Pkg *Package
-	Pos token.Pos
-	Msg string
+	Run:  runModule,
 }
 
 // lockEdge records "an instance of From was held while an instance of To
@@ -84,7 +65,6 @@ type moduleLocks struct {
 	edges    []lockEdge
 	edgeSeen map[[2]string]bool
 	nests    []modDiag
-	findings []modDiag
 	cycles   [][]string
 	acyclic  bool
 }
@@ -159,7 +139,7 @@ func computeLockOrder(mod *ModuleInfo) {
 		})
 	}
 
-	lockCycleScan(ml)
+	lockCycleScan(mod, ml)
 }
 
 // directLocks collects the classes a function body may acquire directly.
@@ -314,7 +294,7 @@ func (w *lockWalker) call(call *ast.CallExpr, held heldSet) {
 				if c != h.class {
 					w.edge(h.class, c, call.Pos())
 				} else if f.direct[c] && !w.lockName && !calleeLockName {
-					w.ml.findings = append(w.ml.findings, modDiag{
+					w.mod.report("lockorder", modDiag{
 						Pkg: w.node.Pkg,
 						Pos: call.Pos(),
 						Msg: fmt.Sprintf("%s: call to %s may acquire another %s while %s (same lock class) is held; order the acquisitions in one helper or //easyio:allow lockorder with a hierarchy rationale",
@@ -342,7 +322,7 @@ func (w *lockWalker) acquire(call *ast.CallExpr, recv string, held heldSet) {
 			w.edge(h.class, class, call.Pos())
 		case r == recv:
 			if !w.lockName {
-				w.ml.findings = append(w.ml.findings, modDiag{
+				w.mod.report("lockorder", modDiag{
 					Pkg: w.node.Pkg,
 					Pos: call.Pos(),
 					Msg: fmt.Sprintf("%s: %s (lock class %s) is re-locked while already held — self-deadlock", w.node.Decl.Name.Name, recv, class),
@@ -356,7 +336,7 @@ func (w *lockWalker) acquire(call *ast.CallExpr, recv string, held heldSet) {
 					Msg: fmt.Sprintf("%s: %s acquired while %s (same lock class %s) is held with no class-level order; use an ordered-acquisition helper (lockPair-style) or //easyio:allow lockorder with a hierarchy rationale",
 						w.node.Decl.Name.Name, recv, r, class),
 				}
-				w.ml.findings = append(w.ml.findings, d)
+				w.mod.report("lockorder", d)
 				w.ml.nests = append(w.ml.nests, d)
 			}
 		}
@@ -378,7 +358,7 @@ func (w *lockWalker) edge(from, to string, pos token.Pos) {
 // strongly connected component of more than one class as a deadlock
 // cycle, anchored at its first recorded edge with the full acquisition
 // cycle (and each edge's evidence site) in the message.
-func lockCycleScan(ml *moduleLocks) {
+func lockCycleScan(mod *ModuleInfo, ml *moduleLocks) {
 	adj := map[string][]string{}
 	nodes := map[string]bool{}
 	for _, e := range ml.edges {
@@ -414,7 +394,7 @@ func lockCycleScan(ml *moduleLocks) {
 			}
 		}
 		if anchor != nil {
-			ml.findings = append(ml.findings, modDiag{Pkg: anchor.Pkg, Pos: anchor.Pos, Msg: b.String()})
+			mod.report("lockorder", modDiag{Pkg: anchor.Pkg, Pos: anchor.Pos, Msg: b.String()})
 		}
 	}
 }

@@ -46,18 +46,7 @@ import (
 var NoAlloc = &Analyzer{
 	Name: "noalloc",
 	Doc:  "forbid heap allocation reachable from //easyio:hotpath roots",
-	Run:  runNoAlloc,
-}
-
-func runNoAlloc(pass *Pass) {
-	if pass.Mod == nil || pass.Mod.hot == nil {
-		return
-	}
-	for _, d := range pass.Mod.hot.noalloc {
-		if d.Pkg == pass.Pkg {
-			pass.Reportf(d.Pos, "%s", d.Msg)
-		}
-	}
+	Run:  runModule,
 }
 
 // Annotation markers, recognized in a function's doc comment group.
@@ -131,16 +120,12 @@ type hotFacts struct {
 	coldRanges []lineRange
 }
 
-// moduleHot is the module-wide hot-path view BuildModule computes and
-// the three perf-contract analyzers (noalloc, boxing, hotpathcover)
-// replay.
+// moduleHot is the module-wide hot-path view BuildModule computes for
+// the three perf-contract analyzers (noalloc, boxing, hotpathcover).
 type moduleHot struct {
-	facts   map[*types.Func]*hotFacts
-	roots   []*FuncNode
-	noalloc []modDiag
-	boxing  []modDiag
-	cover   []modDiag
-	status  []HotRootStatus
+	facts  map[*types.Func]*hotFacts
+	roots  []*FuncNode
+	status []HotRootStatus
 	// reach is the union of hot-reachable functions (non-cold edges from
 	// every root), kept for the -gcflags=-m escape cross-check.
 	reach map[*FuncNode]bool
@@ -1024,7 +1009,7 @@ func emitHotFindings(mod *ModuleInfo, hot *moduleHot) {
 					msg += "; reached via " + chain
 				}
 				msg += " — hoist to setup, reuse a buffer, or move behind //easyio:coldpath"
-				hot.noalloc = append(hot.noalloc, modDiag{Pkg: n.Pkg, Pos: site.Pos, Msg: msg})
+				mod.report("noalloc", modDiag{Pkg: n.Pkg, Pos: site.Pos, Msg: msg})
 			}
 			for _, site := range f.box {
 				status.Boxing++
@@ -1036,7 +1021,7 @@ func emitHotFindings(mod *ModuleInfo, hot *moduleHot) {
 				if chain != "" {
 					msg += "; reached via " + chain
 				}
-				hot.boxing = append(hot.boxing, modDiag{Pkg: n.Pkg, Pos: site.Pos, Msg: msg})
+				mod.report("boxing", modDiag{Pkg: n.Pkg, Pos: site.Pos, Msg: msg})
 			}
 			status.Amortized += len(f.amort)
 			status.DynamicCalls += len(f.dyn)
@@ -1096,9 +1081,6 @@ type EscapeScope struct {
 // they may allocate freely.
 func (m *ModuleInfo) EscapeScopes() []EscapeScope {
 	var out []EscapeScope
-	if m.hot == nil {
-		return out
-	}
 	for _, n := range m.Nodes {
 		if !m.hot.reach[n] || n.Decl.Body == nil {
 			continue
@@ -1135,7 +1117,7 @@ func (m *ModuleInfo) EscapeScopes() []EscapeScope {
 // HotRoots returns the per-root contract status rows for the partition
 // report (sorted by root label; empty, not nil, when no annotations).
 func (m *ModuleInfo) HotRoots() []HotRootStatus {
-	if m.hot == nil || m.hot.status == nil {
+	if m.hot.status == nil {
 		return []HotRootStatus{}
 	}
 	return m.hot.status

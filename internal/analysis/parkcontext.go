@@ -21,9 +21,6 @@ var ParkContext = &Analyzer{
 
 func runParkContext(pass *Pass) {
 	mod := pass.Mod
-	if mod == nil {
-		return
-	}
 	for _, n := range mod.NodesOf(pass.Pkg) {
 		sum := mod.SummaryFor(n.Obj)
 		if sum == nil {

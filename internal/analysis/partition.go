@@ -14,8 +14,8 @@ import (
 // reachable type its confinement class with the evidence chain, plus the
 // module lock-order graph and its acyclicity certificate. It is computed
 // single-threadedly from the precomputed ModuleInfo with every iteration
-// order pinned, so `easyio-vet -partition` output is byte-identical for
-// any -parallel value and safe to commit.
+// order pinned, so `easyio-vet -partition` output is byte-identical at
+// any GOMAXPROCS and safe to commit.
 
 // PartitionReport is the top-level partition.json shape.
 type PartitionReport struct {
@@ -89,24 +89,22 @@ func BuildPartition(mod *ModuleInfo, root string) *PartitionReport {
 		return fmt.Sprintf("%s:%d", name, p.Line)
 	}
 
-	if ci := mod.conf; ci != nil {
-		rep.Roots = ci.roots
-		for _, tc := range ci.types {
-			pt := PartitionType{Type: tc.Name, Class: tc.Class}
-			for _, ev := range tc.Evidence {
-				s := ev.Kind
-				if at := rel(ev.Pkg, ev.Pos); at != "" {
-					s += " " + at
-				}
-				if ev.Note != "" {
-					s += " (" + ev.Note + ")"
-				}
-				pt.Evidence = append(pt.Evidence, s)
+	rep.Roots = mod.conf.roots
+	for _, tc := range mod.conf.types {
+		pt := PartitionType{Type: tc.Name, Class: tc.Class}
+		for _, ev := range tc.Evidence {
+			s := ev.Kind
+			if at := rel(ev.Pkg, ev.Pos); at != "" {
+				s += " " + at
 			}
-			rep.Types = append(rep.Types, pt)
+			if ev.Note != "" {
+				s += " (" + ev.Note + ")"
+			}
+			pt.Evidence = append(pt.Evidence, s)
 		}
-		rep.UnguardedFindings = len(ci.findings)
+		rep.Types = append(rep.Types, pt)
 	}
+	rep.UnguardedFindings = len(mod.findings["confinement"])
 	if rep.Types == nil {
 		rep.Types = []PartitionType{}
 	}
@@ -114,17 +112,14 @@ func BuildPartition(mod *ModuleInfo, root string) *PartitionReport {
 		rep.Roots = []string{}
 	}
 
-	lo := PartitionLockOrder{Acyclic: true, Classes: []string{}, Edges: []PartitionLockEdge{}, SameClassNests: []string{}}
-	if ml := mod.locks; ml != nil {
-		lo.Classes = append(lo.Classes, ml.classes...)
-		for _, e := range ml.edges {
-			lo.Edges = append(lo.Edges, PartitionLockEdge{From: e.From, To: e.To, At: rel(e.Pkg, e.Pos)})
-		}
-		for _, d := range ml.nests {
-			lo.SameClassNests = append(lo.SameClassNests, rel(d.Pkg, d.Pos))
-		}
-		lo.Acyclic = ml.acyclic
-		lo.Cycles = ml.cycles
+	ml := mod.locks
+	lo := PartitionLockOrder{Acyclic: ml.acyclic, Cycles: ml.cycles, Classes: []string{}, Edges: []PartitionLockEdge{}, SameClassNests: []string{}}
+	lo.Classes = append(lo.Classes, ml.classes...)
+	for _, e := range ml.edges {
+		lo.Edges = append(lo.Edges, PartitionLockEdge{From: e.From, To: e.To, At: rel(e.Pkg, e.Pos)})
+	}
+	for _, d := range ml.nests {
+		lo.SameClassNests = append(lo.SameClassNests, rel(d.Pkg, d.Pos))
 	}
 	rep.LockOrder = lo
 	rep.HotPaths = mod.HotRoots()

@@ -25,7 +25,7 @@ import (
 var PersistOrder = &Analyzer{
 	Name: "persistorder",
 	Doc:  "persistent stores must be fenced before any commit-point write (store -> Fence -> commit)",
-	Run:  runProtocol("persistorder"),
+	Run:  runModule,
 }
 
 // persistProtocol is the module's one persistence automaton as a

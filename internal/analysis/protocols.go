@@ -230,52 +230,37 @@ func Protocols() []*Protocol {
 	}
 }
 
-// runProtocol replays the engine's precomputed findings for one
-// protocol into the current package's pass.
-func runProtocol(name string) func(*Pass) {
-	return func(pass *Pass) {
-		if pass.Mod == nil {
-			return
-		}
-		for _, d := range pass.Mod.typestateDiags(name) {
-			if d.Pkg == pass.Pkg {
-				pass.reportTrace(d.Pos, d.Msg, d.Trace)
-			}
-		}
-	}
-}
-
 // SvcLifecycle checks the service.Server request-lifecycle automaton.
 var SvcLifecycle = &Analyzer{
 	Name: svcLifecycleProtocol.Name,
 	Doc:  svcLifecycleProtocol.Doc,
-	Run:  runProtocol(svcLifecycleProtocol.Name),
+	Run:  runModule,
 }
 
 // HorizonProto checks the sim.Cluster lifecycle automaton.
 var HorizonProto = &Analyzer{
 	Name: horizonProtocol.Name,
 	Doc:  horizonProtocol.Doc,
-	Run:  runProtocol(horizonProtocol.Name),
+	Run:  runModule,
 }
 
 // EpochBudget checks the channel-manager epoch-budget automaton.
 var EpochBudget = &Analyzer{
 	Name: epochBudgetProtocol.Name,
 	Doc:  epochBudgetProtocol.Doc,
-	Run:  runProtocol(epochBudgetProtocol.Name),
+	Run:  runModule,
 }
 
 // HandleState checks the per-handle open/use/close automaton.
 var HandleState = &Analyzer{
 	Name: handleStateProtocol.Name,
 	Doc:  handleStateProtocol.Doc,
-	Run:  runProtocol(handleStateProtocol.Name),
+	Run:  runModule,
 }
 
 // ParityEpoch checks the redundancy epoch lifecycle automaton.
 var ParityEpoch = &Analyzer{
 	Name: parityEpochProtocol.Name,
 	Doc:  parityEpochProtocol.Doc,
-	Run:  runProtocol(parityEpochProtocol.Name),
+	Run:  runModule,
 }

@@ -1768,19 +1768,10 @@ func (w *tsWalker) replayDefer(d *tsDefer, ex *tsState) {
 // ---------------------------------------------------------------------
 // Module driver.
 
-// protoDiag is one rendered finding ready for per-package replay.
-type protoDiag struct {
-	Pkg   *Package
-	Pos   token.Pos
-	Msg   string
-	Trace []TraceStep
-}
-
 type protoResult struct {
-	pc    *protoC
-	sums  map[*types.Func]*ProtocolSummary
-	lits  []*ProtocolSummary
-	diags []protoDiag
+	pc   *protoC
+	sums map[*types.Func]*ProtocolSummary
+	lits []*ProtocolSummary
 }
 
 // computeTypestate runs every registered protocol bottom-up over the
@@ -1863,7 +1854,7 @@ func computeProtocol(mod *ModuleInfo, res *protoResult) {
 	// Render findings in deterministic unit order for replay.
 	emit := func(sum *ProtocolSummary) {
 		for _, v := range sum.viols {
-			res.diags = append(res.diags, protoDiag{
+			mod.report(pc.p.Name, modDiag{
 				Pkg:   sum.node.Pkg,
 				Pos:   v.Pos,
 				Msg:   pc.renderViol(v, sum.node.Pkg.Fset),
@@ -1915,7 +1906,7 @@ func (pc *protoC) renderViol(v *ProtoViolation, fset *token.FileSet) string {
 }
 
 // ---------------------------------------------------------------------
-// Public surface: replay, stats, partition, cache fingerprint.
+// Public surface: stats, partition, cache fingerprint.
 
 // protocolResult returns the engine result of the protocol reporting
 // under an analyzer name, or nil.
@@ -1924,15 +1915,6 @@ func (m *ModuleInfo) protocolResult(name string) *protoResult {
 		if res.pc.p.Name == name {
 			return res
 		}
-	}
-	return nil
-}
-
-// typestateDiags returns a protocol's rendered findings (by analyzer
-// name) for per-package replay.
-func (m *ModuleInfo) typestateDiags(name string) []protoDiag {
-	if res := m.protocolResult(name); res != nil {
-		return res.diags
 	}
 	return nil
 }
@@ -1968,8 +1950,9 @@ func (m *ModuleInfo) ProtocolStatuses() []ProtocolStatus {
 	var out []ProtocolStatus
 	for _, res := range m.typestate {
 		states, transitions, _ := ProtocolStats(res.pc.p.Name)
+		findings := len(m.findings[res.pc.p.Name])
 		st := "clean"
-		if len(res.diags) > 0 {
+		if findings > 0 {
 			st = "violated"
 		}
 		out = append(out, ProtocolStatus{
@@ -1977,7 +1960,7 @@ func (m *ModuleInfo) ProtocolStatuses() []ProtocolStatus {
 			Object:      res.pc.p.Object,
 			States:      states,
 			Transitions: transitions,
-			Findings:    len(res.diags),
+			Findings:    findings,
 			Status:      st,
 		})
 	}
