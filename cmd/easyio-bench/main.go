@@ -34,7 +34,7 @@ func main() {
 	seed := flag.Uint64("seed", 42, "simulation seed")
 	points := flag.Int("crashpoints", 1000, "crash states per Table 2 workload")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulation goroutines (output is identical for any value)")
-	benchjson := flag.String("benchjson", "", "write kernel perf + per-experiment wall-clock JSON to this file")
+	benchjson := flag.String("benchjson", "", "write kernel perf + per-experiment wall-clock and allocation JSON to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the whole run to this file")
 	flag.Parse()
 
@@ -67,11 +67,12 @@ func main() {
 	run := func(name string, fn func()) {
 		if all || want[name] {
 			fmt.Printf("==== %s ====\n", name)
-			start := time.Now()
+			a0, start := bench.Mallocs(), time.Now()
 			fn()
 			report.Experiments = append(report.Experiments, bench.ExperimentTiming{
 				Name:   name,
 				WallMS: float64(time.Since(start).Microseconds()) / 1000,
+				Allocs: bench.Mallocs() - a0,
 			})
 		}
 	}

@@ -462,8 +462,14 @@ func (t *Task) UThread() *UThread { return t.ut }
 func (t *Task) HeldULocks() int { return t.ut.heldULocks }
 
 // Compute occupies the core for d of application/filesystem CPU work.
+// The uthread runs the event loop itself for the window when it can
+// (sim.Proc.Host); otherwise, when the window ends past the enclosing
+// loop's limit, it pauses and its core resumes it after d.
 func (t *Task) Compute(d sim.Duration) {
 	if d <= 0 {
+		return
+	}
+	if t.ut.proc.Host(d) {
 		return
 	}
 	t.ut.req = request{kind: reqCompute, compute: d}
@@ -493,7 +499,6 @@ func (t *Task) Wait() {
 
 // Sleep parks the uthread for d of virtual time.
 func (t *Task) Sleep(d sim.Duration) {
-	ut := t.ut
-	t.Engine().After(d, func() { ut.Wake() })
+	t.Engine().After(d, t.ut.wakeFn)
 	t.Park()
 }

@@ -12,8 +12,11 @@
 // coroutine (iter.Pull, proc.go) that is resumed synchronously from event
 // context and hands control back whenever it blocks on a simulation
 // primitive (Sleep, Park, or a higher-level primitive built on Pause).
-// Exactly one Proc runs at a time, preserving determinism, and a panic in
-// a proc surfaces from Engine.Run on the caller's goroutine.
+// Exactly one Proc runs at a time, preserving determinism. A proc that
+// computes for a window may instead run the event loop itself (Host), so
+// a paused-in-place proc can be the stack frame that resumes others; a
+// panic in such a nested proc unwinds through its host, and every proc
+// panic surfaces from Engine.Run on the caller's goroutine.
 //
 // The kernel's hot path is allocation-free in steady state: fired and
 // cancelled events are recycled through a free list (Timer handles stay
@@ -23,6 +26,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/easyio-sim/easyio/internal/invariants"
@@ -207,7 +211,18 @@ type Engine struct {
 	// settle holds the end-of-instant hooks registered with OnSettle. They
 	// run once the last event at now has fired, before the clock moves.
 	settle []func()
+	// limT and limS bound the innermost loop firing events: it fires only
+	// events ordered before (limT, limS). Run opens the limit to the end
+	// of time, RunUntil to the end of its deadline's instant, and a
+	// hosting proc (Proc.Host) to the slot its resume event would have
+	// taken. The zero limit, outside any loop, admits no event.
+	limT Time
+	limS uint64
 }
+
+// endOfInstant is the sequence half of a limit that admits every event at
+// its time, the last of them included.
+const endOfInstant = math.MaxUint64
 
 // NewEngine returns an empty engine with the clock at zero.
 func NewEngine() *Engine {
@@ -333,11 +348,11 @@ func (t Timer) Retime(at Time) bool {
 
 // OnSettle registers fn to run once the current virtual instant settles:
 // after the last event at now, including events scheduled at now while
-// the instant runs, and before step, RunUntil or Run advances the clock
-// or returns. A hook may itself schedule events or register hooks; the
-// instant then goes on until both are exhausted. Each registration runs
-// once. The hook slice grows only to the peak number of registrants per
-// instant, so steady-state registration does not allocate.
+// the instant runs, and before the event loop advances the clock or
+// RunUntil or Run returns. A hook may schedule events or register hooks;
+// the instant then goes on until both are exhausted. Each registration
+// runs once. The hook slice grows only to the peak number of registrants
+// per instant, so steady-state registration does not allocate.
 func (e *Engine) OnSettle(fn func()) {
 	e.settle = append(e.settle, fn)
 }
@@ -357,16 +372,22 @@ func (e *Engine) runSettle() {
 	e.inEvent = false
 }
 
-// step runs the earliest pending event. It reports false if none remain
-// or none is due by deadline (when bounded). Before it looks past the
-// current instant, it runs the instant's settle hooks.
+// step runs the earliest pending event if it is ordered before the
+// limit, and reports false when none is. Before it looks past the current
+// instant, it runs the instant's settle hooks. The instant at a hosting
+// proc's limit is the exception: the limit is a slot inside that instant,
+// so its hooks wait until the proc has run and the enclosing loop sees
+// the instant end.
 //
 //easyio:hotpath (sim event dispatch: every event in every run goes through here)
-func (e *Engine) step(deadline Time, bounded bool) bool {
-	if len(e.settle) > 0 && (len(e.q) == 0 || e.q[0].t > e.now) {
+func (e *Engine) step() bool {
+	if len(e.settle) > 0 && (len(e.q) == 0 || e.q[0].t > e.now) && (e.now < e.limT || e.limS == endOfInstant) {
 		e.runSettle()
 	}
-	if len(e.q) == 0 || (bounded && e.q[0].t > deadline) {
+	if len(e.q) == 0 {
+		return false
+	}
+	if next := e.q[0]; !e.admits(next.t, next.seq) {
 		return false
 	}
 	ev := e.q.pop()
@@ -392,17 +413,29 @@ func (e *Engine) step(deadline Time, bounded bool) bool {
 	return true
 }
 
-// Run processes events until none remain.
-func (e *Engine) Run() {
-	for e.step(0, false) {
-	}
+// admits reports whether the slot (t, seq) is ordered before the limit.
+func (e *Engine) admits(t Time, seq uint64) bool {
+	return t < e.limT || (t == e.limT && seq < e.limS)
 }
+
+// runTo runs every event ordered before the limit (t, s), then restores
+// the enclosing loop's limit. Run, RunUntil and Proc.Host all fire events
+// through this one loop.
+func (e *Engine) runTo(t Time, s uint64) {
+	limT, limS := e.limT, e.limS
+	e.limT, e.limS = t, s
+	for e.step() {
+	}
+	e.limT, e.limS = limT, limS
+}
+
+// Run processes events until none remain.
+func (e *Engine) Run() { e.runTo(math.MaxInt64, endOfInstant) }
 
 // RunUntil processes events with timestamps <= t, then advances the clock
 // to t (if it is in the future).
 func (e *Engine) RunUntil(t Time) {
-	for e.step(t, true) {
-	}
+	e.runTo(t, endOfInstant)
 	if e.now < t {
 		e.now = t
 	}
@@ -456,6 +489,8 @@ type killed struct{}
 // Proc is a coroutine executing sequential Go code inside the simulation.
 // Exactly one Proc runs at any instant; it runs in zero virtual time until
 // it blocks on a primitive, at which point control returns to the engine.
+// While it hosts (Host), a proc does not run: its stack only carries the
+// event loop, and the procs that loop resumes run one at a time.
 type Proc struct {
 	eng   *Engine
 	name  string
@@ -505,9 +540,11 @@ func (p *Proc) Now() Time { return p.eng.now }
 func (p *Proc) Done() bool { return p.state == procDone }
 
 // Resume runs the proc synchronously until it pauses or finishes. It must
-// be called from event context (inside an event callback). It reports
-// whether the proc is still alive (paused) after this slice. A panic in
-// the proc propagates out of Resume, and so out of Engine.Run.
+// be called from event context (inside an event callback), which may be
+// an event a hosting proc fires from its own stack. It reports whether
+// the proc is still alive (paused) after this slice. A panic in the proc
+// propagates out of Resume, through any hosting proc below it, and so out
+// of Engine.Run.
 func (p *Proc) Resume() bool {
 	if invariants.Enabled {
 		if !p.eng.inEvent {
@@ -557,6 +594,42 @@ func (p *Proc) Sleep(d Duration) {
 	}
 	p.eng.scheduleResume(p, d)
 	p.Pause()
+}
+
+// Host is Sleep(d) without the handoff: the calling proc runs the event
+// loop itself for d of virtual time instead of parking. It takes the
+// sequence number its resume event would have taken, fires from its own
+// stack every event ordered before that slot (settling every instant
+// that ends before it), and returns with the clock at now+d. Events,
+// settle hooks and the sequence counter come out exactly as with
+// Sleep(d); only the proc's park and resume are gone.
+//
+// An event fired here may resume another proc, which may host in turn,
+// bounded by this host's slot, so the depth is at most the number of
+// procs. Host reports false, and spends nothing, unless d > 0 and the
+// slot is ordered before the enclosing loop's limit (a RunUntil deadline
+// or an enclosing host's slot); the caller then falls back to Sleep or
+// to its own pause.
+//
+//easyio:hotpath (compute window: one call per uthread Compute)
+func (p *Proc) Host(d Duration) bool {
+	e := p.eng
+	t, s := e.now+Time(d), e.seq+1
+	if d <= 0 || !e.admits(t, s) {
+		return false
+	}
+	if invariants.Enabled && e.running != p {
+		panic("sim: Host from proc " + p.name + ", which is not running")
+	}
+	e.seq = s
+	// Procs resumed from here run while p is mid-slice: p stops counting
+	// as the running proc until the window closes.
+	running, inEvent := e.running, e.inEvent
+	e.running = nil
+	e.runTo(t, s)
+	e.running, e.inEvent = running, inEvent
+	e.now = t
+	return true
 }
 
 // kill unwinds a paused or unstarted proc. For a paused proc, stop makes
