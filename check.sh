@@ -121,19 +121,20 @@ same_output ./cmd/easyio-bench '-exp all -quick -workers 1' '-exp all -quick -wo
 echo '== full results reproduce byte for byte (easyio-bench -exp all -seed 42 vs results_full.txt)'
 go run ./cmd/easyio-bench -exp all -seed 42 -benchjson /tmp/easyio-bench-allocs.json | cmp - results_full.txt || { echo "results_full.txt no longer reproduces; virtual time moved"; exit 1; }
 
-echo '== allocations per experiment (the run above; each <= 1.10x BENCH_sim.json, wall-clock informational)'
+echo '== allocations per experiment (the run above; allocs and alloc_bytes each <= 1.10x BENCH_sim.json, wall-clock informational)'
 awk '
   FNR == 1 { file++ }
   /"name":/ { name = $2; gsub(/[",]/, "", name) }
-  /"allocs":/ {
+  /"allocs":/ || /"alloc_bytes":/ {
+    key = $1; gsub(/[":]/, "", key)
     v = $2 + 0
-    if (file == 1) { base[name] = v; next }
-    seen++
-    if (!(name in base)) { printf "experiment %s has no committed allocs in BENCH_sim.json\n", name; bad = 1 }
-    else if (v > 1.10 * base[name]) { printf "experiment %s made %d allocations, over 1.10x the committed %d\n", name, v, base[name]; bad = 1 }
+    if (file == 1) { base[name, key] = v; next }
+    seen[key]++
+    if (!((name, key) in base)) { printf "experiment %s has no committed %s in BENCH_sim.json\n", name, key; bad = 1 }
+    else if (v > 1.10 * base[name, key]) { printf "experiment %s made %.0f %s, over 1.10x the committed %.0f\n", name, v, key, base[name, key]; bad = 1 }
   }
   END {
-    if (seen == 0) { print "the -benchjson run recorded no allocs"; bad = 1 }
+    if (!seen["allocs"] || !seen["alloc_bytes"]) { print "the -benchjson run recorded no allocs or alloc_bytes"; bad = 1 }
     exit bad
   }
 ' BENCH_sim.json /tmp/easyio-bench-allocs.json || { echo "an experiment allocates more than 1.10x BENCH_sim.json; regenerate with: go run ./cmd/easyio-bench -exp all -seed 42 -benchjson BENCH_sim.json"; exit 1; }

@@ -67,12 +67,16 @@ func main() {
 	run := func(name string, fn func()) {
 		if all || want[name] {
 			fmt.Printf("==== %s ====\n", name)
-			a0, start := bench.Mallocs(), time.Now()
+			a0, b0 := bench.HeapAllocs()
+			start := time.Now()
 			fn()
+			wall := time.Since(start)
+			a1, b1 := bench.HeapAllocs()
 			report.Experiments = append(report.Experiments, bench.ExperimentTiming{
-				Name:   name,
-				WallMS: float64(time.Since(start).Microseconds()) / 1000,
-				Allocs: bench.Mallocs() - a0,
+				Name:       name,
+				WallMS:     float64(wall.Microseconds()) / 1000,
+				Allocs:     a1 - a0,
+				AllocBytes: b1 - b0,
 			})
 		}
 	}

@@ -10,52 +10,61 @@ import (
 )
 
 // rawCopyLoop runs one "core": back-to-back copies until end, counting
-// bytes. submit issues one request (or batch) and must block the proc
-// until it completes.
-func rawCopyLoop(eng *sim.Engine, end sim.Time, submit func(p *sim.Proc) int64, counter *int64) {
+// bytes. bind runs once, on the copier's proc, and returns its copy
+// step: one request (or batch) that blocks the proc until it completes.
+// Binding per proc lets a step reuse its flow spec, descriptors and
+// completion callbacks for every copy.
+func rawCopyLoop(eng *sim.Engine, end sim.Time, bind func(p *sim.Proc) func() int64, counter *int64) {
 	eng.StartProc("copier", func(p *sim.Proc) {
+		step := bind(p)
 		for p.Now() < end {
-			n := submit(p)
-			*counter += n
+			*counter += step()
 		}
 	})
 }
 
-// cpuCopy performs one synchronous memcpy of size bytes.
-func cpuCopy(dev *pmem.Device, write bool, size int) func(*sim.Proc) int64 {
-	return func(p *sim.Proc) int64 {
-		dev.StartFlow(pmem.FlowSpec{Write: write, Kind: pmem.FlowCPU, Bytes: int64(size),
-			OnDone: func() { p.Resume() }})
-		p.Pause()
-		return int64(size)
+// cpuCopy performs one synchronous memcpy of size bytes per step.
+func cpuCopy(dev *pmem.Device, write bool, size int) func(*sim.Proc) func() int64 {
+	return func(p *sim.Proc) func() int64 {
+		spec := pmem.FlowSpec{Write: write, Kind: pmem.FlowCPU, Bytes: int64(size), OnDone: func() { p.Resume() }}
+		return func() int64 {
+			dev.StartFlow(spec)
+			p.Pause()
+			return int64(size)
+		}
 	}
 }
 
-// dmaCopy submits batch descriptors of size bytes to ch and waits for all.
-// Submission cost is charged as virtual think time before the wait.
-func dmaCopy(eng *sim.Engine, ch *dma.Channel, write bool, size, batch int) func(*sim.Proc) int64 {
+// dmaCopy submits batch descriptors of size bytes to ch and waits for
+// all, per step. Submission cost is charged as virtual think time before
+// the wait. Every descriptor has completed before the step returns, so
+// the next step resubmits the same ones.
+func dmaCopy(ch *dma.Channel, write bool, size, batch int) func(*sim.Proc) func() int64 {
 	submitCost := 300*sim.Nanosecond + sim.Duration(batch)*100*sim.Nanosecond
-	return func(p *sim.Proc) int64 {
-		p.Sleep(submitCost)
-		remaining := batch
+	return func(p *sim.Proc) func() int64 {
+		remaining := 0
+		done := func(uint64) {
+			remaining--
+			if remaining == 0 {
+				p.Resume()
+			}
+		}
 		descs := make([]*dma.Desc, batch)
 		for i := range descs {
-			descs[i] = &dma.Desc{Write: write, PMOff: int64(i) * int64(size), Size: size,
-				OnComplete: func(uint64) {
-					remaining--
-					if remaining == 0 {
-						p.Resume()
-					}
-				}}
+			descs[i] = &dma.Desc{Write: write, PMOff: int64(i) * int64(size), Size: size, OnComplete: done}
 		}
-		for {
-			if _, err := ch.Submit(descs...); err == nil {
-				break
+		return func() int64 {
+			p.Sleep(submitCost)
+			remaining = batch
+			for {
+				if _, err := ch.Submit(descs...); err == nil {
+					break
+				}
+				p.Sleep(2 * sim.Microsecond)
 			}
-			p.Sleep(2 * sim.Microsecond)
+			p.Pause()
+			return int64(batch) * int64(size)
 		}
-		p.Pause()
-		return int64(batch) * int64(size)
 	}
 }
 
@@ -91,7 +100,7 @@ func Fig2(w io.Writer, measure sim.Duration) {
 			if c.batch == 0 {
 				rawCopyLoop(eng, end, cpuCopy(dev, dir == "write", c.size), &bytes)
 			} else {
-				rawCopyLoop(eng, end, dmaCopy(eng, e.Channel(0), dir == "write", c.size, c.batch), &bytes)
+				rawCopyLoop(eng, end, dmaCopy(e.Channel(0), dir == "write", c.size, c.batch), &bytes)
 			}
 		}
 		eng.RunUntil(end)
@@ -128,7 +137,7 @@ func Fig3(w io.Writer, measure sim.Duration) {
 		var bytes int64
 		for j := 0; j < 16; j++ {
 			ch := e.Channel(j % nc)
-			rawCopyLoop(eng, end, dmaCopy(eng, ch, dir == "write", size, 1), &bytes)
+			rawCopyLoop(eng, end, dmaCopy(ch, dir == "write", size, 1), &bytes)
 		}
 		eng.RunUntil(end)
 		eng.Shutdown()
@@ -177,10 +186,11 @@ func Fig4(w io.Writer, span sim.Duration) {
 
 		// Foreground: 64 KB DMA reads in a closed loop, latency recorded.
 		eng.StartProc("fg", func(p *sim.Proc) {
+			read := []*dma.Desc{{Size: 64 << 10, OnComplete: func(uint64) { p.Resume() }}}
 			for p.Now() < end {
 				start := p.Now()
 				p.Sleep(400 * sim.Nanosecond) // submit
-				mustIO(fg.Submit(&dma.Desc{Size: 64 << 10, OnComplete: func(uint64) { p.Resume() }}))
+				mustIO(fg.Submit(read...))
 				p.Pause()
 				d := sim.Duration(p.Now() - start)
 				lat.Add(d)
@@ -196,17 +206,16 @@ func Fig4(w io.Writer, span sim.Duration) {
 		gcStart := end / 3
 		gcEnd := 2 * end / 3
 		eng.StartProc("bg", func(p *sim.Proc) {
+			memcpy := pmem.FlowSpec{Kind: pmem.FlowCPU, Bytes: 2 << 20, OnDone: func() { p.Resume() }}
+			move := []*dma.Desc{{Size: 2 << 20, PMOff: 1 << 30, OnComplete: func(uint64) { p.Resume() }}}
 			p.Sleep(sim.Duration(gcStart))
 			for p.Now() < gcEnd {
 				if mode == "BG-Memcpy" {
-					dev.StartFlow(pmem.FlowSpec{Kind: pmem.FlowCPU, Bytes: 2 << 20,
-						OnDone: func() { p.Resume() }})
-					p.Pause()
+					dev.StartFlow(memcpy)
 				} else {
-					mustIO(bgChan.Submit(&dma.Desc{Size: 2 << 20, PMOff: 1 << 30,
-						OnComplete: func(uint64) { p.Resume() }}))
-					p.Pause()
+					mustIO(bgChan.Submit(move...))
 				}
+				p.Pause()
 				p.Sleep(300 * sim.Microsecond)
 			}
 		})

@@ -25,14 +25,17 @@ type KernelPerf struct {
 }
 
 // ExperimentTiming is the host cost of one easyio-bench experiment: its
-// wall-clock time and its heap allocations (the runtime.MemStats.Mallocs
-// delta). The allocation count barely moves between runs of the same
-// build, so check.sh and CI gate it against the committed BENCH_sim.json;
-// wall-clock stays informational.
+// wall-clock time, its heap allocations (the runtime.MemStats.Mallocs
+// delta) and the bytes they took (the TotalAlloc delta). Both allocation
+// numbers barely move between runs of the same build, so check.sh and CI
+// gate them against the committed BENCH_sim.json; wall-clock stays
+// informational. The bytes gate sees what the count cannot: a few large
+// buffers.
 type ExperimentTiming struct {
-	Name   string  `json:"name"`
-	WallMS float64 `json:"wall_ms"`
-	Allocs uint64  `json:"allocs"`
+	Name       string  `json:"name"`
+	WallMS     float64 `json:"wall_ms"`
+	Allocs     uint64  `json:"allocs"`
+	AllocBytes uint64  `json:"alloc_bytes"`
 }
 
 // ScalingRow is one wall-clock measurement of fig9's 184 cells at a
@@ -119,11 +122,12 @@ func StartCPUProfile(path string) (stop func() error, err error) {
 	}, nil
 }
 
-// Mallocs reads the process's cumulative heap allocation counter.
-func Mallocs() uint64 {
+// HeapAllocs reads the process's cumulative heap allocation counters:
+// objects allocated and bytes allocated.
+func HeapAllocs() (objects, bytes uint64) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
+	return ms.Mallocs, ms.TotalAlloc
 }
 
 // MeasureKernelPerf times the two hot paths of the event kernel: raw
@@ -144,11 +148,11 @@ func MeasureKernelPerf() KernelPerf {
 		}
 	}
 	e.After(1, fn)
-	a0 := Mallocs()
+	a0, _ := HeapAllocs()
 	t0 := time.Now()
 	e.Run()
 	el := time.Since(t0)
-	a1 := Mallocs()
+	a1, _ := HeapAllocs()
 	kp.NsPerEvent = float64(el.Nanoseconds()) / events
 	kp.EventsPerSec = float64(events) / el.Seconds()
 	kp.AllocsPerEvent = float64(a1-a0) / events
@@ -162,13 +166,13 @@ func MeasureKernelPerf() KernelPerf {
 	var sel time.Duration
 	var sa0, sa1 uint64
 	e2.StartProc("probe", func(p *sim.Proc) {
-		sa0 = Mallocs()
+		sa0, _ = HeapAllocs()
 		st := time.Now()
 		for i := 0; i < switches; i++ {
 			p.Sleep(1)
 		}
 		sel = time.Since(st)
-		sa1 = Mallocs()
+		sa1, _ = HeapAllocs()
 	})
 	e2.Run()
 	e2.Shutdown()

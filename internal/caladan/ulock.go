@@ -57,8 +57,12 @@ func (l *ULock) Unlock() {
 		l.owner = nil
 		return
 	}
+	// Shift-pop keeps the backing array: a [1:] reslice would make every
+	// later Lock append reallocate once the slice reached its capacity.
 	next := l.waiters[0]
-	l.waiters = l.waiters[1:]
+	copy(l.waiters, l.waiters[1:])
+	l.waiters[len(l.waiters)-1] = nil
+	l.waiters = l.waiters[:len(l.waiters)-1]
 	l.owner = next
 	next.Wake()
 }
@@ -78,13 +82,16 @@ func (q *WaitQueue) Wait(t *Task) {
 	t.Park()
 }
 
-// Broadcast wakes all parked uthreads in FIFO order.
+// Broadcast wakes all parked uthreads in FIFO order. The waiter slice is
+// truncated, not dropped, so the next Wait reuses its backing array.
+// Wake only queues a uthread (it never runs one), so no Wait can append
+// to the slice while this loop reads it.
 func (q *WaitQueue) Broadcast() {
-	ws := q.waiters
-	q.waiters = nil
-	for _, ut := range ws {
+	for i, ut := range q.waiters {
 		ut.Wake()
+		q.waiters[i] = nil
 	}
+	q.waiters = q.waiters[:0]
 }
 
 // Len reports the number of parked uthreads.

@@ -105,3 +105,64 @@ func TestWaitQueueBroadcast(t *testing.T) {
 		t.Fatal("queue not drained")
 	}
 }
+
+// TestULockHandoffNoAllocs pins a contended FIFO handoff at zero heap
+// allocations once warm: two uthreads on two cores take turns on one
+// lock, so every Unlock pops a parked waiter and every Lock parks behind
+// the holder. The waiter queue keeps its backing array across the pop.
+func TestULockHandoffNoAllocs(t *testing.T) {
+	eng, rt := newRT(2)
+	defer eng.Shutdown()
+	var l ULock
+	handoffs := 0
+	for c := 0; c < 2; c++ {
+		rt.Spawn(c, "locker", func(task *Task) {
+			for {
+				l.Lock(task)
+				handoffs++
+				task.Compute(2 * sim.Microsecond)
+				l.Unlock()
+			}
+		})
+	}
+	eng.RunFor(100 * sim.Microsecond)
+	before := handoffs
+	if a := testing.AllocsPerRun(100, func() { eng.RunFor(10 * sim.Microsecond) }); a != 0 {
+		t.Fatalf("a contended ULock handoff allocates: %.1f allocations per 10us", a)
+	}
+	if handoffs-before < 100 {
+		t.Fatalf("only %d handoffs in the measured window", handoffs-before)
+	}
+}
+
+// TestWaitQueueCycleNoAllocs pins a Wait/Broadcast cycle at zero heap
+// allocations once warm: Broadcast truncates the waiter slice, so the
+// next Wait appends into the same backing array.
+func TestWaitQueueCycleNoAllocs(t *testing.T) {
+	eng, rt := newRT(2)
+	defer eng.Shutdown()
+	var q WaitQueue
+	woken := 0
+	for c := 0; c < 2; c++ {
+		rt.Spawn(c, "waiter", func(task *Task) {
+			for {
+				q.Wait(task)
+				woken++
+			}
+		})
+	}
+	var tick func()
+	tick = func() {
+		q.Broadcast()
+		eng.After(sim.Microsecond, tick)
+	}
+	eng.After(sim.Microsecond, tick)
+	eng.RunFor(100 * sim.Microsecond)
+	before := woken
+	if a := testing.AllocsPerRun(100, func() { eng.RunFor(10 * sim.Microsecond) }); a != 0 {
+		t.Fatalf("a WaitQueue Wait/Broadcast cycle allocates: %.1f allocations per 10us", a)
+	}
+	if woken-before < 100 {
+		t.Fatalf("only %d wakes in the measured window", woken-before)
+	}
+}

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/easyio-sim/easyio/internal/invariants"
 	"github.com/easyio-sim/easyio/internal/pmem"
 	"github.com/easyio-sim/easyio/internal/sim"
 )
@@ -283,9 +284,10 @@ func (c *Channel) finish(d *Desc) {
 	c.cur = nil
 	c.curFlow = nil
 	sn := c.completed
-	if c.suspended && !c.finishCur {
-		// Shouldn't happen: finish only runs when allowed. Defensive.
-		c.finishCur = false
+	if invariants.Enabled && c.suspended && !c.finishCur {
+		// Suspend either cancels the flow (its OnDone never fires) or
+		// sets finishCur, so a suspended channel finishes nothing else.
+		panic("dma: descriptor finished on a suspended channel without finishCur")
 	}
 	c.finishCur = false
 	if d.OnComplete != nil {

@@ -1,12 +1,16 @@
 package nova
 
-import "github.com/easyio-sim/easyio/internal/caladan"
+import (
+	"github.com/easyio-sim/easyio/internal/caladan"
+	"github.com/easyio-sim/easyio/internal/dma"
+)
 
 // OpArena is the per-uthread scratch for one filesystem operation: the
-// CoW staging buffer, allocator run list, write-entry pool and replaced-
-// block list all reach their high-water size once and are reused for
-// every later operation, so the steady-state write and read paths never
-// allocate (the //easyio:hotpath contract on the request lifecycle).
+// CoW staging buffer, allocator run list, write-entry pool, replaced-
+// block list and SyncDMAMover's descriptor pool all reach their
+// high-water size once and are reused for every later operation, so the
+// steady-state write and read paths never allocate (the //easyio:hotpath
+// contract on the request lifecycle).
 //
 // Operations on one uthread are strictly sequential — every entry point
 // waits for its own completions before returning — so a single arena per
@@ -22,12 +26,31 @@ type OpArena struct {
 	replaced []Run // ApplyWriteEntries result
 	extents  []Run // ExtentRuns snapshot on the read path
 	prep     WritePrep
+
+	// SyncDMAMover's operation state: descs is the descriptor pool
+	// (stable identities, the first descUsed handed out), remaining
+	// counts the operation's outstanding descriptors, and descDone, bound
+	// once here, counts them down and wakes ut on the last.
+	descs     []*dma.Desc
+	descUsed  int
+	remaining int
+	ut        *caladan.UThread
+	descDone  func(uint64)
 }
 
 // NewOpArena returns an empty arena. Callers that drive the filesystem
 // outside a caladan uthread (tools, recovery tests) may pass one task
 // context explicitly by installing it with caladan's Task.SetScratch.
-func NewOpArena() *OpArena { return &OpArena{} }
+func NewOpArena() *OpArena {
+	a := &OpArena{}
+	a.descDone = func(uint64) {
+		a.remaining--
+		if a.remaining == 0 {
+			a.ut.Wake()
+		}
+	}
+	return a
+}
 
 // arenaHolder lets a wrapping layer (internal/core keeps its own scratch
 // in the uthread slot) expose the nova arena it embeds.
@@ -112,3 +135,19 @@ func (a *OpArena) growPool() {
 //
 //easyio:coldpath (compatibility arena for hand-built WritePreps)
 func tempArena() *OpArena { return NewOpArena() }
+
+// desc hands out the next pooled descriptor, cleared, growing the pool
+// to a new high-water mark when needed. The previous operation's
+// descriptors have all completed (its mover waited on them), so their
+// identities are free once the caller resets descUsed. Only
+// SyncDMAMover reaches this, through the DataMover interface, which no
+// hot path's static summary follows; TestDMAMoverNoAllocs pins it.
+func (a *OpArena) desc() *dma.Desc {
+	if a.descUsed == len(a.descs) {
+		a.descs = append(a.descs, new(dma.Desc))
+	}
+	d := a.descs[a.descUsed]
+	a.descUsed++
+	*d = dma.Desc{}
+	return d
+}

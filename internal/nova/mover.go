@@ -102,36 +102,30 @@ func (m *SyncDMAMover) move(t *caladan.Task, fs *FS, runs []Run, buf []byte, pla
 		return
 	}
 	cpu := fs.CPUCosts()
-	var descs []*dma.Desc
+	a := fs.arenaFor(t)
+	a.descUsed = 0
 	pos := int64(0)
-	remaining := 0
-	ut := t.UThread()
 	for _, r := range runs {
 		if r.Off < 0 { // hole: nothing to move
 			pos += r.Bytes()
 			continue
 		}
-		d := &dma.Desc{
-			Write: write,
-			PMOff: r.Off,
-			Size:  int(r.Bytes()),
-			OnComplete: func(uint64) {
-				remaining--
-				if remaining == 0 {
-					ut.Wake()
-				}
-			},
-		}
+		d := a.desc()
+		d.Write = write
+		d.PMOff = r.Off
+		d.Size = int(r.Bytes())
+		d.OnComplete = a.descDone
 		if write && buf != nil {
 			d.Buf = buf[pos : pos+r.Bytes()]
 		}
 		pos += r.Bytes()
-		descs = append(descs, d)
 	}
+	descs := a.descs[:a.descUsed]
 	if len(descs) == 0 {
 		return
 	}
-	remaining = len(descs)
+	a.remaining = len(descs)
+	a.ut = t.UThread()
 	t.Compute(cpu.DMASubmitBase + sim.Duration(len(descs))*cpu.DMASubmitPerDesc)
 	// Round-robin descriptors across every channel of every engine
 	// (NOVA-DMA uses all channels — the cause of its poor scaling, §6.2).
@@ -139,12 +133,14 @@ func (m *SyncDMAMover) move(t *caladan.Task, fs *FS, runs []Run, buf []byte, pla
 	for _, e := range m.Engines {
 		total += e.NumChannels()
 	}
-	for _, d := range descs {
+	for i := range descs {
 		for tries := 0; ; tries++ {
 			eng := m.Engines[m.next%len(m.Engines)]
 			ch := eng.Channel((m.next / len(m.Engines)) % eng.NumChannels())
 			m.next++
-			if _, err := ch.Submit(d); err == nil {
+			// A one-element subslice, not Submit(descs[i]): the variadic
+			// form would build a fresh slice per descriptor.
+			if _, err := ch.Submit(descs[i : i+1]...); err == nil {
 				break
 			}
 			if tries > 0 && tries%total == 0 {

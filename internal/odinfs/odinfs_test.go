@@ -2,6 +2,7 @@ package odinfs
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"github.com/easyio-sim/easyio/internal/caladan"
@@ -103,5 +104,76 @@ func TestDelegatesOccupyReservedCores(t *testing.T) {
 	eng.Shutdown()
 	if rt.Core(1).BusyTime() == 0 && rt.Core(2).BusyTime() == 0 {
 		t.Fatal("no delegate core did any work")
+	}
+}
+
+// TestMoverNoAllocs pins Odinfs's steady-state data path at zero heap
+// allocations per operation: chunk requests and operation batches come
+// from the FS's free lists, the delegates wake through their pre-bound
+// callbacks, and their queues shift-pop. The warm-up writes more than the
+// device holds, so every block has been allocated and demand-paged (a
+// once-per-page cost) before the measured windows, and the Mallocs delta
+// over 2N operations must equal the delta over N.
+func TestMoverNoAllocs(t *testing.T) {
+	eng := sim.NewEngine()
+	dev := pmem.New(eng, perfmodel.System(), 16<<20)
+	opts := nova.Options{NumInodes: 16}
+	if err := nova.Mkfs(dev, opts); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := New(dev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := caladan.New(eng, caladan.Options{Cores: 3, DisableStealing: true})
+	fs.StartWorkers(rt, []int{1, 2})
+	defer eng.Shutdown()
+
+	wbuf := make([]byte, 64<<10)
+	rng.New(3).Bytes(wbuf)
+	rbuf := make([]byte, len(wbuf))
+	ops, target := 0, 0
+	app := rt.Spawn(0, "app", func(task *caladan.Task) {
+		f, err := fs.Create(task, "/f")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for {
+			for ops < target {
+				off := int64(ops%16) * int64(len(wbuf))
+				if _, err := fs.WriteAt(task, f, off, wbuf); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := fs.ReadAt(task, f, off, rbuf); err != nil {
+					t.Error(err)
+					return
+				}
+				ops++
+			}
+			task.Park()
+		}
+	})
+	run := func(n int) uint64 {
+		target += n
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		app.Wake()
+		eng.Run()
+		runtime.ReadMemStats(&after)
+		if ops != target {
+			t.Fatalf("ran %d operations, want %d", ops, target)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	run(5000)
+	n := 200
+	one, two := run(n), run(2*n)
+	if two != one {
+		t.Fatalf("operations allocate: %d mallocs over %d write+read pairs, %d over %d", one, n, two, 2*n)
+	}
+	if !bytes.Equal(rbuf, wbuf) {
+		t.Fatal("read-back mismatch")
 	}
 }

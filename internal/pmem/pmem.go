@@ -64,8 +64,11 @@ type Flow struct {
 	spec      FlowSpec
 	remaining float64
 	rate      float64 // bytes/sec allocated by the last recompute
-	limit     float64 // per-recompute scratch: demand after stage-1 caps
-	done      bool
+	limit     float64 // per-recompute scratch: demand after each stage's caps
+	// specRate is a DMA flow's spec-only standalone rate (channel rate
+	// times the size boost), fixed at StartFlow; CPU flows leave it 0.
+	specRate float64
+	done     bool
 }
 
 // Progress reports the fraction of the flow completed in [0, 1].
@@ -322,6 +325,9 @@ func (d *Device) StartFlow(spec FlowSpec) *Flow {
 	} else {
 		f = newFlow(d, spec)
 	}
+	if spec.Kind != FlowCPU {
+		f.specRate = dmaRate(&d.model, spec)
+	}
 	d.advance()
 	d.flows = append(d.flows, f)
 	d.attach(f)
@@ -494,38 +500,25 @@ func (d *Device) advance() {
 	}
 }
 
-// intrinsic returns a flow's standalone rate given the current population
-// counts.
-func (d *Device) intrinsic(f *Flow, cpuR, cpuW int) float64 {
-	switch f.spec.Kind {
-	case FlowCPU:
-		n := cpuR
-		if f.spec.Write {
-			n = cpuW
-		}
-		r := d.model.CPURate(f.spec.Write, n)
-		if f.spec.Remote {
-			r *= d.model.NUMARemotePenalty
-		}
-		return r
-	default:
-		rate := d.model.DMAChanReadRate
-		if f.spec.Write {
-			rate = d.model.DMAChanWriteRate
-		}
-		// Bulk descriptors stream disproportionately fast: deep prefetch
-		// and amortized record turnaround let one channel consume device
-		// bandwidth far beyond its fair share, starving the others —
-		// the §2.2 interference finding that motivates B-app splitting.
-		if f.spec.Bytes > 64<<10 {
-			boost := math.Sqrt(float64(f.spec.Bytes) / (64 << 10))
-			if boost > 2.2 {
-				boost = 2.2
-			}
-			rate *= boost
-		}
-		return rate
+// dmaRate returns a DMA flow's standalone rate, which depends on its
+// spec alone.
+func dmaRate(m *perfmodel.Memory, spec FlowSpec) float64 {
+	rate := m.DMAChanReadRate
+	if spec.Write {
+		rate = m.DMAChanWriteRate
 	}
+	// Bulk descriptors stream disproportionately fast: deep prefetch
+	// and amortized record turnaround let one channel consume device
+	// bandwidth far beyond its fair share, starving the others —
+	// the §2.2 interference finding that motivates B-app splitting.
+	if spec.Bytes > 64<<10 {
+		boost := math.Sqrt(float64(spec.Bytes) / (64 << 10))
+		if boost > 2.2 {
+			boost = 2.2
+		}
+		rate *= boost
+	}
+	return rate
 }
 
 // maxmin computes a weighted max-min fair allocation of cap across items
@@ -545,7 +538,7 @@ func maxmin(limit, weight, alloc []float64, sat []bool, cap float64) {
 	for _, l := range limit {
 		demand += l
 	}
-	if demand <= cap*(1-1e-9) {
+	if fits(demand, cap) {
 		copy(alloc, limit)
 		return
 	}
@@ -585,20 +578,55 @@ func maxmin(limit, weight, alloc []float64, sat []bool, cap float64) {
 	}
 }
 
-// gather stages the given flows' (limit, weight) pairs into the scratch
-// buffers and zeroes the allocation/saturation scratch.
-func (d *Device) gather(flows []*Flow) {
+// fits is maxmin's uncontended test: demand at most cap·(1−1e-9).
+func fits(demand, cap float64) bool { return demand <= cap*(1-1e-9) }
+
+// underCap reports whether the limits of the flows moving in direction
+// write fit under cap. The sum runs in flow order, exactly as maxmin
+// sums the gathered limits, so a true answer is maxmin's own early
+// return: every flow keeps its limit, bit for bit.
+func underCap(flows []*Flow, write bool, cap float64) bool {
+	var demand float64
+	for _, f := range flows {
+		if f.spec.Write == write {
+			demand += f.limit
+		}
+	}
+	return fits(demand, cap)
+}
+
+// gather stages the (limit, weight) pairs of the flows moving in
+// direction write into the scratch buffers and zeroes the
+// allocation/saturation scratch.
+func (d *Device) gather(flows []*Flow, write bool) {
 	d.scrFlows = d.scrFlows[:0]
 	d.scrLim = d.scrLim[:0]
 	d.scrW = d.scrW[:0]
 	d.scrAl = d.scrAl[:0]
 	d.scrSat = d.scrSat[:0]
 	for _, f := range flows {
+		if f.spec.Write != write {
+			continue
+		}
 		d.scrFlows = append(d.scrFlows, f)
 		d.scrLim = append(d.scrLim, f.limit)
 		d.scrW = append(d.scrW, f.spec.Weight)
 		d.scrAl = append(d.scrAl, 0)
 		d.scrSat = append(d.scrSat, false)
+	}
+}
+
+// capLimits lowers the limits of the flows moving in direction write to
+// their weighted max-min share of cap. An uncontended set is left as
+// is, without the scratch gather.
+func (d *Device) capLimits(flows []*Flow, write bool, cap float64) {
+	if underCap(flows, write, cap) {
+		return
+	}
+	d.gather(flows, write)
+	maxmin(d.scrLim, d.scrW, d.scrAl, d.scrSat, cap)
+	for j, f := range d.scrFlows {
+		f.limit = d.scrAl[j]
 	}
 }
 
@@ -686,6 +714,19 @@ func (d *Device) recompute() {
 	// engine caps and the DIMM cap alike) by the write utilization.
 	var writeRate float64
 	for _, write := range [2]bool{true, false} {
+		cpuN := d.cpuR
+		if write {
+			cpuN = d.cpuW
+		}
+		n := cpuN
+		for _, g := range d.groups {
+			if g.key.write == write {
+				n += len(g.flows)
+			}
+		}
+		if n == 0 {
+			continue // no flows this way: nothing to allocate, no write rate
+		}
 		readScale := 1.0
 		if !write {
 			util := writeRate / d.model.WriteCap
@@ -699,49 +740,39 @@ func (d *Device) recompute() {
 		}
 
 		// Stage 1: flow intrinsics, tightened by per-engine DMA caps.
+		// Every CPU flow this way shares one population-dependent rate
+		// (or its remote variant); a DMA flow's rate is fixed by its spec.
 		// Group membership is insertion-ordered, matching the relative
 		// order the flows occupy in d.flows, so the max-min arithmetic
 		// visits them exactly as the full rebuild used to.
+		cpuRate := d.model.CPURate(write, cpuN)
+		remoteRate := cpuRate * d.model.NUMARemotePenalty
 		for _, f := range d.flows {
 			if f.spec.Write != write {
 				continue
 			}
-			f.limit = d.intrinsic(f, d.cpuR, d.cpuW) * readScale
+			r := f.specRate
+			if f.spec.Kind == FlowCPU {
+				r = cpuRate
+				if f.spec.Remote {
+					r = remoteRate
+				}
+			}
+			f.limit = r * readScale
 		}
 		for _, g := range d.groups {
-			if g.key.write != write {
-				continue
-			}
-			cap := d.model.DMACap(write, len(g.flows)) * readScale
-			d.gather(g.flows)
-			maxmin(d.scrLim, d.scrW, d.scrAl, d.scrSat, cap)
-			for j, f := range d.scrFlows {
-				f.limit = d.scrAl[j]
+			if g.key.write == write {
+				d.capLimits(g.flows, write, d.model.DMACap(write, len(g.flows))*readScale)
 			}
 		}
 
 		// Stage 2: the DIMM direction cap across all flows.
-		cap := d.model.DirCap(write, d.cpuW) * readScale
-		d.scrFlows = d.scrFlows[:0]
-		d.scrLim = d.scrLim[:0]
-		d.scrW = d.scrW[:0]
-		d.scrAl = d.scrAl[:0]
-		d.scrSat = d.scrSat[:0]
+		d.capLimits(d.flows, write, d.model.DirCap(write, d.cpuW)*readScale)
 		for _, f := range d.flows {
-			if f.spec.Write == write {
-				d.scrFlows = append(d.scrFlows, f)
-				d.scrLim = append(d.scrLim, f.limit)
-				d.scrW = append(d.scrW, f.spec.Weight)
-				d.scrAl = append(d.scrAl, 0)
-				d.scrSat = append(d.scrSat, false)
+			if f.spec.Write != write {
+				continue
 			}
-		}
-		if len(d.scrFlows) == 0 {
-			continue
-		}
-		maxmin(d.scrLim, d.scrW, d.scrAl, d.scrSat, cap)
-		for j, f := range d.scrFlows {
-			f.rate = d.scrAl[j]
+			f.rate = f.limit
 			if f.rate < 1 {
 				f.rate = 1 // never stall completely
 			}

@@ -95,3 +95,78 @@ func TestRequestLifecycleNoAllocs(t *testing.T) {
 			perReq, allocs, completed)
 	}
 }
+
+// TestServedWindowAllocBytes bounds what a served window with bulk
+// writes allocates after New, in bytes: sixteen workers issuing 1 MB
+// writes once held a private 1 MB write buffer each, which the object
+// counts of TestRequestLifecycleNoAllocs never saw. Writes now come from
+// the Server's one shared zero source. The bound is checked on the
+// ephemeral data plane the serving benchmarks use; on the functional
+// plane each worker's nova arena stages a 1 MB CoW image once, which is
+// the model's own high water, not garbage.
+func TestServedWindowAllocBytes(t *testing.T) {
+	if _, bytes := serveBulkWindow(t, true); bytes >= 1<<20 {
+		t.Fatalf("served window allocated %d bytes after New, want under 1 MB", bytes)
+	}
+}
+
+// TestSharedZeroSourceStaysZero is the safety net for sharing one write
+// source: after a served window on the functional data plane, where
+// writes really are copied out of it, the source must still be all zero.
+// A write source is read-only to every layer.
+func TestSharedZeroSourceStaysZero(t *testing.T) {
+	for _, ephemeral := range []bool{false, true} {
+		s, _ := serveBulkWindow(t, ephemeral)
+		for i, b := range s.zero {
+			if b != 0 {
+				t.Fatalf("ephemeral=%v: shared zero source written: byte %d is %#x", ephemeral, i, b)
+			}
+		}
+	}
+}
+
+// serveBulkWindow runs a 4-core, 16-worker window of 4 KB reads beside
+// 1 MB bulk writes and returns the finished server and the bytes
+// allocated after New.
+func serveBulkWindow(t *testing.T, ephemeral bool) (*Server, uint64) {
+	t.Helper()
+	cfg := Config{
+		Cores:   4,
+		Seed:    11,
+		Warmup:  1 * sim.Millisecond,
+		Measure: 10 * sim.Millisecond,
+		Drain:   5 * sim.Millisecond,
+		Tenants: []TenantSpec{webTenant(50_000), bulkTenant(2_000)},
+	}
+	eng := sim.NewEngine()
+	dev := pmem.New(eng, perfmodel.System(), 512<<20)
+	opts := core.Options{Nova: nova.Options{NumInodes: 512, EphemeralData: ephemeral}}
+	if err := core.Format(dev, opts); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := core.Mount(dev, core.NewEngines(dev, 8), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := caladan.New(eng, caladan.Options{Cores: cfg.Cores, Seed: cfg.Seed})
+	t.Cleanup(eng.Shutdown)
+	s, err := New(eng, rt, fs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.StartArrivals()
+	s.StartManager()
+	eng.RunUntil(s.End())
+	runtime.ReadMemStats(&after)
+
+	res := s.Finish()
+	if bulk := res.Tenants[1]; bulk.Completed < 10 {
+		t.Fatalf("run too small to judge: %d bulk writes completed", bulk.Completed)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("ephemeral=%v: served window allocated %d bytes after New", ephemeral, bytes)
+	return s, bytes
+}

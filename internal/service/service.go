@@ -229,6 +229,13 @@ type Server struct {
 
 	tenants []*tenant
 
+	// zero is the one all-zero buffer behind every tenant's prefill and
+	// every worker's writes, sized by the largest prefill file or write.
+	// Sharing it rests on the buffer-ownership rule: a write source is
+	// read-only to every layer below (nova stages it into its CoW image,
+	// DMA descriptors and delegates only read it), so it stays zero.
+	zero []byte
+
 	qhead, qtail *request
 	qlen         int
 	freeReqs     *request
@@ -288,8 +295,10 @@ func New(eng *sim.Engine, rt *caladan.Runtime, fs *core.FS, cfg Config) (*Server
 		testHookServer(s)
 	}
 
-	root := rng.New(cfg.Seed ^ 0x5e4ce)
-	maxRead, maxWrite := 0, 0
+	// Normalize every spec first: the shared zero source is sized by the
+	// largest prefill file or write before any tenant is built.
+	specs := make([]TenantSpec, len(cfg.Tenants))
+	maxRead, zeroLen := 0, int64(0)
 	for ti := range cfg.Tenants {
 		spec := cfg.Tenants[ti]
 		spec.Mix = spec.Mix.withDefaults()
@@ -307,6 +316,14 @@ func New(eng *sim.Engine, rt *caladan.Runtime, fs *core.FS, cfg Config) (*Server
 				spec.FileSize <<= 1
 			}
 		}
+		maxRead = max(maxRead, spec.Mix.ReadSize)
+		zeroLen = max(zeroLen, spec.FileSize, int64(spec.Mix.WriteSize))
+		specs[ti] = spec
+	}
+	s.zero = make([]byte, zeroLen)
+
+	root := rng.New(cfg.Seed ^ 0x5e4ce)
+	for ti, spec := range specs {
 		tg := root.Fork(uint64(ti))
 		tn := &tenant{
 			idx:  ti,
@@ -316,14 +333,13 @@ func New(eng *sim.Engine, rt *caladan.Runtime, fs *core.FS, cfg Config) (*Server
 			res:  TenantResult{Name: spec.Name, Class: spec.Class, SLO: spec.SLO, Span: cfg.Measure},
 		}
 		// Pre-built per-tenant file set (functional context: no DMA in
-		// flight during setup).
-		blob := make([]byte, spec.FileSize)
+		// flight during setup), prefilled from the shared zero source.
 		for fi := 0; fi < spec.Files; fi++ {
 			f, err := fs.Create(nil, fmt.Sprintf("/svc-%s-%d", spec.Name, fi))
 			if err != nil {
 				return nil, fmt.Errorf("tenant %s: %w", spec.Name, err)
 			}
-			if _, err := fs.WriteAt(nil, f, 0, blob); err != nil {
+			if _, err := fs.WriteAt(nil, f, 0, s.zero[:spec.FileSize]); err != nil {
 				f.Close()
 				return nil, fmt.Errorf("tenant %s prefill: %w", spec.Name, err)
 			}
@@ -331,12 +347,6 @@ func New(eng *sim.Engine, rt *caladan.Runtime, fs *core.FS, cfg Config) (*Server
 		}
 		if tn.critical() {
 			tn.lapp = s.mgr.RegisterLApp(spec.SLO)
-		}
-		if spec.Mix.ReadSize > maxRead {
-			maxRead = spec.Mix.ReadSize
-		}
-		if spec.Mix.WriteSize > maxWrite {
-			maxWrite = spec.Mix.WriteSize
 		}
 		s.tenants = append(s.tenants, tn)
 	}
@@ -351,7 +361,7 @@ func New(eng *sim.Engine, rt *caladan.Runtime, fs *core.FS, cfg Config) (*Server
 	for w := 0; w < nw; w++ {
 		w := w
 		ut := rt.Spawn(w%cfg.Cores, fmt.Sprintf("svc-w%d", w), func(task *caladan.Task) {
-			s.workerLoop(task, w, maxRead, maxWrite)
+			s.workerLoop(task, w, maxRead)
 		})
 		s.workers = append(s.workers, ut)
 	}
@@ -446,12 +456,12 @@ func (s *Server) Inject(ti int, arrive sim.Time, measured bool) bool {
 	return true
 }
 
-// workerLoop pulls requests until the simulation ends. Buffers are
-// preallocated per worker, so the steady-state request path performs no
-// heap allocation.
-func (s *Server) workerLoop(task *caladan.Task, id, maxRead, maxWrite int) {
+// workerLoop pulls requests until the simulation ends. The read buffer
+// is preallocated per worker (reads write into it); writes come from the
+// shared zero source. The steady-state request path performs no heap
+// allocation.
+func (s *Server) workerLoop(task *caladan.Task, id, maxRead int) {
 	rbuf := make([]byte, maxRead)
-	wbuf := make([]byte, maxWrite)
 	for {
 		req := s.popReq()
 		if req == nil {
@@ -459,7 +469,7 @@ func (s *Server) workerLoop(task *caladan.Task, id, maxRead, maxWrite int) {
 			task.Park()
 			continue
 		}
-		s.execute(task, req, rbuf, wbuf)
+		s.execute(task, req, rbuf)
 		s.freeReq(req)
 	}
 }
@@ -467,7 +477,7 @@ func (s *Server) workerLoop(task *caladan.Task, id, maxRead, maxWrite int) {
 // execute performs one request's filesystem work and accounting.
 //
 //easyio:hotpath (service request execution: the per-request FS + accounting path)
-func (s *Server) execute(task *caladan.Task, req *request, rbuf, wbuf []byte) {
+func (s *Server) execute(task *caladan.Task, req *request, rbuf []byte) {
 	tn := req.tn
 	mix := tn.spec.Mix
 	f := tn.files[tn.gmix.Intn(len(tn.files))]
@@ -481,7 +491,7 @@ func (s *Server) execute(task *caladan.Task, req *request, rbuf, wbuf []byte) {
 	task.Compute(mix.Compute)
 	if mix.WriteSize > 0 && tn.seq%int64(mix.WriteEvery) == 0 {
 		off := alignedOff(tn.gmix, tn.spec.FileSize, mix.WriteSize)
-		if _, err := s.fs.WriteAtClass(task, f, off, wbuf[:mix.WriteSize], tn.spec.Class); err != nil {
+		if _, err := s.fs.WriteAtClass(task, f, off, s.zero[:mix.WriteSize], tn.spec.Class); err != nil {
 			panic("service: write: " + err.Error())
 		}
 	}
