@@ -12,6 +12,7 @@ const deviceFixture = `package fx
 type Device struct{}
 func (d *Device) WriteAt(off int64, b []byte) {}
 func (d *Device) Write8(off int64, v uint64)  {}
+func (d *Device) ZeroAt(off int64, n int)     {}
 func (d *Device) Fence()                      {}
 const (
 	SuperOff   = int64(0)
@@ -84,6 +85,30 @@ func AppendEntries(f *FS, b []byte) {
 	f.d.WriteAt(4096, b)
 	f.d.Fence()
 	defer f.CommitTail(9)
+}
+`, 0},
+		{"pending zero store before an unfenced commit flagged", deviceFixture + `
+func Bad(d *Device, b []byte) {
+	d.ZeroAt(4096, 128)
+	d.WriteAt(SuperOff, b)
+	d.Fence()
+}
+`, 1},
+		{"zero store to the journal is a commit point", deviceFixture + `
+func Bad(d *Device, b []byte) {
+	d.WriteAt(4096, b)
+	d.ZeroAt(JournalOff, 40)
+	d.Fence()
+}
+`, 1},
+		{"Mkfs idiom accepted: zero stores fenced before the superblock", deviceFixture + `
+func Format(d *Device, b []byte) {
+	d.ZeroAt(JournalOff, 40)
+	d.ZeroAt(4096, 1<<20)
+	d.WriteAt(8192, b)
+	d.Fence()
+	d.WriteAt(SuperOff, b)
+	d.Fence()
 }
 `, 0},
 		{"suppressed with allow comment", deviceFixture + `

@@ -50,15 +50,19 @@ var persistProtocol = &Protocol{
 		{Name: "Fence", Recv: "Device", NArgs: 0, Clears: true,
 			Trans: [][2]string{{"start", "fenced"}, {"dirty", "fenced"}, {"fenced", "fenced"}, {"fdirty", "fenced"}},
 			Msg:   "a fence persists every pending store"},
-		{Name: "WriteAt", Recv: "Device", NArgs: anyArgs, Logged: true,
-			Commit: &CommitCond{FuncName: "CommitTail", ArgIdents: []string{"JournalOff", "SuperOff"}},
-			Trans:  [][2]string{{"start", "dirty"}, {"dirty", "dirty"}, {"fenced", "fdirty"}, {"fdirty", "fdirty"}},
-			Msg:    "a store joins the pending set until the next fence"},
-		{Name: "Write8", Recv: "Device", NArgs: anyArgs, Logged: true,
-			Commit: &CommitCond{FuncName: "CommitTail", ArgIdents: []string{"JournalOff", "SuperOff"}},
-			Trans:  [][2]string{{"start", "dirty"}, {"dirty", "dirty"}, {"fenced", "fdirty"}, {"fdirty", "fdirty"}},
-			Msg:    "a store joins the pending set until the next fence"},
+		persistStore("WriteAt"), persistStore("Write8"), persistStore("ZeroAt"),
 	},
+}
+
+// persistStore is the spec of a persistent Device store method: the
+// store joins the pending set until the next fence, and it is itself a
+// commit point when it writes the journal or the superblock (or sits
+// inside CommitTail).
+func persistStore(name string) ProtoOp {
+	return ProtoOp{Name: name, Recv: "Device", NArgs: anyArgs, Logged: true,
+		Commit: &CommitCond{FuncName: "CommitTail", ArgIdents: []string{"JournalOff", "SuperOff"}},
+		Trans:  [][2]string{{"start", "dirty"}, {"dirty", "dirty"}, {"fenced", "fdirty"}, {"fdirty", "fdirty"}},
+		Msg:    "a store joins the pending set until the next fence"}
 }
 
 // renderPersistViolation formats a persist-order finding exactly as the

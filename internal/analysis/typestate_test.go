@@ -761,7 +761,7 @@ func TestProtocolStats(t *testing.T) {
 		"epochbudget":  {3, 8},
 		"handlestate":  {2, 12},
 		"parityepoch":  {5, 14},
-		"persistorder": {4, 12},
+		"persistorder": {4, 16},
 	}
 	for name, counts := range want {
 		states, trans, ok := ProtocolStats(name)

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -119,5 +120,47 @@ func TestAblationsRun(t *testing.T) {
 	AblationOffloadThreshold(&sb)
 	if !strings.Contains(sb.String(), "DSA per-app WQ") {
 		t.Fatal("ablation output incomplete")
+	}
+}
+
+// TestInstanceSetupAllocBytes: set-up costs what the device holds, not
+// its capacity. Each system's instance at the default 8 GB device and
+// 16,384 inodes allocates under 200 KiB of heap; a capacity-sized format,
+// inode-table scan or allocator bitmap each cost more than that alone.
+func TestInstanceSetupAllocBytes(t *testing.T) {
+	const runs = 4
+	for _, sys := range AllSystems() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			inst, err := NewInstance(sys, 2, InstanceOptions{Seed: 1})
+			if err != nil {
+				t.Fatalf("%s: %v", sys, err)
+			}
+			inst.Close()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 200<<10 {
+			t.Errorf("%s: NewInstance allocates %d bytes, want under %d", sys, per, 200<<10)
+		} else {
+			t.Logf("%s: NewInstance allocates %d bytes", sys, per)
+		}
+	}
+}
+
+// BenchmarkNewInstance measures one system's instance set-up at the
+// default 8 GB device and 16,384 inodes: format, mount and runtime.
+func BenchmarkNewInstance(b *testing.B) {
+	for _, sys := range AllSystems() {
+		b.Run(string(sys), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				inst, err := NewInstance(sys, 2, InstanceOptions{Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				inst.Close()
+			}
+		})
 	}
 }

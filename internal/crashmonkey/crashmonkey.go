@@ -10,8 +10,10 @@
 package crashmonkey
 
 import (
+	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"github.com/easyio-sim/easyio/internal/caladan"
@@ -87,12 +89,24 @@ func capture(fs *core.FS) state {
 				continue
 			}
 			f.Close()
-			lines = append(lines, fmt.Sprintf("F %s nlink=%d size=%d %x", p, st.Nlink, st.Size, buf))
+			lines = append(lines, fileLine(p, st, buf))
 		}
 	}
 	walk("/")
 	sort.Strings(lines)
 	return state(strings.Join(lines, "\n"))
+}
+
+// fileLine is capture's line for a regular file, the bytes of
+// fmt.Sprintf("F %s nlink=%d size=%d %x", path, st.Nlink, st.Size, data)
+// built without fmt: Table 2 formats every file of every crash state.
+func fileLine(path string, st nova.Stat, data []byte) string {
+	b := make([]byte, 0, len(path)+48+2*len(data))
+	b = append(append(b, "F "...), path...)
+	b = strconv.AppendUint(append(b, " nlink="...), uint64(st.Nlink), 10)
+	b = strconv.AppendInt(append(b, " size="...), st.Size, 10)
+	b = hex.AppendEncode(append(b, ' '), data)
+	return string(b)
 }
 
 // Config bounds the exploration.

@@ -1,8 +1,12 @@
 package crashmonkey
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"github.com/easyio-sim/easyio/internal/nova"
+	"github.com/easyio-sim/easyio/internal/rng"
 )
 
 // Small targeted runs keep test time low; cmd/easyio-crashtest runs the
@@ -54,6 +58,27 @@ func TestAllWorkloadsDefined(t *testing.T) {
 	for _, want := range []string{"create_delete", "generic_056", "generic_090", "generic_322"} {
 		if !names[want] {
 			t.Fatalf("missing workload %s", want)
+		}
+	}
+}
+
+// TestFileLineMatchesSprintf: capture's file line is byte-identical to the
+// fmt form it replaced, for empty, short and page-sized contents.
+func TestFileLineMatchesSprintf(t *testing.T) {
+	page := make([]byte, 4096)
+	rng.New(5).Bytes(page)
+	for _, c := range []struct {
+		path string
+		st   nova.Stat
+		data []byte
+	}{
+		{"/a", nova.Stat{Nlink: 1}, nil},
+		{"/d/b", nova.Stat{Nlink: 2, Size: 3}, []byte{0, 0xab, 0xff}},
+		{"/dir/long-name", nova.Stat{Nlink: 4294967295, Size: 4096}, page},
+	} {
+		want := fmt.Sprintf("F %s nlink=%d size=%d %x", c.path, c.st.Nlink, c.st.Size, c.data)
+		if got := fileLine(c.path, c.st, c.data); got != want {
+			t.Fatalf("fileLine(%q) = %q, want %q", c.path, got, want)
 		}
 	}
 }

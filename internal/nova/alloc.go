@@ -11,25 +11,68 @@ type Run struct {
 // Bytes returns the run length in bytes.
 func (r Run) Bytes() int64 { return int64(r.Pages) * BlockSize }
 
+// bitmapLeafShift sizes a bitmap leaf: 512 words, the bits of 32,768
+// blocks (128 MB of device) in 4 KB of DRAM.
+const (
+	bitmapLeafShift = 9
+	bitmapLeafWords = 1 << bitmapLeafShift
+)
+
+// bitmapLeaf holds the bits of one 32,768-block span.
+type bitmapLeaf [bitmapLeafWords]uint64
+
 // allocator is the DRAM free-block tracker. Like NOVA's, it is volatile:
 // the persistent truth is the set of blocks reachable from inode logs, and
-// mount rebuilds it.
+// mount rebuilds it. Bit i%64 of bitmap word i/64 is set while block i is
+// allocated. The bitmap is a directory of fixed-size leaves, each
+// allocated when its first bit is set; a missing leaf reads as all free,
+// so a device that holds little costs little.
 type allocator struct {
 	dataOff int64
 	nblocks int64
-	used    []uint64 // bit i%64 of word i/64 is set while block i is allocated
+	nwords  int64
+	leaves  []*bitmapLeaf
 	hint    int64
 	free    int64
 }
 
 func newAllocator(dataOff, devSize int64) *allocator {
 	n := (devSize - dataOff) / BlockSize
+	nwords := (n + 63) / 64
 	return &allocator{
 		dataOff: dataOff,
 		nblocks: n,
-		used:    make([]uint64, (n+63)/64),
+		nwords:  nwords,
+		leaves:  make([]*bitmapLeaf, (nwords+bitmapLeafWords-1)/bitmapLeafWords),
 		free:    n,
 	}
+}
+
+// word returns bitmap word w; a missing leaf's words are all free.
+func (a *allocator) word(w int64) uint64 {
+	if l := a.leaves[w>>bitmapLeafShift]; l != nil {
+		return l[w&(bitmapLeafWords-1)]
+	}
+	return 0
+}
+
+// wordPtr returns bitmap word w for setting bits, allocating its leaf on
+// first touch.
+func (a *allocator) wordPtr(w int64) *uint64 {
+	l := a.leaves[w>>bitmapLeafShift]
+	if l == nil {
+		l = a.addLeaf(w >> bitmapLeafShift)
+	}
+	return &l[w&(bitmapLeafWords-1)]
+}
+
+// addLeaf allocates bitmap leaf i on the first set bit in its range.
+//
+//easyio:coldpath (first-touch bitmap leaf; at most one per 32,768 blocks of the device)
+func (a *allocator) addLeaf(i int64) *bitmapLeaf {
+	l := new(bitmapLeaf)
+	a.leaves[i] = l
+	return l
 }
 
 // FreeBlocks reports the number of unallocated blocks.
@@ -50,7 +93,7 @@ func (a *allocator) allocRun(want int) (Run, bool) {
 	lim := min(a.nblocks, i+int64(want))
 	end := i
 	for end < lim {
-		if rest := a.used[end>>6] >> (end & 63); rest != 0 {
+		if rest := a.word(end>>6) >> (end & 63); rest != 0 {
 			end += int64(bits.TrailingZeros64(rest))
 			break
 		}
@@ -59,7 +102,7 @@ func (a *allocator) allocRun(want int) (Run, bool) {
 	end = min(end, lim)
 	for j := i; j < end; {
 		w, m, next := wordMask(j, end)
-		a.used[w] |= m
+		*a.wordPtr(w) |= m
 		j = next
 	}
 	n := end - i
@@ -71,15 +114,15 @@ func (a *allocator) allocRun(want int) (Run, bool) {
 // firstFree returns the first free block at or after from, or -1.
 func (a *allocator) firstFree(from int64) int64 {
 	w := from >> 6
-	if w >= int64(len(a.used)) {
+	if w >= a.nwords {
 		return -1
 	}
-	free := ^a.used[w] &^ (1<<(from&63) - 1)
+	free := ^a.word(w) &^ (1<<(from&63) - 1)
 	for free == 0 {
-		if w++; w == int64(len(a.used)) {
+		if w++; w == a.nwords {
 			return -1
 		}
-		free = ^a.used[w]
+		free = ^a.word(w)
 	}
 	if i := w<<6 + int64(bits.TrailingZeros64(free)); i < a.nblocks {
 		return i
@@ -122,10 +165,10 @@ func (a *allocator) freeRun(r Run) {
 	i := (r.Off - a.dataOff) / BlockSize
 	for end := i + int64(r.Pages); i < end; {
 		w, m, next := wordMask(i, end)
-		if a.used[w]&m != m {
+		if a.word(w)&m != m {
 			panic("nova: double free of block")
 		}
-		a.used[w] &^= m
+		*a.wordPtr(w) &^= m
 		i = next
 	}
 	a.free += int64(r.Pages)
@@ -136,8 +179,9 @@ func (a *allocator) markUsed(off int64, pages int) {
 	i := (off - a.dataOff) / BlockSize
 	for end := i + int64(pages); i < end; {
 		w, m, next := wordMask(i, end)
-		a.free -= int64(bits.OnesCount64(m &^ a.used[w]))
-		a.used[w] |= m
+		p := a.wordPtr(w)
+		a.free -= int64(bits.OnesCount64(m &^ *p))
+		*p |= m
 		i = next
 	}
 }

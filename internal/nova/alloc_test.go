@@ -81,12 +81,16 @@ func (a *boolAllocator) markUsed(off int64, pages int) {
 
 // TestBitmapAllocatorMatchesBoolReference runs random alloc, allocRun,
 // freeRun and markUsed sequences on the bitmap and the reference, on block
-// counts that are not multiples of 64, from hints near the end of the
-// device and into a full device. Every returned run, the hint, the free
-// count and every block's state must agree.
+// counts that are not multiples of 64 or of a bitmap leaf, from hints near
+// the end of the device and into a full device. On counts spanning several
+// leaves the hint is also placed just below a leaf boundary every 20
+// operations, so runs cross from one leaf into the next (allocated or
+// not). Every returned run, the hint, the free count and every block's
+// state must agree.
 func TestBitmapAllocatorMatchesBoolReference(t *testing.T) {
 	const dataOff = 3 * BlockSize
-	for _, nblocks := range []int64{1, 5, 63, 64, 65, 127, 200, 1001} {
+	const leafBlocks = bitmapLeafWords * 64
+	for _, nblocks := range []int64{1, 5, 63, 64, 65, 127, 200, 1001, 2*leafBlocks + 1, 3*leafBlocks + 5} {
 		for seed := uint64(1); seed <= 6; seed++ {
 			g := rng.New(seed*1000 + uint64(nblocks))
 			got := newAllocator(dataOff, dataOff+nblocks*BlockSize)
@@ -98,6 +102,10 @@ func TestBitmapAllocatorMatchesBoolReference(t *testing.T) {
 			var held []Run // runs the test may free
 			maxWant := int(min(nblocks+3, 150))
 			for op := 0; op < 400; op++ {
+				if nblocks > leafBlocks && op%20 == 0 {
+					got.hint = leafBlocks*(1+g.Int63n(nblocks/leafBlocks)) - 1 - g.Int63n(40)
+					ref.hint = got.hint
+				}
 				switch g.Intn(5) {
 				case 0, 1:
 					want := 1 + g.Intn(maxWant)
@@ -146,10 +154,8 @@ func TestBitmapAllocatorMatchesBoolReference(t *testing.T) {
 				if got.hint != ref.hint || got.FreeBlocks() != ref.free {
 					t.Fatalf("n=%d seed %d op %d: hint %d free %d, reference hint %d free %d", nblocks, seed, op, got.hint, got.FreeBlocks(), ref.hint, ref.free)
 				}
-				for k := int64(0); k < nblocks; k++ {
-					if bit := got.used[k>>6]>>(k&63)&1 == 1; bit != ref.used[k] {
-						t.Fatalf("n=%d seed %d op %d: block %d used=%v, reference %v", nblocks, seed, op, k, bit, ref.used[k])
-					}
+				if nblocks <= leafBlocks || op%50 == 49 {
+					sameBlocks(t, got, ref, seed, op)
 				}
 			}
 			// Fill the device, then check that both report it full.
@@ -163,12 +169,24 @@ func TestBitmapAllocatorMatchesBoolReference(t *testing.T) {
 					break
 				}
 			}
+			sameBlocks(t, got, ref, seed, -1)
 			if got.FreeBlocks() != 0 || got.hint != ref.hint {
 				t.Fatalf("n=%d seed %d: full device has %d free blocks, hint %d (reference %d)", nblocks, seed, got.FreeBlocks(), got.hint, ref.hint)
 			}
 			if _, ok := got.alloc(nil, 1); ok {
 				t.Fatalf("n=%d seed %d: alloc succeeded on a full device", nblocks, seed)
 			}
+		}
+	}
+}
+
+// sameBlocks fails unless every block's state agrees between the bitmap
+// and the reference (op -1 is the filled device).
+func sameBlocks(t *testing.T, got *allocator, ref *boolAllocator, seed uint64, op int) {
+	t.Helper()
+	for k := int64(0); k < ref.nblocks; k++ {
+		if bit := got.word(k>>6)>>(k&63)&1 == 1; bit != ref.used[k] {
+			t.Fatalf("n=%d seed %d op %d: block %d used=%v, reference %v", ref.nblocks, seed, op, k, bit, ref.used[k])
 		}
 	}
 }

@@ -100,12 +100,10 @@ func Mkfs(dev *pmem.Device, opts Options) error {
 	}
 	// Invalidate the journal and all inode slots before publishing the
 	// superblock: if power fails mid-format, the magic must not be
-	// durable over a half-initialized table.
-	dev.WriteAt(JournalOff, make([]byte, 40))
-	empty := make([]byte, InodeSlotSize)
-	for i := int64(0); i < opts.NumInodes; i++ {
-		dev.WriteAt(InodeTableOff+i*InodeSlotSize, empty)
-	}
+	// durable over a half-initialized table. One zero store each touches
+	// only the pages a previous filesystem left behind.
+	dev.ZeroAt(JournalOff, 40)
+	dev.ZeroAt(InodeTableOff, int(opts.NumInodes*InodeSlotSize))
 	// Root directory: first data block is its log page.
 	root := diskInode{
 		valid:   1,

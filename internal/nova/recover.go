@@ -31,13 +31,24 @@ func (fs *FS) recover() error {
 	}
 
 	// Step 2: scan the inode table a page of slots at a time and replay
-	// the logs of valid slots. Replay writes only the replayed inode's own
-	// slot, so the rest of the page buffer stays current.
+	// the logs of valid slots. A page with no backing storage reads as
+	// zeros and holds no valid slot, so only present pages are read.
+	// Replay writes only the replayed inode's own slot, so the rest of the
+	// page buffer stays current. live collects the valid inodes and their
+	// log pages in ascending inode order; steps 3 and 4 visit only them.
+	type liveInode struct {
+		ino      *Inode
+		logPages []int64
+	}
 	page := make([]byte, BlockSize)
-	logPages := make(map[uint32][]int64)
+	var live []liveInode
 	for base := int64(0); base < fs.sb.numInodes; base += slotsPerPage {
 		slots := min(slotsPerPage, fs.sb.numInodes-base)
-		fs.dev.ReadAt(page[:slots*InodeSlotSize], InodeTableOff+base*InodeSlotSize)
+		off := InodeTableOff + base*InodeSlotSize
+		if fs.dev.Absent(off, int(slots*InodeSlotSize)) {
+			continue
+		}
+		fs.dev.ReadAt(page[:slots*InodeSlotSize], off)
 		for k := int64(0); k < slots; k++ {
 			num, slot := base+k, page[k*InodeSlotSize:(k+1)*InodeSlotSize]
 			if num == 0 || slot[0] != 1 {
@@ -59,41 +70,41 @@ func (fs *FS) recover() error {
 				ino.index = &blockIndex{}
 			}
 			fs.inodes[num] = ino
-			logPages[ino.Num] = fs.replayLog(ino)
+			live = append(live, liveInode{ino, fs.replayLog(ino)})
 		}
 	}
 	if fs.inodes[RootIno] == nil {
 		return ErrNotExist
 	}
 
-	// Step 3: orphan sweep (root is always reachable).
+	// Step 3: orphan sweep (root is always reachable), in ascending inode
+	// order; the survivors keep that order.
 	reachable := map[uint32]bool{RootIno: true}
 	fs.markReachable(fs.inodes[RootIno], reachable)
-	for num := int64(2); num < fs.sb.numInodes; num++ {
-		if ino := fs.inodes[num]; ino != nil && !reachable[uint32(num)] {
-			fs.dev.WriteAt(ino.slotOff(), []byte{0})
-			fs.inodes[num] = nil
-			delete(logPages, uint32(num))
+	kept := live[:0]
+	for _, l := range live {
+		if l.ino.Num >= 2 && !reachable[l.ino.Num] {
+			fs.dev.WriteAt(l.ino.slotOff(), []byte{0})
+			fs.inodes[l.ino.Num] = nil
+			continue
 		}
+		kept = append(kept, l)
 	}
+	live = kept
 	fs.dev.Fence()
 
-	// Step 4: allocator rebuild, in sorted inode order so the bitmap is
-	// reconstructed deterministically (map order would not be).
-	logInos := make([]uint32, 0, len(logPages))
-	for num := range logPages {
-		logInos = append(logInos, num)
-	}
-	sort.Slice(logInos, func(i, j int) bool { return logInos[i] < logInos[j] })
-	for _, num := range logInos {
-		for _, p := range logPages[num] {
+	// Step 4: allocator rebuild, in ascending inode order so the bitmap is
+	// reconstructed deterministically: every log page first, then every
+	// indexed data block.
+	for _, l := range live {
+		for _, p := range l.logPages {
 			fs.alloc.markUsed(p, 1)
 			fs.logPageCount++
 		}
 	}
-	for num := int64(1); num < fs.sb.numInodes; num++ {
-		ino := fs.inodes[num]
-		if ino == nil || ino.index == nil {
+	for _, l := range live {
+		ino := l.ino
+		if ino.index == nil {
 			continue
 		}
 		blocks := make([]int64, 0, ino.index.len())

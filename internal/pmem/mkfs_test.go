@@ -24,7 +24,7 @@ func TestMkfsLeavesInodeTableAbsent(t *testing.T) {
 	end := int64((nova.InodeTableOff + inodes*nova.InodeSlotSize) / nova.BlockSize)
 	rootPg := int64((nova.InodeTableOff + nova.RootIno*nova.InodeSlotSize) / nova.BlockSize)
 	for pg := first; pg < end; pg++ {
-		if got := dev.HasPage(pg); got != (pg == rootPg) {
+		if got := !dev.Absent(pg*nova.BlockSize, nova.BlockSize); got != (pg == rootPg) {
 			t.Fatalf("inode-table page %d present=%v after Mkfs (root inode is on page %d)", pg, got, rootPg)
 		}
 	}

@@ -225,17 +225,7 @@ var zeroPage [pageSize]byte
 // survive a crash in any subset — see CrashImage). An all-zero store to an
 // absent page leaves it absent, since absent pages already read as zero.
 func (d *Device) WriteAt(off int64, b []byte) {
-	d.check(off, len(b))
-	if invariants.Enabled && d.tracking && len(d.records) > 0 &&
-		d.records[len(d.records)-1].Epoch > d.epoch {
-		panic("pmem: persist record epoch regressed (fence ordering violated)")
-	}
-	if d.tracking {
-		d.record(off, b)
-	}
-	if d.dirtyFn != nil {
-		d.dirtyFn(off, len(b))
-	}
+	copy(d.store(off, len(b)), b)
 	for len(b) > 0 {
 		pg, po := off/pageSize, off%pageSize
 		n := pageSize - int(po)
@@ -252,15 +242,68 @@ func (d *Device) WriteAt(off int64, b []byte) {
 	}
 }
 
-// record captures one persist record for crash simulation. Tracking is a
+// ZeroAt stores n zero bytes at off: exactly WriteAt(off, make([]byte, n))
+// without building or comparing the buffer. Absent pages stay absent and
+// present pages are cleared over [off, off+n). Under tracking the store is
+// one all-zero record, and the store observer sees (off, n) once.
+func (d *Device) ZeroAt(off int64, n int) {
+	d.store(off, n)
+	for n > 0 {
+		pg, po := off/pageSize, off%pageSize
+		k := min(pageSize-int(po), n)
+		if p := d.pages[pg]; p != nil {
+			clear(p[po : int(po)+k])
+		}
+		n -= k
+		off += int64(k)
+	}
+}
+
+// Absent reports whether no page backs any byte of [off, off+n): such a
+// range reads as zeros.
+func (d *Device) Absent(off int64, n int) bool {
+	d.check(off, n)
+	if n == 0 {
+		return true
+	}
+	for pg := off / pageSize; pg <= (off+int64(n)-1)/pageSize; pg++ {
+		if d.pages[pg] != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// store does the bookkeeping WriteAt and ZeroAt share before their bytes
+// land: the bounds check, the persist record under tracking (returned
+// zeroed for WriteAt to fill, nil when not tracking) and the store
+// observer.
+func (d *Device) store(off int64, n int) []byte {
+	d.check(off, n)
+	if invariants.Enabled && d.tracking && len(d.records) > 0 &&
+		d.records[len(d.records)-1].Epoch > d.epoch {
+		panic("pmem: persist record epoch regressed (fence ordering violated)")
+	}
+	var rec []byte
+	if d.tracking {
+		rec = d.record(off, n)
+	}
+	if d.dirtyFn != nil {
+		d.dirtyFn(off, n)
+	}
+	return rec
+}
+
+// record appends one n-byte persist record for crash simulation and
+// returns its zeroed data for the caller to fill. Tracking is a
 // crashmonkey-mode debugging aid, never on during steady-state serving,
 // and each record owns a copy of the store.
 //
 //easyio:coldpath (crash-simulation tracking; off in steady-state serving)
-func (d *Device) record(off int64, b []byte) {
-	cp := make([]byte, len(b))
-	copy(cp, b)
-	d.records = append(d.records, PersistRecord{Epoch: d.epoch, Off: off, Data: cp})
+func (d *Device) record(off int64, n int) []byte {
+	data := make([]byte, n)
+	d.records = append(d.records, PersistRecord{Epoch: d.epoch, Off: off, Data: data})
+	return data
 }
 
 // addPage demand-allocates the backing page on first touch. Each page is

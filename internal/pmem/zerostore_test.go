@@ -51,8 +51,9 @@ func TestZeroStoreOverwritesPresentPage(t *testing.T) {
 }
 
 // TestZeroStoreCrashImage: under persistence tracking, every store of a
-// mixed zero/non-zero stream is recorded, and each crash image matches a
-// flat byte-array model that applies the same records to the same base.
+// mixed stream of non-zero stores, all-zero stores and ZeroAt stores is
+// recorded as one record, and each crash image matches a flat byte-array
+// model that applies the same records to the same base.
 func TestZeroStoreCrashImage(t *testing.T) {
 	const span = 8 * pageSize
 	_, d := newDev()
@@ -69,10 +70,15 @@ func TestZeroStoreCrashImage(t *testing.T) {
 		n := 1 + g.Intn(2*pageSize)
 		off := g.Int63n(span - int64(n))
 		b := make([]byte, n)
-		if g.Intn(2) == 0 {
+		switch g.Intn(3) {
+		case 0:
 			g.Bytes(b)
+			d.WriteAt(off, b)
+		case 1:
+			d.WriteAt(off, b)
+		case 2:
+			d.ZeroAt(off, n)
 		}
-		d.WriteAt(off, b)
 		if g.Intn(8) == 0 {
 			d.Fence()
 		}
@@ -101,6 +107,112 @@ func TestZeroStoreCrashImage(t *testing.T) {
 	}
 	if !bytes.Equal(live, want) {
 		t.Fatal("live device differs from the model")
+	}
+}
+
+// TestZeroAtAbsentPagesStayAbsent: ZeroAt over pages never written
+// allocates nothing, reports (off, n) to the store observer exactly once,
+// and reads back as zeros.
+func TestZeroAtAbsentPagesStayAbsent(t *testing.T) {
+	_, d := newDev()
+	type store struct {
+		off int64
+		n   int
+	}
+	var observed []store
+	d.SetDirtyFunc(func(off int64, n int) { observed = append(observed, store{off, n}) })
+	off, n := int64(5*pageSize+100), 3*pageSize
+	d.ZeroAt(off, n)
+	if len(d.pages) != 0 {
+		t.Fatalf("ZeroAt allocated %d pages, want 0", len(d.pages))
+	}
+	if len(observed) != 1 || observed[0] != (store{off, n}) {
+		t.Fatalf("store observer saw %v, want one (%d, %d)", observed, off, n)
+	}
+	got := bytes.Repeat([]byte{0xff}, n)
+	d.ReadAt(got, off)
+	if !bytes.Equal(got, make([]byte, n)) {
+		t.Fatal("ZeroAt over absent pages did not read back as zeros")
+	}
+}
+
+// TestZeroAtClearsOnlyItsRange: on present pages ZeroAt clears exactly
+// [off, off+n), across page boundaries, and leaves the absent pages inside
+// the range absent.
+func TestZeroAtClearsOnlyItsRange(t *testing.T) {
+	_, d := newDev()
+	const span = 6 * pageSize
+	model := make([]byte, span)
+	data := bytes.Repeat([]byte{0xab}, 2*pageSize)
+	d.WriteAt(pageSize, data) // pages 1 and 2
+	d.WriteAt(4*pageSize, data[:pageSize])
+	copy(model[pageSize:], data)
+	copy(model[4*pageSize:], data[:pageSize])
+
+	off, n := int64(pageSize+300), 3*pageSize+500 // pages 1..4, page 3 absent
+	d.ZeroAt(off, n)
+	clear(model[off : off+int64(n)])
+	got := make([]byte, span)
+	d.ReadAt(got, 0)
+	if !bytes.Equal(got, model) {
+		t.Fatal("ZeroAt over present pages differs from the model")
+	}
+	for pg, want := range []bool{false, true, true, false, true, false} {
+		if has := d.pages[int64(pg)] != nil; has != want {
+			t.Fatalf("page %d present=%v after ZeroAt, want %v", pg, has, want)
+		}
+	}
+}
+
+// TestZeroAtTrackedRecord: under tracking ZeroAt is one all-zero record of
+// n bytes at off, and a crash image that applies it clears the range.
+func TestZeroAtTrackedRecord(t *testing.T) {
+	_, d := newDev()
+	d.WriteAt(0, bytes.Repeat([]byte{9}, 3*pageSize))
+	d.EnableTracking()
+	off, n := int64(pageSize-10), pageSize+20
+	d.ZeroAt(off, n)
+	recs := d.Records()
+	if len(recs) != 1 || recs[0].Off != off || !bytes.Equal(recs[0].Data, make([]byte, n)) {
+		t.Fatalf("ZeroAt tracked %d records (first %+v), want one all-zero record of %d bytes at %d", len(recs), recs, n, off)
+	}
+	want := bytes.Repeat([]byte{9}, 3*pageSize)
+	got := make([]byte, len(want))
+	d.CrashImage(nil).ReadAt(got, 0)
+	if !bytes.Equal(got, want) {
+		t.Fatal("crash image without the record differs from the base")
+	}
+	clear(want[off : off+int64(n)])
+	d.CrashImage([]int{0}).ReadAt(got, 0)
+	if !bytes.Equal(got, want) {
+		t.Fatal("crash image with the ZeroAt record did not clear its range")
+	}
+}
+
+// TestAbsent: the range query is true until any byte of the range has a
+// backing page, including a range that crosses a page boundary, and it
+// stays true for a zero store to absent pages.
+func TestAbsent(t *testing.T) {
+	_, d := newDev()
+	off, n := int64(3*pageSize-8), 16 // last 8 bytes of page 2, first 8 of page 3
+	if !d.Absent(off, n) || !d.Absent(off, 0) {
+		t.Fatal("fresh device reports a backed range")
+	}
+	d.WriteAt(off, make([]byte, n))
+	d.ZeroAt(off, n)
+	if !d.Absent(off, n) {
+		t.Fatal("zero stores to absent pages backed the range")
+	}
+	d.WriteAt(off+int64(n), []byte{1}) // page 3, just past the range
+	if d.Absent(off, n) {
+		t.Fatal("range crossing into a present page reported absent")
+	}
+	if !d.Absent(off, 8) {
+		t.Fatal("range on page 2 alone reported present")
+	}
+	d.WriteAt(2*pageSize, []byte{1}) // page 2, before the range
+	if d.Absent(off, 8) {
+		t.Fatal("range on a present page reported absent")
 	}
 }
 
