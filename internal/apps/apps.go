@@ -98,12 +98,13 @@ func Run(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config) 
 	// compressed/sample/graph files) and output file.
 	inputs := make([]*nova.File, cfg.Uthreads)
 	outputs := make([]*nova.File, cfg.Uthreads)
-	// One zero source and one read sink serve every uthread. The source
-	// is the payload of every store (input prefill and output writes);
-	// only filesystems copy from it. The sink is write-only scratch: no
-	// code inspects what a read returned. All uthreads run on this
-	// engine's goroutine, and the sink never doubles as a source.
-	zero := make([]byte, max(spec.ReadSize, spec.WriteSize))
+	// One zero source and one read sink serve every uthread. The source,
+	// a window on nova's process-wide zero source, is the payload of every
+	// store (input prefill and output writes); only filesystems copy from
+	// it. The sink is write-only scratch: no code inspects what a read
+	// returned. All uthreads run on this engine's goroutine, and the sink
+	// never doubles as a source.
+	zero := nova.Zeros(max(spec.ReadSize, spec.WriteSize))
 	sink := make([]byte, spec.ReadSize)
 	for i := range inputs {
 		in, err := fs.Create(nil, fmt.Sprintf("/app-in-%d", i))

@@ -125,8 +125,9 @@ func TestAblationsRun(t *testing.T) {
 
 // TestInstanceSetupAllocBytes: set-up costs what the device holds, not
 // its capacity. Each system's instance at the default 8 GB device and
-// 16,384 inodes allocates under 200 KiB of heap; a capacity-sized format,
-// inode-table scan or allocator bitmap each cost more than that alone.
+// 16,384 inodes allocates under 64 KiB of heap; a capacity-sized format,
+// inode-table scan, allocator bitmap or dense inode pointer table (128 KB)
+// each cost more than that alone.
 func TestInstanceSetupAllocBytes(t *testing.T) {
 	const runs = 4
 	for _, sys := range AllSystems() {
@@ -140,8 +141,8 @@ func TestInstanceSetupAllocBytes(t *testing.T) {
 			inst.Close()
 		}
 		runtime.ReadMemStats(&after)
-		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 200<<10 {
-			t.Errorf("%s: NewInstance allocates %d bytes, want under %d", sys, per, 200<<10)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+			t.Errorf("%s: NewInstance allocates %d bytes, want under %d", sys, per, 64<<10)
 		} else {
 			t.Logf("%s: NewInstance allocates %d bytes", sys, per)
 		}

@@ -9,6 +9,7 @@ import (
 	"github.com/easyio-sim/easyio/internal/core"
 	"github.com/easyio-sim/easyio/internal/filebench"
 	"github.com/easyio-sim/easyio/internal/fxmark"
+	"github.com/easyio-sim/easyio/internal/nova"
 	"github.com/easyio-sim/easyio/internal/rng"
 	"github.com/easyio-sim/easyio/internal/sim"
 	"github.com/easyio-sim/easyio/internal/stats"
@@ -191,12 +192,12 @@ func Fig12(w io.Writer, span sim.Duration, seed uint64) {
 		if mode == "DMA-Throttling" {
 			fs.Manager().Start()
 		}
-		// One zero source feeds every store in the cell (the web file's
-		// prefill and the GC's bulk writes), and one read sink serves
-		// every request. The sink is write-only scratch: no code inspects
-		// what a read returned, every uthread runs on this cell's engine,
-		// and the sink never doubles as a source.
-		zero := make([]byte, 2<<20)
+		// nova's process-wide zero source feeds every store in the cell
+		// (the web file's prefill and the GC's bulk writes), and one read
+		// sink serves every request. The sink is write-only scratch: no
+		// code inspects what a read returned, every uthread runs on this
+		// cell's engine, and the sink never doubles as a source.
+		zero := nova.Zeros(2 << 20)
 		sink := make([]byte, 64<<10)
 		// File set for the web server.
 		webFile := mustIO(fs.Create(nil, "/web"))

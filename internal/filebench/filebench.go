@@ -99,12 +99,13 @@ func Run(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config) 
 	}
 	// Pre-populate the file set.
 	files := make([]*nova.File, cfg.Files)
-	// One zero source and one read sink serve every uthread. The source
-	// is the payload of every store (prefill, whole-file writes, appends);
-	// only filesystems copy from it. The sink is write-only scratch: no
-	// code inspects what a read returned. All uthreads run on this
-	// engine's goroutine, and the sink never doubles as a source.
-	zero := make([]byte, max(cfg.FileSize, cfg.AppendSize))
+	// One zero source and one read sink serve every uthread. The source,
+	// a window on nova's process-wide zero source, is the payload of every
+	// store (prefill, whole-file writes, appends); only filesystems copy
+	// from it. The sink is write-only scratch: no code inspects what a
+	// read returned. All uthreads run on this engine's goroutine, and the
+	// sink never doubles as a source.
+	zero := nova.Zeros(max(cfg.FileSize, cfg.AppendSize))
 	sink := make([]byte, cfg.FileSize)
 	wbuf, abuf := zero[:cfg.FileSize], zero[:cfg.AppendSize]
 	for i := range files {

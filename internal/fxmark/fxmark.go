@@ -219,22 +219,17 @@ func Start(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config
 	return &Pending{res: res, end: end}, nil
 }
 
-// prefillChunk is prefill's write size.
+// prefillChunk is prefill's write size. The chunking is part of the
+// log layout behind the digests, not a buffer limit.
 const prefillChunk = 1 << 20
 
-// zeroChunk is prefill's payload. It is read-only: filesystems only copy
-// from a write's buffer, so every engine goroutine may share it.
-var zeroChunk [prefillChunk]byte
-
 // prefill functionally sizes a file (ephemeral-aware: metadata only) with
-// zero-filled writes of up to prefillChunk bytes.
+// writes of up to prefillChunk bytes from nova's process-wide zero
+// source, which filesystems only copy from.
 func prefill(fs fsapi.FileSystem, f *nova.File, size int64) error {
 	for off := int64(0); off < size; off += prefillChunk {
-		n := size - off
-		if n > prefillChunk {
-			n = prefillChunk
-		}
-		if _, err := fs.WriteAt(nil, f, off, zeroChunk[:n]); err != nil {
+		n := min(size-off, prefillChunk)
+		if _, err := fs.WriteAt(nil, f, off, nova.Zeros(int(n))); err != nil {
 			return err
 		}
 	}

@@ -3,6 +3,7 @@ package nova
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -66,7 +67,7 @@ type FS struct {
 	alloc *allocator
 	opts  Options
 
-	inodes  []*Inode
+	inodes  inodeTable
 	inoHint int
 
 	mover DataMover
@@ -76,9 +77,10 @@ type FS struct {
 	// solo is the shared arena for nil-task functional contexts (which
 	// never yield mid-operation); enc is AppendEntries' entry-encoding
 	// scratch, safe at FS level because nothing yields between encoding
-	// an entry and writing it to the device.
-	solo *OpArena
-	enc  []byte
+	// an entry and writing it to the device; blocks is indexedBlocks'.
+	solo   *OpArena
+	enc    []byte
+	blocks []int64
 
 	// Stats the benches report.
 	OpsRead, OpsWrite       int64
@@ -144,7 +146,7 @@ func Mount(dev *pmem.Device, mover DataMover, opts Options) (*FS, error) {
 		sb:     sb,
 		alloc:  newAllocator(sb.dataOff, sb.size),
 		opts:   opts,
-		inodes: make([]*Inode, sb.numInodes),
+		inodes: newInodeTable(sb.numInodes),
 		mover:  mover,
 	}
 	if err := fs.recover(); err != nil {
@@ -179,13 +181,13 @@ func (fs *FS) Charge(t *caladan.Task, d sim.Duration) {
 // Inode table management.
 
 func (fs *FS) allocInode(kind byte) (*Inode, error) {
-	n := len(fs.inodes)
+	n := fs.inodes.n
 	for k := 0; k < n; k++ {
 		num := (fs.inoHint + k) % n
 		if num < 2 { // 0 invalid, 1 root
 			continue
 		}
-		if fs.inodes[num] == nil {
+		if fs.inodes.get(uint32(num)) == nil {
 			fs.inoHint = (num + 1) % n
 			logPage, ok := fs.alloc.allocRun(1)
 			if !ok || logPage.Pages != 1 {
@@ -207,7 +209,7 @@ func (fs *FS) allocInode(kind byte) (*Inode, error) {
 			} else {
 				ino.index = &blockIndex{}
 			}
-			fs.inodes[num] = ino
+			fs.inodes.set(ino.Num, ino)
 			ino.writeSlot()
 			fs.dev.Fence()
 			return ino, nil
@@ -223,19 +225,8 @@ func (fs *FS) dropInode(ino *Inode) {
 	fs.dev.Fence()
 	// Free data blocks in block order (the index walks in page order), so
 	// the free sequence is deterministic.
-	if ino.index != nil {
-		seen := map[int64]bool{}
-		blocks := make([]int64, 0, ino.index.len())
-		ino.index.walk(0, func(_, b int64) {
-			if !seen[b] {
-				seen[b] = true
-				blocks = append(blocks, b)
-			}
-		})
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-		for _, b := range blocks {
-			fs.alloc.freeRun(Run{Off: b, Pages: 1})
-		}
+	for _, b := range fs.indexedBlocks(ino) {
+		fs.alloc.freeRun(Run{Off: b, Pages: 1})
 	}
 	// Free the log page chain.
 	pages := fs.walkLog(ino.logHead, ino.logTail, func(Entry) {})
@@ -243,19 +234,35 @@ func (fs *FS) dropInode(ino *Inode) {
 		fs.alloc.freeRun(Run{Off: p, Pages: 1})
 		fs.logPageCount--
 	}
-	fs.inodes[ino.Num] = nil
+	fs.inodes.set(ino.Num, nil)
+}
+
+// indexedBlocks returns the distinct data blocks ino's index maps, in
+// ascending order (none for a directory). The slice is the FS's scratch,
+// valid until the next call; nothing yields while a caller uses it.
+func (fs *FS) indexedBlocks(ino *Inode) []int64 {
+	blocks := fs.blocks[:0]
+	if ino.index != nil {
+		ino.index.walk(0, func(_, b int64) {
+			blocks = append(blocks, b)
+		})
+	}
+	slices.Sort(blocks)
+	blocks = slices.Compact(blocks)
+	fs.blocks = blocks
+	return blocks
 }
 
 // Inode returns inode num, or nil.
 func (fs *FS) Inode(num uint32) *Inode {
-	if int64(num) >= int64(len(fs.inodes)) {
+	if int64(num) >= int64(fs.inodes.n) {
 		return nil
 	}
-	return fs.inodes[num]
+	return fs.inodes.get(num)
 }
 
 // Root returns the root directory inode.
-func (fs *FS) Root() *Inode { return fs.inodes[RootIno] }
+func (fs *FS) Root() *Inode { return fs.inodes.get(RootIno) }
 
 // FreeBlocks reports the allocator's free block count.
 func (fs *FS) FreeBlocks() int64 { return fs.alloc.FreeBlocks() }
@@ -290,7 +297,7 @@ func (fs *FS) namei(path string) (*Inode, error) {
 		if !ok {
 			return nil, ErrNotExist
 		}
-		cur = fs.inodes[num]
+		cur = fs.inodes.get(num)
 		if cur == nil {
 			return nil, ErrNotExist
 		}
@@ -436,7 +443,7 @@ func (fs *FS) Unlink(t *caladan.Task, path string) error {
 	if !ok {
 		return ErrNotExist
 	}
-	target := fs.inodes[num]
+	target := fs.inodes.get(num)
 	if target.IsDir() {
 		return ErrIsDir
 	}
@@ -508,7 +515,7 @@ func (fs *FS) Rename(t *caladan.Task, oldpath, newpath string) error {
 		if oldNum == num {
 			return nil
 		}
-		replaced = fs.inodes[oldNum]
+		replaced = fs.inodes.get(oldNum)
 		if replaced.IsDir() {
 			return ErrIsDir
 		}

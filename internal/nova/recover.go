@@ -69,23 +69,23 @@ func (fs *FS) recover() error {
 			} else {
 				ino.index = &blockIndex{}
 			}
-			fs.inodes[num] = ino
+			fs.inodes.set(ino.Num, ino)
 			live = append(live, liveInode{ino, fs.replayLog(ino)})
 		}
 	}
-	if fs.inodes[RootIno] == nil {
+	if fs.inodes.get(RootIno) == nil {
 		return ErrNotExist
 	}
 
 	// Step 3: orphan sweep (root is always reachable), in ascending inode
 	// order; the survivors keep that order.
 	reachable := map[uint32]bool{RootIno: true}
-	fs.markReachable(fs.inodes[RootIno], reachable)
+	fs.markReachable(fs.inodes.get(RootIno), reachable)
 	kept := live[:0]
 	for _, l := range live {
 		if l.ino.Num >= 2 && !reachable[l.ino.Num] {
 			fs.dev.WriteAt(l.ino.slotOff(), []byte{0})
-			fs.inodes[l.ino.Num] = nil
+			fs.inodes.set(l.ino.Num, nil)
 			continue
 		}
 		kept = append(kept, l)
@@ -103,17 +103,8 @@ func (fs *FS) recover() error {
 		}
 	}
 	for _, l := range live {
-		ino := l.ino
-		if ino.index == nil {
-			continue
-		}
-		blocks := make([]int64, 0, ino.index.len())
-		ino.index.walk(0, func(_, b int64) {
-			blocks = append(blocks, b)
-		})
-		// Sorted so the rebuilt allocator bitmap is filled in block order.
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-		for _, b := range blocks {
+		// In block order, so the rebuilt bitmap is filled deterministically.
+		for _, b := range fs.indexedBlocks(l.ino) {
 			fs.alloc.markUsed(b, 1)
 		}
 	}
@@ -237,7 +228,7 @@ func (fs *FS) markReachable(dir *Inode, seen map[uint32]bool) {
 	sort.Strings(names)
 	for _, name := range names {
 		num := dir.dirents[name]
-		child := fs.inodes[num]
+		child := fs.inodes.get(num)
 		if child == nil || seen[num] {
 			continue
 		}

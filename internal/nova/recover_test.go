@@ -83,7 +83,7 @@ func populateSparse(t *testing.T) (dev *pmem.Device, opts Options, free int64) {
 	o.Close()
 
 	for _, num := range []uint32{2, 70, 71, 200, 400} {
-		if fs.inodes[num] == nil {
+		if fs.inodes.get(num) == nil {
 			t.Fatalf("inode %d not allocated where the test placed it", num)
 		}
 	}
@@ -132,7 +132,7 @@ func TestRemountSparseTable(t *testing.T) {
 			t.Fatalf("%s: contents lost across remount", c.path)
 		}
 	}
-	if fs.inodes[400] != nil {
+	if fs.inodes.get(400) != nil {
 		t.Fatal("orphan inode 400 survived the sweep")
 	}
 	slot := make([]byte, 1)
@@ -174,8 +174,8 @@ func TestRemountSkipsAbsentPagesExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for num := range want.inodes {
-		g, w := got.inodes[num], want.inodes[num]
+	for num := uint32(0); num < uint32(want.inodes.n); num++ {
+		g, w := got.inodes.get(num), want.inodes.get(num)
 		if (g == nil) != (w == nil) {
 			t.Fatalf("inode %d live=%v, decoding every page gives live=%v", num, g != nil, w != nil)
 		}
@@ -235,8 +235,8 @@ func TestMkfsOverPopulatedDevice(t *testing.T) {
 	if err != nil || len(names) != 0 {
 		t.Fatalf("root lists %v (%v) after Mkfs, want nothing", names, err)
 	}
-	for num, ino := range fs.inodes {
-		if ino != nil && num != RootIno {
+	for num := uint32(0); num < uint32(fs.inodes.n); num++ {
+		if fs.inodes.get(num) != nil && num != RootIno {
 			t.Fatalf("inode %d live after Mkfs", num)
 		}
 	}

@@ -112,17 +112,72 @@ func TestServedWindowAllocBytes(t *testing.T) {
 
 // TestSharedZeroSourceStaysZero is the safety net for sharing one write
 // source: after a served window on the functional data plane, where
-// writes really are copied out of it, the source must still be all zero.
-// A write source is read-only to every layer.
+// writes really are copied out of it, the Server's source and the whole
+// process-wide block behind it must still be all zero. A write source is
+// read-only to every layer.
 func TestSharedZeroSourceStaysZero(t *testing.T) {
 	for _, ephemeral := range []bool{false, true} {
 		s, _ := serveBulkWindow(t, ephemeral)
-		for i, b := range s.zero {
+		if len(s.zero) == 0 || &s.zero[0] != &nova.Zeros(1)[0] {
+			t.Fatalf("ephemeral=%v: the Server's write source is not nova's shared zero source", ephemeral)
+		}
+		for i, b := range nova.Zeros(nova.ZeroSourceSize) {
 			if b != 0 {
 				t.Fatalf("ephemeral=%v: shared zero source written: byte %d is %#x", ephemeral, i, b)
 			}
 		}
 	}
+}
+
+// TestNewAllocBytes: serving set-up costs what it touches, not the size
+// of its files. New for a three-tenant config of 4 KB reads beside two
+// tenants of 1 MB writes on 4 MB files, with sixteen workers, allocates
+// under 1 MB: the write source is the process-wide zero block, so New
+// builds no file-sized buffer.
+func TestNewAllocBytes(t *testing.T) {
+	media, archive := bulkTenant(2_250), bulkTenant(2_250)
+	media.Name, archive.Name = "media", "archive"
+	cfg := Config{
+		Cores:          4,
+		WorkersPerCore: 4,
+		Seed:           42,
+		Policy:         PolicySpec{Kind: PolicyEWMA},
+		Warmup:         sim.Millisecond,
+		Measure:        sim.Millisecond,
+		Drain:          sim.Millisecond,
+		Tenants:        []TenantSpec{webTenant(60_000), media, archive},
+	}
+	eng := sim.NewEngine()
+	dev := pmem.New(eng, perfmodel.System(), 8<<30)
+	opts := core.Options{Nova: nova.Options{NumInodes: 16384, EphemeralData: true}}
+	if err := core.Format(dev, opts); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := core.Mount(dev, core.NewEngines(dev, 8), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := caladan.New(eng, caladan.Options{Cores: cfg.Cores, Seed: cfg.Seed})
+	t.Cleanup(eng.Shutdown)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := New(eng, rt, fs, cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.tenants[1].spec.FileSize; got != 4<<20 {
+		t.Fatalf("bulk tenant files are %d bytes, want the 4 MB the bound is about", got)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("New allocated %d bytes", bytes)
+	if bytes >= 1<<20 {
+		t.Fatalf("New allocated %d bytes, want under 1 MB", bytes)
+	}
+	s.StartManager()
+	eng.RunUntil(s.End())
+	s.Finish()
 }
 
 // serveBulkWindow runs a 4-core, 16-worker window of 4 KB reads beside

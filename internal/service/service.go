@@ -229,11 +229,10 @@ type Server struct {
 
 	tenants []*tenant
 
-	// zero is the one all-zero buffer behind every tenant's prefill and
-	// every worker's writes, sized by the largest prefill file or write.
-	// Sharing it rests on the buffer-ownership rule: a write source is
-	// read-only to every layer below (nova stages it into its CoW image,
-	// DMA descriptors and delegates only read it), so it stays zero.
+	// zero is the one all-zero write source behind every tenant's
+	// prefill and every worker's writes, sized by the largest prefill
+	// file or write: a window on nova's process-wide zero source, which
+	// every layer below only reads.
 	zero []byte
 
 	qhead, qtail *request
@@ -320,7 +319,7 @@ func New(eng *sim.Engine, rt *caladan.Runtime, fs *core.FS, cfg Config) (*Server
 		zeroLen = max(zeroLen, spec.FileSize, int64(spec.Mix.WriteSize))
 		specs[ti] = spec
 	}
-	s.zero = make([]byte, zeroLen)
+	s.zero = nova.Zeros(int(zeroLen))
 
 	root := rng.New(cfg.Seed ^ 0x5e4ce)
 	for ti, spec := range specs {
