@@ -58,7 +58,10 @@ type FlowSpec struct {
 	OnDone func()
 }
 
-// Flow is an in-flight transfer.
+// Flow is an in-flight transfer. The device recycles Flow objects: a
+// completed flow and a cancelled one go back to one pool. A handle is
+// dead once OnDone fires or Cancel returns true; Done and Cancel stay
+// truthful only until the device reuses the struct.
 type Flow struct {
 	dev       *Device
 	spec      FlowSpec
@@ -90,16 +93,20 @@ func (f *Flow) Progress() float64 {
 // Done reports whether the flow has completed or been cancelled.
 func (f *Flow) Done() bool { return f.done }
 
-// Cancel removes an in-flight flow without firing OnDone. It reports
-// whether the flow was still active.
+// Cancel removes an in-flight flow without firing OnDone and retires it
+// to the device's free list. It reports whether the flow was still
+// active. The retired struct keeps done set until StartFlow reuses it,
+// so until then Done reports true and Cancel false.
 func (f *Flow) Cancel() bool {
 	if f.done {
 		return false
 	}
-	f.dev.advance()
+	d := f.dev
+	d.advance()
 	f.done = true
-	f.dev.removeFlow(f)
-	f.dev.invalidate()
+	d.removeFlow(f)
+	d.invalidate()
+	d.freeFlows = append(d.freeFlows, f)
 	return true
 }
 
@@ -130,8 +137,9 @@ type Device struct {
 	// slice capacity): bursty traffic drains and re-forms groups
 	// constantly, and re-forming one must not allocate.
 	freeGroups []*dmaGroup
-	// freeFlows recycles Flow objects retired by completeDue; fired is
-	// its per-call scratch. Steady state starts flows from the pool.
+	// freeFlows recycles Flow objects retired by completeDue and Cancel;
+	// fired is completeDue's per-call scratch. Steady state starts flows
+	// from the pool.
 	freeFlows []*Flow
 	fired     []*Flow
 
@@ -862,10 +870,11 @@ func (d *Device) completeDue() {
 			f.spec.OnDone()
 		}
 	}
-	// Retire fired flows to the free list. Callers either discard the
-	// *Flow immediately or (dma.Channel) drop their reference before the
-	// OnDone chain returns; cancelled flows never come back here, so a
-	// retained handle after Cancel stays valid.
+	// Retire fired flows to the free list, the same pool Cancel fills:
+	// both ways a flow ends recycle it. A handle is dead once OnDone fires
+	// or Cancel returns true, so callers either discard the *Flow
+	// immediately or (dma.Channel) drop their reference before the OnDone
+	// chain returns and at Cancel.
 	for i, f := range fired {
 		*f = Flow{}
 		d.freeFlows = append(d.freeFlows, f)

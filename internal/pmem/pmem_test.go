@@ -452,3 +452,61 @@ func TestFlowRoundsNoAllocs(t *testing.T) {
 		t.Fatalf("ActiveFlows = %d after cycle", d.ActiveFlows())
 	}
 }
+
+// TestCancelledFlowReturnsToPool pins that both ways a flow ends recycle
+// it: a flow cancelled part-way, the B-channel suspend path, goes back to
+// the same free list completeDue fills. Beside one long-running flow, a
+// start → advance → cancel cycle reuses the struct it just cancelled,
+// allocates nothing once warm, and never grows the pool past the peak
+// concurrent flow count.
+func TestCancelledFlowReturnsToPool(t *testing.T) {
+	eng, d := newDev()
+	long := d.StartFlow(FlowSpec{Kind: FlowDMA, Group: 0, Bytes: 1 << 40})
+	spec := FlowSpec{Write: true, Kind: FlowDMA, Group: 1, Bytes: 1 << 20,
+		OnDone: func() { t.Error("OnDone after cancel") }}
+	var last *Flow
+	cycle := func() {
+		f := d.StartFlow(spec)
+		eng.RunFor(sim.Microsecond)
+		if p := f.Progress(); p <= 0 || p >= 0.5 {
+			t.Fatalf("progress before cancel = %v, want part-way", p)
+		}
+		if !f.Cancel() {
+			t.Fatal("cancel of an active flow failed")
+		}
+		last = f
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+		if got := d.StartFlow(spec); got != last {
+			t.Fatalf("cycle %d: StartFlow did not reuse the flow cancelled just before", i)
+		} else {
+			got.Cancel()
+		}
+	}
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Fatalf("start → advance → cancel allocates %.1f times per cycle", a)
+	}
+	if n := len(d.freeFlows); n > 2 {
+		t.Fatalf("free list holds %d flows, want at most the peak concurrent count 2", n)
+	}
+	if d.ActiveFlows() != 1 || long.Done() {
+		t.Fatalf("ActiveFlows = %d, long flow done = %v; want only the long flow running", d.ActiveFlows(), long.Done())
+	}
+}
+
+// BenchmarkFlowStartCancel measures one start → advance → cancel cycle
+// beside a long-running flow: the cost of the channel manager's
+// suspend-and-restart path at the device, and its allocations per cycle.
+func BenchmarkFlowStartCancel(b *testing.B) {
+	eng, d := newDev()
+	d.StartFlow(FlowSpec{Kind: FlowDMA, Group: 0, Bytes: 1 << 50})
+	spec := FlowSpec{Write: true, Kind: FlowDMA, Group: 1, Bytes: 1 << 20}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := d.StartFlow(spec)
+		eng.RunFor(sim.Microsecond)
+		f.Cancel()
+	}
+}

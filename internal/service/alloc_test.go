@@ -16,34 +16,100 @@ import (
 // //easyio:hotpath contract on Server.Inject and Server.execute (and for
 // the dynamic-call summary holes the analyzer cannot traverse): in the
 // steady state of a serving run — request pool, per-uthread op scratch,
-// event freelist and all high-water buffers warmed — the full
-// admit/execute/complete lifecycle must not allocate per request. The
-// first half of the run is the warmup; the second half is measured with
-// the GC fenced off and must stay well under one allocation per arrival
-// (rare runtime-internal allocations, e.g. sudog growth, are tolerated;
-// the pre-scratch path cost dozens per request).
+// event freelist, pmem flow pool and all high-water buffers warmed — the
+// full admit/execute/complete lifecycle must not allocate per request.
+// The first half of the run is the warmup; the second half is measured
+// with the GC fenced off and must stay well under one allocation per
+// completed request (rare runtime-internal allocations, e.g. sudog
+// growth, are tolerated; the pre-scratch path cost dozens per request).
+//
+// The qos case is the benchmark's serve-qos regime, where the channel
+// manager keeps suspending the B channel and the DMA layer cancels and
+// restarts a descriptor less than half done: it must be in the measured
+// half too, so a cancelled flow that is not recycled shows up here.
 func TestRequestLifecycleNoAllocs(t *testing.T) {
-	cfg := Config{
-		Cores:   2,
-		Seed:    7,
-		Warmup:  1 * sim.Millisecond,
-		Measure: 60 * sim.Millisecond,
-		Drain:   5 * sim.Millisecond,
-		Tenants: []TenantSpec{
-			webTenant(100_000),
-			{
-				Name:    "log",
-				Class:   core.ClassL,
-				Arrival: ArrivalSpec{Kind: ArrivalPoisson, Rate: 20_000},
-				Mix:     Mix{Name: "append", WriteSize: 8 << 10, WriteEvery: 1},
+	const bulk = 1.5 * 1_500 // requests/s per bulk tenant, as serve-qos
+	media, archive := bulkTenant(bulk), bulkTenant(bulk)
+	media.Name, media.Mix.Name = "media", "ingest"
+	media.Arrival = ArrivalSpec{Kind: ArrivalBurst, Rate: bulk, Period: 2 * sim.Millisecond, Duty: 0.25}
+	archive.Name = "archive"
+	archive.Arrival = ArrivalSpec{Kind: ArrivalDiurnal, Rate: bulk, Period: 10 * sim.Millisecond, Amplitude: 0.8}
+	cases := []struct {
+		name        string
+		cfg         Config
+		wantSuspend bool
+	}{
+		{name: "web+log", cfg: Config{
+			Cores:   2,
+			Seed:    7,
+			Warmup:  1 * sim.Millisecond,
+			Measure: 60 * sim.Millisecond,
+			Drain:   5 * sim.Millisecond,
+			Tenants: []TenantSpec{
+				webTenant(100_000),
+				{
+					Name:    "log",
+					Class:   core.ClassL,
+					Arrival: ArrivalSpec{Kind: ArrivalPoisson, Rate: 20_000},
+					Mix:     Mix{Name: "append", WriteSize: 8 << 10, WriteEvery: 1},
+				},
 			},
-		},
+		}},
+		{name: "qos", wantSuspend: true, cfg: Config{
+			Cores:          4,
+			WorkersPerCore: 4,
+			Seed:           42,
+			Policy:         PolicySpec{Kind: PolicyEWMA},
+			Warmup:         1 * sim.Millisecond,
+			Measure:        60 * sim.Millisecond,
+			Drain:          5 * sim.Millisecond,
+			Tenants:        []TenantSpec{webTenant(60_000), media, archive},
+		}},
 	}
-	cfg = cfg.withDefaults()
-	// Small device, every page pre-touched: the rotating block allocator
-	// sweeps the whole device before reusing blocks, so on a large device
-	// first-touch demand paging (a once-per-page cost, not lifecycle
-	// churn) would dominate the window. Pre-touching retires it up front.
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, eng := lifecycleServer(t, tc.cfg)
+			mid := sim.Time(s.cfg.Warmup + s.cfg.Measure/2)
+			eng.RunUntil(mid)
+
+			runtime.GC()
+			var before, after runtime.MemStats
+			susp0 := s.mgr.SuspendCount()
+			runtime.ReadMemStats(&before)
+			eng.RunUntil(s.End())
+			runtime.ReadMemStats(&after)
+			suspends := s.mgr.SuspendCount() - susp0
+
+			res := s.Finish()
+			var completed int64
+			for _, tr := range res.Tenants {
+				completed += tr.Completed
+			}
+			if completed < 1000 {
+				t.Fatalf("run too small to judge: %d completed requests", completed)
+			}
+			if tc.wantSuspend && suspends == 0 {
+				t.Fatal("the channel manager never suspended the B channel in the measured half")
+			}
+			allocs := int64(after.Mallocs - before.Mallocs)
+			perReq := float64(allocs) / float64(completed)
+			t.Logf("%d allocations over >=%d requests (%.3f per request), %d suspends", allocs, completed, perReq, suspends)
+			if perReq > 0.1 {
+				t.Fatalf("steady-state request lifecycle allocates %.3f times per request (%d allocs, %d requests)",
+					perReq, allocs, completed)
+			}
+		})
+	}
+}
+
+// lifecycleServer builds a server for cfg on a small device with every
+// page pre-touched and starts its arrivals and channel manager. The
+// rotating block allocator sweeps the whole device before reusing
+// blocks, so on a large device first-touch demand paging (a once-per-page
+// cost, not lifecycle churn) would dominate the window. Pre-touching
+// retires it up front.
+func lifecycleServer(t *testing.T, cfg Config) (*Server, *sim.Engine) {
+	t.Helper()
 	const devSize = 64 << 20
 	eng := sim.NewEngine()
 	dev := pmem.New(eng, perfmodel.System(), devSize)
@@ -69,31 +135,7 @@ func TestRequestLifecycleNoAllocs(t *testing.T) {
 	}
 	s.StartArrivals()
 	s.StartManager()
-
-	mid := sim.Time(cfg.Warmup + cfg.Measure/2)
-	eng.RunUntil(mid)
-
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	eng.RunUntil(s.End())
-	runtime.ReadMemStats(&after)
-
-	res := s.Finish()
-	var completed int64
-	for _, tr := range res.Tenants {
-		completed += tr.Completed
-	}
-	if completed < 1000 {
-		t.Fatalf("run too small to judge: %d completed requests", completed)
-	}
-	allocs := int64(after.Mallocs - before.Mallocs)
-	perReq := float64(allocs) / float64(completed)
-	t.Logf("%d allocations over >=%d requests (%.3f per request)", allocs, completed, perReq)
-	if perReq > 0.1 {
-		t.Fatalf("steady-state request lifecycle allocates %.3f times per request (%d allocs, %d requests)",
-			perReq, allocs, completed)
-	}
+	return s, eng
 }
 
 // TestServedWindowAllocBytes bounds what a served window with bulk
