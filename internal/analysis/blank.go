@@ -8,7 +8,7 @@ import "bytes"
 // library is loaded by declarations only (loader): go/types skips
 // function bodies when checking it, and parsing bodies it then throws
 // away is most of the cost of a load. Function literals, composite
-// literals and a body holding a //line or /*line directive (which would
+// literals and a body holding a line directive (//line, /*line: it would
 // move the positions after it) are left as they are.
 //
 // The pass is a byte-level lexer: braces inside comments, interpreted and

@@ -219,10 +219,11 @@ func TestBlankFuncBodiesStdClosure(t *testing.T) {
 				continue
 			}
 			dir := filepath.Join(imp.srcDir, path)
-			p, err := parseDir(token.NewFileSet(), dir, false)
-			if err != nil || p == nil {
-				t.Fatalf("parseDir(%s) = %v, %v", dir, p, err)
+			ps, err := parseDirs(token.NewFileSet(), []string{dir}, false)
+			if err != nil || ps[0] == nil {
+				t.Fatalf("parseDirs(%s) = %v, %v", dir, ps, err)
 			}
+			p := ps[0]
 			for _, f := range p.Files {
 				paths = append(paths, p.Fset.Position(f.Package).Filename)
 			}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -69,32 +70,22 @@ func ParseModule(root string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-
-	// Discover and parse package directories.
+	dirs, err := moduleDirs(root)
+	if err != nil {
+		return nil, err
+	}
+	parsed, err := parseDirs(token.NewFileSet(), dirs, false)
+	if err != nil {
+		return nil, err
+	}
 	byPath := map[string]*Package{}
-	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-			name == "testdata" || name == "vendor") {
-			return filepath.SkipDir
-		}
-		pkg, err := parseDir(fset, path, false)
-		if err != nil {
-			return err
-		}
+	for i, pkg := range parsed {
 		if pkg == nil {
-			return nil
+			continue
 		}
-		rel, err := filepath.Rel(root, path)
+		rel, err := filepath.Rel(root, dirs[i])
 		if err != nil {
-			return err
+			return nil, err
 		}
 		pkg.Path = modPath
 		if rel != "." {
@@ -102,10 +93,6 @@ func ParseModule(root string) ([]*Package, error) {
 		}
 		pkg.modPath = modPath
 		byPath[pkg.Path] = pkg
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 
 	// Order packages so every module-internal dependency precedes its
@@ -118,15 +105,18 @@ func ParseModule(root string) ([]*Package, error) {
 // resolve against the packages before them in order; everything else
 // resolves from GOROOT source (loader).
 //
-// Parsing stays on the calling goroutine and walks the imports in the
+// The walk stays on the calling goroutine and visits the imports in the
 // order a serial load requests them from go/types: the packages in
 // order, each file's import specs in source order, depth first, each
-// standard-library package parsed before its imports. The shared
-// FileSet therefore gives every file the same base on every run and at
-// any GOMAXPROCS, so every token.Pos is fixed. Only checking fans out:
-// each package is checked as soon as every package it imports is, on up
-// to runtime.GOMAXPROCS(0) concurrent checks, while the walk runs ahead
-// of them. TypeCheck returns when every check has finished.
+// standard-library package parsed before its imports. A package's files
+// parse on up to runtime.GOMAXPROCS(0) workers (parseDirs), each at the
+// FileSet base reserved for it from the sizes of the files before it,
+// the base a serial parse gives it. The shared FileSet therefore gives
+// every file the same base on every run and at any GOMAXPROCS, so every
+// token.Pos is fixed. Checking fans out too: each package is checked as
+// soon as every package it imports is, on up to runtime.GOMAXPROCS(0)
+// concurrent checks, while the walk runs ahead of them. TypeCheck
+// returns when every check has finished.
 //
 // Each call builds its own loader, so every call pays for a cold load of
 // the standard library the module imports: each package in that closure
@@ -170,54 +160,165 @@ func TypeCheck(order []*Package) {
 	l.wg.Wait()
 }
 
-// parseDir parses the non-test .go files of one directory that go/build
-// would build for build.Default (goodOSArchFile, then buildIncluded), or
-// returns nil when there are none. With declsOnly it blanks each file's
-// function bodies before parsing (blankFuncBodies): positions stay exact,
-// but the files declare without implementing, which suits only packages
-// nothing analyses, such as the standard library.
-func parseDir(fset *token.FileSet, dir string, declsOnly bool) (*Package, error) {
-	entries, err := os.ReadDir(dir)
+// moduleDirs lists the directories under root that may hold packages,
+// in filepath.WalkDir order: every directory but those named testdata
+// or vendor or starting with . or _, and their subtrees.
+func moduleDirs(root string) ([]string, error) {
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() {
+			return nil
+		}
+		name := d.Name()
+		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+			name == "testdata" || name == "vendor") {
+			return filepath.SkipDir
+		}
+		dirs = append(dirs, path)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
-	name := ""
-	for _, e := range entries {
-		fn := e.Name()
-		if e.IsDir() || !strings.HasSuffix(fn, ".go") || strings.HasSuffix(fn, "_test.go") ||
-			!goodOSArchFile(fn) {
-			continue
-		}
-		path := filepath.Join(dir, fn)
-		var src any // nil: the parser reads the file
-		if declsOnly {
-			b, err := os.ReadFile(path)
-			if err != nil {
-				return nil, err
-			}
-			blankFuncBodies(b)
-			src = b
-		}
-		f, err := parser.ParseFile(fset, path, src, parser.ParseComments|parser.SkipObjectResolution)
+	return dirs, nil
+}
+
+// parseMode is the one parser mode of every load: comments kept (the
+// analyzers read directives), identifiers left unresolved (go/types
+// resolves them).
+const parseMode = parser.ParseComments | parser.SkipObjectResolution
+
+// srcFile is one file parseDirs parses: read in walk order, parsed on
+// any worker, merged into the shared FileSet in walk order.
+type srcFile struct {
+	dir  int // index in parseDirs' dirs
+	path string
+	src  []byte
+	// base is the file's reserved base in the shared FileSet.
+	base int
+	// direct marks a file holding a line directive: it skips the worker
+	// and parses at the merge, straight into the shared FileSet.
+	direct bool
+	f      *ast.File
+	err    error
+	// lines is the line table the worker's private FileSet recorded.
+	lines []int
+}
+
+// parseDirs parses the non-test .go files of each directory in dirs that
+// go/build would build for build.Default (goodOSArchFile, then
+// buildIncluded), and returns one package per directory, nil for a
+// directory with none. With declsOnly it blanks each file's function
+// bodies before parsing (blankFuncBodies): positions stay exact, but the
+// files declare without implementing, which suits only packages nothing
+// analyses, such as the standard library.
+//
+// Every file gets the base a serial parse would give it, one
+// parser.ParseFile per file in walk order, yet the files parse on up to
+// runtime.GOMAXPROCS(0) workers (fanOut). A file's base depends only on
+// the sizes of the files before it: it is fset.Base(), plus their sizes,
+// plus one per file. So every file is read and its base reserved first;
+// then each parses into a private FileSet padded with one empty file up
+// to that base; then the merge, in walk order, adds each file to fset at
+// its base and copies the line table. SetLines does not carry the line
+// info a line directive (//line, /*line) records, so a file whose bytes
+// hold one parses at the merge, straight into fset, where its base has
+// come round. Errors come back as a serial parse meets them: the first in
+// walk order, with the files before it, and the failing one, in fset.
+func parseDirs(fset *token.FileSet, dirs []string, declsOnly bool) ([]*Package, error) {
+	var files []srcFile
+	var readErr error
+	base := fset.Base()
+read:
+	for i, dir := range dirs {
+		entries, err := os.ReadDir(dir)
 		if err != nil {
-			return nil, err
+			readErr = err
+			break
 		}
-		if !buildIncluded(f) {
+		for _, e := range entries {
+			fn := e.Name()
+			if e.IsDir() || !strings.HasSuffix(fn, ".go") || strings.HasSuffix(fn, "_test.go") ||
+				!goodOSArchFile(fn) {
+				continue
+			}
+			path := filepath.Join(dir, fn)
+			src, err := os.ReadFile(path)
+			if err != nil {
+				readErr = err
+				break read
+			}
+			if declsOnly {
+				blankFuncBodies(src)
+			}
+			files = append(files, srcFile{dir: i, path: path, src: src, base: base, direct: hasLineDirective(src)})
+			base += len(src) + 1
+		}
+	}
+
+	fanOut(len(files), runtime.GOMAXPROCS(0), func(i int) {
+		sf := &files[i]
+		if sf.direct {
+			return
+		}
+		priv := token.NewFileSet()
+		if pad := sf.base - priv.Base() - 1; pad >= 0 {
+			priv.AddFile("", -1, pad)
+		}
+		sf.f, sf.err = parser.ParseFile(priv, sf.path, sf.src, parseMode)
+		sf.lines = priv.File(token.Pos(sf.base)).Lines()
+	})
+
+	pkgs := make([]*Package, len(dirs))
+	for i := range files {
+		sf := &files[i]
+		if got := fset.Base(); got != sf.base {
+			panic(fmt.Sprintf("analysis: %s reserved base %d, but the FileSet is at %d", sf.path, sf.base, got))
+		}
+		if sf.direct {
+			sf.f, sf.err = parser.ParseFile(fset, sf.path, sf.src, parseMode)
+		} else if !fset.AddFile(sf.path, -1, len(sf.src)).SetLines(sf.lines) {
+			panic("analysis: " + sf.path + ": invalid line table")
+		}
+		if sf.err != nil {
+			return nil, sf.err
+		}
+		if !buildIncluded(sf.f) {
 			continue
 		}
-		if name == "" {
-			name = f.Name.Name
+		p := pkgs[sf.dir]
+		if p == nil {
+			p = &Package{Dir: dirs[sf.dir], Name: sf.f.Name.Name, Fset: fset}
+			pkgs[sf.dir] = p
 		}
-		if f.Name.Name != name {
-			return nil, fmt.Errorf("analysis: %s mixes packages %s and %s", dir, name, f.Name.Name)
+		if sf.f.Name.Name != p.Name {
+			return nil, fmt.Errorf("analysis: %s mixes packages %s and %s", p.Dir, p.Name, sf.f.Name.Name)
 		}
-		files = append(files, f)
+		p.Files = append(p.Files, sf.f)
 	}
-	if len(files) == 0 {
-		return nil, nil
+	return pkgs, readErr
+}
+
+// hasLineDirective reports whether src may hold a line directive, which
+// the scanner records in the FileSet it parses into: "line " right after
+// a /* anywhere, or right after a // that starts a line. Such bytes
+// inside a string or another comment are a false alarm, which only sends
+// the file to the merge.
+func hasLineDirective(src []byte) bool {
+	for i := 2; i <= len(src); i++ {
+		j := bytes.Index(src[i:], []byte("line "))
+		if j < 0 {
+			return false
+		}
+		i += j
+		if src[i-2] == '/' && (src[i-1] == '*' || src[i-1] == '/' && (i == 2 || src[i-3] == '\n')) {
+			return true
+		}
 	}
-	return &Package{Dir: dir, Name: name, Fset: fset, Files: files}, nil
+	return false
 }
 
 // buildIncluded evaluates a file's //go:build constraint with go/build's
@@ -427,7 +528,7 @@ func topoSort(byPath map[string]*Package, modPath string) ([]*Package, error) {
 // no file, so std's vendored imports (golang.org/x/...) find
 // $GOROOT/src/vendor as they do under go/importer's "source" importer,
 // and go/build never invokes the go command. The directory is then read
-// by the module loader's parseDir, with its file filter and with
+// by the module loader's parseDirs, with its file filter and with
 // function bodies blanked, and its imports are walked before std
 // returns. schedule runs each package's check on its own goroutine once
 // its imports are checked, holding one of the sem slots while it runs.
@@ -523,12 +624,12 @@ func (l *loader) load(path string) *loadNode {
 	if err != nil {
 		return finished(nil, err)
 	}
-	p, err := parseDir(l.fset, bp.Dir, true)
+	ps, err := parseDirs(l.fset, []string{bp.Dir}, true)
 	if err != nil {
 		return finished(nil, err)
 	}
 	var files []*ast.File
-	if p != nil {
+	if p := ps[0]; p != nil {
 		for _, f := range p.Files {
 			switch {
 			case !importsC(f):

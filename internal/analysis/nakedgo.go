@@ -8,10 +8,10 @@ import "go/ast"
 // go statement of their own. A naked `go` statement races the OS
 // scheduler against the virtual clock; internal/sim itself has none. The
 // sanctioned launch sites are the three host worker pools (the bench job
-// pool, the analysis runner and TypeCheck's loader), each of which
-// confines every engine or package it touches to one worker and joins
-// before merging; each carries an //easyio:allow nakedgo comment saying
-// so.
+// pool, the analysis runner's fanOut, which the parser shares, and
+// TypeCheck's loader), each of which confines every engine or package it
+// touches to one worker and joins before merging; each carries an
+// //easyio:allow nakedgo comment saying so.
 var NakedGo = &Analyzer{
 	Name: "nakedgo",
 	Doc:  "forbid go statements — concurrency must go through sim.Proc",

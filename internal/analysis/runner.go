@@ -1,6 +1,9 @@
 package analysis
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // RunOptions configures the production runner: parallel analysis over
 // packages and the whole-module fact cache. The zero value reproduces
@@ -98,27 +101,13 @@ func RunAnalyzersOpts(pkgs []*Package, analyzers []*Analyzer, opt RunOptions) *R
 	}
 	// The analyzers are pure functions over the immutable typed ASTs and
 	// the precomputed ModuleInfo; each job writes only its own raw[i] and
-	// times[i] slots, and wg.Wait joins before they are read.
+	// times[i] slots, and fanOut joins before they are read.
 	raw := make([][]Diagnostic, len(pkgs))
 	times := make([]map[string]float64, len(pkgs))
-	workers := max(1, min(opt.Workers, len(pkgs)))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() { //easyio:allow nakedgo (host-side analysis worker pool; the typed ASTs and ModuleInfo are immutable-after-init here, each worker writes only its own raw[i] slot, and wg.Wait joins before reads)
-			defer wg.Done()
-			for i := range jobs {
-				times[i] = map[string]float64{}
-				raw[i] = analyzePkg(pkgs[i], run, mod, times[i])
-			}
-		}()
-	}
-	for i := range pkgs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	fanOut(len(pkgs), opt.Workers, func(i int) {
+		times[i] = map[string]float64{}
+		raw[i] = analyzePkg(pkgs[i], run, mod, times[i])
+	})
 
 	sup := buildSuppressions(pkgs)
 	var diags []Diagnostic
@@ -158,4 +147,28 @@ func analyzePkg(pkg *Package, analyzers []*Analyzer, mod *ModuleInfo, ms map[str
 		ms[a.Name] += nowMS() - t0
 	}
 	return diags
+}
+
+// fanOut calls job(i) for every i in [0, n) on up to workers
+// goroutines, the caller's among them, and returns once every call has.
+// It is the host worker pool of the analysis runner and of the parser
+// (parseDirs): each job writes only its own slots, and the join orders
+// those writes before fanOut returns.
+func fanOut(n, workers int, job func(i int)) {
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			job(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(workers, n) - 1 {
+		wg.Add(1)
+		go func() { //easyio:allow nakedgo (host-side index pool of the analysis runner and the parser; each job writes only its own slots of immutable-after-init inputs, and wg.Wait joins before fanOut returns)
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
