@@ -79,24 +79,6 @@ grep -q '"unguarded_findings": 0' partition.json || { echo "unguarded cross-node
 test "$(grep -c '"status": "clean"' partition.json)" -eq 6 || { echo "a typestate protocol is violated module-wide (see partition.json protocols)"; exit 1; }
 rm -rf /tmp/easyio-vet-check /tmp/easyio-vet-cache-check /tmp/easyio-vet-cold.* /tmp/easyio-vet-warm.* /tmp/easyio-vet-p1.txt /tmp/easyio-vet-p4.txt /tmp/easyio-vet-part1.json /tmp/easyio-vet-part4.json /tmp/easyio-vet-g1.txt /tmp/easyio-vet-def.txt /tmp/easyio-vet-partg1.json /tmp/easyio-vet-partdef.json
 
-echo '== redundancy artifact gate (epoch-parity p99 <= 1.2x off, lag within bound)'
-awk '
-  function val(  v) { v = $2; gsub(/,/, "", v); return v + 0 }
-  /"delay_bound_ns":/ { bound = val() }
-  /"mode":/           { epoch = ($2 ~ /"epoch"/) }
-  /"p99_ratio":/ && epoch {
-    cells++
-    if (val() > 1.2) { printf "epoch-parity p99 ratio %s exceeds 1.2x parity-off\n", $2; bad = 1 }
-  }
-  /"max_lag_ns":/ && epoch {
-    if (val() > bound) { printf "epoch parity max lag %s ns exceeds delay bound %d ns\n", $2, bound; bad = 1 }
-  }
-  END {
-    if (cells == 0) { print "no epoch-mode cells in BENCH_redundancy.json"; bad = 1 }
-    exit bad
-  }
-' BENCH_redundancy.json || { echo "BENCH_redundancy.json violates the parity trade-off gate; regenerate with: go run ./cmd/easyio-serve -redjson BENCH_redundancy.json"; exit 1; }
-
 echo '== go test ./...'
 go test ./...
 
@@ -140,7 +122,7 @@ awk '
 ' BENCH_sim.json /tmp/easyio-bench-allocs.json || { echo "an experiment allocates more than 1.10x BENCH_sim.json; regenerate with: go run ./cmd/easyio-bench -exp all -seed 42 -benchjson BENCH_sim.json"; exit 1; }
 rm -f /tmp/easyio-bench-allocs.json
 
-echo '== serving job pool byte-identity (serve and redundancy cells; -workers 1 vs 4)'
+echo '== serving job pool byte-identity (serve cells; -workers 1 vs 4)'
 same_output ./cmd/easyio-serve '-quick -workers 1' '-quick -workers 4'
 
 echo '== -cpuprofile smoke (easyio-bench and easyio-serve write a non-empty profile)'

@@ -10,12 +10,7 @@
 //	easyio-serve -quick                   # short windows, no capacity cell
 //	easyio-serve -workers 4               # output identical for any value
 //	easyio-serve -json BENCH_serve.json   # committed artifact
-//	easyio-serve -redjson BENCH_redundancy.json  # committed parity artifact
 //	easyio-serve -quick -cpuprofile serve.prof   # go tool pprof serve.prof
-//
-// After the serving sweep it runs the redundancy experiment: the same
-// tenant mix with Vilamb-style epoch-batched parity riding the harvested
-// windows (and the eager per-touch baseline for contrast).
 //
 // Every reported number is a virtual-time observable, so repeated runs
 // with the same -seed are byte-identical for any -workers value.
@@ -37,7 +32,6 @@ func main() {
 	seed := flag.Uint64("seed", 42, "simulation seed")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulation goroutines (output is identical for any value)")
 	jsonPath := flag.String("json", "", "write the serve report JSON to this file")
-	redJSONPath := flag.String("redjson", "", "write the redundancy report JSON to this file")
 	million := flag.Bool("million", false, "force the million-request capacity cell even with -quick")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the whole run to this file")
 	flag.Parse()
@@ -62,14 +56,8 @@ func main() {
 	fmt.Println("==== serve ====")
 	report := bench.Serve(os.Stdout, measure, *seed, runMillion)
 
-	fmt.Println("==== redundancy ====")
-	redReport := bench.Redundancy(os.Stdout, measure, *seed)
-
 	if *jsonPath != "" {
 		writeJSON(*jsonPath, report.WriteJSON)
-	}
-	if *redJSONPath != "" {
-		writeJSON(*redJSONPath, redReport.WriteJSON)
 	}
 	if err := stopProfile(); err != nil {
 		fmt.Fprintln(os.Stderr, err)

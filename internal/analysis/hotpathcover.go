@@ -12,12 +12,11 @@ import (
 // live. It reports
 //
 //   - a *required hot root* — the known steady-state entry points of the
-//     six performance-critical subsystems (sim event dispatch, event-queue
+//     five performance-critical subsystems (sim event dispatch, event-queue
 //     schedule/fire/cancel, stats.Hist recording, the service request
-//     lifecycle, pmem arbitration, redundancy dirty capture) — that is
-//     missing its //easyio:hotpath annotation, or that disappeared
-//     entirely (the required-roots table below must then be updated
-//     consciously);
+//     lifecycle, pmem arbitration) — that is missing its //easyio:hotpath
+//     annotation, or that disappeared entirely (the required-roots table
+//     below must then be updated consciously);
 //   - a //easyio:hotpath annotation on a function no engine root (a
 //     main function of the cmd/ binaries) statically reaches — a stale
 //     contract certifying dead code;
@@ -53,7 +52,6 @@ var requiredHotRoots = []requiredHotRoot{
 	{"internal/service", "Server", "Inject", "service request admission"},
 	{"internal/service", "Server", "execute", "service request execution"},
 	{"internal/pmem", "Device", "recompute", "pmem bandwidth arbitration"},
-	{"internal/redundancy", "Tracker", "MarkDirty", "redundancy dirty capture"},
 }
 
 // emitCoverFindings precomputes hotpathcover's findings: required-root
@@ -95,7 +93,7 @@ func emitCoverFindings(mod *ModuleInfo, hot *moduleHot) {
 	// Engine roots: main functions of the command binaries. Everything
 	// the contract certifies must be live under them (all static edges
 	// plus value references, cold or not — this is program reachability,
-	// not hot reachability: a hot hook like redundancy's MarkDirty is
+	// not hot reachability: a hot hook like pmem's recompute is
 	// installed by a method-value reference and then invoked
 	// dynamically, so Refs count as liveness edges).
 	reach := map[*FuncNode]bool{}

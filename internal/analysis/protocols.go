@@ -92,8 +92,7 @@ var horizonProtocol = &Protocol{
 // epochBudgetProtocol is the channel-manager epoch automaton: LApps and
 // the bandwidth limit are configured, the epoch ticker starts, Report
 // feeds it only while it runs, and Stop retires it. Reports against a
-// stopped (or unstarted) manager silently drop budget accounting — the
-// redundancy-epoch failure mode the ROADMAP calls out.
+// stopped (or unstarted) manager silently drop budget accounting.
 var epochBudgetProtocol = &Protocol{
 	Name:        "epochbudget",
 	Doc:         "core.Manager epoch budget: RegisterLApp before Start, SetBLimit while configured or running, Report only while running, Stop once",
@@ -181,8 +180,11 @@ var handleStateProtocol = &Protocol{
 // parity stores already happened — a skipped or repeated stage corrupts
 // the crash story recovery depends on. One epoch is in flight at a
 // time, so an un-retired epoch also wedges the tracker.
-// internal/redundancy implements the state machine, so it is exempt;
-// external drivers (crashmonkey, benches) are machine-checked.
+//
+// It is vestigial: the module no longer has a redundancy package, so the
+// protocol guards no module code, only its typestate_test.go fixtures.
+// It stays registered while the benchmark reports its per-analyzer
+// timing.
 var parityEpochProtocol = &Protocol{
 	Name:       "parityepoch",
 	Doc:        "redundancy.Epoch lifecycle: OpenEpoch -> Seal -> Compute -> Persist -> Advance (Abandon from any state), no stage skipped or repeated, every epoch retired on every path",
@@ -258,7 +260,7 @@ var HandleState = &Analyzer{
 	Run:  runModule,
 }
 
-// ParityEpoch checks the redundancy epoch lifecycle automaton.
+// ParityEpoch checks the (vestigial) redundancy epoch lifecycle automaton.
 var ParityEpoch = &Analyzer{
 	Name: parityEpochProtocol.Name,
 	Doc:  parityEpochProtocol.Doc,

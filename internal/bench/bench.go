@@ -17,7 +17,6 @@ import (
 	"github.com/easyio-sim/easyio/internal/odinfs"
 	"github.com/easyio-sim/easyio/internal/perfmodel"
 	"github.com/easyio-sim/easyio/internal/pmem"
-	"github.com/easyio-sim/easyio/internal/redundancy"
 	"github.com/easyio-sim/easyio/internal/sim"
 )
 
@@ -54,10 +53,6 @@ type Instance struct {
 	CoreFS    *core.FS // non-nil for EasyIO / Naive
 	Cores     int      // worker cores available to the workload
 	UtPerCore int      // uthreads per worker core (2 for EasyIO, §6.2)
-	// Parity is the epoch-batched redundancy tracker, non-nil when
-	// InstanceOptions.Redundancy asked for one (EasyIO only). The driver
-	// starts it (Start wants the manager) after construction.
-	Parity *redundancy.Tracker
 }
 
 // InstanceOptions tweaks construction.
@@ -70,12 +65,6 @@ type InstanceOptions struct {
 	// Engine, if set, hosts the instance on an existing engine (a cluster
 	// domain's) instead of creating a fresh one.
 	Engine *sim.Engine
-	// Redundancy, if set, reserves a parity region at the top of the
-	// device (shrinking the filesystem) and attaches a formatted tracker
-	// as Instance.Parity. EasyIO/Naive only. Coverage starts at the
-	// inode table: the metadata prefix below it holds the DMA completion
-	// buffers, which are device-side channel state, not filesystem data.
-	Redundancy *redundancy.Options
 }
 
 // NewInstance builds a formatted, mounted system with a runtime sized for
@@ -130,12 +119,6 @@ func NewInstance(sys System, workerCores int, o InstanceOptions) (*Instance, err
 		fs.StartWorkers(inst.RT, cores)
 		inst.FS = fs
 	case SysEasyIO, SysNaive:
-		var ropts redundancy.Options
-		if o.Redundancy != nil {
-			ropts = *o.Redundancy
-			ropts.CoverStart = nova.InodeTableOff
-			novaOpts.Reserve = redundancy.ReserveFor(o.DeviceSize, ropts)
-		}
 		opts := core.Options{
 			Nova:     novaOpts,
 			Manager:  o.Manager,
@@ -153,14 +136,6 @@ func NewInstance(sys System, workerCores int, o InstanceOptions) (*Instance, err
 		inst.CoreFS = fs
 		inst.RT = caladan.New(eng, caladan.Options{Cores: workerCores, Seed: o.Seed})
 		inst.UtPerCore = 2
-		if o.Redundancy != nil {
-			tr, err := redundancy.New(dev, ropts)
-			if err != nil {
-				return nil, err
-			}
-			tr.Format()
-			inst.Parity = tr
-		}
 	default:
 		return nil, fmt.Errorf("bench: unknown system %q", sys)
 	}

@@ -14,7 +14,6 @@ import (
 	"github.com/easyio-sim/easyio/internal/core"
 	"github.com/easyio-sim/easyio/internal/fxmark"
 	"github.com/easyio-sim/easyio/internal/nova"
-	"github.com/easyio-sim/easyio/internal/redundancy"
 	"github.com/easyio-sim/easyio/internal/service"
 	"github.com/easyio-sim/easyio/internal/sim"
 )
@@ -22,22 +21,20 @@ import (
 // The golden-digest corpora pin the exact virtual-time behaviour of the
 // stack. Each cell runs a short, fixed-seed experiment on a fresh
 // instance and folds every observable into one FNV-64 digest; the digests
-// are committed under testdata/, so any perf-model, kernel, serving or
-// parity refactor that shifts a single event surfaces as explicit digest
-// churn in review. Four corpora share one harness:
+// are committed under testdata/, so any perf-model, kernel or serving
+// refactor that shifts a single event surfaces as explicit digest churn
+// in review. Three corpora share one harness:
 //
 //   - determinism (TestDigestCorpus): every system under test crossed with
 //     a low-sharing write (DWAL) and a medium-sharing overwrite (DWOM)
 //     FxMark window.
 //   - serving (TestServeDigestCorpus): one cell per admission policy
 //     crossed with each arrival process.
-//   - redundancy (TestRedundancyDigestCorpus): one epoch-parity serving
-//     cell per (epoch length, admission policy).
 //   - fleet (TestFleetDigestCorpus): the router + node serving cell at two
 //     adjacent seeds.
 //
 // Each corpus also has a seed-sensitivity test proving its digests
-// discriminate. Regenerate all four golden files with:
+// discriminate. Regenerate all three golden files with:
 //
 //	go test ./internal/bench -run DigestCorpus -update-digests
 
@@ -337,83 +334,6 @@ func serveCorpusDigest(t *testing.T, pol service.PolicyKind, arr service.Arrival
 	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "res=%#016x;now=%d;seq=%d;", res.Digest(), int64(inst.Eng.Now()), int64(inst.Eng.Sequence()))
-	return h.Sum64()
-}
-
-// ---------------------------------------------------------------------------
-// Redundancy corpus: any change to dirty capture, epoch pacing, B-channel
-// scheduling of parity reads, or the seal/persist ordering surfaces here.
-
-func redCorpusCell(name string, epochLen sim.Duration, pol service.PolicyKind) corpusCell {
-	return corpusCell{
-		name:   name,
-		key:    fmt.Sprintf("redundancy/epoch%dus/%s/seed%d", int64(epochLen/sim.Microsecond), pol, corpusSeed),
-		digest: func(t *testing.T, seed uint64) uint64 { return redCorpusDigest(t, epochLen, pol, seed) },
-	}
-}
-
-// TestRedundancyDigestCorpus checks every epoch length crossed with two
-// admission policies against the committed golden digests.
-func TestRedundancyDigestCorpus(t *testing.T) {
-	c := goldenCorpus{kind: "redundancy", prefix: "redundancy_digests"}
-	for _, el := range redEpochLens {
-		for _, pol := range []service.PolicyKind{service.PolicyNone, service.PolicyEWMA} {
-			c.cells = append(c.cells, redCorpusCell(fmt.Sprintf("epoch%dus-%s", int64(el/sim.Microsecond), pol), el, pol))
-		}
-	}
-	checkGolden(t, c)
-}
-
-// TestRedundancyCorpusSeedSensitivity: each epoch length must produce
-// seed-dependent digests.
-func TestRedundancyCorpusSeedSensitivity(t *testing.T) {
-	var cells []corpusCell
-	for _, el := range redEpochLens {
-		cells = append(cells, redCorpusCell(fmt.Sprintf("epoch%dus", int64(el/sim.Microsecond)), el, service.PolicyEWMA))
-	}
-	checkSeedSensitivity(t, cells)
-}
-
-// redCorpusDigest runs one epoch-parity serving cell and folds the
-// serving result digest, the engine clock and event sequence, and the
-// tracker's epoch/stripe/lag accounting into a digest.
-func redCorpusDigest(t *testing.T, epochLen sim.Duration, pol service.PolicyKind, seed uint64) uint64 {
-	t.Helper()
-	inst, err := NewInstance(SysEasyIO, redCores, InstanceOptions{
-		Seed:       seed,
-		DeviceSize: redDeviceSize,
-		Redundancy: &redundancy.Options{
-			EpochLen:   epochLen,
-			DelayBound: redDelayBound,
-			Policy:     redundancy.PolicyEpoch,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inst.Close()
-	inst.Parity.Start(inst.RT, inst.CoreFS.Manager())
-	res, err := service.Run(inst.Eng, inst.RT, inst.CoreFS, service.Config{
-		Cores:   redCores,
-		Tenants: redTenants(),
-		Policy:  service.PolicySpec{Kind: pol},
-		Warmup:  sim.Millisecond,
-		Measure: 8 * sim.Millisecond,
-		Seed:    seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := inst.Parity
-	if res.Tenants[0].Completed == 0 || tr.Epochs == 0 {
-		t.Fatalf("epoch=%v/%s: vacuous cell (completed=%d epochs=%d)",
-			epochLen, pol, res.Tenants[0].Completed, tr.Epochs)
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "res=%#016x;now=%d;seq=%d;", res.Digest(), int64(inst.Eng.Now()), int64(inst.Eng.Sequence()))
-	fmt.Fprintf(h, "ep=%d;st=%d;pb=%d;dr=%d;esc=%d;sealed=%d;committed=%d;maxlag=%d;meanlag=%d;",
-		tr.Epochs, tr.StripesParity, tr.ParityBytes, tr.DataBytesRead, tr.EscalatedStripes,
-		tr.SealedEpoch(), tr.CommittedEpoch(), int64(tr.MaxLag), int64(tr.MeanLag()))
 	return h.Sum64()
 }
 

@@ -38,13 +38,6 @@ type Options struct {
 	// entry carrying an SN is kept only if ValidateSN reports the SN
 	// durable in the corresponding completion buffer. Nil accepts all.
 	ValidateSN func(engineID, chanID int, sn uint64) bool
-	// Reserve withholds this many bytes (rounded up to a block) at the
-	// top of the device from the filesystem: Mkfs sizes the superblock
-	// to dev.Size()-Reserve, so the allocator never touches the tail.
-	// The redundancy layer keeps its parity region there. The reserve is
-	// crash-persistent (it is baked into the on-disk size), so Mount
-	// needs no matching option.
-	Reserve int64
 }
 
 func (o Options) withDefaults() Options {
@@ -90,10 +83,9 @@ type FS struct {
 // Mkfs formats the device: superblock, empty inode table, root directory.
 func Mkfs(dev *pmem.Device, opts Options) error {
 	opts = opts.withDefaults()
-	reserve := (opts.Reserve + BlockSize - 1) &^ (BlockSize - 1)
 	sb := superblock{
 		magic:     Magic,
-		size:      dev.Size() - reserve,
+		size:      dev.Size(),
 		numInodes: opts.NumInodes,
 		dataOff:   dataOffFor(opts.NumInodes),
 	}
@@ -157,11 +149,6 @@ func Mount(dev *pmem.Device, mover DataMover, opts Options) (*FS, error) {
 
 // Device returns the underlying slow-memory device.
 func (fs *FS) Device() *pmem.Device { return fs.dev }
-
-// Size returns the filesystem's on-disk size in bytes — dev.Size() minus
-// any Mkfs-time Reserve. Bytes at and above Size belong to whoever made
-// the reservation (the redundancy parity region).
-func (fs *FS) Size() int64 { return fs.sb.size }
 
 // CPUCosts returns the software cost profile in effect.
 func (fs *FS) CPUCosts() perfmodel.CPU { return fs.cpu }

@@ -160,15 +160,6 @@ type Device struct {
 	records  []PersistRecord
 	epoch    int
 	base     map[int64]*[pageSize]byte
-
-	// dirtyFn, when set, observes every store ([off, off+n)) before it
-	// lands — the redundancy layer's epoch dirty capture. It must be
-	// allocation-free and must not store through the device (the
-	// redundancy tracker filters its own parity region to break the
-	// cycle). A dynamic call here is a counted summary hole on the
-	// hot paths that reach WriteAt; the callback itself carries its own
-	// //easyio:hotpath contract (redundancy.Tracker.MarkDirty).
-	dirtyFn func(off int64, n int)
 }
 
 // New creates a device of the given byte size.
@@ -183,12 +174,6 @@ func New(eng *sim.Engine, model perfmodel.Memory, size int64) *Device {
 	d.recomputeFn = d.recompute
 	return d
 }
-
-// SetDirtyFunc installs (or, with nil, removes) the store observer the
-// redundancy layer uses for dirty-page capture. At most one observer is
-// supported; fn sees every WriteAt before the bytes land, including DMA
-// completions and crash-tracking marker stores.
-func (d *Device) SetDirtyFunc(fn func(off int64, n int)) { d.dirtyFn = fn }
 
 // Engine returns the simulation engine the device is bound to.
 func (d *Device) Engine() *sim.Engine { return d.eng }
@@ -253,7 +238,7 @@ func (d *Device) WriteAt(off int64, b []byte) {
 // ZeroAt stores n zero bytes at off: exactly WriteAt(off, make([]byte, n))
 // without building or comparing the buffer. Absent pages stay absent and
 // present pages are cleared over [off, off+n). Under tracking the store is
-// one all-zero record, and the store observer sees (off, n) once.
+// one all-zero record.
 func (d *Device) ZeroAt(off int64, n int) {
 	d.store(off, n)
 	for n > 0 {
@@ -283,23 +268,18 @@ func (d *Device) Absent(off int64, n int) bool {
 }
 
 // store does the bookkeeping WriteAt and ZeroAt share before their bytes
-// land: the bounds check, the persist record under tracking (returned
-// zeroed for WriteAt to fill, nil when not tracking) and the store
-// observer.
+// land: the bounds check and the persist record under tracking (returned
+// zeroed for WriteAt to fill, nil when not tracking).
 func (d *Device) store(off int64, n int) []byte {
 	d.check(off, n)
 	if invariants.Enabled && d.tracking && len(d.records) > 0 &&
 		d.records[len(d.records)-1].Epoch > d.epoch {
 		panic("pmem: persist record epoch regressed (fence ordering violated)")
 	}
-	var rec []byte
-	if d.tracking {
-		rec = d.record(off, n)
+	if !d.tracking {
+		return nil
 	}
-	if d.dirtyFn != nil {
-		d.dirtyFn(off, n)
-	}
-	return rec
+	return d.record(off, n)
 }
 
 // record appends one n-byte persist record for crash simulation and
