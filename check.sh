@@ -55,6 +55,7 @@ for p in svclifecycle horizonproto epochbudget handlestate persistorder parityep
   test -n "$v" || { echo "cold BENCH json missing analyzer timing for $p"; exit 1; }
   ts_ms=$(awk -v a="$ts_ms" -v b="$v" 'BEGIN { printf "%.6f", a + b }')
 done
+awk -v t="$ts_ms" -v w="$cold_wall" 'BEGIN { printf "six protocols: %.1f ms of %.1f ms cold wall-clock, share %.3f (gate 0.25)\n", t, w, t / w }'
 awk -v t="$ts_ms" -v w="$cold_wall" 'BEGIN { exit !(t <= 0.25 * w) }' || { echo "typestate engine ($ts_ms ms) exceeds 25% of cold wall-clock ($cold_wall ms)"; exit 1; }
 
 echo '== easyio-vet parallel determinism (GOMAXPROCS=4 vs 1, uncached)'

@@ -82,9 +82,9 @@ type benchReport struct {
 	ParseMS     float64 `json:"parse_ms"`
 	TypeCheckMS float64 `json:"typecheck_ms"`
 	// BuildModuleMS is the run's BuildModule call: CallGraphMS (the
-	// call graph and its SCCs), SummariesMS (the effect summaries) and
-	// the module-wide analyzers' passes, which the analyzers map
-	// charges. All three are 0 on a warm run.
+	// call graph and its SCCs), then parallel jobs for SummariesMS (the
+	// effect summaries) and the module-wide analyzers' passes, which the
+	// analyzers map charges. All three are 0 on a warm run.
 	BuildModuleMS float64 `json:"build_module_ms"`
 	CallGraphMS   float64 `json:"callgraph_ms"`
 	SummariesMS   float64 `json:"summaries_ms"`
@@ -95,8 +95,9 @@ type benchReport struct {
 	Workers       int     `json:"workers"`
 	// Analyzers breaks the run down per analyzer in milliseconds; empty
 	// on a warm run, where nothing is analyzed. A module-wide analyzer
-	// includes its BuildModule pass, so those milliseconds count in both
-	// build_module_ms and here.
+	// includes its BuildModule pass, timed as wall time inside its job,
+	// so those milliseconds count in both build_module_ms and here; the
+	// jobs overlap, so their sum can exceed build_module_ms.
 	Analyzers map[string]float64 `json:"analyzers"`
 }
 

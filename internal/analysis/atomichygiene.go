@@ -51,7 +51,7 @@ type fieldAccess struct {
 	guarded bool // inside a lock region of the owning struct's mutex
 }
 
-func computeAtomicHygiene(mod *ModuleInfo) {
+func computeAtomicHygiene(mod *ModuleInfo, out *passOut) {
 	atomicFields := map[fieldKey]bool{}         // fields accessed via sync/atomic funcs
 	atomicSites := map[*ast.SelectorExpr]bool{} // the &x.f selectors inside those calls
 	guardedWrite := map[fieldKey]bool{}         // fields written inside a lock region
@@ -111,7 +111,7 @@ func computeAtomicHygiene(mod *ModuleInfo) {
 			if acc.write {
 				verb = "written"
 			}
-			mod.report("atomichygiene", modDiag{
+			out.report("atomichygiene", modDiag{
 				Pkg: acc.pkg, Pos: acc.pos,
 				Msg: fmt.Sprintf("%s: field %s is accessed with sync/atomic elsewhere; this plain access is %s non-atomically and can tear", acc.fn, key, verb),
 			})
@@ -121,12 +121,12 @@ func computeAtomicHygiene(mod *ModuleInfo) {
 			continue
 		}
 		if acc.write {
-			mod.report("atomichygiene", modDiag{
+			out.report("atomichygiene", modDiag{
 				Pkg: acc.pkg, Pos: acc.pos,
 				Msg: fmt.Sprintf("%s: field %s is written under its mutex elsewhere; this unguarded write races with the lock region", acc.fn, key),
 			})
 		} else {
-			mod.report("atomichygiene", modDiag{
+			out.report("atomichygiene", modDiag{
 				Pkg: acc.pkg, Pos: acc.pos,
 				Msg: fmt.Sprintf("%s: field %s is written inside a lock region elsewhere; this plain read outside the lock can observe a torn or stale value", acc.fn, key),
 			})

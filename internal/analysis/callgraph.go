@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"runtime"
 	"slices"
 )
 
@@ -35,6 +37,10 @@ type FuncNode struct {
 	// (`f` of f() and x.f()), resolved or not; the typestate engine's
 	// op-name pre-filter reads them.
 	callNames map[string]bool
+	// lits are the function literals in the body, nested ones included,
+	// in pre-order (an ast.Inspect of the body): the anonymous units the
+	// typestate engine and lockorder walk in their own frames.
+	lits []*ast.FuncLit
 	// Refs are module-internal functions referenced as values rather
 	// than called (method values handed to hooks, function arguments):
 	// the address-taken set. Summary propagation ignores them (a value
@@ -80,9 +86,10 @@ type ModuleInfo struct {
 	// keyed by the analyzer that replays it; RunAnalyzersOpts adds it
 	// into RunResult.AnalyzerMS.
 	ms map[string]float64
-	// callGraphMS and summariesMS are BuildModule's own wall time in
+	// callGraphMS and summariesMS are BuildModule's own work in
 	// milliseconds: the call graph with its SCCs, then the effect
-	// summaries. RunAnalyzersOpts copies them into RunResult.
+	// summaries (wall time inside the job that computes them).
+	// RunAnalyzersOpts copies them into RunResult.
 	callGraphMS, summariesMS float64
 
 	pkgs     []*Package
@@ -105,9 +112,31 @@ type modDiag struct {
 	Trace []TraceStep
 }
 
+// passOut is what module-wide passes emit: findings and wall time in
+// milliseconds, both keyed by analyzer name. Every BuildModule job
+// writes its own, and BuildModule merges them into ModuleInfo.
+type passOut struct {
+	findings map[string][]modDiag
+	ms       map[string]float64
+}
+
 // report records one finding of the module-wide analyzer name.
-func (m *ModuleInfo) report(name string, d modDiag) {
-	m.findings[name] = append(m.findings[name], d)
+func (o *passOut) report(name string, d modDiag) {
+	if o.findings == nil {
+		o.findings = map[string][]modDiag{}
+	}
+	o.findings[name] = append(o.findings[name], d)
+}
+
+// timed runs one module-wide pass and charges its wall time to analyzer
+// name.
+func (o *passOut) timed(m *ModuleInfo, name string, pass func(*ModuleInfo, *passOut)) {
+	t0 := nowMS()
+	pass(m, o)
+	if o.ms == nil {
+		o.ms = map[string]float64{}
+	}
+	o.ms[name] += nowMS() - t0
 }
 
 // runModule is the Run of every module-wide analyzer: it replays the
@@ -142,7 +171,8 @@ func (m *ModuleInfo) SummaryFor(fn *types.Func) *Summary {
 }
 
 // BuildModule constructs the call graph and effect summaries for one set
-// of loaded packages.
+// of loaded packages, and runs the module-wide analyzers' passes over
+// them, on up to runtime.GOMAXPROCS(0) workers.
 func BuildModule(pkgs []*Package) *ModuleInfo {
 	t0 := nowMS()
 	mod := &ModuleInfo{
@@ -176,7 +206,9 @@ func BuildModule(pkgs []*Package) *ModuleInfo {
 			}
 		}
 	}
-	for _, n := range mod.Nodes {
+	// Each body scan writes only its own node's fields.
+	fanOut(len(mod.Nodes), runtime.GOMAXPROCS(0), func(i int) {
+		n := mod.Nodes[i]
 		seen := map[*FuncNode]bool{}
 		seenRef := map[*FuncNode]bool{}
 		// callIdent marks the identifiers that name a call's callee, so
@@ -184,6 +216,10 @@ func BuildModule(pkgs []*Package) *ModuleInfo {
 		// pre-order: a CallExpr is visited before its Fun's identifiers.
 		callIdent := map[*ast.Ident]bool{}
 		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
+			if lit, ok := x.(*ast.FuncLit); ok {
+				n.lits = append(n.lits, lit)
+				return true
+			}
 			if call, ok := x.(*ast.CallExpr); ok {
 				switch fun := ast.Unparen(call.Fun).(type) {
 				case *ast.Ident:
@@ -211,33 +247,47 @@ func BuildModule(pkgs []*Package) *ModuleInfo {
 			}
 			return true
 		})
-	}
+	})
 	for _, n := range mod.Nodes {
 		for _, c := range n.Callees {
 			c.Callers = append(c.Callers, n)
 		}
 	}
 	mod.SCCs = tarjan(mod.Nodes, func(n *FuncNode) []*FuncNode { return n.Callees })
-	t1 := nowMS()
-	mod.callGraphMS = t1 - t0
-	computeSummaries(mod)
-	mod.summariesMS = nowMS() - t1
-	mod.fsMethods, mod.ifaceMths = interfaceMethodNames(pkgs)
-	mod.gated = entryGated(mod)
-	mod.timed("lockorder", computeLockOrder)
-	mod.timed("confinement", computeConfinement)
-	mod.timed("atomichygiene", computeAtomicHygiene)
-	mod.timed("noalloc", computeHotPaths)
-	computeTypestate(mod)
-	mod.timed("fencehygiene", computeFenceHygiene)
+	mod.callGraphMS = nowMS() - t0
+	// The jobs below read the call graph and write nothing another job
+	// reads: each writes its own passOut and the ModuleInfo fields its
+	// work owns. They run longest first. The typestate engine is one job,
+	// its protocols serial in Protocols() order, so each protocol's
+	// charged milliseconds stay its serial cost rather than a share of a
+	// contended CPU. lockorder is the only pass that reads the effect
+	// summaries, so they (and entryGated, cbgate's table, built from
+	// them) run in its job.
+	jobs := []func(*passOut){
+		func(o *passOut) { computeTypestate(mod, o) },
+		func(o *passOut) {
+			t := nowMS()
+			computeSummaries(mod)
+			mod.summariesMS = nowMS() - t
+			mod.gated = entryGated(mod)
+			o.timed(mod, "lockorder", computeLockOrder)
+		},
+		func(o *passOut) { o.timed(mod, "noalloc", computeHotPaths) },
+		func(o *passOut) { o.timed(mod, "atomichygiene", computeAtomicHygiene) },
+		func(o *passOut) { mod.fsMethods, mod.ifaceMths = interfaceMethodNames(pkgs) },
+		func(o *passOut) { o.timed(mod, "confinement", computeConfinement) },
+	}
+	outs := make([]passOut, len(jobs)+1)
+	fanOut(len(jobs), runtime.GOMAXPROCS(0), func(i int) { jobs[i](&outs[i]) })
+	// fencehygiene reads persistorder's result, so it runs after the join.
+	outs[len(jobs)].timed(mod, "fencehygiene", computeFenceHygiene)
+	// Every analyzer name is written by one job, so the merged findings
+	// keep each pass's own order.
+	for _, o := range outs {
+		maps.Copy(mod.findings, o.findings)
+		maps.Copy(mod.ms, o.ms)
+	}
 	return mod
-}
-
-// timed runs one global pass and charges its wall time to analyzer name.
-func (m *ModuleInfo) timed(name string, pass func(*ModuleInfo)) {
-	t0 := nowMS()
-	pass(m)
-	m.ms[name] += nowMS() - t0
 }
 
 // staticCallee resolves a call expression to the concrete *types.Func it

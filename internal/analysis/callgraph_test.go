@@ -1,6 +1,15 @@
 package analysis
 
-import "testing"
+import (
+	"encoding/json"
+	"fmt"
+	"go/ast"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+)
 
 // TestCallGraphDynamicDispatch pins exactly which call shapes the call
 // graph resolves: the interprocedural analyses (and the confinement
@@ -128,4 +137,233 @@ func TestTarjan(t *testing.T) {
 			}
 		})
 	}
+}
+
+// seededModule is one fixture module with at least one finding for
+// every module-wide analyzer: each package is an analyzer's own fixture
+// (typestate_test.go, persistfixtures_test.go, hotpath_test.go, ...) plus
+// a violation, and lockorder and svclifecycle each have one inside a
+// function literal, so the literal walks are covered too.
+func seededModule(t *testing.T) []*Package {
+	t.Helper()
+	return fixtureModule(t, "example.com/m", []fixtureSrc{
+		{"example.com/m/internal/sim", clusterFixture + `
+func BadCluster() {
+	c := NewCluster()
+	c.AddDomain()
+	c.Run()
+	c.Link()
+}
+
+type State struct{ n int }
+
+func (s *State) Bump() { s.n++ }
+
+func Spawn(s *State) {
+	go func() { s.Bump() }()
+}
+`},
+		{"example.com/m/internal/service", svcFixture + `
+func BadServer() {
+	s := New()
+	s.StartManager()
+	s.End()
+	s.Inject()
+}
+
+func BadServerLit() func() {
+	return func() {
+		s := New()
+		s.Inject()
+	}
+}
+`},
+		{"example.com/m/internal/core", managerFixture + `
+func BadManager() {
+	m := NewManager()
+	m.Start()
+	m.RegisterLApp()
+}
+`},
+		{"example.com/m/fx/handle", handleFixture + `
+func BadHandle(fs *FS, b []byte) {
+	f, err := fs.Open("/x")
+	if err != nil {
+		return
+	}
+	fs.ReadAt(f, 0, b)
+}
+`},
+		{"example.com/m/fx/parity", parityFixture + `
+func BadEpoch(tr *Tracker) {
+	ep := tr.OpenEpoch()
+	ep.Seal()
+}
+`},
+		{"example.com/m/fx/persist", deviceFixture + `
+func BadOrder(d *Device, b []byte) {
+	d.WriteAt(4096, b)
+	d.WriteAt(JournalOff, b)
+	d.Fence()
+}
+
+func BadFence(d *Device, b []byte) {
+	d.WriteAt(4096, b)
+	d.Fence()
+	d.Fence()
+}
+`},
+		{"example.com/m/fx/locks", lockOrderPrelude + `
+func grabAB(a *A, b *B) {
+	a.Mu.Lock()
+	b.Mu.Lock()
+	b.Mu.Unlock()
+	a.Mu.Unlock()
+}
+
+func grabBA(a *A, b *B) {
+	defer func() {
+		b.Mu.Lock()
+		a.Mu.Lock()
+		a.Mu.Unlock()
+		b.Mu.Unlock()
+	}()
+}
+`},
+		{"example.com/m/fx/atomic", `package fixture
+
+import "sync/atomic"
+
+type Counter struct{ n int64 }
+
+func (c *Counter) Inc() { atomic.AddInt64(&c.n, 1) }
+
+func (c *Counter) Read() int64 { return c.n }
+`},
+		{"example.com/m/fx/hot", hotFixturePrelude + `
+func sink(v any) {}
+
+//easyio:hotpath
+func (e *Engine) step() {
+	e.buf = make([]byte, 64)
+	sink(42)
+}
+
+//easyio:hotpath
+//easyio:coldpath
+func (e *Engine) drain() { e.queue = e.queue[:0] }
+`},
+	})
+}
+
+// moduleDigest renders everything BuildModule's parallel passes decide:
+// every analyzer's findings in order, the ms key set, the typestate
+// protocol order, and the partition report.
+func moduleDigest(t *testing.T, mod *ModuleInfo) string {
+	t.Helper()
+	var b strings.Builder
+	for _, name := range sortedKeys(mod.findings) {
+		for _, d := range mod.findings[name] {
+			fmt.Fprintf(&b, "%s %s %s %s\n", name, d.Pkg.Path, d.Pkg.Fset.Position(d.Pos), d.Msg)
+			for _, s := range d.Trace {
+				fmt.Fprintf(&b, "\t%s %s\n", s.Pos, s.Desc)
+			}
+		}
+	}
+	fmt.Fprintf(&b, "ms %v\n", sortedKeys(mod.ms))
+	for _, res := range mod.typestate {
+		fmt.Fprintf(&b, "typestate %s\n", res.pc.p.Name)
+	}
+	part, err := json.Marshal(BuildPartition(mod, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Write(part)
+	return b.String()
+}
+
+// TestBuildModuleDeterministicAcrossGOMAXPROCS builds the seeded module
+// with BuildModule's passes on one worker and on four: the findings,
+// timing keys, protocol order and partition must not depend on which
+// job finished first.
+func TestBuildModuleDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	pkgs := seededModule(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want := moduleDigest(t, BuildModule(pkgs))
+	mod := BuildModule(pkgs)
+	names := []string{"lockorder", "confinement", "atomichygiene", "noalloc", "boxing", "hotpathcover", "fencehygiene"}
+	for _, p := range Protocols() {
+		names = append(names, p.Name)
+	}
+	for _, name := range names {
+		if len(mod.findings[name]) == 0 {
+			t.Errorf("seeded module has no %s finding", name)
+		}
+	}
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for i := range 5 {
+			if got := moduleDigest(t, BuildModule(pkgs)); got != want {
+				t.Fatalf("GOMAXPROCS=%d build %d differs from the serial build:\n got: %s\nwant: %s", procs, i, got, want)
+			}
+		}
+	}
+}
+
+// TestFuncNodeLits checks the function literals the call-graph scan
+// records against the walk they replace: a pre-order ast.Inspect of the
+// body, nested and deferred literals included.
+func TestFuncNodeLits(t *testing.T) {
+	check := func(t *testing.T, mod *ModuleInfo) (lits int) {
+		t.Helper()
+		for _, n := range mod.Nodes {
+			var want []*ast.FuncLit
+			ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
+				if lit, ok := x.(*ast.FuncLit); ok {
+					want = append(want, lit)
+				}
+				return true
+			})
+			if !slices.Equal(n.lits, want) {
+				t.Errorf("%s: recorded %d literals, an Inspect of the body finds %d (or a different order)", n.Obj.FullName(), len(n.lits), len(want))
+			}
+			lits += len(want)
+		}
+		return lits
+	}
+	t.Run("fixture", func(t *testing.T) {
+		pkg := fixturePkg(t, "", `package fixture
+
+func run(f func()) { f() }
+
+func nested() {
+	defer func() {
+		run(func() {
+			_ = func() int { return 1 }
+		})
+	}()
+	go func() {}()
+	run(func() {})
+}
+`)
+		if got := check(t, BuildModule([]*Package{pkg})); got != 5 {
+			t.Fatalf("fixture has %d literals, want 5", got)
+		}
+	})
+	t.Run("module", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("loads and type-checks the whole module")
+		}
+		root, err := filepath.Abs("../..")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs, err := LoadModule(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if check(t, BuildModule(pkgs)) == 0 {
+			t.Fatal("the module has no function literals")
+		}
+	})
 }

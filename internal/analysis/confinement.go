@@ -78,7 +78,7 @@ func confRootPkg(path string) bool {
 	return base == "sim" || base == "core" || base == "service"
 }
 
-func computeConfinement(mod *ModuleInfo) {
+func computeConfinement(mod *ModuleInfo, out *passOut) {
 	ci := &confinementInfo{}
 	mod.conf = ci
 
@@ -284,7 +284,7 @@ func computeConfinement(mod *ModuleInfo) {
 			} else {
 				tc.Class = ClassSharedUnguarded
 				for _, ev := range escapes[n] {
-					mod.report("confinement", modDiag{
+					out.report("confinement", modDiag{
 						Pkg: ev.Pkg,
 						Pos: ev.Pos,
 						Msg: fmt.Sprintf("mutable type %s escapes its node (%s: %s) with no guard field; confine it, make it a router message, or guard it with sync/atomic/chan state", nm, ev.Kind, ev.Note),

@@ -32,11 +32,11 @@ var FenceHygiene = &Analyzer{
 
 // computeFenceHygiene is fencehygiene's BuildModule pass over the
 // persistorder engine result.
-func computeFenceHygiene(mod *ModuleInfo) {
+func computeFenceHygiene(mod *ModuleInfo, out *passOut) {
 	res := mod.protocolResult(persistProtocol.Name)
 	redundant := func(sum *ProtocolSummary) {
 		for _, pos := range sum.redundant {
-			mod.report("fencehygiene", modDiag{Pkg: sum.node.Pkg, Pos: pos,
+			out.report("fencehygiene", modDiag{Pkg: sum.node.Pkg, Pos: pos,
 				Msg: "redundant Device.Fence: the device is already clean on every path here (no persistent store since the previous fence); delete it — fences are charged on the critical path"})
 		}
 	}
@@ -53,7 +53,7 @@ func computeFenceHygiene(mod *ModuleInfo) {
 		}
 		first := sum.exitTrace[0]
 		fp := n.Pkg.Fset.Position(first.pos)
-		mod.report("fencehygiene", modDiag{Pkg: n.Pkg, Pos: first.pos,
+		out.report("fencehygiene", modDiag{Pkg: n.Pkg, Pos: first.pos,
 			Msg: fmt.Sprintf("persistent store %s (%s:%d) can exit %s unfenced, and no caller exists to fence it; the store may never become durable",
 				first.desc, shortFile(fp.Filename), fp.Line, n.Decl.Name.Name)})
 	}

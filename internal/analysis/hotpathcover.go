@@ -56,7 +56,7 @@ var requiredHotRoots = []requiredHotRoot{
 
 // emitCoverFindings precomputes hotpathcover's findings: required-root
 // coverage, annotation liveness, and coldpath liveness.
-func emitCoverFindings(mod *ModuleInfo, hot *moduleHot) {
+func emitCoverFindings(mod *ModuleInfo, hot *moduleHot, out *passOut) {
 	// Index nodes by (pkg suffix, recv, name) for the required table.
 	type key struct{ recv, name string }
 	byPkg := map[*Package]map[key]*FuncNode{}
@@ -79,12 +79,12 @@ func emitCoverFindings(mod *ModuleInfo, hot *moduleHot) {
 				if len(pkg.Files) > 0 {
 					pos = pkg.Files[0].Pos()
 				}
-				mod.report("hotpathcover", modDiag{Pkg: pkg, Pos: pos,
+				out.report("hotpathcover", modDiag{Pkg: pkg, Pos: pos,
 					Msg: "required hot root " + reqLabel(req) + " (" + req.label + ") not found; re-annotate its replacement and update requiredHotRoots in hotpathcover.go"})
 				continue
 			}
 			if f := hot.facts[n.Obj]; f != nil && !f.hot {
-				mod.report("hotpathcover", modDiag{Pkg: pkg, Pos: n.Decl.Pos(),
+				out.report("hotpathcover", modDiag{Pkg: pkg, Pos: n.Decl.Pos(),
 					Msg: hotLabel(n) + " is a required hot root (" + req.label + ") but is not annotated //easyio:hotpath"})
 			}
 		}
@@ -130,16 +130,16 @@ func emitCoverFindings(mod *ModuleInfo, hot *moduleHot) {
 			continue
 		}
 		if f.hot && f.cold {
-			mod.report("hotpathcover", modDiag{Pkg: n.Pkg, Pos: n.Decl.Pos(),
+			out.report("hotpathcover", modDiag{Pkg: n.Pkg, Pos: n.Decl.Pos(),
 				Msg: hotLabel(n) + " is annotated both //easyio:hotpath and //easyio:coldpath; pick one"})
 			continue
 		}
 		if f.hot && judgeLive && !reach[n] {
-			mod.report("hotpathcover", modDiag{Pkg: n.Pkg, Pos: n.Decl.Pos(),
+			out.report("hotpathcover", modDiag{Pkg: n.Pkg, Pos: n.Decl.Pos(),
 				Msg: "//easyio:hotpath on " + hotLabel(n) + " but no engine root (cmd main) reaches it; the contract certifies dead code — wire the path or drop the annotation"})
 		}
 		if f.cold && len(hot.roots) > 0 && !hot.coldUsed[n] {
-			mod.report("hotpathcover", modDiag{Pkg: n.Pkg, Pos: n.Decl.Pos(),
+			out.report("hotpathcover", modDiag{Pkg: n.Pkg, Pos: n.Decl.Pos(),
 				Msg: "stale //easyio:coldpath on " + hotLabel(n) + ": no hot path discharges through it; delete the annotation"})
 		}
 	}

@@ -72,7 +72,7 @@ type moduleLocks struct {
 // computeLockOrder runs both phases: the bottom-up may-acquire fixpoint,
 // then the held-set collection walk that emits edges and findings, then
 // cycle detection over the class graph.
-func computeLockOrder(mod *ModuleInfo) {
+func computeLockOrder(mod *ModuleInfo, out *passOut) {
 	ml := &moduleLocks{
 		facts:    map[*types.Func]*lockFacts{},
 		edgeSeen: map[[2]string]bool{},
@@ -123,6 +123,7 @@ func computeLockOrder(mod *ModuleInfo) {
 	for _, n := range mod.Nodes {
 		w := &lockWalker{
 			mod:      mod,
+			out:      out,
 			ml:       ml,
 			node:     n,
 			lockName: strings.Contains(strings.ToLower(n.Decl.Name.Name), "lock"),
@@ -131,15 +132,12 @@ func computeLockOrder(mod *ModuleInfo) {
 		// Function literals run in their own frame (deferred, spawned, or
 		// stored behind a variable): walk each with an empty held set so
 		// their internal acquisition order still feeds the graph.
-		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
-			if lit, ok := x.(*ast.FuncLit); ok {
-				walkFlow(w, lit.Body, heldSet{})
-			}
-			return true
-		})
+		for _, lit := range n.lits {
+			walkFlow(w, lit.Body, heldSet{})
+		}
 	}
 
-	lockCycleScan(mod, ml)
+	lockCycleScan(ml, out)
 }
 
 // directLocks collects the classes a function body may acquire directly.
@@ -219,6 +217,7 @@ type heldSet = maySet[heldLock]
 // into the entry set once.
 type lockWalker struct {
 	mod      *ModuleInfo
+	out      *passOut
 	ml       *moduleLocks
 	node     *FuncNode
 	lockName bool // name contains "lock": sanctioned ordering helper
@@ -294,7 +293,7 @@ func (w *lockWalker) call(call *ast.CallExpr, held heldSet) {
 				if c != h.class {
 					w.edge(h.class, c, call.Pos())
 				} else if f.direct[c] && !w.lockName && !calleeLockName {
-					w.mod.report("lockorder", modDiag{
+					w.out.report("lockorder", modDiag{
 						Pkg: w.node.Pkg,
 						Pos: call.Pos(),
 						Msg: fmt.Sprintf("%s: call to %s may acquire another %s while %s (same lock class) is held; order the acquisitions in one helper or //easyio:allow lockorder with a hierarchy rationale",
@@ -322,7 +321,7 @@ func (w *lockWalker) acquire(call *ast.CallExpr, recv string, held heldSet) {
 			w.edge(h.class, class, call.Pos())
 		case r == recv:
 			if !w.lockName {
-				w.mod.report("lockorder", modDiag{
+				w.out.report("lockorder", modDiag{
 					Pkg: w.node.Pkg,
 					Pos: call.Pos(),
 					Msg: fmt.Sprintf("%s: %s (lock class %s) is re-locked while already held — self-deadlock", w.node.Decl.Name.Name, recv, class),
@@ -336,7 +335,7 @@ func (w *lockWalker) acquire(call *ast.CallExpr, recv string, held heldSet) {
 					Msg: fmt.Sprintf("%s: %s acquired while %s (same lock class %s) is held with no class-level order; use an ordered-acquisition helper (lockPair-style) or //easyio:allow lockorder with a hierarchy rationale",
 						w.node.Decl.Name.Name, recv, r, class),
 				}
-				w.mod.report("lockorder", d)
+				w.out.report("lockorder", d)
 				w.ml.nests = append(w.ml.nests, d)
 			}
 		}
@@ -358,7 +357,7 @@ func (w *lockWalker) edge(from, to string, pos token.Pos) {
 // strongly connected component of more than one class as a deadlock
 // cycle, anchored at its first recorded edge with the full acquisition
 // cycle (and each edge's evidence site) in the message.
-func lockCycleScan(mod *ModuleInfo, ml *moduleLocks) {
+func lockCycleScan(ml *moduleLocks, out *passOut) {
 	adj := map[string][]string{}
 	nodes := map[string]bool{}
 	for _, e := range ml.edges {
@@ -394,7 +393,7 @@ func lockCycleScan(mod *ModuleInfo, ml *moduleLocks) {
 			}
 		}
 		if anchor != nil {
-			mod.report("lockorder", modDiag{Pkg: anchor.Pkg, Pos: anchor.Pos, Msg: b.String()})
+			out.report("lockorder", modDiag{Pkg: anchor.Pkg, Pos: anchor.Pos, Msg: b.String()})
 		}
 	}
 }

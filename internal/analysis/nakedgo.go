@@ -8,8 +8,8 @@ import "go/ast"
 // go statement of their own. A naked `go` statement races the OS
 // scheduler against the virtual clock; internal/sim itself has none. The
 // sanctioned launch sites are the three host worker pools (the bench job
-// pool, the analysis runner's fanOut, which the parser shares, and
-// TypeCheck's loader), each of which confines every engine or package it
+// pool, the analysis runner's fanOut, which the parser and BuildModule's
+// module-wide passes share, and TypeCheck's loader), each of which confines every engine or package it
 // touches to one worker and joins before merging; each carries an
 // //easyio:allow nakedgo comment saying so.
 var NakedGo = &Analyzer{

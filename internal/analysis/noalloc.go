@@ -179,7 +179,7 @@ func hotLabel(n *FuncNode) string {
 // computeHotPaths scans every function body for allocation and boxing
 // sites, then walks the call graph from each //easyio:hotpath root and
 // precomputes the three analyzers' findings.
-func computeHotPaths(mod *ModuleInfo) {
+func computeHotPaths(mod *ModuleInfo, out *passOut) {
 	hot := &moduleHot{facts: map[*types.Func]*hotFacts{}}
 	mod.hot = hot
 	for _, n := range mod.Nodes {
@@ -196,8 +196,8 @@ func computeHotPaths(mod *ModuleInfo) {
 	}
 	// Nodes are already in deterministic (package, file, decl) order, so
 	// roots inherit it.
-	emitHotFindings(mod, hot)
-	emitCoverFindings(mod, hot)
+	emitHotFindings(mod, hot, out)
+	emitCoverFindings(mod, hot, out)
 }
 
 // allocCtx is the walk context: cold regions discharge sites, loops mark
@@ -948,7 +948,7 @@ func callSignature(info *types.Info, call *ast.CallExpr) *types.Signature {
 
 // emitHotFindings walks from each hot root over non-cold static edges
 // and precomputes noalloc/boxing findings plus per-root status rows.
-func emitHotFindings(mod *ModuleInfo, hot *moduleHot) {
+func emitHotFindings(mod *ModuleInfo, hot *moduleHot, out *passOut) {
 	hot.reach = map[*FuncNode]bool{}
 	hot.coldUsed = map[*FuncNode]bool{}
 	reportedFresh := map[token.Pos]bool{}
@@ -1009,7 +1009,7 @@ func emitHotFindings(mod *ModuleInfo, hot *moduleHot) {
 					msg += "; reached via " + chain
 				}
 				msg += " — hoist to setup, reuse a buffer, or move behind //easyio:coldpath"
-				mod.report("noalloc", modDiag{Pkg: n.Pkg, Pos: site.Pos, Msg: msg})
+				out.report("noalloc", modDiag{Pkg: n.Pkg, Pos: site.Pos, Msg: msg})
 			}
 			for _, site := range f.box {
 				status.Boxing++
@@ -1021,7 +1021,7 @@ func emitHotFindings(mod *ModuleInfo, hot *moduleHot) {
 				if chain != "" {
 					msg += "; reached via " + chain
 				}
-				mod.report("boxing", modDiag{Pkg: n.Pkg, Pos: site.Pos, Msg: msg})
+				out.report("boxing", modDiag{Pkg: n.Pkg, Pos: site.Pos, Msg: msg})
 			}
 			status.Amortized += len(f.amort)
 			status.DynamicCalls += len(f.dyn)

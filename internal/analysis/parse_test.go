@@ -313,3 +313,23 @@ func BenchmarkParseModule(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBuildModule measures the module-wide part of a cold
+// easyio-vet run: BuildModule over this module, already parsed and
+// type-checked, with its passes on GOMAXPROCS workers (run it with
+// -cpu 1,2 to see the fan-out).
+func BenchmarkBuildModule(b *testing.B) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		b.Fatal(err)
+	}
+	pkgs, err := LoadModule(root)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		BuildModule(pkgs)
+	}
+}

@@ -38,19 +38,22 @@ type RunResult struct {
 	Mod *ModuleInfo
 	// AnalyzerMS is wall-clock milliseconds spent per analyzer, summed
 	// across every analyzed package; the module-wide analyzers
-	// additionally charge their BuildModule pass (ModuleInfo.ms).
-	// Empty on a warm cached run (nothing is analyzed).
+	// additionally charge their BuildModule pass (ModuleInfo.ms), timed
+	// as wall time inside its job, and those jobs run side by side, so
+	// their sum can exceed BuildModuleMS. Empty on a warm cached run
+	// (nothing is analyzed).
 	AnalyzerMS map[string]float64
 	// BuildModuleMS is the wall-clock milliseconds of this run's
 	// BuildModule call; 0 when the run built no module view. It overlaps
 	// AnalyzerMS: the module-wide analyzers' passes run inside
-	// BuildModule and are charged to both.
+	// BuildModule, as parallel jobs, and are charged to both.
 	BuildModuleMS float64
 	// CallGraphMS and SummariesMS are BuildModule's own work, 0 when
 	// the run built no module view: the call graph with its SCCs, then
-	// the effect summaries. BuildModuleMS is these two, the
-	// module-wide analyzers' passes in AnalyzerMS, and the lookup
-	// tables BuildModule precomputes for the analyzers.
+	// the effect summaries, timed inside the parallel job that computes
+	// them. BuildModuleMS is CallGraphMS plus the wall time of those
+	// jobs (summaries, lookup tables and the module-wide passes) and of
+	// fencehygiene after them.
 	CallGraphMS float64
 	SummariesMS float64
 }
@@ -151,9 +154,10 @@ func analyzePkg(pkg *Package, analyzers []*Analyzer, mod *ModuleInfo, ms map[str
 
 // fanOut calls job(i) for every i in [0, n) on up to workers
 // goroutines, the caller's among them, and returns once every call has.
-// It is the host worker pool of the analysis runner and of the parser
-// (parseDirs): each job writes only its own slots, and the join orders
-// those writes before fanOut returns.
+// It is the host worker pool of the analysis runner, of the parser
+// (parseDirs) and of BuildModule's module-wide passes: each job writes
+// only its own slots, and the join orders those writes before fanOut
+// returns.
 func fanOut(n, workers int, job func(i int)) {
 	var next atomic.Int64
 	work := func() {
@@ -164,7 +168,7 @@ func fanOut(n, workers int, job func(i int)) {
 	var wg sync.WaitGroup
 	for range min(workers, n) - 1 {
 		wg.Add(1)
-		go func() { //easyio:allow nakedgo (host-side index pool of the analysis runner and the parser; each job writes only its own slots of immutable-after-init inputs, and wg.Wait joins before fanOut returns)
+		go func() { //easyio:allow nakedgo (host-side index pool of the analysis runner, the parser and BuildModule; each job writes only its own slots of immutable-after-init inputs, and wg.Wait joins before fanOut returns)
 			defer wg.Done()
 			work()
 		}()

@@ -1778,11 +1778,11 @@ type protoResult struct {
 // SCCs (fixpoint inside recursive components), walks function literals
 // as anonymous units, and renders the findings for per-package replay.
 // Each protocol's wall time is charged to its analyzer.
-func computeTypestate(mod *ModuleInfo) {
+func computeTypestate(mod *ModuleInfo, out *passOut) {
 	for _, p := range Protocols() {
-		mod.timed(p.Name, func(mod *ModuleInfo) {
+		out.timed(mod, p.Name, func(mod *ModuleInfo, out *passOut) {
 			res := &protoResult{pc: compileProtocol(p), sums: map[*types.Func]*ProtocolSummary{}}
-			computeProtocol(mod, res)
+			computeProtocol(mod, res, out)
 			mod.typestate = append(mod.typestate, res)
 		})
 	}
@@ -1815,7 +1815,7 @@ func (res *protoResult) touched(n *FuncNode) bool {
 	return false
 }
 
-func computeProtocol(mod *ModuleInfo, res *protoResult) {
+func computeProtocol(mod *ModuleInfo, res *protoResult, out *passOut) {
 	pc := res.pc
 	summarize := func(n *FuncNode) *ProtocolSummary {
 		sum := &ProtocolSummary{node: n}
@@ -1836,25 +1836,25 @@ func computeProtocol(mod *ModuleInfo, res *protoResult) {
 	}
 	empty := func(n *FuncNode) *ProtocolSummary { return &ProtocolSummary{node: n} }
 	sccFixpoint(mod, res.sums, empty, summarize, nil)
+	// A literal can only report through an op or a touching callee, and
+	// touched(n) already counts both inside n's literals (callNames and
+	// Callees cover them), so untouched functions skip their literals.
 	for _, n := range mod.Nodes {
-		if pc.exemptUnit(n) {
+		if pc.exemptUnit(n) || !res.touched(n) {
 			continue
 		}
-		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
-			if lit, ok := x.(*ast.FuncLit); ok {
-				sum := &ProtocolSummary{node: n, lit: true}
-				walkUnit(mod, res, n, lit.Body, true, sum, -1, nil)
-				if len(sum.viols) > 0 || len(sum.redundant) > 0 {
-					res.lits = append(res.lits, sum)
-				}
+		for _, lit := range n.lits {
+			sum := &ProtocolSummary{node: n, lit: true}
+			walkUnit(mod, res, n, lit.Body, true, sum, -1, nil)
+			if len(sum.viols) > 0 || len(sum.redundant) > 0 {
+				res.lits = append(res.lits, sum)
 			}
-			return true
-		})
+		}
 	}
 	// Render findings in deterministic unit order for replay.
 	emit := func(sum *ProtocolSummary) {
 		for _, v := range sum.viols {
-			mod.report(pc.p.Name, modDiag{
+			out.report(pc.p.Name, modDiag{
 				Pkg:   sum.node.Pkg,
 				Pos:   v.Pos,
 				Msg:   pc.renderViol(v, sum.node.Pkg.Fset),

@@ -60,6 +60,14 @@ func Bad() {
 	s.Inject()
 }
 `, 1},
+		{"inject before StartManager inside a function literal flagged", svcFixture + `
+func Bad() func() {
+	return func() {
+		s := New()
+		s.Inject()
+	}
+}
+`, 1},
 		{"arrivals after manager flagged", svcFixture + `
 func Bad() {
 	s := New()
@@ -536,6 +544,17 @@ func Ok(fs *FS, h *holder) {
 	h.f = f
 }
 `, 0},
+		{"leak inside a deferred function literal flagged", handleFixture + `
+func Bad(fs *FS, b []byte) {
+	defer func() {
+		f, err := fs.Open("/x")
+		if err != nil {
+			return
+		}
+		fs.ReadAt(f, 0, b)
+	}()
+}
+`, 1},
 		{"suppressed with allow comment", handleFixture + `
 func Bad(fs *FS) {
 	f, err := fs.Open("/x") //easyio:allow handlestate (leak-detector fixture)
