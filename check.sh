@@ -126,6 +126,10 @@ rm -f /tmp/easyio-bench-allocs.json
 echo '== serving job pool byte-identity (serve cells; -workers 1 vs 4)'
 same_output ./cmd/easyio-serve '-quick -workers 1' '-quick -workers 4'
 
+echo '== serving results reproduce byte for byte (easyio-serve -json vs BENCH_serve.json)'
+go run ./cmd/easyio-serve -json /tmp/serve.json >/dev/null && cmp /tmp/serve.json BENCH_serve.json || { echo "BENCH_serve.json no longer reproduces; virtual time moved (a serve or fleet digest, or blimit_final)"; exit 1; }
+rm -f /tmp/serve.json
+
 echo '== -cpuprofile smoke (easyio-bench and easyio-serve write a non-empty profile)'
 for cmd in easyio-bench easyio-serve; do
   go build -o /tmp/$cmd-prof ./cmd/$cmd

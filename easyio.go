@@ -82,43 +82,20 @@ var (
 	ErrNoSpace  = nova.ErrNoSpace
 )
 
-// Config parameterizes a simulated deployment.
+// Config parameterizes a simulated deployment on a 1 GB device with two
+// 8-channel DMA engines (the paper's I/OAT testbed).
 type Config struct {
 	// Cores is the number of simulated physical cores (default 4).
 	Cores int
-	// DeviceSize is the slow-memory capacity (default 1 GB).
-	DeviceSize int64
-	// ChannelsPerEngine configures the two DMA engines (default 8, as on
-	// the paper's I/OAT testbed).
-	ChannelsPerEngine int
-	// Naive selects the §6.4 ordered-ablation write path.
-	Naive bool
-	// BusyPoll makes completion waits spin instead of parking.
-	BusyPoll bool
 	// Manager tunes the channel manager (§4.4).
 	Manager core.ManagerOptions
 	// TrackPersistence records the persist stream so Crash() can build
 	// power-failure images.
 	TrackPersistence bool
-	// Seed drives all pseudo-randomness (default 1).
-	Seed uint64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Cores == 0 {
-		c.Cores = 4
-	}
-	if c.DeviceSize == 0 {
-		c.DeviceSize = 1 << 30
-	}
-	if c.ChannelsPerEngine == 0 {
-		c.ChannelsPerEngine = 8
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
+// seed drives the runtime's pseudo-randomness.
+const seed = 1
 
 // System is a full simulated deployment.
 type System struct {
@@ -132,30 +109,22 @@ type System struct {
 
 // New formats a fresh device and mounts EasyIO on it.
 func New(cfg Config) (*System, error) {
-	cfg = cfg.withDefaults()
-	eng := sim.NewEngine()
-	dev := pmem.New(eng, perfmodel.System(), cfg.DeviceSize)
-	opts := core.Options{
-		Nova:     nova.Options{},
-		Manager:  cfg.Manager,
-		Naive:    cfg.Naive,
-		BusyPoll: cfg.BusyPoll,
+	if cfg.Cores == 0 {
+		cfg.Cores = 4
 	}
-	if err := core.Format(dev, opts); err != nil {
+	eng := sim.NewEngine()
+	dev := pmem.New(eng, perfmodel.System(), 1<<30)
+	if err := core.Format(dev, cfg.coreOptions()); err != nil {
 		return nil, err
 	}
 	return attach(eng, dev, cfg)
 }
 
+func (c Config) coreOptions() core.Options { return core.Options{Manager: c.Manager} }
+
 func attach(eng *sim.Engine, dev *pmem.Device, cfg Config) (*System, error) {
-	opts := core.Options{
-		Nova:     nova.Options{},
-		Manager:  cfg.Manager,
-		Naive:    cfg.Naive,
-		BusyPoll: cfg.BusyPoll,
-	}
-	engines := core.NewEngines(dev, cfg.ChannelsPerEngine)
-	fs, err := core.Mount(dev, engines, opts)
+	engines := core.NewEngines(dev)
+	fs, err := core.Mount(dev, engines, cfg.coreOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +135,7 @@ func attach(eng *sim.Engine, dev *pmem.Device, cfg Config) (*System, error) {
 		FS:      fs,
 		Engine:  eng,
 		Device:  dev,
-		Runtime: caladan.New(eng, caladan.Options{Cores: cfg.Cores, Seed: cfg.Seed}),
+		Runtime: caladan.New(eng, caladan.Options{Cores: cfg.Cores, Seed: seed}),
 		Engines: engines,
 		cfg:     cfg,
 	}, nil

@@ -57,9 +57,8 @@ type Instance struct {
 
 // InstanceOptions tweaks construction.
 type InstanceOptions struct {
-	DeviceSize int64 // default 8 GB
-	BusyPoll   bool  // EasyIO Fig 8 latency mode
-	Functional bool  // keep data pages functional (default: ephemeral)
+	BusyPoll   bool // EasyIO Fig 8 latency mode
+	Functional bool // keep data pages functional (default: ephemeral)
 	Manager    core.ManagerOptions
 	Seed       uint64
 	// Engine, if set, hosts the instance on an existing engine (a cluster
@@ -67,17 +66,14 @@ type InstanceOptions struct {
 	Engine *sim.Engine
 }
 
-// NewInstance builds a formatted, mounted system with a runtime sized for
-// workerCores (plus Odinfs's reserved delegates).
+// NewInstance builds a formatted, mounted system on an 8 GB device with
+// a runtime sized for workerCores (plus Odinfs's reserved delegates).
 func NewInstance(sys System, workerCores int, o InstanceOptions) (*Instance, error) {
-	if o.DeviceSize == 0 {
-		o.DeviceSize = 8 << 30
-	}
 	eng := o.Engine
 	if eng == nil {
 		eng = sim.NewEngine()
 	}
-	dev := pmem.New(eng, perfmodel.System(), o.DeviceSize)
+	dev := pmem.New(eng, perfmodel.System(), 8<<30)
 	novaOpts := nova.Options{NumInodes: 16384, EphemeralData: !o.Functional}
 	inst := &Instance{Sys: sys, Eng: eng, Dev: dev, Cores: workerCores, UtPerCore: 1}
 
@@ -96,7 +92,7 @@ func NewInstance(sys System, workerCores int, o InstanceOptions) (*Instance, err
 		if err := nova.Mkfs(dev, novaOpts); err != nil {
 			return nil, err
 		}
-		engines := core.NewEngines(dev, 8)
+		engines := core.NewEngines(dev)
 		fs, err := nova.Mount(dev, &nova.SyncDMAMover{Engines: engines}, novaOpts)
 		if err != nil {
 			return nil, err
@@ -128,7 +124,7 @@ func NewInstance(sys System, workerCores int, o InstanceOptions) (*Instance, err
 		if err := core.Format(dev, opts); err != nil {
 			return nil, err
 		}
-		fs, err := core.Mount(dev, core.NewEngines(dev, 8), opts)
+		fs, err := core.Mount(dev, core.NewEngines(dev), opts)
 		if err != nil {
 			return nil, err
 		}

@@ -5,25 +5,28 @@ import (
 	"github.com/easyio-sim/easyio/internal/sim"
 )
 
+// The channel manager's fixed parameters (§4.4).
+const (
+	// lChannels is how many channels latency-critical traffic may use
+	// (≤4 per the paper's empirical study); they are spread across
+	// engines.
+	lChannels = 4
+	// Epoch is the QoS control interval (µs-scale in the paper).
+	Epoch = 50 * sim.Microsecond
+	// delta is the per-epoch bandwidth limit adjustment in bytes/sec
+	// (Listing 1's hyper-parameter).
+	delta = 250e6
+	// slackThreshold is Listing 1's `threshold`: when every L-app has
+	// more than this fraction of latency headroom, B-apps are throttled
+	// up.
+	slackThreshold = 0.2
+	// BSplit is the maximum B-app descriptor size; bulk I/O is split so
+	// channel suspension never repeats large transfers.
+	BSplit = 64 << 10
+)
+
 // ManagerOptions tunes the traffic-aware channel manager (§4.4).
 type ManagerOptions struct {
-	// LChannels is how many channels latency-critical traffic may use
-	// (≤4 per the paper's empirical study); they are spread across
-	// engines. Default 4.
-	LChannels int
-	// Epoch is the QoS control interval (µs-scale in the paper).
-	// Default 50µs.
-	Epoch sim.Duration
-	// Delta is the per-epoch bandwidth limit adjustment in bytes/sec
-	// (Listing 1's hyper-parameter). Default 250 MB/s.
-	Delta float64
-	// SlackThreshold is Listing 1's `threshold`: when every L-app has
-	// more than this fraction of latency headroom, B-apps are throttled
-	// up. Default 0.2.
-	SlackThreshold float64
-	// BSplit is the maximum B-app descriptor size; bulk I/O is split so
-	// channel suspension never repeats large transfers. Default 64 KB.
-	BSplit int
 	// BLimit is the initial (or, without Adaptive, the fixed) B-app
 	// bandwidth budget in bytes/sec. Default 2 GB/s.
 	BLimit float64
@@ -32,21 +35,6 @@ type ManagerOptions struct {
 }
 
 func (o ManagerOptions) withDefaults() ManagerOptions {
-	if o.LChannels == 0 {
-		o.LChannels = 4
-	}
-	if o.Epoch == 0 {
-		o.Epoch = 50 * sim.Microsecond
-	}
-	if o.Delta == 0 {
-		o.Delta = 250e6
-	}
-	if o.SlackThreshold == 0 {
-		o.SlackThreshold = 0.2
-	}
-	if o.BSplit == 0 {
-		o.BSplit = 64 << 10
-	}
 	if o.BLimit == 0 {
 		o.BLimit = 2e9
 	}
@@ -87,11 +75,11 @@ func (l *LApp) window() (sim.Duration, bool) {
 // Manager assigns DMA channels to traffic classes and regulates B-app
 // bandwidth by suspending/resuming the shared B channel (§4.4).
 type Manager struct {
-	eng    *sim.Engine
-	opts   ManagerOptions
-	lchans []ChanRef
-	bchan  ChanRef
-	nextW  int
+	eng      *sim.Engine
+	adaptive bool
+	lchans   []ChanRef
+	bchan    ChanRef
+	nextW    int
 
 	lapps  []*LApp
 	bLimit float64
@@ -112,8 +100,8 @@ type Manager struct {
 // last channel of engine 0 (never overlapping the L set).
 func NewManager(eng *sim.Engine, engines []*dma.Engine, opts ManagerOptions) *Manager {
 	opts = opts.withDefaults()
-	m := &Manager{eng: eng, opts: opts, bLimit: opts.BLimit}
-	for i := 0; i < opts.LChannels; i++ {
+	m := &Manager{eng: eng, adaptive: opts.Adaptive, bLimit: opts.BLimit}
+	for i := 0; i < lChannels; i++ {
 		e := engines[i%len(engines)]
 		ci := i / len(engines)
 		if ci >= e.NumChannels()-1 {
@@ -128,9 +116,6 @@ func NewManager(eng *sim.Engine, engines []*dma.Engine, opts ManagerOptions) *Ma
 	return m
 }
 
-// Options returns the effective configuration.
-func (m *Manager) Options() ManagerOptions { return m.opts }
-
 // LChannels returns the latency-class channel set.
 func (m *Manager) LChannels() []ChanRef { return m.lchans }
 
@@ -140,8 +125,12 @@ func (m *Manager) BChannel() ChanRef { return m.bchan }
 // BLimit returns the current B-app bandwidth budget (bytes/sec).
 func (m *Manager) BLimit() float64 { return m.bLimit }
 
-// SetBLimit fixes the budget (used by the non-adaptive Fig 12 setup).
-func (m *Manager) SetBLimit(v float64) { m.bLimit = v }
+// SetBLimit sets the budget, clamped to bLimitFloor.
+func (m *Manager) SetBLimit(v float64) { m.bLimit = max(v, bLimitFloor()) }
+
+// bLimitFloor is the smallest budget SetBLimit accepts: one BSplit piece
+// per epoch, so a throttled B channel still makes progress every epoch.
+func bLimitFloor() float64 { return float64(BSplit) / Epoch.Seconds() }
 
 // SuspendCount reports how many CHANCMD actions the manager issued.
 func (m *Manager) SuspendCount() int64 { return m.suspACC }
@@ -177,11 +166,10 @@ func (m *Manager) ReadChanAdmission() (ChanRef, bool) {
 // descriptor pool and are appended onto sc.descRefs; the caller brackets
 // the call with len(sc.descRefs) to find its batch.
 func (m *Manager) SplitB(sc *opScratch, write bool, pmOff int64, buf []byte, size int) {
-	split := m.opts.BSplit
-	for pos := 0; pos < size; pos += split {
+	for pos := 0; pos < size; pos += BSplit {
 		n := size - pos
-		if n > split {
-			n = split
+		if n > BSplit {
+			n = BSplit
 		}
 		d := sc.desc()
 		d.Write = write
@@ -202,7 +190,7 @@ func (m *Manager) Start() {
 	}
 	m.running = true
 	m.epochBase = m.bchan.Chan.BytesCompleted()
-	m.eng.After(m.opts.Epoch, m.epochTickFn)
+	m.eng.After(Epoch, m.epochTickFn)
 	m.scheduleBudgetCheck()
 }
 
@@ -214,7 +202,7 @@ func (m *Manager) epochTick() {
 		return
 	}
 	// Listing 1: find the minimum SLO slack across L-apps.
-	if m.opts.Adaptive {
+	if m.adaptive {
 		min := 1.0
 		seen := false
 		for _, l := range m.lapps {
@@ -229,15 +217,13 @@ func (m *Manager) epochTick() {
 			}
 		}
 		if seen {
+			v := m.bLimit
 			if min < 0 {
-				m.bLimit -= m.opts.Delta
-			} else if min > m.opts.SlackThreshold {
-				m.bLimit += m.opts.Delta
+				v -= delta
+			} else if min > slackThreshold {
+				v += delta
 			}
-			lo := float64(m.opts.BSplit) / m.opts.Epoch.Seconds() // ≥1 piece/epoch
-			if m.bLimit < lo {
-				m.bLimit = lo
-			}
+			m.SetBLimit(v)
 		}
 		m.BLimitHist = append(m.BLimitHist, m.bLimit)
 	}
@@ -247,14 +233,14 @@ func (m *Manager) epochTick() {
 		m.bchan.Chan.Resume()
 		m.suspACC++
 	}
-	m.eng.After(m.opts.Epoch, m.epochTickFn)
+	m.eng.After(Epoch, m.epochTickFn)
 	m.scheduleBudgetCheck()
 }
 
 // scheduleBudgetCheck samples B-channel consumption 8 times per epoch and
 // suspends the channel once it exhausts this epoch's byte budget.
 func (m *Manager) scheduleBudgetCheck() {
-	step := m.opts.Epoch / 8
+	step := Epoch / 8
 	for i := 1; i < 8; i++ {
 		m.eng.After(sim.Duration(i)*step, m.budgetCheckFn)
 	}
@@ -266,7 +252,7 @@ func (m *Manager) budgetCheck() {
 	if !m.running || m.bchan.Chan.Suspended() {
 		return
 	}
-	budget := int64(m.bLimit * m.opts.Epoch.Seconds())
+	budget := int64(m.bLimit * Epoch.Seconds())
 	if m.bchan.Chan.BytesCompleted()-m.epochBase >= budget {
 		m.bchan.Chan.Suspend()
 		m.suspACC++

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"github.com/easyio-sim/easyio/internal/caladan"
@@ -17,7 +18,6 @@ import (
 func TestManagerEpochBudgetAccounting(t *testing.T) {
 	h := newHarness(t, 1, Options{Manager: ManagerOptions{BLimit: 1e9}})
 	m := h.fs.Manager()
-	epoch := m.Options().Epoch
 	m.Start()
 	h.rt.Spawn(0, "gc", func(task *caladan.Task) {
 		f, _ := h.fs.Create(task, "/bulk")
@@ -34,16 +34,16 @@ func TestManagerEpochBudgetAccounting(t *testing.T) {
 	for e := 1; e <= 8; e++ {
 		// Just after the tick: the new epoch's budget is fresh, so the
 		// channel must have been resumed.
-		at := sim.Time(sim.Duration(e)*epoch) + sim.Time(2*sim.Microsecond)
+		at := sim.Time(sim.Duration(e)*Epoch) + sim.Time(2*sim.Microsecond)
 		h.eng.At(at, func() { got = append(got, probe{at, bchan.Suspended()}) })
 		// Late in the epoch: one 64KB piece (≥ the 50KB/epoch budget) has
 		// completed, so the budget check must have suspended the channel.
-		late := sim.Time(sim.Duration(e)*epoch) + sim.Time(45*sim.Microsecond)
+		late := sim.Time(sim.Duration(e)*Epoch) + sim.Time(45*sim.Microsecond)
 		h.eng.At(late, func() { got = append(got, probe{late, bchan.Suspended()}) })
 	}
-	h.eng.RunUntil(sim.Time(10 * epoch))
+	h.eng.RunUntil(sim.Time(10 * Epoch))
 	for _, p := range got {
-		phase := sim.Duration(p.at) % epoch
+		phase := sim.Duration(p.at) % Epoch
 		if phase < 10*sim.Microsecond && p.suspended {
 			t.Errorf("t=%v: channel still suspended just after the epoch tick", p.at)
 		}
@@ -58,6 +58,29 @@ func TestManagerEpochBudgetAccounting(t *testing.T) {
 	}
 	m.Stop()
 	h.eng.Run()
+	h.eng.Shutdown()
+}
+
+// TestSetBLimitFloor pins SetBLimit's clamp: a budget below one BSplit
+// piece per epoch lands bit-exactly on that floor, the run-time float64
+// quotient float64(BSplit) / Epoch.Seconds(); a budget at or above it is
+// stored verbatim.
+func TestSetBLimitFloor(t *testing.T) {
+	h := newHarness(t, 1, Options{})
+	m := h.fs.Manager()
+	lo := float64(BSplit) / Epoch.Seconds()
+	for _, v := range []float64{-1, 0, 1e9, math.Nextafter(lo, 0)} {
+		m.SetBLimit(v)
+		if got := m.BLimit(); math.Float64bits(got) != math.Float64bits(lo) {
+			t.Errorf("SetBLimit(%v) stored %v, want the floor %v", v, got, lo)
+		}
+	}
+	for _, v := range []float64{lo, math.Nextafter(lo, math.Inf(1)), 2e9, 8e9} {
+		m.SetBLimit(v)
+		if got := m.BLimit(); math.Float64bits(got) != math.Float64bits(v) {
+			t.Errorf("SetBLimit(%v) stored %v, want it verbatim", v, got)
+		}
+	}
 	h.eng.Shutdown()
 }
 
@@ -140,8 +163,6 @@ func TestLAppWindow(t *testing.T) {
 func TestManagerAdaptiveBurstyWindows(t *testing.T) {
 	h := newHarness(t, 1, Options{Manager: ManagerOptions{Adaptive: true, BLimit: 4e9}})
 	m := h.fs.Manager()
-	epoch := m.Options().Epoch
-	delta := m.Options().Delta
 	lapp := m.RegisterLApp(20 * sim.Microsecond)
 	m.Start()
 	// Bursty reporting: the app only runs in even epochs, violating its
@@ -151,10 +172,10 @@ func TestManagerAdaptiveBurstyWindows(t *testing.T) {
 		if e%2 != 0 {
 			continue
 		}
-		at := sim.Time(sim.Duration(e)*epoch) + sim.Time(10*sim.Microsecond)
+		at := sim.Time(sim.Duration(e)*Epoch) + sim.Time(10*sim.Microsecond)
 		h.eng.At(at, func() { lapp.Report(100 * sim.Microsecond) })
 	}
-	h.eng.RunUntil(sim.Time(sim.Duration(epochs)*epoch) + sim.Time(sim.Microsecond))
+	h.eng.RunUntil(sim.Time(sim.Duration(epochs)*Epoch) + sim.Time(sim.Microsecond))
 	m.Stop()
 	hist := m.BLimitHist
 	if len(hist) < epochs {

@@ -45,22 +45,12 @@ type Options struct {
 	Nova nova.Options
 	// Manager configures the channel manager.
 	Manager ManagerOptions
-	// MinDMASize is the selective-offload cutoff: I/O at or below this
-	// size uses memcpy directly (§4.4). Default 4096.
-	MinDMASize int
 	// Naive enables the §6.4 ablation: data and metadata strictly
 	// ordered in two kernel interactions, lock held throughout.
 	Naive bool
 	// BusyPoll makes completion waits hold the core (Fig 8's
 	// single-thread latency mode) instead of parking.
 	BusyPoll bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.MinDMASize == 0 {
-		o.MinDMASize = 4096
-	}
-	return o
 }
 
 // FS is an EasyIO filesystem. Namespace operations (Create, Unlink,
@@ -72,6 +62,10 @@ type FS struct {
 	engines []*dma.Engine
 	mgr     *Manager
 	opts    Options
+
+	// minDMASize is the selective-offload cutoff: I/O at or below this
+	// size uses memcpy directly (§4.4). It starts at nova.MinDMASize.
+	minDMASize int
 
 	// CPU-time accounting: virtual time the issuing cores spent inside
 	// operations, excluding the final completion wait. This is Fig 8's
@@ -86,12 +80,16 @@ func Format(dev *pmem.Device, opts Options) error {
 	return nova.Mkfs(dev, opts.Nova)
 }
 
+// chansPerEngine is each DMA engine's channel count, as on the paper's
+// I/OAT testbed.
+const chansPerEngine = 8
+
 // NewEngines builds the standard two-socket DMA engine pair whose
 // completion buffers live in the filesystem's persistent CB region.
-func NewEngines(dev *pmem.Device, chansPerEngine int) []*dma.Engine {
+func NewEngines(dev *pmem.Device) []*dma.Engine {
 	return []*dma.Engine{
 		dma.NewEngine(dev, 0, chansPerEngine, nova.CBRegionOff),
-		dma.NewEngine(dev, 1, chansPerEngine, nova.CBRegionOff+int64(chansPerEngine)*dma.CBStride),
+		dma.NewEngine(dev, 1, chansPerEngine, nova.CBRegionOff+chansPerEngine*dma.CBStride),
 	}
 }
 
@@ -99,7 +97,6 @@ func NewEngines(dev *pmem.Device, chansPerEngine int) []*dma.Engine {
 // entries against the engines' persistent completion buffers (§4.2):
 // entries whose SN is not durable are discarded.
 func Mount(dev *pmem.Device, engines []*dma.Engine, opts Options) (*FS, error) {
-	opts = opts.withDefaults()
 	opts.Nova.ValidateSN = func(engineID, chanID int, sn uint64) bool {
 		if engineID >= len(engines) || chanID >= engines[engineID].NumChannels() {
 			return false
@@ -111,11 +108,12 @@ func Mount(dev *pmem.Device, engines []*dma.Engine, opts Options) (*FS, error) {
 		return nil, err
 	}
 	fs := &FS{
-		FS:      nfs,
-		eng:     dev.Engine(),
-		engines: engines,
-		mgr:     NewManager(dev.Engine(), engines, opts.Manager),
-		opts:    opts,
+		FS:         nfs,
+		eng:        dev.Engine(),
+		engines:    engines,
+		mgr:        NewManager(dev.Engine(), engines, opts.Manager),
+		opts:       opts,
+		minDMASize: nova.MinDMASize,
 	}
 	return fs, nil
 }
@@ -196,7 +194,7 @@ func (fs *FS) WriteAtClass(t *caladan.Task, f *nova.File, off int64, data []byte
 	// Selective offload (§4.4): small I/O is memcpy'd synchronously —
 	// the DMA engine is inefficient below 4 KB and the window is too
 	// short to harvest.
-	if len(data) <= fs.opts.MinDMASize || t == nil {
+	if len(data) <= fs.minDMASize || t == nil {
 		defer ino.Mu.Unlock()
 		prep, runs, err := fs.PrepareWrite(t, ino, off, data)
 		if err != nil {
@@ -431,7 +429,7 @@ func (fs *FS) ReadAtClass(t *caladan.Task, f *nova.File, off int64, buf []byte, 
 		fs.Charge(t, cpu.Syscall)
 	}
 	moved := false
-	if t != nil && bytes > int64(fs.opts.MinDMASize) {
+	if t != nil && bytes > int64(fs.minDMASize) {
 		var ref ChanRef
 		ok := false
 		if class == ClassB {
@@ -493,4 +491,4 @@ var _ fsapi.FileSystem = (*FS)(nil)
 
 // SetMinDMASize adjusts the selective-offload cutoff at runtime (ablation
 // hook; §4.4 fixes it at 4 KB).
-func (fs *FS) SetMinDMASize(n int) { fs.opts.MinDMASize = n }
+func (fs *FS) SetMinDMASize(n int) { fs.minDMASize = n }

@@ -29,7 +29,7 @@ func newHarness(t *testing.T, cores int, opts Options) *harness {
 	if err := Format(dev, opts); err != nil {
 		t.Fatal(err)
 	}
-	engines := NewEngines(dev, 8)
+	engines := NewEngines(dev)
 	fs, err := Mount(dev, engines, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +285,7 @@ func TestOrderlessRecoveryDiscardsUnfinishedWrite(t *testing.T) {
 	img := h.dev.CrashImage(all)
 	h.eng.Shutdown()
 
-	engines2 := NewEngines(img, 8)
+	engines2 := NewEngines(img)
 	fs2, err := Mount(img, engines2, Options{Nova: nova.Options{NumInodes: 512}})
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +322,7 @@ func TestRecoveryKeepsFinishedWrite(t *testing.T) {
 		all[i] = i
 	}
 	img := h.dev.CrashImage(all)
-	fs2, err := Mount(img, NewEngines(img, 8), Options{Nova: nova.Options{NumInodes: 512}})
+	fs2, err := Mount(img, NewEngines(img), Options{Nova: nova.Options{NumInodes: 512}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,10 +409,10 @@ func TestManagerAdaptiveThrottling(t *testing.T) {
 	m.Start()
 	// Violate the SLO for a while: the limit must come down.
 	for i := 0; i < 40; i++ {
-		d := sim.Duration(i) * m.Options().Epoch
+		d := sim.Duration(i) * Epoch
 		h.eng.After(d, func() { lapp.Report(100 * sim.Microsecond) })
 	}
-	h.eng.RunUntil(sim.Time(41 * m.Options().Epoch))
+	h.eng.RunUntil(sim.Time(41 * Epoch))
 	if m.BLimit() >= 4e9 {
 		t.Fatalf("SLO violations did not throttle B-apps: limit = %.2g", m.BLimit())
 	}
@@ -420,10 +420,10 @@ func TestManagerAdaptiveThrottling(t *testing.T) {
 	// Now meet the SLO comfortably: the limit recovers. (After is
 	// relative to the already-advanced clock.)
 	for i := 1; i < 40; i++ {
-		d := sim.Duration(i) * m.Options().Epoch
+		d := sim.Duration(i) * Epoch
 		h.eng.After(d, func() { lapp.Report(2 * sim.Microsecond) })
 	}
-	h.eng.RunUntil(h.eng.Now() + sim.Time(41*m.Options().Epoch))
+	h.eng.RunUntil(h.eng.Now() + sim.Time(41*Epoch))
 	if m.BLimit() <= down {
 		t.Fatal("meeting the SLO did not raise the B-app limit")
 	}

@@ -116,16 +116,11 @@ type Config struct {
 	TargetPoints int
 	// Seed drives subset sampling.
 	Seed uint64
-	// DeviceSize (default 64 MB).
-	DeviceSize int64
 }
 
 func (c Config) withDefaults() Config {
 	if c.TargetPoints == 0 {
 		c.TargetPoints = 1000
-	}
-	if c.DeviceSize == 0 {
-		c.DeviceSize = 64 << 20
 	}
 	return c
 }
@@ -134,12 +129,12 @@ func (c Config) withDefaults() Config {
 func Test(w Workload, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	eng := sim.NewEngine()
-	dev := pmem.New(eng, perfmodel.System(), cfg.DeviceSize)
+	dev := pmem.New(eng, perfmodel.System(), 64<<20)
 	opts := core.Options{Nova: nova.Options{NumInodes: 512}}
 	if err := core.Format(dev, opts); err != nil {
 		return nil, err
 	}
-	engines := core.NewEngines(dev, 8)
+	engines := core.NewEngines(dev)
 	fs, err := core.Mount(dev, engines, opts)
 	if err != nil {
 		return nil, err
@@ -179,7 +174,7 @@ func Test(w Workload, cfg Config) (*Report, error) {
 	check := func(applied []int, desc string) {
 		rep.CrashPoints++
 		img := dev.CrashImage(applied)
-		imgEngines := core.NewEngines(img, 8)
+		imgEngines := core.NewEngines(img)
 		fs2, err := core.Mount(img, imgEngines, core.Options{})
 		if err != nil {
 			rep.Failures = append(rep.Failures, fmt.Sprintf("%s: mount: %v", desc, err))
@@ -194,16 +189,9 @@ func Test(w Workload, cfg Config) (*Report, error) {
 	}
 
 	// Pass 1: every epoch-boundary prefix.
-	prefixes := numEpochs + 1
 	for e := 0; e <= numEpochs && rep.CrashPoints < cfg.TargetPoints; e++ {
-		cut := len(dev.Records())
-		if e < len(bounds) {
-			cut = bounds[min(e, len(bounds)-1)]
-		}
-		applied := seqInts(cut)
-		check(applied, fmt.Sprintf("prefix-epoch-%d", e))
+		check(seqInts(bounds[e]), fmt.Sprintf("prefix-epoch-%d", e))
 	}
-	_ = prefixes
 
 	// Pass 2: sampled subsets inside each epoch (store reordering), until
 	// the target is reached.
@@ -233,11 +221,4 @@ func seqInts(n int) []int {
 		s[i] = i
 	}
 	return s
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

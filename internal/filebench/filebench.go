@@ -34,17 +34,26 @@ type Config struct {
 	Cores       int
 	Uthreads    int // default Cores
 	// Files is the file-set size. Default 64.
-	Files int
-	// FileSize: fileserver writes/reads whole files of this size
-	// (Table 1: ~1 MB); webserver reads this much per op (256 KB).
-	FileSize int
-	// AppendSize: fileserver 1040KB-1MB delta appends (16 KB here per
-	// Table 1's webserver log append; fileserver appends 16 KB too).
-	AppendSize int
-	Warmup     sim.Duration
-	Measure    sim.Duration
-	Seed       uint64
+	Files   int
+	Warmup  sim.Duration
+	Measure sim.Duration
+	Seed    uint64
 }
+
+// fileSize is the personality's whole-file size: fileserver writes and
+// reads whole files of this size (Table 1: ~1 MB); webserver reads this
+// much per op (256 KB).
+func (p Personality) fileSize() int {
+	if p == Webserver {
+		return 256 << 10
+	}
+	return 1 << 20
+}
+
+// appendSize is every append's size: fileserver 1040KB-1MB delta appends
+// (16 KB here per Table 1's webserver log append; fileserver appends
+// 16 KB too).
+const appendSize = 16 << 10
 
 func (c Config) withDefaults() Config {
 	if c.Uthreads == 0 {
@@ -52,16 +61,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Files == 0 {
 		c.Files = 64
-	}
-	if c.FileSize == 0 {
-		if c.Personality == Webserver {
-			c.FileSize = 256 << 10
-		} else {
-			c.FileSize = 1 << 20
-		}
-	}
-	if c.AppendSize == 0 {
-		c.AppendSize = 16 << 10
 	}
 	if c.Warmup == 0 {
 		c.Warmup = 2 * sim.Millisecond
@@ -105,9 +104,10 @@ func Run(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config) 
 	// from it. The sink is write-only scratch: no code inspects what a
 	// read returned. All uthreads run on this engine's goroutine, and the
 	// sink never doubles as a source.
-	zero := nova.Zeros(max(cfg.FileSize, cfg.AppendSize))
-	sink := make([]byte, cfg.FileSize)
-	wbuf, abuf := zero[:cfg.FileSize], zero[:cfg.AppendSize]
+	fileSize := cfg.Personality.fileSize()
+	zero := nova.Zeros(max(fileSize, appendSize))
+	sink := make([]byte, fileSize)
+	wbuf, abuf := zero[:fileSize], zero[:appendSize]
 	for i := range files {
 		f, err := fs.Create(nil, fmt.Sprintf("/fb/f%04d", i))
 		if err != nil {

@@ -19,7 +19,7 @@ func setup(t *testing.T, cores int) (*sim.Engine, *caladan.Runtime, *core.FS) {
 	if err := core.Format(dev, opts); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := core.Mount(dev, core.NewEngines(dev, 8), opts)
+	fs, err := core.Mount(dev, core.NewEngines(dev), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,12 +77,10 @@ func TestWebserverContendsOnLog(t *testing.T) {
 }
 
 func TestDefaultsPerPersonality(t *testing.T) {
-	c := Config{Personality: Webserver}.withDefaults()
-	if c.FileSize != 256<<10 {
-		t.Fatalf("webserver read size = %d", c.FileSize)
+	if n := Webserver.fileSize(); n != 256<<10 {
+		t.Fatalf("webserver read size = %d", n)
 	}
-	c = Config{Personality: Fileserver}.withDefaults()
-	if c.FileSize != 1<<20 {
-		t.Fatalf("fileserver file size = %d", c.FileSize)
+	if n := Fileserver.fileSize(); n != 1<<20 {
+		t.Fatalf("fileserver file size = %d", n)
 	}
 }

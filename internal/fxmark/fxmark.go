@@ -45,17 +45,15 @@ type Config struct {
 	// FileSize is the working-set size per file (reads/overwrites).
 	// Default 4 MB.
 	FileSize int64
-	// AppendCap bounds DWAL file growth; the file is truncated (untimed)
-	// when it exceeds the cap. Default 16 MB.
-	AppendCap int64
 	// Warmup and Measure bound the run. Defaults 2 ms / 20 ms.
 	Warmup, Measure sim.Duration
 	// Seed drives offset choice.
 	Seed uint64
-	// PostOp, if set, runs after each operation (used by latency probes
-	// and the real-world app wrappers).
-	PostOp func(t *caladan.Task)
 }
+
+// appendCap bounds DWAL file growth; the file is truncated (untimed)
+// when it exceeds the cap.
+const appendCap = 16 << 20
 
 func (c Config) withDefaults() Config {
 	if c.Uthreads == 0 {
@@ -63,9 +61,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FileSize == 0 {
 		c.FileSize = 4 << 20
-	}
-	if c.AppendCap == 0 {
-		c.AppendCap = 16 << 20
 	}
 	if c.Warmup == 0 {
 		c.Warmup = 2 * sim.Millisecond
@@ -189,7 +184,7 @@ func Start(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config
 					_, err := fs.Append(task, f, buf)
 					mustOp("append", err)
 					appendPos += int64(cfg.IOSize)
-					if appendPos > cfg.AppendCap {
+					if appendPos > appendCap {
 						mustOp("truncate", fs.Truncate(task, f, 0))
 						appendPos = 0
 						continue // maintenance op: not timed
@@ -209,9 +204,6 @@ func Start(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config
 					res.Ops++
 					res.Bytes += int64(cfg.IOSize)
 					res.Lat.Add(sim.Duration(task.Now() - opStart))
-				}
-				if cfg.PostOp != nil {
-					cfg.PostOp(task)
 				}
 			}
 		})

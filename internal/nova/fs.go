@@ -28,8 +28,6 @@ var (
 type Options struct {
 	// NumInodes sizes the inode table (default 65536).
 	NumInodes int64
-	// CPU overrides the software cost profile (default DefaultCPU).
-	CPU *perfmodel.CPU
 	// EphemeralData skips functional data-page copies (metadata stays
 	// fully functional). Used by large benchmark sweeps where only timing
 	// matters; correctness tests leave it off.
@@ -43,10 +41,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.NumInodes == 0 {
 		o.NumInodes = 65536
-	}
-	if o.CPU == nil {
-		cpu := perfmodel.DefaultCPU()
-		o.CPU = &cpu
 	}
 	return o
 }
@@ -134,7 +128,7 @@ func Mount(dev *pmem.Device, mover DataMover, opts Options) (*FS, error) {
 	fs := &FS{
 		dev:    dev,
 		eng:    dev.Engine(),
-		cpu:    *opts.CPU,
+		cpu:    perfmodel.DefaultCPU(),
 		sb:     sb,
 		alloc:  newAllocator(sb.dataOff, sb.size),
 		opts:   opts,

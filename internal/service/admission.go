@@ -39,8 +39,6 @@ type PolicySpec struct {
 	// QueueCap is the queue-depth knob of queue-cap/priority policies
 	// and the EWMA policy's B-tenant backstop. Default 64.
 	QueueCap int
-	// Alpha is the EWMA smoothing factor in (0, 1]. Default 0.25.
-	Alpha float64
 	// HighWater/LowWater are the EWMA shed hysteresis thresholds as
 	// fractions of the SLO. Defaults 0.9 and 0.5.
 	HighWater float64
@@ -53,9 +51,6 @@ func (p PolicySpec) withDefaults() PolicySpec {
 	}
 	if p.QueueCap == 0 {
 		p.QueueCap = 64
-	}
-	if p.Alpha == 0 {
-		p.Alpha = 0.25
 	}
 	if p.HighWater == 0 {
 		p.HighWater = 0.9
@@ -113,6 +108,9 @@ func (p *priorityShed) admit(s *Server, tn *tenant) bool {
 	return s.qlen < (tn.spec.Priority+1)*p.cap
 }
 func (p *priorityShed) complete(*Server, *tenant, sim.Duration) {}
+
+// ewmaAlpha is the EWMA policy's smoothing factor.
+const ewmaAlpha = 0.25
 
 // ewmaShed is the SLO-feedback policy. Latency-critical tenants (ClassL
 // with an SLO) are never shed below the hard 8x backstop; everyone else
@@ -173,20 +171,14 @@ func (e *ewmaShed) complete(s *Server, tn *tenant, lat sim.Duration) {
 	if tn.ewma == 0 {
 		tn.ewma = float64(lat)
 	} else {
-		tn.ewma = e.spec.Alpha*float64(lat) + (1-e.spec.Alpha)*tn.ewma
+		tn.ewma = ewmaAlpha*float64(lat) + (1-ewmaAlpha)*tn.ewma
 	}
 	p := e.pressure(s)
 	if !e.shedding && p > e.spec.HighWater {
 		e.shedding = true
-		// Cut the B-app DMA budget immediately; the channel manager's
-		// adaptive epoch loop (fed by the same LApp.Report stream)
-		// fine-tunes from here.
-		lo := float64(s.mgr.Options().BSplit) / s.mgr.Options().Epoch.Seconds()
-		if b := s.mgr.BLimit() / 2; b > lo {
-			s.mgr.SetBLimit(b)
-		} else {
-			s.mgr.SetBLimit(lo)
-		}
+		// Cut the B-app DMA budget immediately; SetBLimit keeps it at
+		// or above the manager's one-piece-per-epoch floor.
+		s.mgr.SetBLimit(s.mgr.BLimit() / 2)
 	} else if e.shedding && p < e.spec.LowWater {
 		e.shedding = false
 	}

@@ -16,16 +16,15 @@
 // shared FIFO queue -> dispatch onto a fixed pool of caladan worker
 // uthreads -> filesystem operations through internal/core (reads,
 // compute, class-tagged writes per the tenant's mix) -> completion
-// accounting (per-tenant stats.Hist, SLO attainment, channel-manager
-// LApp.Report feedback).
+// accounting (per-tenant stats.Hist, SLO attainment).
 //
 // Admission control is pluggable (admission.go): a no-op baseline, a
 // shared queue cap, priority-scaled queue allowances, and an
 // EWMA-latency policy that watches each latency-critical tenant's
 // moving-average latency against its SLO and sheds bandwidth-class
-// traffic — also feeding the channel manager's QoS hooks (RegisterLApp/
-// SetBLimit/ReadChanAdmission) so the DMA layer throttles bulk
-// transfers in concert with the serving layer shedding them.
+// traffic — also driving the channel manager's QoS hooks (SetBLimit/
+// ReadChanAdmission) so the DMA layer throttles bulk transfers in
+// concert with the serving layer shedding them.
 package service
 
 import (
@@ -72,8 +71,7 @@ type TenantSpec struct {
 	// later).
 	Priority int
 	// SLO is the tenant's latency objective. Latency-critical tenants
-	// (ClassL with SLO > 0) are registered as channel-manager LApps and
-	// report every completion latency.
+	// (ClassL with SLO > 0) are the EWMA policy's protected class.
 	SLO sim.Duration
 	// Arrival is the tenant's open-loop arrival process.
 	Arrival ArrivalSpec
@@ -200,7 +198,6 @@ type tenant struct {
 	garr  *rng.Rand // arrival-process stream
 	gmix  *rng.Rand // request-content stream (file, offsets)
 	files []*nova.File
-	lapp  *core.LApp
 	seq   int64   // requests executed (WriteEvery phase)
 	ewma  float64 // EWMA policy state (ns)
 	res   TenantResult
@@ -271,8 +268,8 @@ func Run(eng *sim.Engine, rt *caladan.Runtime, fs *core.FS, cfg Config) (*Result
 }
 
 // New performs the untimed setup of a serving run — tenant state, file
-// prefill, LApp registration, worker-pool spawn — but starts neither the
-// arrival chains nor the channel manager, and does not drive the engine.
+// prefill, worker-pool spawn — but starts neither the arrival chains nor
+// the channel manager, and does not drive the engine.
 // The split exists for multi-domain serving: a cluster node domain builds
 // its Server in init context, a router domain Injects requests, and the
 // cluster owns virtual time. Run composes the pieces for the common
@@ -344,9 +341,6 @@ func New(eng *sim.Engine, rt *caladan.Runtime, fs *core.FS, cfg Config) (*Server
 			}
 			tn.files = append(tn.files, f)
 		}
-		if tn.critical() {
-			tn.lapp = s.mgr.RegisterLApp(spec.SLO)
-		}
 		s.tenants = append(s.tenants, tn)
 	}
 
@@ -395,7 +389,7 @@ func (s *Server) StartArrivals() {
 }
 
 // StartManager starts the channel manager's epoch loop, which enforces
-// (and, with Adaptive, adjusts) the B budget for the whole run, and
+// the B budget for the whole run, and
 // snapshots the suspend counter Finish reports against.
 func (s *Server) StartManager() {
 	s.mgr.Start()
@@ -504,9 +498,6 @@ func (s *Server) execute(task *caladan.Task, req *request, rbuf []byte) {
 		if tn.spec.SLO > 0 && lat <= tn.spec.SLO {
 			tn.res.SLOMet++
 		}
-	}
-	if tn.lapp != nil {
-		tn.lapp.Report(lat)
 	}
 	s.pol.complete(s, tn, lat)
 	if s.OnComplete != nil {

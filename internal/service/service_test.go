@@ -23,7 +23,7 @@ func newHarness(t *testing.T, cores int, mopts core.ManagerOptions, seed uint64)
 	if err := core.Format(dev, opts); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := core.Mount(dev, core.NewEngines(dev, 8), opts)
+	fs, err := core.Mount(dev, core.NewEngines(dev), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestEWMAShedMechanics(t *testing.T) {
 	if mgr.BLimit() >= limit0 {
 		t.Fatalf("shedding entry left BLimit at %.3g, want below %.3g", mgr.BLimit(), limit0)
 	}
-	lo := float64(mgr.Options().BSplit) / mgr.Options().Epoch.Seconds()
+	lo := float64(core.BSplit) / core.Epoch.Seconds()
 	if mgr.BLimit() < lo {
 		t.Fatalf("BLimit %.3g cut below the one-piece-per-epoch floor %.3g", mgr.BLimit(), lo)
 	}
