@@ -2,6 +2,7 @@
 # check.sh — the tier-1 verification gate, mirroring .github/workflows/ci.yml.
 # Run from the module root. Fails fast on the first broken step.
 set -eu
+check_start=$(date +%s)
 
 # same_output PKG ARGS_A ARGS_B builds PKG, runs it once with each
 # (word-split) argument list, and fails unless both outputs are identical.
@@ -36,16 +37,9 @@ echo '== analyzer registry completeness (>= 24 analyzers)'
 n=$(go run ./cmd/easyio-vet -list | wc -l)
 test "$n" -ge 24 || { echo "only $n analyzers registered"; exit 1; }
 
-echo '== easyio-vet cache smoke (warm rerun byte-identical, all hits)'
+echo '== easyio-vet cold run telemetry (-benchjson)'
 go build -o /tmp/easyio-vet-check ./cmd/easyio-vet
-rm -rf /tmp/easyio-vet-cache-check
-/tmp/easyio-vet-check -cache-dir /tmp/easyio-vet-cache-check -benchjson /tmp/easyio-vet-cold.json ./... > /tmp/easyio-vet-cold.txt
-n=$(ls /tmp/easyio-vet-cache-check/*.json | wc -l)
-test "$n" -eq 1 || { echo "cold cached run left $n cache entries, want one per tree state"; exit 1; }
-/tmp/easyio-vet-check -cache-dir /tmp/easyio-vet-cache-check -benchjson /tmp/easyio-vet-warm.json ./... > /tmp/easyio-vet-warm.txt
-diff /tmp/easyio-vet-cold.txt /tmp/easyio-vet-warm.txt
-grep -q '"cache_hits": 0' /tmp/easyio-vet-cold.json || { echo "cold run unexpectedly hit the cache"; exit 1; }
-grep -q '"cache_misses": 0' /tmp/easyio-vet-warm.json || { echo "warm run missed the cache"; exit 1; }
+/tmp/easyio-vet-check -benchjson /tmp/easyio-vet-cold.json ./...
 
 echo '== typestate engine cost (six protocols <= 25% of cold wall-clock)'
 cold_wall=$(grep -o '"wall_ms": [0-9.eE+-]*' /tmp/easyio-vet-cold.json | grep -o '[0-9.eE+-]*$')
@@ -58,27 +52,27 @@ done
 awk -v t="$ts_ms" -v w="$cold_wall" 'BEGIN { printf "six protocols: %.1f ms of %.1f ms cold wall-clock, share %.3f (gate 0.25)\n", t, w, t / w }'
 awk -v t="$ts_ms" -v w="$cold_wall" 'BEGIN { exit !(t <= 0.25 * w) }' || { echo "typestate engine ($ts_ms ms) exceeds 25% of cold wall-clock ($cold_wall ms)"; exit 1; }
 
-echo '== easyio-vet parallel determinism (GOMAXPROCS=4 vs 1, uncached)'
-GOMAXPROCS=1 /tmp/easyio-vet-check -nocache -partition /tmp/easyio-vet-part1.json ./... > /tmp/easyio-vet-p1.txt
-GOMAXPROCS=4 /tmp/easyio-vet-check -nocache -partition /tmp/easyio-vet-part4.json ./... > /tmp/easyio-vet-p4.txt
+echo '== easyio-vet parallel determinism (GOMAXPROCS=4 vs 1)'
+GOMAXPROCS=1 /tmp/easyio-vet-check -partition /tmp/easyio-vet-part1.json ./... > /tmp/easyio-vet-p1.txt
+GOMAXPROCS=4 /tmp/easyio-vet-check -partition /tmp/easyio-vet-part4.json ./... > /tmp/easyio-vet-p4.txt
 diff /tmp/easyio-vet-p1.txt /tmp/easyio-vet-p4.txt
 
-echo '== easyio-vet type-check determinism (GOMAXPROCS=1 vs default, uncached)'
-GOMAXPROCS=1 /tmp/easyio-vet-check -nocache -partition /tmp/easyio-vet-partg1.json ./... > /tmp/easyio-vet-g1.txt
-/tmp/easyio-vet-check -nocache -partition /tmp/easyio-vet-partdef.json ./... > /tmp/easyio-vet-def.txt
+echo '== easyio-vet type-check determinism (GOMAXPROCS=1 vs default)'
+GOMAXPROCS=1 /tmp/easyio-vet-check -partition /tmp/easyio-vet-partg1.json ./... > /tmp/easyio-vet-g1.txt
+/tmp/easyio-vet-check -partition /tmp/easyio-vet-partdef.json ./... > /tmp/easyio-vet-def.txt
 diff /tmp/easyio-vet-g1.txt /tmp/easyio-vet-def.txt
 diff /tmp/easyio-vet-partg1.json /tmp/easyio-vet-partdef.json
 
 echo '== easyio-vet package-filtered run judges module-wide rules on the whole module'
-/tmp/easyio-vet-check -nocache internal/pmem internal/sim
+/tmp/easyio-vet-check internal/pmem internal/sim
 
 echo '== partition report (deterministic, matches committed, lock graph acyclic)'
 diff /tmp/easyio-vet-part1.json /tmp/easyio-vet-part4.json
-diff /tmp/easyio-vet-part1.json partition.json || { echo "partition.json is stale; regenerate with: go run ./cmd/easyio-vet -nocache -partition partition.json ./..."; exit 1; }
+diff /tmp/easyio-vet-part1.json partition.json || { echo "partition.json is stale; regenerate with: go run ./cmd/easyio-vet -partition partition.json ./..."; exit 1; }
 grep -q '"acyclic": true' partition.json || { echo "lock-order graph is not acyclic"; exit 1; }
 grep -q '"unguarded_findings": 0' partition.json || { echo "unguarded cross-node shared-mutable state detected"; exit 1; }
 test "$(grep -c '"status": "clean"' partition.json)" -eq 6 || { echo "a typestate protocol is violated module-wide (see partition.json protocols)"; exit 1; }
-rm -rf /tmp/easyio-vet-check /tmp/easyio-vet-cache-check /tmp/easyio-vet-cold.* /tmp/easyio-vet-warm.* /tmp/easyio-vet-p1.txt /tmp/easyio-vet-p4.txt /tmp/easyio-vet-part1.json /tmp/easyio-vet-part4.json /tmp/easyio-vet-g1.txt /tmp/easyio-vet-def.txt /tmp/easyio-vet-partg1.json /tmp/easyio-vet-partdef.json
+rm -f /tmp/easyio-vet-check /tmp/easyio-vet-cold.json /tmp/easyio-vet-p1.txt /tmp/easyio-vet-p4.txt /tmp/easyio-vet-part1.json /tmp/easyio-vet-part4.json /tmp/easyio-vet-g1.txt /tmp/easyio-vet-def.txt /tmp/easyio-vet-partg1.json /tmp/easyio-vet-partdef.json
 
 echo '== go test ./...'
 go test ./...
@@ -141,4 +135,4 @@ for p in /tmp/easyio-bench.prof /tmp/easyio-serve.prof; do
 done
 rm -f /tmp/easyio-bench-prof /tmp/easyio-serve-prof /tmp/easyio-bench.prof /tmp/easyio-serve.prof
 
-echo 'check.sh: all gates green'
+echo "check.sh: all gates green in $(( $(date +%s) - check_start )) s"

@@ -6,7 +6,6 @@
 //	go run ./cmd/easyio-vet internal/core  # one package and those below it
 //	go run ./cmd/easyio-vet -list          # show the analyzers
 //	go run ./cmd/easyio-vet -only lockbalance ./...
-//	go run ./cmd/easyio-vet -json ./...    # findings as a JSON array
 //	go run ./cmd/easyio-vet -sarif vet.sarif ./...
 //	go run ./cmd/easyio-vet -partition partition.json ./...
 //
@@ -15,7 +14,8 @@
 // a pattern that matches no package exits 2. Patterns only select which
 // findings are printed: every run analyzes the whole module, because
 // the module-wide rules (lock order, confinement, hot paths, protocols)
-// judge a package by its callers and callees elsewhere.
+// judge a package by its callers and callees elsewhere; -partition
+// always describes the whole module.
 //
 // GOMAXPROCS is the one width knob: it bounds both the concurrent type
 // checks and the per-package analyzer pool (set the GOMAXPROCS
@@ -23,13 +23,6 @@
 //
 // Exit status: 0 clean, 1 findings, 2 load/type-check or I/O failure —
 // CI can tell a regression from a broken build.
-//
-// Runs are cached by default: the run's findings are stored
-// under .easyio-vet-cache/, keyed by a content hash of the whole module,
-// so a rerun over an unchanged tree skips both the type checker and the
-// analyzers while printing byte-identical output. Any edit misses and
-// re-runs everything. -nocache forces a cold run. -partition always
-// describes the whole module.
 //
 // Intentional violations are suppressed in source with a rationale:
 //
@@ -50,65 +43,37 @@ import (
 	"github.com/easyio-sim/easyio/internal/analysis"
 )
 
-// jsonFinding is the machine-readable shape of one diagnostic, stable for
-// CI consumers (the GitHub problem matcher consumes the plain-text form;
-// -json serves dashboards and editor integrations).
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-	// Trace is the typestate protocol state trace leading to the finding
-	// (creation site, each transition, the violating op), oldest first;
-	// absent for non-typestate analyzers.
-	Trace []jsonTraceStep `json:"trace,omitempty"`
-}
-
-// jsonTraceStep is one step of a typestate trace in -json output.
-type jsonTraceStep struct {
-	File   string `json:"file"`
-	Line   int    `json:"line"`
-	Column int    `json:"column"`
-	Desc   string `json:"desc"`
-}
-
 // benchReport is the BENCH_vet.json shape: enough to track the vet's own
-// wall-clock cost and cache effectiveness across commits.
+// wall-clock cost across commits.
 type benchReport struct {
 	WallMS float64 `json:"wall_ms"`
-	// ParseMS is ParseModule; TypeCheckMS is TypeCheck, which a warm
-	// run skips (0). Both are inside WallMS.
+	// ParseMS is ParseModule; TypeCheckMS is TypeCheck. Both are inside
+	// WallMS.
 	ParseMS     float64 `json:"parse_ms"`
 	TypeCheckMS float64 `json:"typecheck_ms"`
 	// BuildModuleMS is the run's BuildModule call: CallGraphMS (the
 	// call graph and its SCCs), then parallel jobs for SummariesMS (the
 	// effect summaries) and the module-wide analyzers' passes, which the
-	// analyzers map charges. All three are 0 on a warm run.
+	// analyzers map charges.
 	BuildModuleMS float64 `json:"build_module_ms"`
 	CallGraphMS   float64 `json:"callgraph_ms"`
 	SummariesMS   float64 `json:"summaries_ms"`
 	Packages      int     `json:"packages"`
-	CacheHits     int     `json:"cache_hits"`
-	CacheMisses   int     `json:"cache_misses"`
 	Findings      int     `json:"findings"`
 	Workers       int     `json:"workers"`
-	// Analyzers breaks the run down per analyzer in milliseconds; empty
-	// on a warm run, where nothing is analyzed. A module-wide analyzer
-	// includes its BuildModule pass, timed as wall time inside its job,
-	// so those milliseconds count in both build_module_ms and here; the
-	// jobs overlap, so their sum can exceed build_module_ms.
+	// Analyzers breaks the run down per analyzer in milliseconds. A
+	// module-wide analyzer includes its BuildModule pass, timed as wall
+	// time inside its job, so those milliseconds count in both
+	// build_module_ms and here; the jobs overlap, so their sum can
+	// exceed build_module_ms.
 	Analyzers map[string]float64 `json:"analyzers"`
 }
 
 func main() {
 	list := flag.Bool("list", false, "list registered analyzers and exit")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	asJSON := flag.Bool("json", false, "emit findings as a JSON array instead of file:line:col text")
 	sarifPath := flag.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
 	benchPath := flag.String("benchjson", "", "write runner telemetry (BENCH_vet.json shape) to this file")
-	cacheDir := flag.String("cache-dir", "", "fact cache directory (default <module root>/.easyio-vet-cache)")
-	noCache := flag.Bool("nocache", false, "disable the fact cache for this run")
 	partitionPath := flag.String("partition", "", "write the concurrency partition report (confinement classes + lock-order graph) as JSON to this file")
 	flag.Parse()
 
@@ -147,25 +112,13 @@ func main() {
 		fatal(err)
 	}
 
-	var cache *analysis.Cache
-	if !*noCache {
-		dir := *cacheDir
-		if dir == "" {
-			dir = filepath.Join(root, ".easyio-vet-cache")
-		}
-		cache = analysis.OpenCache(dir)
-	}
-
 	// Fail loudly on type errors: analyzers degrade silently without
-	// full type information, and the tree is expected to compile. The
-	// check runs only when the cache actually misses — a warm run never
-	// type-checks (entries are only written by type-clean runs).
+	// full type information, and the tree is expected to compile.
 	typeErrs := 0
 	var typeCheckMS float64
 	workers := runtime.GOMAXPROCS(0)
 	res := analysis.RunAnalyzersOpts(all, analyzers, analysis.RunOptions{
 		Workers: workers,
-		Cache:   cache,
 		EnsureTypes: func() {
 			t := time.Now()
 			analysis.TypeCheck(all)
@@ -184,35 +137,8 @@ func main() {
 	}
 	wallMS := msSince(start)
 
-	if *asJSON {
-		out := make([]jsonFinding, 0, len(diags))
-		for _, d := range diags {
-			f := jsonFinding{
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Column:   d.Pos.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			}
-			for _, s := range d.Trace {
-				f.Trace = append(f.Trace, jsonTraceStep{
-					File:   s.Pos.Filename,
-					Line:   s.Pos.Line,
-					Column: s.Pos.Column,
-					Desc:   s.Desc,
-				})
-			}
-			out = append(out, f)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if *sarifPath != "" {
 		if err := writeSARIF(*sarifPath, root, analyzers, diags); err != nil {
@@ -220,15 +146,7 @@ func main() {
 		}
 	}
 	if *partitionPath != "" {
-		mod := res.Mod
-		if mod == nil {
-			// A warm run never type-checked; the report needs the
-			// typed module view, so build it now (cache entries are only
-			// written by type-clean runs, so this cannot fail loudly).
-			analysis.TypeCheck(all)
-			mod = analysis.BuildModule(all)
-		}
-		if err := analysis.WritePartition(*partitionPath, analysis.BuildPartition(mod, root)); err != nil {
+		if err := analysis.WritePartition(*partitionPath, analysis.BuildPartition(res.Mod, root)); err != nil {
 			fatal(err)
 		}
 	}
@@ -241,8 +159,6 @@ func main() {
 			CallGraphMS:   res.CallGraphMS,
 			SummariesMS:   res.SummariesMS,
 			Packages:      res.Packages,
-			CacheHits:     res.CacheHits,
-			CacheMisses:   res.CacheMisses,
 			Findings:      len(diags),
 			Workers:       workers,
 			Analyzers:     res.AnalyzerMS,

@@ -71,8 +71,7 @@
 //
 // cmd/easyio-vet is the CLI driver; it exits nonzero on findings, so CI
 // gates every PR on these invariants. runner.go adds parallel execution
-// over packages and a whole-module content-hash fact cache (cache.go);
-// both preserve byte-identical findings.
+// over packages, which preserves byte-identical findings.
 package analysis
 
 import (
@@ -169,8 +168,8 @@ func ByName(names []string) ([]*Analyzer, error) {
 
 // RunAnalyzers applies each analyzer to each package and returns the
 // findings that survive //easyio:allow suppression, sorted by position.
-// It is the sequential, uncached entry point; see runner.go for the
-// parallel and incremental variants.
+// It is the sequential entry point; see runner.go for the parallel
+// variant.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return RunAnalyzersOpts(pkgs, analyzers, RunOptions{}).Diags
 }

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
@@ -10,7 +9,7 @@ import (
 )
 
 // TestEscapeCrossCheck validates the noalloc summaries against the
-// compiler: a fresh `go build -gcflags=-m` of the whole module must not
+// compiler: `go build -gcflags=<module>/...=-m` of the whole module must not
 // report an escape-to-heap (or moved-to-heap) diagnostic inside any
 // hot-reachable function body, except in a region the analyzer itself
 // discharged as cold or on an accepted amortized-growth line. The static
@@ -39,14 +38,19 @@ func TestEscapeCrossCheck(t *testing.T) {
 		byFile[sc.File] = append(byFile[sc.File], sc)
 	}
 
-	// A fresh GOCACHE forces full recompilation so every package prints
-	// its diagnostics (cached packages print nothing).
-	cmd := exec.Command("go", "build", "-gcflags=-m", "./...")
+	// The shared build cache replays a cached package's compiler
+	// diagnostics, and the module-only pattern leaves the standard
+	// library's cached builds alone, so only changed packages recompile.
+	modPath, err := modulePath(filepath.Join(root, "go.mod"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcflags := "-gcflags=" + modPath + "/...=-m"
+	cmd := exec.Command("go", "build", gcflags, "./...")
 	cmd.Dir = root
-	cmd.Env = append(os.Environ(), "GOCACHE="+t.TempDir())
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		t.Fatalf("go build -gcflags=-m: %v\n%s", err, out)
+		t.Fatalf("go build %s: %v\n%s", gcflags, err, out)
 	}
 
 	checked := 0

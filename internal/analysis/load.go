@@ -63,8 +63,8 @@ func LoadModule(root string) ([]*Package, error) {
 
 // ParseModule is the parse-only first stage of LoadModule: it discovers,
 // parses, and topologically orders the module's packages without type
-// checking them. The cache's warm path stops here; TypeCheck completes
-// the load when analyzers actually need to run.
+// checking them. TypeCheck completes the load, so a caller can time the
+// two stages apart.
 func ParseModule(root string) ([]*Package, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {

@@ -158,9 +158,9 @@ func writeModule(t *testing.T) string {
 	return root
 }
 
-// TestTypeCheckLoadsStdlibCold guards against a cache that outlives one
-// TypeCheck call: each call must type-check fmt again, so every
-// benchmark repetition and every -nocache run pays for a cold load.
+// TestTypeCheckLoadsStdlibCold guards against loader state that outlives
+// one TypeCheck call: each call must type-check fmt again, so every
+// benchmark repetition and every easyio-vet run pays for a cold load.
 func TestTypeCheckLoadsStdlibCold(t *testing.T) {
 	root := writeModule(t)
 	var fmts []*types.Package

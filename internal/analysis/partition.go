@@ -19,7 +19,7 @@ import (
 
 // PartitionReport is the top-level partition.json shape.
 type PartitionReport struct {
-	// Version tracks the report schema, separate from cacheVersion.
+	// Version tracks the report schema.
 	Version string `json:"version"`
 	// Roots are the package roots the type reachability started from.
 	Roots []string `json:"roots"`

@@ -6,20 +6,13 @@ import (
 )
 
 // RunOptions configures the production runner: parallel analysis over
-// packages and the whole-module fact cache. The zero value reproduces
-// RunAnalyzers exactly (sequential, uncached).
+// packages. The zero value reproduces RunAnalyzers exactly (sequential).
 type RunOptions struct {
 	// Workers bounds concurrent package analyses; <=1 runs sequentially.
 	// Output is byte-identical for any worker count: findings are
 	// collected per package and globally sorted.
 	Workers int
-	// Cache, when non-nil, stores the run's final findings under a
-	// content hash of the whole loaded module (cache.go); a hit skips
-	// type checking, BuildModule and the analyzers entirely.
-	Cache *Cache
-	// EnsureTypes, when non-nil, is invoked once before any analyzer
-	// runs, but only on a cache miss — the warm path never pays for type
-	// checking.
+	// EnsureTypes, when non-nil, is called once before BuildModule.
 	EnsureTypes func()
 }
 
@@ -28,32 +21,25 @@ type RunOptions struct {
 type RunResult struct {
 	Diags    []Diagnostic
 	Packages int
-	// CacheHits/CacheMisses count packages. The cache holds one entry per
-	// module state, so a run hits or misses for all of them at once.
-	CacheHits   int
-	CacheMisses int
-	// Mod is the interprocedural module view, when this run built one (a
-	// warm cached run does not; BuildPartition callers must build it
-	// themselves then).
+	// Mod is the interprocedural module view the run built; BuildPartition
+	// reads it.
 	Mod *ModuleInfo
 	// AnalyzerMS is wall-clock milliseconds spent per analyzer, summed
 	// across every analyzed package; the module-wide analyzers
 	// additionally charge their BuildModule pass (ModuleInfo.ms), timed
 	// as wall time inside its job, and those jobs run side by side, so
-	// their sum can exceed BuildModuleMS. Empty on a warm cached run
-	// (nothing is analyzed).
+	// their sum can exceed BuildModuleMS.
 	AnalyzerMS map[string]float64
 	// BuildModuleMS is the wall-clock milliseconds of this run's
-	// BuildModule call; 0 when the run built no module view. It overlaps
-	// AnalyzerMS: the module-wide analyzers' passes run inside
-	// BuildModule, as parallel jobs, and are charged to both.
+	// BuildModule call. It overlaps AnalyzerMS: the module-wide
+	// analyzers' passes run inside BuildModule, as parallel jobs, and
+	// are charged to both.
 	BuildModuleMS float64
-	// CallGraphMS and SummariesMS are BuildModule's own work, 0 when
-	// the run built no module view: the call graph with its SCCs, then
-	// the effect summaries, timed inside the parallel job that computes
-	// them. BuildModuleMS is CallGraphMS plus the wall time of those
-	// jobs (summaries, lookup tables and the module-wide passes) and of
-	// fencehygiene after them.
+	// CallGraphMS and SummariesMS are BuildModule's own work: the call
+	// graph with its SCCs, then the effect summaries, timed inside the
+	// parallel job that computes them. BuildModuleMS is CallGraphMS plus
+	// the wall time of those jobs (summaries, lookup tables and the
+	// module-wide passes) and of fencehygiene after them.
 	CallGraphMS float64
 	SummariesMS float64
 }
@@ -61,29 +47,11 @@ type RunResult struct {
 // RunAnalyzersOpts is the full-featured runner. Semantics match
 // RunAnalyzers: every analyzer over every package, //easyio:allow
 // filtering, staleallow judged over the whole run, findings sorted by
-// position. The cache stores exactly that final list, so a hit replays
-// it byte for byte, staleallow included.
+// position.
 func RunAnalyzersOpts(pkgs []*Package, analyzers []*Analyzer, opt RunOptions) *RunResult {
 	res := &RunResult{Packages: len(pkgs), AnalyzerMS: map[string]float64{}}
-	key := ""
-	if opt.Cache != nil {
-		key = cacheKey(pkgs, analyzers)
-		if ent, ok := opt.Cache.get(key); ok {
-			res.Diags = ent.Findings
-			res.CacheHits = len(pkgs)
-			return res
-		}
-	}
-	res.CacheMisses = len(pkgs)
-
 	if opt.EnsureTypes != nil {
 		opt.EnsureTypes()
-	}
-	typeClean := true
-	for _, pkg := range pkgs {
-		if len(pkg.TypeErrors) > 0 {
-			typeClean = false
-		}
 	}
 	t0 := nowMS()
 	mod := BuildModule(pkgs)
@@ -130,11 +98,6 @@ func RunAnalyzersOpts(pkgs []*Package, analyzers []*Analyzer, opt RunOptions) *R
 	// milliseconds go.
 	for name, v := range mod.ms {
 		res.AnalyzerMS[name] += v
-	}
-	// Only a type-clean run produces findings worth replaying; a broken
-	// tree is re-analyzed every time.
-	if opt.Cache != nil && typeClean {
-		opt.Cache.put(key, cacheEntry{Findings: diags})
 	}
 	return res
 }

@@ -8,10 +8,9 @@ import (
 	"testing"
 )
 
-// writeTempModule materializes a small module on disk so the cache can
-// hash real source bytes. Package b imports a; a carries one simtime
-// finding and one suppressed one (so a warm run must not report the
-// allow as stale).
+// writeTempModule materializes a small module on disk. Package b
+// imports a; a carries one simtime finding and one suppressed one (so
+// the allow must not be reported as stale).
 func writeTempModule(t *testing.T) string {
 	t.Helper()
 	return writeFiles(t, map[string]string{
@@ -51,18 +50,6 @@ func writeFiles(t *testing.T, files map[string]string) string {
 	return root
 }
 
-// appendFile appends text to the file at path.
-func appendFile(t *testing.T, path, text string) {
-	t.Helper()
-	src, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(src, text...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func loadTemp(t *testing.T, root string) []*Package {
 	t.Helper()
 	pkgs, err := LoadModule(root)
@@ -88,95 +75,34 @@ func TestRunnerParallelDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunnerCacheWarmIdentical(t *testing.T) {
+// TestRunnerSuppressesAllowedSite: over a parse-only load with
+// TypeCheck as the EnsureTypes hook (the CLI's wiring), the runner type
+// checks once, builds the module view, reports a's one unsuppressed
+// simtime finding and does not report the allowed site as stale.
+func TestRunnerSuppressesAllowedSite(t *testing.T) {
 	root := writeTempModule(t)
-	cache := OpenCache(filepath.Join(root, ".cache"))
-
-	pkgs := loadTemp(t, root)
-	cold := RunAnalyzersOpts(pkgs, All(), RunOptions{Cache: cache})
-	if cold.CacheHits != 0 || cold.CacheMisses != len(pkgs) {
-		t.Fatalf("cold run: hits=%d misses=%d", cold.CacheHits, cold.CacheMisses)
-	}
-
-	// Reload from scratch — the warm path must not depend on any state
-	// carried in the Package values, only on the cache directory. The
-	// parse-only load plus EnsureTypes mirrors the CLI wiring; an all-hit
-	// run must never invoke the type checker.
 	parsed, err := ParseModule(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	typeChecked := false
-	warm := RunAnalyzersOpts(parsed, All(), RunOptions{
-		Cache:       cache,
-		EnsureTypes: func() { typeChecked = true; TypeCheck(parsed) },
+	typeChecks := 0
+	res := RunAnalyzersOpts(parsed, All(), RunOptions{
+		EnsureTypes: func() { typeChecks++; TypeCheck(parsed) },
 	})
-	if warm.CacheHits != len(parsed) || warm.CacheMisses != 0 {
-		t.Fatalf("warm run: hits=%d misses=%d", warm.CacheHits, warm.CacheMisses)
+	if typeChecks != 1 {
+		t.Fatalf("EnsureTypes called %d times, want once", typeChecks)
 	}
-	if typeChecked {
-		t.Fatal("warm all-hit run invoked the type checker")
+	if res.Mod == nil || res.BuildModuleMS <= 0 {
+		t.Fatalf("Mod=%v BuildModuleMS=%v, want the module view built and charged", res.Mod, res.BuildModuleMS)
 	}
-	if cold.BuildModuleMS <= 0 || warm.BuildModuleMS != 0 {
-		t.Fatalf("BuildModuleMS cold=%v warm=%v, want it charged only when the module view is built", cold.BuildModuleMS, warm.BuildModuleMS)
-	}
-	if !reflect.DeepEqual(cold.Diags, warm.Diags) {
-		t.Fatalf("cold and warm findings differ:\n%v\n%v", cold.Diags, warm.Diags)
-	}
-	// The entry holds the final findings, so the suppression a's allow
-	// earned cold must not turn into a stale-allow finding warm.
-	for _, d := range warm.Diags {
-		if d.Analyzer == StaleAllow.Name {
-			t.Fatalf("warm run reported a stale allow: %v", d)
-		}
+	if len(res.Diags) != 1 || res.Diags[0].Analyzer != Simtime.Name || filepath.Base(res.Diags[0].Pos.Filename) != "a.go" {
+		t.Fatalf("want exactly a's one unsuppressed simtime finding, got %v", res.Diags)
 	}
 }
 
-func TestRunnerCacheInvalidatesOnEdit(t *testing.T) {
-	root := writeTempModule(t)
-	cache := OpenCache(filepath.Join(root, ".cache"))
-	RunAnalyzersOpts(loadTemp(t, root), All(), RunOptions{Cache: cache})
-
-	// An edit anywhere misses the one whole-module entry: the imported a
-	// and the leaf importer b alike. b's edit adds a finding, which the
-	// cached run must report exactly as an uncached one does.
-	check := func(edited string) {
-		t.Helper()
-		pkgs := loadTemp(t, root)
-		res := RunAnalyzersOpts(pkgs, All(), RunOptions{Cache: cache})
-		if res.CacheHits != 0 || res.CacheMisses != len(pkgs) {
-			t.Fatalf("after editing %s: hits=%d misses=%d, want %d misses", edited, res.CacheHits, res.CacheMisses, len(pkgs))
-		}
-		if want := RunAnalyzers(loadTemp(t, root), All()); !reflect.DeepEqual(res.Diags, want) {
-			t.Fatalf("after editing %s: cached run %v, uncached %v", edited, res.Diags, want)
-		}
-	}
-	appendFile(t, filepath.Join(root, "a", "a.go"), "\nfunc Extra() {}\n")
-	check("a")
-	b := `package b
-
-import (
-	"time"
-
-	"example.com/tmpmod/a"
-)
-
-func Use() int64 { return a.Stamp() + time.Now().Unix() }
-`
-	if err := os.WriteFile(filepath.Join(root, "b", "b.go"), []byte(b), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	check("b")
-	if res := RunAnalyzers(loadTemp(t, root), All()); len(res) != 2 {
-		t.Fatalf("want a's and b's simtime findings after the edits, got %v", res)
-	}
-}
-
-// TestRunnerCacheReplaysStaleAllow: staleallow is judged over the whole
-// run, and the entry stores the final findings, so a warm run reports a
-// stale //easyio:allow exactly as the cold run did, without type
-// checking.
-func TestRunnerCacheReplaysStaleAllow(t *testing.T) {
+// TestRunnerReportsStaleAllow: staleallow is judged over the whole run,
+// so an //easyio:allow that suppresses nothing is exactly one finding.
+func TestRunnerReportsStaleAllow(t *testing.T) {
 	root := writeFiles(t, map[string]string{
 		"go.mod": "module example.com/stalemod\n\ngo 1.21\n",
 		"s/s.go": `package s
@@ -185,26 +111,9 @@ func TestRunnerCacheReplaysStaleAllow(t *testing.T) {
 func Pure() int { return 1 }
 `,
 	})
-	cache := OpenCache(filepath.Join(root, ".cache"))
-	cold := RunAnalyzersOpts(loadTemp(t, root), All(), RunOptions{Cache: cache})
-	if len(cold.Diags) != 1 || cold.Diags[0].Analyzer != StaleAllow.Name {
-		t.Fatalf("cold run: want one staleallow finding, got %v", cold.Diags)
-	}
-
-	parsed, err := ParseModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	typeChecked := false
-	warm := RunAnalyzersOpts(parsed, All(), RunOptions{
-		Cache:       cache,
-		EnsureTypes: func() { typeChecked = true; TypeCheck(parsed) },
-	})
-	if typeChecked || warm.CacheMisses != 0 {
-		t.Fatalf("warm run: typeChecked=%v misses=%d, want an all-hit run", typeChecked, warm.CacheMisses)
-	}
-	if !reflect.DeepEqual(cold.Diags, warm.Diags) {
-		t.Fatalf("cold and warm findings differ:\n%v\n%v", cold.Diags, warm.Diags)
+	res := RunAnalyzersOpts(loadTemp(t, root), All(), RunOptions{})
+	if len(res.Diags) != 1 || res.Diags[0].Analyzer != StaleAllow.Name {
+		t.Fatalf("want one staleallow finding, got %v", res.Diags)
 	}
 }
 
@@ -233,18 +142,5 @@ func TestSortDiagsTotalOrder(t *testing.T) {
 	}
 	if outs[0][1].Message != "a before b" {
 		t.Fatalf("tie not broken by message: %v", outs[0])
-	}
-}
-
-func TestRunnerCacheKeyedByAnalyzerSet(t *testing.T) {
-	root := writeTempModule(t)
-	cache := OpenCache(filepath.Join(root, ".cache"))
-	RunAnalyzersOpts(loadTemp(t, root), All(), RunOptions{Cache: cache})
-
-	// A -only style partial run must not replay full-run entries (its
-	// findings and staleallow judgments differ).
-	res := RunAnalyzersOpts(loadTemp(t, root), []*Analyzer{Detrand}, RunOptions{Cache: cache})
-	if res.CacheHits != 0 {
-		t.Fatalf("partial analyzer set hit full-run cache entries: hits=%d", res.CacheHits)
 	}
 }

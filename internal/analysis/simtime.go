@@ -53,7 +53,7 @@ var Simtime = &Analyzer{
 
 // hostPkg reports whether an import path is host harness territory:
 // commands, examples, the benchmark driver, and the analysis framework
-// itself (its fact cache timestamps LRU entries with wall time).
+// itself (its runner telemetry reads the wall clock through nowMS).
 // Everything else in the module is simulation code under the categorical
 // ban.
 func hostPkg(path string) bool {

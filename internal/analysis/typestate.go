@@ -36,9 +36,7 @@ package analysis
 //     tracking), ownership transfer on return, and exit obligations
 //     (accept states) checked on every normal exit after defer replay.
 //
-// The protocol specs live in protocols.go / persistorder.go;
-// TypestateFingerprint feeds the spec text into the fact-cache key so a
-// protocol edit invalidates warm entries.
+// The protocol specs live in protocols.go / persistorder.go.
 
 import (
 	"fmt"
@@ -1906,7 +1904,7 @@ func (pc *protoC) renderViol(v *ProtoViolation, fset *token.FileSet) string {
 }
 
 // ---------------------------------------------------------------------
-// Public surface: stats, partition, cache fingerprint.
+// Public surface: stats and partition.
 
 // protocolResult returns the engine result of the protocol reporting
 // under an analyzer name, or nil.
@@ -1965,24 +1963,4 @@ func (m *ModuleInfo) ProtocolStatuses() []ProtocolStatus {
 		})
 	}
 	return out
-}
-
-// TypestateFingerprint renders every protocol spec canonically; the
-// fact cache folds it into its key so editing a protocol invalidates
-// warm entries.
-func TypestateFingerprint() string {
-	var b strings.Builder
-	for _, p := range Protocols() {
-		fmt.Fprintf(&b, "%s|%s|%v|%s|%v|%v%v|%s|%v|%v|%s|%s|%s\n",
-			p.Name, p.Object, p.States, p.Entry, p.Accept,
-			p.PerValue, p.May, p.ValueType,
-			p.ExemptPkgs, p.ExemptRecvs, p.LeakMsg, p.CallViolDesc, p.CallPendingDesc)
-		for i := range p.Ops {
-			op := &p.Ops[i]
-			fmt.Fprintf(&b, "  %s|%s|%s|%s|%s|%d|%v%v%v|%v|%v|%s\n",
-				op.Name, op.Recv, op.PkgSuffix, op.ArgType, op.ResultType,
-				op.NArgs, op.Creates, op.Clears, op.Logged, op.Commit, op.Trans, op.Msg)
-		}
-	}
-	return b.String()
 }

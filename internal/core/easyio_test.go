@@ -23,8 +23,14 @@ type harness struct {
 
 func newHarness(t *testing.T, cores int, opts Options) *harness {
 	t.Helper()
+	return newSizedHarness(t, cores, opts, 256<<20)
+}
+
+// newSizedHarness is newHarness on a device of devSize bytes.
+func newSizedHarness(t *testing.T, cores int, opts Options, devSize int64) *harness {
+	t.Helper()
 	eng := sim.NewEngine()
-	dev := pmem.New(eng, perfmodel.System(), 256<<20)
+	dev := pmem.New(eng, perfmodel.System(), devSize)
 	opts.Nova.NumInodes = 512
 	if err := Format(dev, opts); err != nil {
 		t.Fatal(err)
@@ -304,6 +310,90 @@ func TestOrderlessRecoveryDiscardsUnfinishedWrite(t *testing.T) {
 			t.Fatal("recovery kept a write whose DMA never landed (torn data possible)")
 		}
 		t.Fatal("post-crash contents are neither old nor new")
+	}
+}
+
+func TestCrashedOverwriteKeepsReplacedBlocks(t *testing.T) {
+	// The replaced blocks of an orderless overwrite stay allocated until
+	// its DMA lands: recovery discards the committed entry and falls back
+	// to them (§4.2). Uthread A overwrites /f on a device whose only
+	// blocks left are the 64 its overwrite needs, so a free at commit
+	// time would hand A's old blocks to uthread B's writes on the second
+	// core. The crash image is taken while A's DMA is still in flight.
+	const size = 256 << 10
+	h := newSizedHarness(t, 2, Options{}, 8<<20)
+	old := bytes.Repeat([]byte{'O'}, size)
+	newData := bytes.Repeat([]byte{'N'}, size)
+	f, err := h.fs.Create(nil, "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.fs.WriteAt(nil, f, 0, old); err != nil {
+		t.Fatal(err)
+	}
+	g, err := h.fs.Create(nil, "/g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill, err := h.fs.Create(nil, "/fill")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.fs.WriteAt(nil, fill, 0, make([]byte, (h.fs.FreeBlocks()-size/nova.BlockSize)*nova.BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	if free := h.fs.FreeBlocks(); free != size/nova.BlockSize {
+		t.Fatalf("test setup: %d free blocks after the fill, want %d", free, size/nova.BlockSize)
+	}
+	h.dev.EnableTracking()
+
+	h.rt.Spawn(0, "a", func(task *caladan.Task) {
+		h.fs.WriteAt(task, f, 0, newData) // 256KB DMA
+	})
+	// crashAt is the number of persist records at the last point where
+	// A's DMA was still in flight; records only append, so the image
+	// built from them after the run is the image at that point.
+	crashAt, wrote := -1, 0
+	h.rt.Spawn(1, "b", func(task *caladan.Task) {
+		for f.Inode().Pending == 0 {
+			task.Compute(100 * sim.Nanosecond)
+		}
+		page := bytes.Repeat([]byte{'B'}, nova.BlockSize)
+		for i := int64(0); i < 16 && f.Inode().Pending > 0; i++ {
+			crashAt = len(h.dev.Records())
+			if _, err := h.fs.WriteAt(task, g, i*nova.BlockSize, page); err != nil {
+				return // no space: the replaced blocks are still allocated
+			}
+			wrote++
+		}
+		if f.Inode().Pending > 0 {
+			crashAt = len(h.dev.Records())
+		}
+	})
+	h.run()
+	if crashAt < 0 {
+		t.Fatal("test setup: A's DMA landed before B ran")
+	}
+	all := make([]int, crashAt)
+	for i := range all {
+		all[i] = i
+	}
+	img := h.dev.CrashImage(all)
+
+	fs2, err := Mount(img, NewEngines(img), Options{Nova: nova.Options{NumInodes: 512}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2, err := fs2.Open(nil, "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, size)
+	if n, _ := fs2.ReadAt(nil, f2, 0, got); n != size {
+		t.Fatalf("post-crash size = %d", n)
+	}
+	if !bytes.Equal(got, old) && !bytes.Equal(got, newData) {
+		t.Fatalf("post-crash /f is neither its old nor its new contents (B wrote %d pages)", wrote)
 	}
 }
 
