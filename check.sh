@@ -4,13 +4,14 @@
 set -eu
 check_start=$(date +%s)
 
-# same_output PKG ARGS_A ARGS_B builds PKG, runs it once with each
-# (word-split) argument list, and fails unless both outputs are identical.
+# same_output PKG ARGS builds PKG, runs it with the (word-split) argument
+# list at GOMAXPROCS=1 and at GOMAXPROCS=4, and fails unless both outputs
+# are identical.
 same_output() {
   bin=/tmp/easyio-same-output
   go build -o "$bin" "$1"
-  "$bin" $2 > "$bin.a"
-  "$bin" $3 > "$bin.b"
+  GOMAXPROCS=1 "$bin" $2 > "$bin.a"
+  GOMAXPROCS=4 "$bin" $2 > "$bin.b"
   diff "$bin.a" "$bin.b"
   rm -f "$bin" "$bin.a" "$bin.b"
 }
@@ -92,8 +93,8 @@ for p in ./examples/* ./cmd/easyio-demo; do
 done
 go run ./cmd/easyio-crashtest -points 40 > /dev/null || { echo "easyio-crashtest -points 40 exited non-zero"; exit 1; }
 
-echo '== job pool byte-identity (every experiment, fig9 included; -workers 1 vs 4)'
-same_output ./cmd/easyio-bench '-exp all -quick -workers 1' '-exp all -quick -workers 4'
+echo '== job pool byte-identity (every experiment, fig9 included; GOMAXPROCS=1 vs 4)'
+same_output ./cmd/easyio-bench '-exp all -quick'
 
 echo '== full results reproduce byte for byte (easyio-bench -exp all -seed 42 vs results_full.txt)'
 go run ./cmd/easyio-bench -exp all -seed 42 -benchjson /tmp/easyio-bench-allocs.json | cmp - results_full.txt || { echo "results_full.txt no longer reproduces; virtual time moved"; exit 1; }
@@ -117,8 +118,8 @@ awk '
 ' BENCH_sim.json /tmp/easyio-bench-allocs.json || { echo "an experiment allocates more than 1.10x BENCH_sim.json; regenerate with: go run ./cmd/easyio-bench -exp all -seed 42 -benchjson BENCH_sim.json"; exit 1; }
 rm -f /tmp/easyio-bench-allocs.json
 
-echo '== serving job pool byte-identity (serve cells; -workers 1 vs 4)'
-same_output ./cmd/easyio-serve '-quick -workers 1' '-quick -workers 4'
+echo '== serving job pool byte-identity (serve cells; GOMAXPROCS=1 vs 4)'
+same_output ./cmd/easyio-serve '-quick'
 
 echo '== serving results reproduce byte for byte (easyio-serve -json vs BENCH_serve.json)'
 go run ./cmd/easyio-serve -json /tmp/serve.json >/dev/null && cmp /tmp/serve.json BENCH_serve.json || { echo "BENCH_serve.json no longer reproduces; virtual time moved (a serve or fleet digest, or blimit_final)"; exit 1; }

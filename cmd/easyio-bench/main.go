@@ -6,14 +6,15 @@
 //	easyio-bench -exp all            # everything (minutes)
 //	easyio-bench -exp fig9 -quick    # one figure, short windows
 //	easyio-bench -exp fig2,fig3,table2
-//	easyio-bench -exp all -workers 8 -benchjson BENCH_sim.json
+//	easyio-bench -exp all -benchjson BENCH_sim.json
+//	GOMAXPROCS=8 easyio-bench -exp all   # eight sweep points at once
 //	easyio-bench -exp fig9 -quick -cpuprofile fig9.prof  # go tool pprof fig9.prof
 //
 // Experiments: fig1 fig2 fig3 fig4 fig8 fig9 fig10 fig11 fig12 table1
 // table2. Independent sweep points (Figure 9's 184 cells among them) fan
-// out across -workers goroutines; the output is byte-identical for any
-// worker count (each sweep point is its own virtual machine, and results
-// are printed in sweep order).
+// out across GOMAXPROCS goroutines (bench.SimWorkers); the output is
+// byte-identical for any GOMAXPROCS (each sweep point is its own virtual
+// machine, and results are printed in sweep order).
 package main
 
 import (
@@ -33,7 +34,6 @@ func main() {
 	quick := flag.Bool("quick", false, "short measurement windows (smoke test)")
 	seed := flag.Uint64("seed", 42, "simulation seed")
 	points := flag.Int("crashpoints", 1000, "crash states per Table 2 workload")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulation goroutines (output is identical for any value)")
 	benchjson := flag.String("benchjson", "", "write kernel perf + per-experiment wall-clock and allocation JSON to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the whole run to this file")
 	flag.Parse()
@@ -43,7 +43,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	bench.SimWorkers = max(*workers, 1)
 
 	measure := 20 * sim.Millisecond
 	raw := 10 * sim.Millisecond

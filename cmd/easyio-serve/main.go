@@ -8,12 +8,13 @@
 //
 //	easyio-serve                          # full sweep + million-request cell
 //	easyio-serve -quick                   # short windows, no capacity cell
-//	easyio-serve -workers 4               # output identical for any value
+//	GOMAXPROCS=4 easyio-serve             # output identical for any value
 //	easyio-serve -json BENCH_serve.json   # committed artifact
 //	easyio-serve -quick -cpuprofile serve.prof   # go tool pprof serve.prof
 //
 // Every reported number is a virtual-time observable, so repeated runs
-// with the same -seed are byte-identical for any -workers value.
+// with the same -seed are byte-identical for any GOMAXPROCS, which sets
+// how many sweep cells run at once (bench.SimWorkers).
 package main
 
 import (
@@ -21,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"github.com/easyio-sim/easyio/internal/bench"
 	"github.com/easyio-sim/easyio/internal/sim"
@@ -30,7 +30,6 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "short measurement windows, skip the million-request cell (smoke test)")
 	seed := flag.Uint64("seed", 42, "simulation seed")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulation goroutines (output is identical for any value)")
 	jsonPath := flag.String("json", "", "write the serve report JSON to this file")
 	million := flag.Bool("million", false, "force the million-request capacity cell even with -quick")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the whole run to this file")
@@ -41,7 +40,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	bench.SimWorkers = max(*workers, 1)
 
 	measure := 20 * sim.Millisecond
 	runMillion := true

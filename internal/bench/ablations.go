@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"io"
 
 	"github.com/easyio-sim/easyio/internal/caladan"
@@ -164,7 +165,7 @@ func measureWriteLatencyWithCPU(cpu perfmodel.CPU, size int, measure sim.Duratio
 	for i := 0; i < 8; i++ {
 		i := i
 		inst.RT.Spawn(i%4, "w", func(task *caladan.Task) {
-			f := mustIO(inst.FS.Create(task, fpfS("/w%d", i)))
+			f := mustIO(inst.FS.Create(task, fmt.Sprintf("/w%d", i)))
 			buf := make([]byte, size)
 			for task.Now() < end {
 				start := task.Now()

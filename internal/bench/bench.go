@@ -171,9 +171,6 @@ func newMicroEngine(dev *pmem.Device, chans int) *dma.Engine {
 	return dma.NewEngine(dev, 0, chans, 0)
 }
 
-// fpfS is Sprintf, terse.
-func fpfS(format string, args ...any) string { return fmt.Sprintf(format, args...) }
-
 // mustIO unwraps a (value, error) return from a driver probe. Probes run
 // against freshly formatted filesystems and idle DMA channels, where
 // these operations cannot fail; if one ever does, the printed figures

@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"github.com/easyio-sim/easyio/internal/caladan"
-	"github.com/easyio-sim/easyio/internal/nova"
 	"github.com/easyio-sim/easyio/internal/perfmodel"
 	"github.com/easyio-sim/easyio/internal/sim"
 	"github.com/easyio-sim/easyio/internal/stats"
@@ -150,5 +149,3 @@ func measureOpLatency(sys System, op string, size int) (lat, cpuTime sim.Duratio
 	inst.Eng.Run()
 	return dur, cpuTime
 }
-
-var _ = nova.BlockSize // keep import while drivers grow

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"io"
 
 	"github.com/easyio-sim/easyio/internal/dma"
@@ -233,14 +234,14 @@ func Fig4(w io.Writer, span sim.Duration) {
 func coreHeaders(cores []int) []string {
 	h := make([]string, len(cores))
 	for i, c := range cores {
-		h[i] = fpfS("%dc", c)
+		h[i] = fmt.Sprintf("%dc", c)
 	}
 	return h
 }
 
 func sizeLabel(size int) string {
 	if size >= 1<<20 {
-		return fpfS("%dM", size>>20)
+		return fmt.Sprintf("%dM", size>>20)
 	}
-	return fpfS("%dK", size>>10)
+	return fmt.Sprintf("%dK", size>>10)
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"hash/fnv"
 
 	"github.com/easyio-sim/easyio/internal/core"
@@ -173,6 +174,6 @@ func fleetCell(measure sim.Duration, seed uint64) FleetCell {
 	for n := 0; n < fleetNodes; n++ {
 		fpf(h, "node%d:res=%#016x;", n, srvs[n].Finish().Digest())
 	}
-	cell.Digest = fpfS("%#016x", h.Sum64())
+	cell.Digest = fmt.Sprintf("%#016x", h.Sum64())
 	return cell
 }

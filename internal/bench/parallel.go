@@ -10,8 +10,9 @@ import (
 // many independent simulation jobs runJobs runs at once (each job is its
 // own virtual machine: engine, device and filesystem). It cannot perturb
 // virtual time: jobs compute into index-addressed slots that are printed
-// only afterwards, so output is byte-identical for any value. Set it
-// (e.g. from the -workers flag) before invoking a driver.
+// only afterwards, so output is byte-identical for any value. It
+// defaults to GOMAXPROCS, the CLIs' one host-parallelism knob; tests and
+// the benchmark set it directly before invoking a driver.
 var SimWorkers = runtime.GOMAXPROCS(0)
 
 // activeHelpers counts the *extra* goroutines across all concurrent

@@ -107,7 +107,7 @@ func fig9SliceDigest(t *testing.T, workers int, seed uint64) string {
 		if p.Thr == 0 {
 			t.Fatal("fig9 cell produced zero throughput; digest is vacuous")
 		}
-		out += fpfS("%d:%.6f:%d:%d;", p.Cores, p.Thr, int64(p.Avg), int64(p.P99))
+		out += fmt.Sprintf("%d:%.6f:%d:%d;", p.Cores, p.Thr, int64(p.Avg), int64(p.P99))
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"runtime"
@@ -93,7 +94,7 @@ func MeasureFig9Scaling(measure sim.Duration, seed uint64) ([]ScalingRow, float6
 		} else {
 			for i := range points {
 				if points[i] != base[i] {
-					panic(fpfS("bench: fig9 cell %d diverged at workers=%d", i, w))
+					panic(fmt.Sprintf("bench: fig9 cell %d diverged at workers=%d", i, w))
 				}
 			}
 		}

@@ -156,11 +156,12 @@ type UThread struct {
 	req         request
 	wakePending bool
 
-	// scratch is an opaque per-uthread slot for the filesystem layers'
-	// reusable operation state (descriptor pools, staging buffers,
-	// pre-bound completion callbacks). Operations on one uthread are
-	// strictly sequential, so a single slot suffices; only pointers go
-	// in, which keeps the any-store allocation-free.
+	// scratch is the per-uthread slot for the filesystem layers'
+	// reusable operation state. It only ever holds the uthread's
+	// *nova.OpArena (descriptor pool, staging buffers, one completion
+	// countdown); caladan cannot import nova, so the slot is opaque.
+	// Operations on one uthread are strictly sequential, so a single
+	// slot suffices, and a pointer keeps the any-store allocation-free.
 	scratch any
 
 	// resumeFn/wakeFn are pre-bound once at Spawn: completion callbacks

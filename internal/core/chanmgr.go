@@ -2,6 +2,7 @@ package core
 
 import (
 	"github.com/easyio-sim/easyio/internal/dma"
+	"github.com/easyio-sim/easyio/internal/nova"
 	"github.com/easyio-sim/easyio/internal/sim"
 )
 
@@ -162,23 +163,21 @@ func (m *Manager) ReadChanAdmission() (ChanRef, bool) {
 
 // SplitB chops a bulk transfer into BSplit-sized descriptor pieces: B-app
 // I/O must be small enough that a mid-epoch channel suspension never
-// forces a large transfer to restart (§4.4). The pieces come from sc's
-// descriptor pool and are appended onto sc.descRefs; the caller brackets
-// the call with len(sc.descRefs) to find its batch.
-func (m *Manager) SplitB(sc *opScratch, write bool, pmOff int64, buf []byte, size int) {
+// forces a large transfer to restart (§4.4). The pieces are handed out,
+// in order, from the arena's descriptor pool.
+func (m *Manager) SplitB(a *nova.OpArena, write bool, pmOff int64, buf []byte, size int) {
 	for pos := 0; pos < size; pos += BSplit {
 		n := size - pos
 		if n > BSplit {
 			n = BSplit
 		}
-		d := sc.desc()
+		d := a.Desc()
 		d.Write = write
 		d.PMOff = pmOff + int64(pos)
 		d.Size = n
 		if buf != nil {
 			d.Buf = buf[pos : pos+n]
 		}
-		sc.descRefs = append(sc.descRefs, d)
 	}
 }
 

@@ -233,72 +233,52 @@ func (fs *FS) writeOrderless(t *caladan.Task, ino *nova.Inode, off int64, data [
 	// Build descriptors: ClassL gets one descriptor per contiguous run on
 	// round-robin L channels; ClassB splits each run into 64 KB pieces,
 	// all funneled through the shared throttled B channel. Descriptors
-	// and per-run records come from the uthread scratch; the previous
+	// and per-run batches come from the uthread's arena; the previous
 	// operation's have all completed.
-	sc := scratchFor(t)
-	sc.resetDescs()
-	subs := sc.subs[:0]
+	a := fs.Arena(t)
+	a.ResetDescs()
 	pos := int64(0)
 	for _, r := range runs {
-		var sub runSub
 		var buf []byte
 		if prep.Buf != nil {
 			buf = prep.Buf[pos : pos+r.Bytes()]
 		}
-		sub.lo = len(sc.descRefs)
+		var ref ChanRef
 		if class == ClassB {
-			sub.ref = fs.mgr.BChannel()
-			fs.mgr.SplitB(sc, true, r.Off, buf, int(r.Bytes()))
+			ref = fs.mgr.BChannel()
+			fs.mgr.SplitB(a, true, r.Off, buf, int(r.Bytes()))
 		} else {
-			sub.ref = fs.mgr.NextWriteChan()
-			d := sc.desc()
+			ref = fs.mgr.NextWriteChan()
+			d := a.Desc()
 			d.Write = true
 			d.PMOff = r.Off
 			d.Size = int(r.Bytes())
-			if buf != nil {
-				d.Buf = buf
-			}
-			sc.descRefs = append(sc.descRefs, d)
+			d.Buf = buf
 		}
-		sub.hi = len(sc.descRefs)
-		subs = append(subs, sub)
+		a.EndRun(ref.Engine.ID(), ref.Chan)
 		pos += r.Bytes()
 	}
-	sc.subs = subs
-	totalDescs := len(sc.descRefs)
-
-	// Completion wiring: the op finishes when every descriptor lands.
-	// replaced must be cleared before the first descriptor can complete —
-	// a completion may fire during the submit charge, before
-	// ApplyWriteEntries runs, and must free nothing.
-	sc.fs, sc.ino, sc.ut = fs, ino, t.UThread()
-	sc.remaining = totalDescs
-	sc.replaced = nil
-	for _, d := range sc.descRefs {
-		d.OnComplete = sc.onDescDone
-	}
+	descs := a.ArmDescs(nil)
 
 	// Submit (batched per channel) and record the SN that witnesses each
 	// run (the last descriptor of the run).
-	fs.Charge(t, cpu.DMASubmitBase+sim.Duration(totalDescs)*cpu.DMASubmitPerDesc)
-	runSNs := sc.runSNs[:0]
-	for _, sub := range subs {
-		sns := fs.submitWithRetry(t, sub.ref, sc.descRefs[sub.lo:sub.hi])
-		runSNs = append(runSNs, runSN{
-			eng: sub.ref.Engine.ID(),
-			ch:  sub.ref.Chan.ID(),
-			sn:  sns[len(sns)-1],
-		})
+	fs.Charge(t, cpu.DMASubmitBase+sim.Duration(len(descs))*cpu.DMASubmitPerDesc)
+	ws := a.Witnesses()
+	for i := range ws {
+		ch, batch := a.Batch(i)
+		sns := fs.submitWithRetry(t, ch, batch)
+		ws[i].SN = sns[len(sns)-1]
 	}
-	sc.runSNs = runSNs
 
-	// Metadata commit proceeds while the DMA is in flight (§4.2).
-	entries := prep.Entries(sc.snFn)
+	// Metadata commit proceeds while the DMA is in flight (§4.2). The
+	// data may land during the commit charge: if all of it has, the
+	// arena frees the replaced blocks now and there is nothing to wait for.
+	entries := prep.Entries(ws)
 	fs.Charge(t, cpu.MetaAppend+cpu.MetaCommit)
 	tail := fs.AppendEntries(ino, entries)
 	fs.CommitTail(ino, tail)
-	sc.replaced = fs.ApplyWriteEntries(t, ino, entries)
-	ino.Pending++
+	fs.ApplyWriteEntries(t, ino, entries)
+	inFlight := a.Committed(fs.FS, ino, t.UThread())
 
 	// Early unlock at metadata commit (§4.3 level-1 release) — both lock
 	// and unlock happen inside this one interaction, so scheduling between
@@ -307,7 +287,7 @@ func (fs *FS) writeOrderless(t *caladan.Task, ino *nova.Inode, off int64, data [
 	if t != nil {
 		fs.CPUTimeWrite += sim.Duration(t.Now() - start)
 	}
-	if sc.remaining > 0 {
+	if inFlight {
 		fs.waitCompletion(t)
 	}
 	return len(data), nil
@@ -324,26 +304,23 @@ func (fs *FS) writeNaive(t *caladan.Task, ino *nova.Inode, off int64, data []byt
 		return 0, err
 	}
 	// Interaction 1: submit the data DMA and wait for completion.
-	sc := scratchFor(t)
-	sc.resetDescs()
+	a := fs.Arena(t)
+	a.ResetDescs()
 	pos := int64(0)
 	for _, r := range runs {
-		d := sc.desc()
+		d := a.Desc()
 		d.Write = true
 		d.PMOff = r.Off
 		d.Size = int(r.Bytes())
 		if prep.Buf != nil {
 			d.Buf = prep.Buf[pos : pos+r.Bytes()]
 		}
-		d.OnComplete = sc.wakeDone
 		pos += r.Bytes()
-		sc.descRefs = append(sc.descRefs, d)
 	}
-	sc.ut = t.UThread()
-	sc.remaining = len(sc.descRefs)
-	fs.Charge(t, cpu.DMASubmitBase+sim.Duration(len(sc.descRefs))*cpu.DMASubmitPerDesc)
-	for i := range sc.descRefs {
-		fs.submitWithRetry(t, fs.mgr.NextWriteChan(), sc.descRefs[i:i+1])
+	descs := a.ArmDescs(t.UThread())
+	fs.Charge(t, cpu.DMASubmitBase+sim.Duration(len(descs))*cpu.DMASubmitPerDesc)
+	for i := range descs {
+		fs.submitWithRetry(t, fs.mgr.NextWriteChan().Chan, descs[i:i+1])
 	}
 	fs.waitCompletion(t) // lock still held: the prolonged critical section
 	fs.Device().Fence()
@@ -363,9 +340,9 @@ func (fs *FS) writeNaive(t *caladan.Task, ino *nova.Inode, off int64, data []byt
 
 // submitWithRetry submits a batch to one channel, spinning (in virtual
 // time) when the ring is full.
-func (fs *FS) submitWithRetry(t *caladan.Task, ref ChanRef, descs []*dma.Desc) []uint64 {
+func (fs *FS) submitWithRetry(t *caladan.Task, ch *dma.Channel, descs []*dma.Desc) []uint64 {
 	for {
-		sns, err := ref.Chan.Submit(descs...)
+		sns, err := ch.Submit(descs...)
 		if err == nil {
 			return sns
 		}
@@ -406,15 +383,8 @@ func (fs *FS) ReadAtClass(t *caladan.Task, f *nova.File, off int64, buf []byte, 
 	}
 	pages := int((off+n-1)/nova.BlockSize - off/nova.BlockSize + 1)
 	fs.Charge(t, cpu.IndexBase+sim.Duration(pages)*cpu.IndexPerPage+cpu.TimestampUpdate)
-	var sc *opScratch
-	var runs []nova.Run
-	if t != nil {
-		sc = scratchFor(t)
-		runs = ino.ExtentRuns(sc.extents[:0], off, n)
-		sc.extents = runs
-	} else {
-		runs = ino.ExtentRuns(nil, off, n)
-	}
+	a := fs.Arena(t)
+	runs := a.Extents(ino, off, n)
 	// Functional snapshot under the lock: the bytes the read returns are
 	// the bytes present at its serialization point. (The real system
 	// relies on CoW plus deferred frees for the same guarantee.)
@@ -438,25 +408,18 @@ func (fs *FS) ReadAtClass(t *caladan.Task, f *nova.File, off int64, buf []byte, 
 			ref, ok = fs.mgr.ReadChanAdmission()
 		}
 		if ok {
-			sc.resetDescs()
+			a.ResetDescs()
 			if class == ClassB {
-				fs.mgr.SplitB(sc, false, firstDataOff(runs), nil, int(bytes))
+				fs.mgr.SplitB(a, false, firstDataOff(runs), nil, int(bytes))
 			} else {
-				d := sc.desc()
+				d := a.Desc()
 				d.PMOff = firstDataOff(runs)
 				d.Size = int(bytes)
-				sc.descRefs = append(sc.descRefs, d)
 			}
-			sc.ut = t.UThread()
-			sc.remaining = len(sc.descRefs)
-			for _, d := range sc.descRefs {
-				d.OnComplete = sc.wakeDone
-			}
-			fs.Charge(t, cpu.DMASubmitBase+sim.Duration(len(sc.descRefs))*cpu.DMASubmitPerDesc)
-			fs.submitWithRetry(t, ref, sc.descRefs)
-			if t != nil {
-				fs.CPUTimeRead += sim.Duration(t.Now() - start)
-			}
+			descs := a.ArmDescs(t.UThread())
+			fs.Charge(t, cpu.DMASubmitBase+sim.Duration(len(descs))*cpu.DMASubmitPerDesc)
+			fs.submitWithRetry(t, ref.Chan, descs)
+			fs.CPUTimeRead += sim.Duration(t.Now() - start)
 			fs.waitCompletion(t)
 			moved = true
 		}

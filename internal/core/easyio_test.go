@@ -397,6 +397,54 @@ func TestCrashedOverwriteKeepsReplacedBlocks(t *testing.T) {
 	}
 }
 
+// TestOrderlessWriteLandingBeforeCommit covers a DMA write whose data
+// lands before its metadata commit. With a 1 KB offload cutoff a 4 KB
+// write takes the orderless path, and its one-page descriptor completes
+// during the MetaAppend+MetaCommit charge, before ApplyWriteEntries. The
+// write must still free the blocks it replaced, leave no wake pending for
+// the uthread's next park, and leave its pooled descriptor idle for the
+// next operation.
+func TestOrderlessWriteLandingBeforeCommit(t *testing.T) {
+	h := newHarness(t, 1, Options{})
+	h.fs.SetMinDMASize(1 << 10)
+	page := bytes.Repeat([]byte{'p'}, nova.BlockSize)
+	q := make([]byte, 64<<10)
+	rng.New(5).Bytes(q)
+	r := bytes.Repeat([]byte{'r'}, 64<<10)
+	got := make([]byte, len(q))
+	var freeBefore, freeAfter int64
+	var slept sim.Duration
+	h.rt.Spawn(0, "w", func(task *caladan.Task) {
+		f, _ := h.fs.Create(task, "/f")
+		fq, _ := h.fs.Create(task, "/q")
+		fr, _ := h.fs.Create(task, "/r")
+		h.fs.WriteAt(task, f, 0, page)
+		freeBefore = h.fs.FreeBlocks()
+		for i := 0; i < 8; i++ {
+			h.fs.WriteAt(task, f, 0, page)
+		}
+		freeAfter = h.fs.FreeBlocks()
+		start := task.Now()
+		task.Sleep(10 * sim.Microsecond)
+		slept = sim.Duration(task.Now() - start)
+
+		h.fs.WriteAt(task, f, 0, page)
+		h.fs.WriteAt(task, fq, 0, q)
+		h.fs.WriteAt(task, fr, 0, r)
+		h.fs.ReadAt(task, fq, 0, got)
+	})
+	h.run()
+	if freeAfter != freeBefore {
+		t.Errorf("8 overwrites of a 4 KB file leaked %d blocks", freeBefore-freeAfter)
+	}
+	if slept < 10*sim.Microsecond {
+		t.Errorf("a 10 µs sleep after the overwrites returned in %v", slept)
+	}
+	if !bytes.Equal(got, q) {
+		t.Error("/q read back wrong bytes: a pooled descriptor was reused while in flight")
+	}
+}
+
 func TestRecoveryKeepsFinishedWrite(t *testing.T) {
 	h := newHarness(t, 1, Options{})
 	data := bytes.Repeat([]byte{'D'}, 128<<10)

@@ -69,6 +69,10 @@ type FS struct {
 	enc    []byte
 	blocks []int64
 
+	// guarded lists, under easyio_invariants only, the replaced runs
+	// FreeRuns must not free before their witness is durable.
+	guarded []guardedRun
+
 	// Stats the benches report.
 	OpsRead, OpsWrite       int64
 	BytesRead, BytesWritten int64

@@ -2,6 +2,7 @@ package nova
 
 import (
 	"github.com/easyio-sim/easyio/internal/caladan"
+	"github.com/easyio-sim/easyio/internal/invariants"
 	"github.com/easyio-sim/easyio/internal/perfmodel"
 	"github.com/easyio-sim/easyio/internal/sim"
 )
@@ -68,7 +69,7 @@ type WritePrep struct {
 	Mtim uint64
 
 	// ar is the arena backing Buf, Runs and the entries this prep will
-	// build; set by PrepareWrite, defaulted for hand-built preps.
+	// build; set by PrepareWrite.
 	ar *OpArena
 }
 
@@ -81,7 +82,7 @@ func (fs *FS) PrepareWrite(t *caladan.Task, ino *Inode, off int64, data []byte) 
 	pages := int(lastPg - firstPg + 1)
 	fs.Charge(t, fs.cpu.IndexBase+sim.Duration(pages)*fs.cpu.IndexPerPage+
 		fs.cpu.AllocBase+sim.Duration(pages)*fs.cpu.AllocPerPage)
-	ar := fs.arenaFor(t)
+	ar := fs.Arena(t)
 	ar.used = 0
 	runs, ok := fs.alloc.alloc(ar.runs[:0], pages)
 	ar.runs = runs
@@ -139,14 +140,11 @@ func (fs *FS) mergeOld(ino *Inode, pg int64, dst []byte) {
 }
 
 // Entries builds the write log entries for the prepared write, one per
-// contiguous run. sn, when non-nil, stamps each entry with the DMA
-// descriptor SN assigned to that run (EasyIO's orderless operation).
-func (p *WritePrep) Entries(sn func(run int) (engine, ch int, sn uint64)) []*Entry {
+// contiguous run. sns, when non-nil, stamps each entry with its run's
+// witness, the DMA descriptor SN that makes it durable (EasyIO's
+// orderless operation).
+func (p *WritePrep) Entries(sns []Witness) []*Entry {
 	ar := p.ar
-	if ar == nil {
-		ar = tempArena()
-		p.ar = ar
-	}
 	entries := ar.entries[:0]
 	fileOff := p.FileOff
 	remaining := int64(len(p.Data))
@@ -168,12 +166,11 @@ func (p *WritePrep) Entries(sn func(run int) (engine, ch int, sn uint64)) []*Ent
 			Pages:    int32(r.Pages),
 			Mtime:    p.Mtim,
 		}
-		if sn != nil {
+		if sns != nil {
 			e.HasSN = true
-			eng, ch, s := sn(i)
-			e.EngineID = uint8(eng)
-			e.ChanID = uint8(ch)
-			e.SN = s
+			e.EngineID = uint8(sns[i].Engine)
+			e.ChanID = uint8(sns[i].Chan)
+			e.SN = sns[i].SN
 		}
 		entries = append(entries, e)
 		fileOff += covered
@@ -197,10 +194,14 @@ func (fs *FS) FinishWrite(t *caladan.Task, ino *Inode, entries []*Entry) {
 // operation (EasyIO consumes it from the completion callback before the
 // operation returns).
 func (fs *FS) ApplyWriteEntries(t *caladan.Task, ino *Inode, entries []*Entry) []Run {
-	ar := fs.arenaFor(t)
+	ar := fs.Arena(t)
 	replaced := ar.replaced[:0]
 	for _, e := range entries {
+		n := len(replaced)
 		replaced = ino.applyWriteEntry(e, replaced)
+		if invariants.Enabled {
+			fs.guardReplaced(e, replaced[n:])
+		}
 		fs.BytesWritten += e.Size
 	}
 	fs.OpsWrite++
@@ -211,7 +212,45 @@ func (fs *FS) ApplyWriteEntries(t *caladan.Task, ino *Inode, entries []*Entry) [
 // FreeRuns returns runs to the allocator.
 func (fs *FS) FreeRuns(runs []Run) {
 	for _, r := range runs {
+		if invariants.Enabled {
+			fs.assertWitnessed(r)
+		}
 		fs.alloc.freeRun(r)
+	}
+}
+
+// guardedRun is a run an SN-stamped entry replaced, with its witness.
+type guardedRun struct {
+	run Run
+	w   Witness
+}
+
+// guardReplaced, under easyio_invariants, guards the runs an SN-stamped
+// entry replaced: recovery falls back to them until the entry's witness
+// is durable, so FreeRuns must not free them before then (§4.2).
+func (fs *FS) guardReplaced(e *Entry, runs []Run) {
+	if e.HasSN && fs.opts.ValidateSN != nil {
+		for _, r := range runs {
+			w := Witness{Engine: int(e.EngineID), Chan: int(e.ChanID), SN: e.SN}
+			fs.guarded = append(fs.guarded, guardedRun{run: r, w: w})
+		}
+	}
+}
+
+// assertWitnessed panics, under easyio_invariants, if r is a guarded run
+// whose witness is not yet durable, and otherwise drops r's guard.
+func (fs *FS) assertWitnessed(r Run) {
+	for i, g := range fs.guarded {
+		if g.run != r {
+			continue
+		}
+		if !fs.opts.ValidateSN(g.w.Engine, g.w.Chan, g.w.SN) {
+			panic("nova: freeing replaced blocks before the write that replaced them is durable (§4.2)")
+		}
+		last := len(fs.guarded) - 1
+		fs.guarded[i] = fs.guarded[last]
+		fs.guarded = fs.guarded[:last]
+		return
 	}
 }
 
@@ -248,9 +287,7 @@ func (fs *FS) readLocked(t *caladan.Task, ino *Inode, off int64, buf []byte) (in
 	}
 	pages := perfmodel.Pages(int(n))
 	fs.Charge(t, fs.cpu.IndexBase+sim.Duration(pages)*fs.cpu.IndexPerPage+fs.cpu.TimestampUpdate)
-	ar := fs.arenaFor(t)
-	runs := ino.ExtentRuns(ar.extents[:0], off, n)
-	ar.extents = runs
+	runs := fs.Arena(t).Extents(ino, off, n)
 	fs.mover.ReadData(t, fs, runs, ReadPlan{Off: off, N: n, Buf: buf[:n]})
 	fs.OpsRead++
 	fs.BytesRead += n

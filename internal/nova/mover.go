@@ -102,30 +102,27 @@ func (m *SyncDMAMover) move(t *caladan.Task, fs *FS, runs []Run, buf []byte, pla
 		return
 	}
 	cpu := fs.CPUCosts()
-	a := fs.arenaFor(t)
-	a.descUsed = 0
+	a := fs.Arena(t)
+	a.ResetDescs()
 	pos := int64(0)
 	for _, r := range runs {
 		if r.Off < 0 { // hole: nothing to move
 			pos += r.Bytes()
 			continue
 		}
-		d := a.desc()
+		d := a.Desc()
 		d.Write = write
 		d.PMOff = r.Off
 		d.Size = int(r.Bytes())
-		d.OnComplete = a.descDone
 		if write && buf != nil {
 			d.Buf = buf[pos : pos+r.Bytes()]
 		}
 		pos += r.Bytes()
 	}
-	descs := a.descs[:a.descUsed]
+	descs := a.ArmDescs(t.UThread())
 	if len(descs) == 0 {
 		return
 	}
-	a.remaining = len(descs)
-	a.ut = t.UThread()
 	t.Compute(cpu.DMASubmitBase + sim.Duration(len(descs))*cpu.DMASubmitPerDesc)
 	// Round-robin descriptors across every channel of every engine
 	// (NOVA-DMA uses all channels — the cause of its poor scaling, §6.2).

@@ -116,9 +116,10 @@ func TestSyncDMAWriteFasterThanCPUAt64K(t *testing.T) {
 }
 
 // TestDMAMoverNoAllocs pins NOVA-DMA's steady-state data path at zero
-// heap allocations per operation: the descriptors, their completion
-// count and the completion callback live in the uthread's OpArena, and
-// every descriptor is submitted as a one-element subslice.
+// heap allocations per operation: the descriptors come from the
+// uthread's OpArena pool, each completes through the arena's one
+// countdown callback, and every descriptor is submitted as a
+// one-element subslice.
 func TestDMAMoverNoAllocs(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := pmem.New(eng, perfmodel.System(), 16<<20)
@@ -186,6 +187,10 @@ func assertOpsAllocFree(t *testing.T, eng *sim.Engine, rt *caladan.Runtime, fs *
 		}
 		return after.Mallocs - before.Mallocs
 	}
+	// Let the app reach its first Park before the first window: a Wake
+	// sent to a uthread that has not parked yet stays pending, and its
+	// first synchronous operation would return with its data in flight.
+	eng.Run()
 	run(5000) // warm-up: arenas, pools and free lists reach high water
 	n := 200
 	one, two := run(n), run(2*n)

@@ -34,11 +34,11 @@ type FS struct {
 	workers []*worker
 	next    int
 
-	// freeReqs and freeBatches are intrusive free lists: steady state
-	// draws every chunk request and operation batch from them, and the
-	// populations stop growing at the peak in-flight counts.
-	freeReqs    *request
-	freeBatches *batch
+	// freeReqs is an intrusive free list: steady state draws every chunk
+	// request from it, and the population stops growing at the peak
+	// count of chunks in flight. Chunks are shared by every app uthread
+	// and delegate, so the list lives here and not in a uthread's arena.
+	freeReqs *request
 }
 
 // request is one chunk of data movement.
@@ -47,25 +47,10 @@ type request struct {
 	bytes int64
 	pmOff int64
 	buf   []byte // functional payload (nil in ephemeral mode)
-	batch *batch // the operation the chunk belongs to
-	next  *request
-}
-
-// batch is one operation's completion countdown: the app uthread waits
-// until every chunk it enqueued has been moved.
-type batch struct {
-	remaining int
-	ut        *caladan.UThread
-	next      *batch
-}
-
-// done retires one chunk of the batch, waking the app uthread on the
-// last.
-func (b *batch) done() {
-	b.remaining--
-	if b.remaining == 0 {
-		b.ut.Wake()
-	}
+	// done is the issuing uthread's arena countdown: the app uthread
+	// waits until every chunk it enqueued has been moved.
+	done func(uint64)
+	next *request
 }
 
 // worker is one delegation thread pinned to a reserved core.
@@ -132,9 +117,9 @@ func (w *worker) loop(task *caladan.Task) {
 				w.fs.Device().ReadAt(req.buf, req.pmOff)
 			}
 		}
-		b := req.batch
+		done := req.done
 		w.fs.freeReq(req)
-		b.done()
+		done(0)
 	}
 }
 
@@ -162,15 +147,15 @@ type mover struct {
 }
 
 func (m *mover) WriteData(t *caladan.Task, nfs *nova.FS, runs []nova.Run, buf []byte) {
-	m.move(t, runs, buf, true)
+	m.move(t, nfs, runs, buf, true)
 }
 
 func (m *mover) ReadData(t *caladan.Task, nfs *nova.FS, runs []nova.Run, plan nova.ReadPlan) {
-	m.move(t, runs, nil, false)
+	m.move(t, nfs, runs, nil, false)
 	plan.CopyOut(nfs, runs)
 }
 
-func (m *mover) move(t *caladan.Task, runs []nova.Run, buf []byte, write bool) {
+func (m *mover) move(t *caladan.Task, nfs *nova.FS, runs []nova.Run, buf []byte, write bool) {
 	bytes := nova.DataBytes(runs)
 	if bytes == 0 {
 		return
@@ -188,49 +173,31 @@ func (m *mover) move(t *caladan.Task, runs []nova.Run, buf []byte, write bool) {
 		}
 		return
 	}
-	b := m.fs.allocBatch()
-	b.ut = t.UThread()
-	// Chunks are counted first and enqueued after the submission charge,
-	// so a delegate never starts before the app core has paid for the
-	// handoff.
-	var head, tail *request
+	// Chunks are counted and armed on the uthread's arena countdown
+	// first, and built and enqueued after the submission charge, so a
+	// delegate never starts before the app core has paid for the handoff.
 	n := 0
+	for _, r := range runs {
+		if r.Off >= 0 {
+			n += int((r.Bytes() + ChunkSize - 1) / ChunkSize)
+		}
+	}
+	done := nfs.Arena(t).Arm(t.UThread(), n)
+	t.Compute(DelegationEnqueue + sim.Duration(n)*50*sim.Nanosecond)
 	pos := int64(0)
 	for _, r := range runs {
-		if r.Off < 0 {
-			pos += r.Bytes()
-			continue
-		}
-		for c := int64(0); c < r.Bytes(); c += ChunkSize {
-			sz := r.Bytes() - c
-			if sz > ChunkSize {
-				sz = ChunkSize
-			}
+		for c := int64(0); r.Off >= 0 && c < r.Bytes(); c += ChunkSize {
+			sz := min(r.Bytes()-c, ChunkSize)
 			req := m.fs.allocReq()
-			req.write, req.bytes, req.pmOff, req.batch = write, sz, r.Off+c, b
+			req.write, req.bytes, req.pmOff, req.done = write, sz, r.Off+c, done
 			if write && buf != nil {
 				req.buf = buf[pos+c : pos+c+sz]
 			}
-			if tail == nil {
-				head = req
-			} else {
-				tail.next = req
-			}
-			tail = req
-			n++
+			m.fs.enqueue(req)
 		}
 		pos += r.Bytes()
 	}
-	b.remaining = n
-	t.Compute(DelegationEnqueue + sim.Duration(n)*50*sim.Nanosecond)
-	for req := head; req != nil; {
-		nxt := req.next
-		req.next = nil
-		m.fs.enqueue(req)
-		req = nxt
-	}
 	t.Wait() // synchronous interface: the app core spins
-	m.fs.freeBatch(b)
 }
 
 // allocReq takes a cleared chunk request from the free list, growing the
@@ -252,26 +219,6 @@ func (fs *FS) allocReq() *request {
 func (fs *FS) freeReq(r *request) {
 	*r = request{next: fs.freeReqs}
 	fs.freeReqs = r
-}
-
-// allocBatch takes an operation batch from the free list, growing the
-// population when it runs dry (bounded by the number of app uthreads
-// moving data at once).
-func (fs *FS) allocBatch() *batch {
-	b := fs.freeBatches
-	if b == nil {
-		return &batch{}
-	}
-	fs.freeBatches = b.next
-	b.next = nil
-	return b
-}
-
-// freeBatch returns a finished operation's batch: every chunk has called
-// done, so nothing references it.
-func (fs *FS) freeBatch(b *batch) {
-	*b = batch{next: fs.freeBatches}
-	fs.freeBatches = b
 }
 
 // The Odinfs FS satisfies the shared workload-facing interface.

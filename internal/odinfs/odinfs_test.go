@@ -108,9 +108,10 @@ func TestDelegatesOccupyReservedCores(t *testing.T) {
 }
 
 // TestMoverNoAllocs pins Odinfs's steady-state data path at zero heap
-// allocations per operation: chunk requests and operation batches come
-// from the FS's free lists, the delegates wake through their pre-bound
-// callbacks, and their queues shift-pop. The warm-up writes more than the
+// allocations per operation: chunk requests come from the FS's free
+// list, each chunk counts down on the app uthread's arena callback, the
+// delegates wake through their pre-bound callbacks, and their queues
+// shift-pop. The warm-up writes more than the
 // device holds, so every block has been allocated and demand-paged (a
 // once-per-page cost) before the measured windows, and the Mallocs delta
 // over 2N operations must equal the delta over N.
@@ -167,6 +168,10 @@ func TestMoverNoAllocs(t *testing.T) {
 		}
 		return after.Mallocs - before.Mallocs
 	}
+	// Let the app reach its first Park before the first window: a Wake
+	// sent to a uthread that has not parked yet stays pending, and its
+	// first synchronous operation would return with its data in flight.
+	eng.Run()
 	run(5000)
 	n := 200
 	one, two := run(n), run(2*n)
