@@ -100,22 +100,7 @@ echo '== full results reproduce byte for byte (easyio-bench -exp all -seed 42 vs
 go run ./cmd/easyio-bench -exp all -seed 42 -benchjson /tmp/easyio-bench-allocs.json | cmp - results_full.txt || { echo "results_full.txt no longer reproduces; virtual time moved"; exit 1; }
 
 echo '== allocations per experiment (the run above; allocs and alloc_bytes each <= 1.10x BENCH_sim.json, wall-clock informational)'
-awk '
-  FNR == 1 { file++ }
-  /"name":/ { name = $2; gsub(/[",]/, "", name) }
-  /"allocs":/ || /"alloc_bytes":/ {
-    key = $1; gsub(/[":]/, "", key)
-    v = $2 + 0
-    if (file == 1) { base[name, key] = v; next }
-    seen[key]++
-    if (!((name, key) in base)) { printf "experiment %s has no committed %s in BENCH_sim.json\n", name, key; bad = 1 }
-    else if (v > 1.10 * base[name, key]) { printf "experiment %s made %.0f %s, over 1.10x the committed %.0f\n", name, v, key, base[name, key]; bad = 1 }
-  }
-  END {
-    if (!seen["allocs"] || !seen["alloc_bytes"]) { print "the -benchjson run recorded no allocs or alloc_bytes"; bad = 1 }
-    exit bad
-  }
-' BENCH_sim.json /tmp/easyio-bench-allocs.json || { echo "an experiment allocates more than 1.10x BENCH_sim.json; regenerate with: go run ./cmd/easyio-bench -exp all -seed 42 -benchjson BENCH_sim.json"; exit 1; }
+awk -f .github/alloc-gate.awk BENCH_sim.json /tmp/easyio-bench-allocs.json || { echo "an experiment allocates more than 1.10x BENCH_sim.json; regenerate with: go run ./cmd/easyio-bench -exp all -seed 42 -benchjson BENCH_sim.json"; exit 1; }
 rm -f /tmp/easyio-bench-allocs.json
 
 echo '== serving job pool byte-identity (serve cells; GOMAXPROCS=1 vs 4)'

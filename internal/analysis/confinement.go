@@ -10,8 +10,9 @@ import (
 )
 
 // Confinement assigns every named struct type reachable from the sim,
-// core, and service package roots a confinement class — the contract the
-// parallel-virtual-time refactor (ROADMAP) will be built against:
+// core, and service package roots a confinement class — the contract any
+// split of one engine's state across host threads must keep (today the
+// serving fleet, fleetCell, runs every node on one shared engine):
 //
 //	immutable-after-init — no field write outside the type's own
 //	                       constructors/init; free to share

@@ -9,9 +9,9 @@ import (
 	"strings"
 )
 
-// The partition report is the machine-readable contract the
-// parallel-virtual-time refactor will be built and diffed against: per
-// reachable type its confinement class with the evidence chain, plus the
+// The partition report is the machine-readable form of the confinement
+// contract (see Confinement), committed so any change to it shows in a
+// diff: per reachable type its confinement class with the evidence chain, plus the
 // module lock-order graph and its acyclicity certificate. It is computed
 // single-threadedly from the precomputed ModuleInfo with every iteration
 // order pinned, so `easyio-vet -partition` output is byte-identical at

@@ -26,17 +26,23 @@ func AblationDSAMode(w io.Writer, span sim.Duration, seed uint64) {
 		eng := sim.NewEngine()
 		dev := pmem.New(eng, perfmodel.System(), 4<<30)
 		const apps = 8
-		var ioat *dma.Engine
-		var dsa *dma.DSA
+		var chans [apps]*dma.Channel
 		if useDSA {
 			pr := make([]int, apps)
 			for i := range pr {
 				pr[i] = 1
 			}
 			pr[0] = 10 // the premium app
-			dsa = dma.NewDSA(dev, 0, pr, 4, 0)
+			dsa := dma.NewDSA(dev, 0, pr, 4, 0)
+			for i := range chans {
+				chans[i] = dsa.Channel(i)
+			}
 		} else {
-			ioat = dma.NewEngine(dev, 0, 4, 0)
+			// I/OAT: L-apps share 4 channels round-robin.
+			ioat := dma.NewEngine(dev, 0, 4, 0)
+			for i := range chans {
+				chans[i] = ioat.Channel(i % 4)
+			}
 		}
 		end := sim.Time(span)
 		var premium stats.Recorder
@@ -50,21 +56,11 @@ func AblationDSAMode(w io.Writer, span sim.Duration, seed uint64) {
 					p.Sleep(400 * sim.Nanosecond) // submit cost
 					done := func(uint64) { p.Resume() }
 					d := &dma.Desc{Write: true, PMOff: int64(i) << 24, Size: 64 << 10, OnComplete: done}
-					if useDSA {
-						for {
-							if _, err := dsa.Queue(i).Submit(d); err == nil {
-								break
-							}
-							p.Sleep(2 * sim.Microsecond)
+					for {
+						if _, err := chans[i].Submit(d); err == nil {
+							break
 						}
-					} else {
-						// I/OAT: L-apps share 4 channels round-robin.
-						for {
-							if _, err := ioat.Channel(i % 4).Submit(d); err == nil {
-								break
-							}
-							p.Sleep(2 * sim.Microsecond)
-						}
+						p.Sleep(2 * sim.Microsecond)
 					}
 					p.Pause()
 					if i == 0 {

@@ -61,8 +61,8 @@ type InstanceOptions struct {
 	Functional bool // keep data pages functional (default: ephemeral)
 	Manager    core.ManagerOptions
 	Seed       uint64
-	// Engine, if set, hosts the instance on an existing engine (a cluster
-	// domain's) instead of creating a fresh one.
+	// Engine, if set, hosts the instance on an existing engine instead of
+	// creating a fresh one: fleetCell puts every node on one shared engine.
 	Engine *sim.Engine
 }
 

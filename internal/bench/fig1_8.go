@@ -22,7 +22,7 @@ func Fig1(w io.Writer) {
 	ops := []string{"write", "read"}
 	measuredAt := make([]sim.Duration, len(ops)*len(fig8Sizes))
 	runJobs(len(measuredAt), func(i int) {
-		measuredAt[i] = measureNOVAOp(ops[i/len(fig8Sizes)], fig8Sizes[i%len(fig8Sizes)])
+		measuredAt[i], _ = measureOpLatency(SysNOVA, ops[i/len(fig8Sizes)], fig8Sizes[i%len(fig8Sizes)])
 	})
 	for oi, op := range ops {
 		tb := stats.NewTable("io-size", "syscall&vfs(us)", "indexing(us)", "metadata(us)", "memcpy(us)", "total(us)", "memcpy-share")
@@ -49,33 +49,6 @@ func Fig1(w io.Writer) {
 		}
 		fpf(w, "Figure 1 — NOVA %s latency breakdown (1 thread)\n%s\n", op, tb)
 	}
-}
-
-// measureNOVAOp times one single-threaded NOVA operation.
-func measureNOVAOp(op string, size int) sim.Duration {
-	inst, err := NewInstance(SysNOVA, 1, InstanceOptions{})
-	if err != nil {
-		panic(err)
-	}
-	defer inst.Close()
-	var dur sim.Duration
-	inst.RT.Spawn(0, "probe", func(task *caladan.Task) {
-		f := mustIO(inst.FS.Create(task, "/probe"))
-		buf := make([]byte, size)
-		mustIO(inst.FS.WriteAt(task, f, 0, buf)) // ensure blocks exist for reads
-		start := task.Now()
-		const reps = 8
-		for i := 0; i < reps; i++ {
-			if op == "write" {
-				mustIO(inst.FS.WriteAt(task, f, 0, buf))
-			} else {
-				mustIO(inst.FS.ReadAt(task, f, 0, buf))
-			}
-		}
-		dur = sim.Duration(task.Now()-start) / reps
-	})
-	inst.Eng.Run()
-	return dur
 }
 
 // Fig8 reproduces the single-thread end-to-end latency comparison across
@@ -112,8 +85,9 @@ func Fig8(w io.Writer) {
 	}
 }
 
-// measureOpLatency times one op on one system; for EasyIO it also returns
-// the CPU time per op.
+// measureOpLatency times one single-threaded op on one system; for EasyIO
+// it also returns the CPU time per op. BusyPoll is EasyIO's latency mode;
+// the other systems ignore it.
 func measureOpLatency(sys System, op string, size int) (lat, cpuTime sim.Duration) {
 	inst, err := NewInstance(sys, 1, InstanceOptions{BusyPoll: true})
 	if err != nil {

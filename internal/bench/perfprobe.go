@@ -40,7 +40,7 @@ type ExperimentTiming struct {
 }
 
 // ScalingRow is one wall-clock measurement of fig9's 184 cells at a
-// fixed -workers value.
+// fixed SimWorkers value.
 type ScalingRow struct {
 	Workers int     `json:"workers"`
 	WallMS  float64 `json:"wall_ms"`
@@ -56,7 +56,7 @@ type Report struct {
 	NumCPU      int          `json:"num_cpu"`
 	GOMAXPROCS  int          `json:"gomaxprocs"`
 	Fig9Scaling []ScalingRow `json:"fig9_scaling,omitempty"`
-	// Fig9Speedup4W is wall(workers=1) / wall(workers=4) for fig9's
+	// Fig9Speedup4W is wall(SimWorkers=1) / wall(SimWorkers=4) for fig9's
 	// cells. On a host with fewer than 4 CPUs this sits below 4x
 	// (GOMAXPROCS caps real parallelism); the scaling test asserts >= 2x
 	// only when the host has at least 4 CPUs.
@@ -72,7 +72,7 @@ func (r *Report) WriteJSON(w io.Writer) error {
 }
 
 // MeasureFig9Scaling times fig9's cells (all four panels, one job pool)
-// at -workers 1, 2 and 4, verifying along the way that
+// at SimWorkers 1, 2 and 4, verifying along the way that
 // every worker count computes identical points, and returns the rows
 // plus the 4-worker speedup. The rows are wall-clock host metrics — the
 // one number in the report that legitimately varies across machines.

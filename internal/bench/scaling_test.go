@@ -8,7 +8,7 @@ import (
 )
 
 // TestFig9ScalingSpeedup asserts the job pool's payoff: fig9's cells
-// must run at least 2x faster at -workers 4 than at 1,
+// must run at least 2x faster at SimWorkers 4 than at 1,
 // with identical points (MeasureFig9Scaling panics on any divergence).
 // The assertion needs real parallelism, so it is skipped on hosts with
 // fewer than 4 CPUs — there the rows still get measured and recorded in

@@ -16,6 +16,9 @@
 //     pmem device's flow model with per-engine group caps.
 //   - CHANCMD suspend/resume: a suspended channel either finishes or
 //     restarts its current descriptor depending on progress (§4.4).
+//   - DSA mode (§5, dsa.go): a work queue is a channel whose descriptors
+//     also need one of its group's processing engines, granted by
+//     priority; otherwise it is the same ring, SN and completion buffer.
 package dma
 
 import (
@@ -115,6 +118,10 @@ type Channel struct {
 	// though the channel is suspended (progress was past the point of no
 	// return when CHANCMD was written).
 	finishCur bool
+	// arb is the DSA group's processing-engine pool this channel (a work
+	// queue) draws from, nil on I/OAT; priority orders its grants.
+	arb      *arbiter
+	priority int
 
 	// sns is Submit's reusable SN buffer: the returned slice is valid
 	// until the next Submit on this channel (callers consume it before
@@ -208,11 +215,26 @@ func sizeWeight(size int) float64 {
 	return w
 }
 
-// kick starts processing the queue head if the channel is idle and running.
+// ready reports whether the channel is idle, running and has work.
+func (c *Channel) ready() bool {
+	return c.cur == nil && !c.suspended && len(c.queue) > 0
+}
+
+// kick starts processing the queue head if the channel is idle and
+// running. A work queue instead lets its arbiter grant idle processing
+// engines, which may serve a higher-priority queue first.
 func (c *Channel) kick() {
-	if c.cur != nil || c.suspended || len(c.queue) == 0 {
+	if c.arb != nil {
+		c.arb.dispatch()
 		return
 	}
+	if c.ready() {
+		c.start()
+	}
+}
+
+// start pops the queue head into c.cur and schedules its startup delay.
+func (c *Channel) start() {
 	// Shift-pop keeps the backing array; a [1:] reslice would force later
 	// Submit appends to reallocate per pop.
 	c.cur = c.queue[0]
@@ -283,6 +305,9 @@ func (c *Channel) finish(d *Desc) {
 
 	c.cur = nil
 	c.curFlow = nil
+	if c.arb != nil {
+		c.arb.idle++ // OnComplete's submissions may take the engine
+	}
 	sn := c.completed
 	if invariants.Enabled && c.suspended && !c.finishCur {
 		// Suspend either cancels the flow (its OnDone never fires) or
@@ -293,9 +318,9 @@ func (c *Channel) finish(d *Desc) {
 	if d.OnComplete != nil {
 		d.OnComplete(sn)
 	}
-	if !c.suspended {
-		c.kick()
-	}
+	// A suspended channel starts nothing, but the engine it freed may
+	// serve another work queue.
+	c.kick()
 }
 
 // Suspend halts the channel via CHANCMD. If a descriptor is mid-transfer,
@@ -333,6 +358,10 @@ func (c *Channel) requeueCur() {
 	c.queue = append(c.queue, nil)
 	copy(c.queue[1:], c.queue)
 	c.queue[0] = d
+	if c.arb != nil {
+		c.arb.idle++ // the engine goes to another waiting work queue
+		c.arb.dispatch()
+	}
 }
 
 // Resume restarts a suspended channel.

@@ -28,9 +28,8 @@ func (d *Device) EnableTracking() {
 }
 
 // Records returns the tracked stores in program order. The result is a
-// deep copy: callers (crashmonkey mutates subsets while exploring crash
-// states) must not be able to corrupt the device's own record stream
-// through it.
+// deep copy: callers must not be able to corrupt the device's own record
+// stream through it, which CrashImage replays.
 func (d *Device) Records() []PersistRecord {
 	if len(d.records) == 0 {
 		return nil
@@ -50,8 +49,8 @@ func (d *Device) Epoch() int { return d.epoch }
 // CrashImage builds a post-crash device: the tracked base state plus the
 // records whose indexes appear in applied, applied in ascending index
 // order. Callers are responsible for choosing a persistence-legal subset
-// (all records of earlier epochs plus any subset of one epoch); the
-// LegalCrashSubsets helper in package crashmonkey does this.
+// (all records of earlier epochs plus any subset of one epoch); package
+// crashmonkey builds its subsets from EpochBounds.
 func (d *Device) CrashImage(applied []int) *Device {
 	img := New(d.eng, d.model, d.size)
 	for pg, p := range d.base {

@@ -270,10 +270,10 @@ func Run(eng *sim.Engine, rt *caladan.Runtime, fs *core.FS, cfg Config) (*Result
 // New performs the untimed setup of a serving run — tenant state, file
 // prefill, worker-pool spawn — but starts neither the arrival chains nor
 // the channel manager, and does not drive the engine.
-// The split exists for multi-domain serving: a cluster node domain builds
-// its Server in init context, a router domain Injects requests, and the
-// cluster owns virtual time. Run composes the pieces for the common
-// single-engine case.
+// The split exists for the serving fleet (bench's fleetCell): each node
+// builds its Server on the one shared engine, the router Injects
+// requests, and the fleet drives virtual time. Run composes the pieces
+// for a single server.
 func New(eng *sim.Engine, rt *caladan.Runtime, fs *core.FS, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Cores <= 0 {
@@ -418,8 +418,9 @@ func (s *Server) onArrival(tn *tenant) {
 }
 
 // Inject enqueues one request for tenant ti through the admission
-// policy, exactly as a local arrival would — the entry point for a
-// router domain feeding this node across a cluster link. arrive is the
+// policy, exactly as a local arrival would — the entry point for the
+// serving fleet's router (bench's fleetCell), whose messages reach the
+// node one link delay later on the shared engine. arrive is the
 // request's birth time (the router's send instant, so reported latency
 // is end-to-end including the link); it must not be after the node's
 // now. Returns whether the request was admitted. Event context only.
