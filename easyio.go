@@ -42,7 +42,8 @@ type (
 	// UThread is a lightweight userspace thread.
 	UThread = caladan.UThread
 	// FS is the EasyIO filesystem (async data paths over the NOVA
-	// substrate; namespace operations inherited).
+	// substrate; namespace operations inherited, behind the same
+	// level-2 gate).
 	FS = core.FS
 	// File is an open file handle.
 	File = nova.File

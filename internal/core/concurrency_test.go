@@ -60,6 +60,12 @@ func TestConcurrentRandomOpsProperty(t *testing.T) {
 							}
 							// A read must never observe torn data: all
 							// returned bytes carry a single writer's tag.
+							// Zero is no writer's tag: it is what the blocks
+							// of a write still in flight hold.
+							if n > 0 && buf[0] == 0 {
+								t.Errorf("read of file %d returned %d bytes of zeros before the write landed", fi, n)
+								return
+							}
 							for i := 1; i < n; i++ {
 								if buf[i] != buf[0] {
 									t.Errorf("torn read on file %d at byte %d: %c vs %c", fi, i, buf[i], buf[0])

@@ -10,7 +10,9 @@
 //   - Locking is two-level (§4.3): the per-inode lock is released at
 //     metadata commit; conflicting operations gate on the in-flight DMA
 //     (write-write and write-read block; read-write does not, thanks to
-//     CoW).
+//     CoW). The gate is nova's WaitLanded, which the namespace
+//     operations EasyIO inherits from NOVA (Truncate, Unlink, Rename)
+//     pass too before they free a file's blocks.
 //   - The issuing uthread parks, releasing its core to other uthreads
 //     until the completion buffer advances — the harvested window.
 //   - A channel manager (§4.4) steers latency-critical traffic to ≤4
@@ -54,8 +56,10 @@ type Options struct {
 }
 
 // FS is an EasyIO filesystem. Namespace operations (Create, Unlink,
-// Rename, ...) are inherited from the NOVA substrate; the data paths
-// (ReadAt, WriteAt, Append) are EasyIO's asynchronous implementations.
+// Rename, Truncate, ...) are inherited from the NOVA substrate, and each
+// that frees a file's blocks first waits at its level-2 gate for the
+// file's in-flight DMA; the data paths (ReadAt, WriteAt, Append) are
+// EasyIO's asynchronous implementations.
 type FS struct {
 	*nova.FS
 	eng     *sim.Engine
@@ -137,27 +141,6 @@ func (fs *FS) waitCompletion(t *caladan.Task) {
 	}
 }
 
-// waitPendingLocked is the level-2 gate (§4.3): with the inode lock held,
-// block until the previous write's in-flight DMA lands. Write-after-write
-// and read-after-write must wait; CoW makes read data immune to later
-// writes, so writes never wait for reads.
-func (fs *FS) waitPendingLocked(t *caladan.Task, ino *nova.Inode) {
-	cpu := fs.CPUCosts()
-	for ino.Pending > 0 {
-		if t == nil {
-			// Functional-context callers run outside the simulation, where
-			// no DMA is ever in flight; parking a nil task would corrupt
-			// the gate's wait queue. Same idiom as ULock.Lock.
-			panic("easyio: nil task blocked on the inode write gate")
-		}
-		fs.Charge(t, cpu.PollCheck)
-		if ino.Pending == 0 {
-			return
-		}
-		ino.Gate.Wait(t)
-	}
-}
-
 // WriteAt writes data at off (ClassL).
 func (fs *FS) WriteAt(t *caladan.Task, f *nova.File, off int64, data []byte) (int, error) {
 	return fs.WriteAtClass(t, f, off, data, ClassL)
@@ -189,7 +172,7 @@ func (fs *FS) WriteAtClass(t *caladan.Task, f *nova.File, off int64, data []byte
 		ino.Mu.Unlock()
 		return 0, nil
 	}
-	fs.waitPendingLocked(t, ino)
+	fs.WaitLanded(t, ino)
 
 	// Selective offload (§4.4): small I/O is memcpy'd synchronously —
 	// the DMA engine is inefficient below 4 KB and the window is too
@@ -372,7 +355,7 @@ func (fs *FS) ReadAtClass(t *caladan.Task, f *nova.File, off int64, buf []byte, 
 		ino.Mu.Unlock()
 		return 0, nova.ErrIsDir
 	}
-	fs.waitPendingLocked(t, ino)
+	fs.WaitLanded(t, ino)
 	if off >= ino.Size {
 		ino.Mu.Unlock()
 		return 0, nil

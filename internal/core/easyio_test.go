@@ -313,6 +313,51 @@ func TestOrderlessRecoveryDiscardsUnfinishedWrite(t *testing.T) {
 	}
 }
 
+// inflightSize is the overwrite the in-flight tests below put in flight.
+const inflightSize = 256 << 10
+
+// overwriteOnFullDevice builds the set-up those tests share: /f holds
+// inflightSize bytes of 'O', /g and /src exist and are empty, and /fill
+// takes every free block but the inflightSize/BlockSize an overwrite of
+// /f needs. So a block freed while that overwrite is in flight is the
+// next a write to /g gets.
+func overwriteOnFullDevice(t *testing.T) (h *harness, f, g *nova.File) {
+	t.Helper()
+	h = newSizedHarness(t, 2, Options{}, 8<<20)
+	f, err := h.fs.Create(nil, "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.fs.WriteAt(nil, f, 0, bytes.Repeat([]byte{'O'}, inflightSize)); err != nil {
+		t.Fatal(err)
+	}
+	if g, err = h.fs.Create(nil, "/g"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.fs.Create(nil, "/src"); err != nil {
+		t.Fatal(err)
+	}
+	fill, err := h.fs.Create(nil, "/fill")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.fs.WriteAt(nil, fill, 0, make([]byte, (h.fs.FreeBlocks()-inflightSize/nova.BlockSize)*nova.BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	if free := h.fs.FreeBlocks(); free != inflightSize/nova.BlockSize {
+		t.Fatalf("test setup: %d free blocks after the fill, want %d", free, inflightSize/nova.BlockSize)
+	}
+	return h, f, g
+}
+
+// waitInFlight spins task until f's inode has an orderless write in
+// flight.
+func waitInFlight(task *caladan.Task, f *nova.File) {
+	for f.Inode().Pending == 0 {
+		task.Compute(100 * sim.Nanosecond)
+	}
+}
+
 func TestCrashedOverwriteKeepsReplacedBlocks(t *testing.T) {
 	// The replaced blocks of an orderless overwrite stay allocated until
 	// its DMA lands: recovery discards the committed entry and falls back
@@ -320,31 +365,10 @@ func TestCrashedOverwriteKeepsReplacedBlocks(t *testing.T) {
 	// blocks left are the 64 its overwrite needs, so a free at commit
 	// time would hand A's old blocks to uthread B's writes on the second
 	// core. The crash image is taken while A's DMA is still in flight.
-	const size = 256 << 10
-	h := newSizedHarness(t, 2, Options{}, 8<<20)
+	const size = inflightSize
+	h, f, g := overwriteOnFullDevice(t)
 	old := bytes.Repeat([]byte{'O'}, size)
 	newData := bytes.Repeat([]byte{'N'}, size)
-	f, err := h.fs.Create(nil, "/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.fs.WriteAt(nil, f, 0, old); err != nil {
-		t.Fatal(err)
-	}
-	g, err := h.fs.Create(nil, "/g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fill, err := h.fs.Create(nil, "/fill")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.fs.WriteAt(nil, fill, 0, make([]byte, (h.fs.FreeBlocks()-size/nova.BlockSize)*nova.BlockSize)); err != nil {
-		t.Fatal(err)
-	}
-	if free := h.fs.FreeBlocks(); free != size/nova.BlockSize {
-		t.Fatalf("test setup: %d free blocks after the fill, want %d", free, size/nova.BlockSize)
-	}
 	h.dev.EnableTracking()
 
 	h.rt.Spawn(0, "a", func(task *caladan.Task) {
@@ -355,9 +379,7 @@ func TestCrashedOverwriteKeepsReplacedBlocks(t *testing.T) {
 	// built from them after the run is the image at that point.
 	crashAt, wrote := -1, 0
 	h.rt.Spawn(1, "b", func(task *caladan.Task) {
-		for f.Inode().Pending == 0 {
-			task.Compute(100 * sim.Nanosecond)
-		}
+		waitInFlight(task, f)
 		page := bytes.Repeat([]byte{'B'}, nova.BlockSize)
 		for i := int64(0); i < 16 && f.Inode().Pending > 0; i++ {
 			crashAt = len(h.dev.Records())
@@ -394,6 +416,85 @@ func TestCrashedOverwriteKeepsReplacedBlocks(t *testing.T) {
 	}
 	if !bytes.Equal(got, old) && !bytes.Equal(got, newData) {
 		t.Fatalf("post-crash /f is neither its old nor its new contents (B wrote %d pages)", wrote)
+	}
+}
+
+// TestNamespaceOpWaitsForInFlightWrite checks that an operation which
+// frees /f's blocks waits for the orderless write still filling them
+// (§4.2–4.3). Uthread A overwrites /f on a full device; while A's DMA is
+// in flight, uthread B unlinks, truncates or renames over /f and then
+// writes 4 KB pages to /g. Without the gate B's op frees A's destination
+// blocks, /g's writes reuse them, and A's late DMA lands in /g.
+func TestNamespaceOpWaitsForInFlightWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   func(h *harness, task *caladan.Task, f *nova.File) error
+	}{
+		{"unlink", func(h *harness, task *caladan.Task, _ *nova.File) error {
+			return h.fs.Unlink(task, "/f")
+		}},
+		{"truncate", func(h *harness, task *caladan.Task, f *nova.File) error {
+			return h.fs.Truncate(task, f, 0)
+		}},
+		{"rename over /f", func(h *harness, task *caladan.Task, _ *nova.File) error {
+			return h.fs.Rename(task, "/src", "/f")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, f, g := overwriteOnFullDevice(t)
+			h.rt.Spawn(0, "a", func(task *caladan.Task) {
+				h.fs.WriteAt(task, f, 0, bytes.Repeat([]byte{'A'}, inflightSize))
+			})
+			const pages = 16
+			h.rt.Spawn(1, "b", func(task *caladan.Task) {
+				waitInFlight(task, f)
+				if err := tc.op(h, task, f); err != nil {
+					t.Errorf("%s: %v", tc.name, err)
+					return
+				}
+				page := bytes.Repeat([]byte{'B'}, nova.BlockSize)
+				for i := int64(0); i < pages; i++ {
+					if _, err := h.fs.WriteAt(task, g, i*nova.BlockSize, page); err != nil {
+						t.Errorf("write /g page %d: %v", i, err)
+						return
+					}
+				}
+			})
+			h.run()
+			got := make([]byte, pages*nova.BlockSize)
+			if n, _ := h.fs.ReadAt(nil, g, 0, got); n != len(got) {
+				t.Fatalf("/g holds %d bytes, want %d", n, len(got))
+			}
+			if a := bytes.Count(got, []byte{'A'}); a != 0 {
+				t.Fatalf("/g holds %d bytes of the overwrite of /f", a)
+			}
+			if !bytes.Equal(got, bytes.Repeat([]byte{'B'}, len(got))) {
+				t.Fatal("/g does not hold its own pages")
+			}
+		})
+	}
+}
+
+// TestReadDuringInFlightWriteGetsNewData checks the read gate by the
+// bytes a reader gets: a read of /f that starts while an overwrite's DMA
+// is in flight returns the new data, never the zeros of the blocks the
+// DMA has not filled yet.
+func TestReadDuringInFlightWriteGetsNewData(t *testing.T) {
+	h, f, _ := overwriteOnFullDevice(t)
+	newData := bytes.Repeat([]byte{'A'}, inflightSize)
+	got := make([]byte, inflightSize)
+	h.rt.Spawn(0, "a", func(task *caladan.Task) {
+		h.fs.WriteAt(task, f, 0, newData)
+	})
+	h.rt.Spawn(1, "r", func(task *caladan.Task) {
+		waitInFlight(task, f)
+		if n, err := h.fs.ReadAt(task, f, 0, got); n != len(got) || err != nil {
+			t.Errorf("read = %d, %v", n, err)
+		}
+	})
+	h.run()
+	if !bytes.Equal(got, newData) {
+		t.Fatalf("read during the write got %d bytes of the new data, %d zeros", bytes.Count(got, []byte{'A'}), bytes.Count(got, []byte{0}))
 	}
 }
 

@@ -69,9 +69,10 @@ type FS struct {
 	enc    []byte
 	blocks []int64
 
-	// guarded lists, under easyio_invariants only, the replaced runs
-	// FreeRuns must not free before their witness is durable.
-	guarded []guardedRun
+	// witnessed maps, under easyio_invariants only, each block an
+	// SN-stamped write entry wrote or replaced to its witness: freeRun and
+	// CopyOut panic on the block until the witness is durable (§4.2).
+	witnessed map[int64]Witness
 
 	// Stats the benches report.
 	OpsRead, OpsWrite       int64
@@ -204,19 +205,19 @@ func (fs *FS) allocInode(kind byte) (*Inode, error) {
 }
 
 // dropInode invalidates the slot and frees the inode's storage. Caller
-// guarantees no directory references remain.
+// holds ino's lock past its gate and guarantees no directory references.
 func (fs *FS) dropInode(ino *Inode) {
 	fs.dev.WriteAt(ino.slotOff(), []byte{0})
 	fs.dev.Fence()
 	// Free data blocks in block order (the index walks in page order), so
 	// the free sequence is deterministic.
 	for _, b := range fs.indexedBlocks(ino) {
-		fs.alloc.freeRun(Run{Off: b, Pages: 1})
+		fs.freeRun(Run{Off: b, Pages: 1})
 	}
 	// Free the log page chain.
 	pages := fs.walkLog(ino.logHead, ino.logTail, func(Entry) {})
 	for _, p := range pages {
-		fs.alloc.freeRun(Run{Off: p, Pages: 1})
+		fs.freeRun(Run{Off: p, Pages: 1})
 		fs.logPageCount--
 	}
 	fs.inodes.set(ino.Num, nil)
@@ -432,8 +433,13 @@ func (fs *FS) Unlink(t *caladan.Task, path string) error {
 	if target.IsDir() {
 		return ErrIsDir
 	}
-	target.Mu.Lock(t) //easyio:allow lockorder (hierarchical order within the shared-guarded Inode.Mu class: the parent directory's lock always precedes its non-directory child's — the IsDir guard above rules out dir/dir nesting, so no inverse pair can form)
+	// Lock order: every operation takes its directory locks before any
+	// file lock, and none takes a file lock and then a directory lock. So
+	// waiting here on a file's lock or gate while holding a directory
+	// cannot close a cycle (a gate opens on a DMA completion, lock-free).
+	target.Mu.Lock(t) //easyio:allow lockorder (directories lock before files in every operation; see the lock-order note above)
 	defer target.Mu.Unlock()
+	fs.WaitLanded(t, target)
 	tail := fs.AppendEntries(dir, []*Entry{{Type: etDentryDel, Ino: num, Name: name, Mtime: fs.Now()}})
 	fs.CommitTail(dir, tail)
 	delete(dir.dirents, name)
@@ -461,8 +467,10 @@ func (fs *FS) Link(t *caladan.Task, oldpath, newpath string) error {
 	if err != nil {
 		return err
 	}
-	lockPair(t, dir, target)
-	defer unlockPair(dir, target)
+	dir.Mu.Lock(t)
+	defer dir.Mu.Unlock()
+	target.Mu.Lock(t) //easyio:allow lockorder (directories lock before files in every operation; see Unlink's lock-order note)
+	defer target.Mu.Unlock()
 	if _, ok := dir.dirents[name]; ok {
 		return ErrExist
 	}
@@ -504,6 +512,11 @@ func (fs *FS) Rename(t *caladan.Task, oldpath, newpath string) error {
 		if replaced.IsDir() {
 			return ErrIsDir
 		}
+		// The replaced file may be mid-write: lock it after the
+		// directories (Unlink's order) and wait out its DMA.
+		replaced.Mu.Lock(t)
+		defer replaced.Mu.Unlock()
+		fs.WaitLanded(t, replaced)
 	}
 	fs.journalBegin(srcDir, dstDir)
 	now := fs.Now()
@@ -534,7 +547,7 @@ func (fs *FS) Rename(t *caladan.Task, oldpath, newpath string) error {
 	return nil
 }
 
-// lockPair acquires two inode locks in ino-number order (deadlock-free).
+// lockPair acquires Rename's two directory locks in ino-number order.
 func lockPair(t *caladan.Task, a, b *Inode) {
 	if a == b {
 		a.Mu.Lock(t)

@@ -28,12 +28,32 @@ type Inode struct {
 	// baselines; released at metadata commit in EasyIO).
 	Mu caladan.ULock
 
-	// Pending and Gate implement EasyIO's level-2 lock (§4.3): Pending
-	// counts the most recent write's in-flight DMA descriptors; conflicting
-	// operations park on Gate until the data lands (the runtime's analogue
-	// of comparing the block mapping's SN with the completion buffer).
+	// Pending and Gate implement the level-2 lock (§4.3): Pending counts
+	// committed orderless writes (EasyIO's) whose DMA is in flight; every
+	// operation that reads, rewrites or frees the blocks parks on Gate in
+	// WaitLanded until the data lands (the runtime's analogue of comparing
+	// the block mapping's SN with the completion buffer).
 	Pending int
 	Gate    caladan.WaitQueue
+}
+
+// WaitLanded is the level-2 gate (§4.3): with ino's lock held, it blocks
+// until ino's in-flight orderless writes land. EasyIO's reads and writes,
+// Truncate, Unlink and Rename's replaced file pass it; CoW makes read
+// data immune to later writes, so writes never wait for reads.
+func (fs *FS) WaitLanded(t *caladan.Task, ino *Inode) {
+	for ino.Pending > 0 {
+		if t == nil {
+			// Functional contexts never have a DMA in flight; parking a
+			// nil task would corrupt the wait queue (as in ULock.Lock).
+			panic("nova: nil task blocked on the inode write gate")
+		}
+		fs.Charge(t, fs.cpu.PollCheck)
+		if ino.Pending == 0 {
+			return
+		}
+		ino.Gate.Wait(t)
+	}
 }
 
 // slotOff returns the inode's table slot offset on the device.

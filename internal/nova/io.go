@@ -200,7 +200,7 @@ func (fs *FS) ApplyWriteEntries(t *caladan.Task, ino *Inode, entries []*Entry) [
 		n := len(replaced)
 		replaced = ino.applyWriteEntry(e, replaced)
 		if invariants.Enabled {
-			fs.guardReplaced(e, replaced[n:])
+			fs.witness(e, replaced[n:])
 		}
 		fs.BytesWritten += e.Size
 	}
@@ -212,45 +212,50 @@ func (fs *FS) ApplyWriteEntries(t *caladan.Task, ino *Inode, entries []*Entry) [
 // FreeRuns returns runs to the allocator.
 func (fs *FS) FreeRuns(runs []Run) {
 	for _, r := range runs {
-		if invariants.Enabled {
-			fs.assertWitnessed(r)
-		}
-		fs.alloc.freeRun(r)
+		fs.freeRun(r)
 	}
 }
 
-// guardedRun is a run an SN-stamped entry replaced, with its witness.
-type guardedRun struct {
-	run Run
-	w   Witness
-}
-
-// guardReplaced, under easyio_invariants, guards the runs an SN-stamped
-// entry replaced: recovery falls back to them until the entry's witness
-// is durable, so FreeRuns must not free them before then (§4.2).
-func (fs *FS) guardReplaced(e *Entry, runs []Run) {
-	if e.HasSN && fs.opts.ValidateSN != nil {
-		for _, r := range runs {
-			w := Witness{Engine: int(e.EngineID), Chan: int(e.ChanID), SN: e.SN}
-			fs.guarded = append(fs.guarded, guardedRun{run: r, w: w})
+// freeRun returns r to the allocator: nova's one way to free a block
+// (the allocator's rollback aside). It checks and drops the blocks'
+// witness records under easyio_invariants.
+func (fs *FS) freeRun(r Run) {
+	if invariants.Enabled {
+		fs.assertLanded(r, "freeing")
+		for b := r.Off; b < r.Off+r.Bytes(); b += BlockSize {
+			delete(fs.witnessed, b)
 		}
 	}
+	fs.alloc.freeRun(r)
 }
 
-// assertWitnessed panics, under easyio_invariants, if r is a guarded run
-// whose witness is not yet durable, and otherwise drops r's guard.
-func (fs *FS) assertWitnessed(r Run) {
-	for i, g := range fs.guarded {
-		if g.run != r {
-			continue
-		}
-		if !fs.opts.ValidateSN(g.w.Engine, g.w.Chan, g.w.SN) {
-			panic("nova: freeing replaced blocks before the write that replaced them is durable (§4.2)")
-		}
-		last := len(fs.guarded) - 1
-		fs.guarded[i] = fs.guarded[last]
-		fs.guarded = fs.guarded[:last]
+// witness records, under easyio_invariants, an SN-stamped entry's
+// witness for the blocks it writes and the runs it replaced.
+func (fs *FS) witness(e *Entry, replaced []Run) {
+	if !e.HasSN || fs.opts.ValidateSN == nil {
 		return
+	}
+	if fs.witnessed == nil {
+		fs.witnessed = map[int64]Witness{}
+	}
+	w := Witness{Engine: int(e.EngineID), Chan: int(e.ChanID), SN: e.SN}
+	for i := int64(0); i < int64(e.Pages); i++ {
+		fs.witnessed[e.BlockOff+i*BlockSize] = w
+	}
+	for _, r := range replaced {
+		for b := r.Off; b < r.Off+r.Bytes(); b += BlockSize {
+			fs.witnessed[b] = w
+		}
+	}
+}
+
+// assertLanded panics, under easyio_invariants, if a block of r carries
+// a witness that is not yet durable.
+func (fs *FS) assertLanded(r Run, op string) {
+	for b := r.Off; b < r.Off+r.Bytes(); b += BlockSize {
+		if w, ok := fs.witnessed[b]; ok && !fs.opts.ValidateSN(w.Engine, w.Chan, w.SN) {
+			panic("nova: " + op + " a block before the write that targets or replaced it is durable (§4.2)")
+		}
 	}
 }
 
@@ -327,6 +332,9 @@ func (rp ReadPlan) CopyOut(fs *FS, runs []Run) {
 					}
 				} else {
 					srcOff := r.Off + int64(pg)*BlockSize
+					if invariants.Enabled {
+						fs.assertLanded(Run{Off: srcOff, Pages: 1}, "reading")
+					}
 					skip := int64(0)
 					if pageStart < 0 {
 						skip = -pageStart
@@ -361,6 +369,7 @@ func (fs *FS) Truncate(t *caladan.Task, f *File, size int64) error {
 	if ino.IsDir() {
 		return ErrIsDir
 	}
+	fs.WaitLanded(t, ino)
 	entries := []*Entry{{Type: etSetAttr, NewSize: size, Mtime: fs.Now()}}
 	// Shrinking to mid-page: CoW the boundary block with its tail zeroed,
 	// or a later extension would resurrect the stale bytes.
@@ -390,14 +399,14 @@ func (fs *FS) Truncate(t *caladan.Task, f *File, size int64) error {
 	if size < ino.Size {
 		// Free truncated blocks in ascending page order.
 		ino.index.walk((size+BlockSize-1)/BlockSize, func(pg, b int64) {
-			fs.alloc.freeRun(Run{Off: b, Pages: 1})
+			fs.freeRun(Run{Off: b, Pages: 1})
 			ino.index.del(pg)
 		})
 	}
 	ino.Size = size
 	if boundary != nil {
 		for _, old := range ino.applyWriteEntry(boundary, nil) {
-			fs.alloc.freeRun(old)
+			fs.freeRun(old)
 		}
 		ino.Size = size // applyWriteEntry never shrinks
 	}

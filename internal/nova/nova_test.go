@@ -436,3 +436,97 @@ func TestEphemeralDataModeKeepsMetadata(t *testing.T) {
 		t.Fatal("read length wrong in ephemeral mode")
 	}
 }
+
+// TestLinkUnlinkShareLockOrder pins the one lock order of the namespace
+// operations: a directory before a file. /f is inode 2 and /d inode 3,
+// with /d/g a hard link to /f. Uthread W holds /f's lock across a long
+// write; Link("/f", "/d/h") then queues on /f, and Unlink("/d/g") takes
+// /d and queues on /f. Had Link locked in inode-number order (/f before
+// /d), it would get /f from W and wait on /d while Unlink, holding /d,
+// waits on /f, and neither would return.
+func TestLinkUnlinkShareLockOrder(t *testing.T) {
+	eng, _, fs := newFS(t)
+	f, err := fs.Create(nil, "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Mkdir(nil, "/d"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Link(nil, "/f", "/d/g"); err != nil {
+		t.Fatal(err)
+	}
+	if f.Inode().Num != 2 || fs.Root().dirents["d"] != 3 {
+		t.Fatalf("test setup: /f is inode %d and /d inode %d, want 2 and 3", f.Inode().Num, fs.Root().dirents["d"])
+	}
+	rt := caladan.New(eng, caladan.Options{Cores: 3})
+	var linked, unlinked bool
+	rt.Spawn(0, "w", func(task *caladan.Task) {
+		fs.WriteAt(task, f, 0, make([]byte, 1<<20))
+	})
+	rt.Spawn(1, "link", func(task *caladan.Task) {
+		task.Sleep(sim.Microsecond)
+		if err := fs.Link(task, "/f", "/d/h"); err != nil {
+			t.Errorf("link: %v", err)
+		}
+		linked = true
+	})
+	rt.Spawn(2, "unlink", func(task *caladan.Task) {
+		task.Sleep(20 * sim.Microsecond)
+		if err := fs.Unlink(task, "/d/g"); err != nil {
+			t.Errorf("unlink: %v", err)
+		}
+		unlinked = true
+	})
+	eng.Run()
+	eng.Shutdown()
+	if !linked || !unlinked {
+		t.Fatalf("link returned %v, unlink returned %v: the two deadlocked", linked, unlinked)
+	}
+	if st, err := fs.Stat(nil, "/d/h"); err != nil || st.Nlink != 2 {
+		t.Fatalf("/d/h: %+v, %v; want 2 links", st, err)
+	}
+}
+
+// TestRenameOverFileWaitsForWriter checks that Rename locks the file it
+// replaces: uthread W overwrites /f and holds /f's lock across the copy
+// while Rename("/src", "/f") replaces /f. Without that lock Rename frees
+// /f's blocks mid-write, and W's own free of the blocks it replaced
+// frees them a second time.
+func TestRenameOverFileWaitsForWriter(t *testing.T) {
+	eng, _, fs := newFS(t)
+	f, err := fs.Create(nil, "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.WriteAt(nil, f, 0, make([]byte, 256<<10)); err != nil {
+		t.Fatal(err)
+	}
+	src, err := fs.Create(nil, "/src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := caladan.New(eng, caladan.Options{Cores: 2})
+	var wrote, renamed bool
+	rt.Spawn(0, "w", func(task *caladan.Task) {
+		if _, err := fs.WriteAt(task, f, 0, make([]byte, 256<<10)); err != nil {
+			t.Errorf("write: %v", err)
+		}
+		wrote = true
+	})
+	rt.Spawn(1, "rename", func(task *caladan.Task) {
+		task.Sleep(sim.Microsecond)
+		if err := fs.Rename(task, "/src", "/f"); err != nil {
+			t.Errorf("rename: %v", err)
+		}
+		renamed = true
+	})
+	eng.Run()
+	eng.Shutdown()
+	if !wrote || !renamed {
+		t.Fatalf("write returned %v, rename returned %v", wrote, renamed)
+	}
+	if st, err := fs.Stat(nil, "/f"); err != nil || st.Ino != src.Inode().Num {
+		t.Fatalf("/f after rename: %+v, %v; want inode %d", st, err, src.Inode().Num)
+	}
+}
