@@ -140,8 +140,6 @@ var handleStateProtocol = &Protocol{
 			Trans: [][2]string{{"", "open"}}},
 		{Name: "Open", ResultType: "File", NArgs: anyArgs, Creates: true,
 			Trans: [][2]string{{"", "open"}}},
-		{Name: "OpenOrCreate", ResultType: "File", NArgs: anyArgs, Creates: true,
-			Trans: [][2]string{{"", "open"}}},
 		{Name: "ReadAt", ArgType: "File", NArgs: anyArgs,
 			Trans: [][2]string{{"open", "open"}},
 			Msg:   "reads require an open handle"},

@@ -778,7 +778,7 @@ func TestProtocolStats(t *testing.T) {
 		"svclifecycle": {5, 11},
 		"horizonproto": {4, 6},
 		"epochbudget":  {3, 8},
-		"handlestate":  {2, 12},
+		"handlestate":  {2, 11},
 		"parityepoch":  {5, 14},
 		"persistorder": {4, 16},
 	}

@@ -90,6 +90,38 @@ func TestSnappyPipelineFunctional(t *testing.T) {
 	}
 }
 
+// TestSnappyDecompressKeepsExistingFile runs the kernel onto a longer
+// existing file: it must refuse with ErrExist and leave the file as it
+// was, not overwrite its head and keep a stale tail.
+func TestSnappyDecompressKeepsExistingFile(t *testing.T) {
+	eng, rt, fs := newEasyIO(t, 1, false)
+	plain := bytes.Repeat([]byte("easyio makes slow memory fast enough "), 2000)
+	comp := codec.Compress(nil, plain)
+	old := bytes.Repeat([]byte{'z'}, len(plain)+100)
+	var n int
+	var err error
+	var after []byte
+	rt.Spawn(0, "pipeline", func(task *caladan.Task) {
+		in, _ := fs.Create(task, "/in.z")
+		fs.WriteAt(task, in, 0, comp)
+		in.Close()
+		out, _ := fs.Create(task, "/out.txt")
+		fs.WriteAt(task, out, 0, old)
+		n, err = SnappyDecompressFile(task, fs, "/in.z", "/out.txt")
+		after = make([]byte, out.Size())
+		fs.ReadAt(task, out, 0, after)
+		out.Close()
+	})
+	eng.Run()
+	eng.Shutdown()
+	if n != 0 || err != nova.ErrExist {
+		t.Fatalf("decompress onto an existing file = %d, %v; want 0, %v", n, err, nova.ErrExist)
+	}
+	if !bytes.Equal(after, old) {
+		t.Fatal("decompress changed the existing file")
+	}
+}
+
 func TestGrepFunctional(t *testing.T) {
 	eng, rt, fs := newEasyIO(t, 1, false)
 	content := []byte("alpha match one\nno hit here\nanother match line\nmatchless\n")

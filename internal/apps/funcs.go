@@ -14,8 +14,8 @@ import (
 // bytes the filesystem returns. examples/analytics uses them to
 // demonstrate the public API on genuine workloads.
 
-// SnappyDecompressFile reads a codec-compressed file, decompresses it and
-// writes the plain bytes to dstPath. It returns the decompressed size.
+// SnappyDecompressFile decompresses a codec file into a new file at
+// dstPath (nova.ErrExist if it exists) and returns the plain size.
 func SnappyDecompressFile(t *caladan.Task, fs fsapi.FileSystem, srcPath, dstPath string) (int, error) {
 	src, err := fs.Open(t, srcPath)
 	if err != nil {
@@ -30,7 +30,7 @@ func SnappyDecompressFile(t *caladan.Task, fs fsapi.FileSystem, srcPath, dstPath
 	if err != nil {
 		return 0, err
 	}
-	dst, err := fs.OpenOrCreate(t, dstPath)
+	dst, err := fs.Create(t, dstPath)
 	if err != nil {
 		return 0, err
 	}

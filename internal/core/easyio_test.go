@@ -49,53 +49,6 @@ func (h *harness) run() {
 	h.eng.Shutdown()
 }
 
-func TestEasyIOWriteReadRoundtrip(t *testing.T) {
-	h := newHarness(t, 1, Options{})
-	data := make([]byte, 100_000)
-	rng.New(3).Bytes(data)
-	got := make([]byte, len(data))
-	h.rt.Spawn(0, "w", func(task *caladan.Task) {
-		f, err := h.fs.Create(task, "/f")
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if n, err := h.fs.WriteAt(task, f, 0, data); err != nil || n != len(data) {
-			t.Errorf("write: %d %v", n, err)
-		}
-		if n, err := h.fs.ReadAt(task, f, 0, got); err != nil || n != len(data) {
-			t.Errorf("read: %d %v", n, err)
-		}
-	})
-	h.run()
-	if !bytes.Equal(got, data) {
-		t.Fatal("roundtrip mismatch")
-	}
-}
-
-func TestEasyIOUnalignedWrite(t *testing.T) {
-	h := newHarness(t, 1, Options{})
-	var got []byte
-	h.rt.Spawn(0, "w", func(task *caladan.Task) {
-		f, _ := h.fs.Create(task, "/f")
-		base := bytes.Repeat([]byte{'x'}, 3*nova.BlockSize)
-		h.fs.WriteAt(task, f, 0, base)
-		h.fs.WriteAt(task, f, 1000, bytes.Repeat([]byte{'y'}, 10_000))
-		got = make([]byte, 3*nova.BlockSize)
-		h.fs.ReadAt(task, f, 0, got)
-	})
-	h.run()
-	for i := 0; i < 3*nova.BlockSize; i++ {
-		want := byte('x')
-		if i >= 1000 && i < 11000 {
-			want = 'y'
-		}
-		if got[i] != want {
-			t.Fatalf("byte %d = %c, want %c", i, got[i], want)
-		}
-	}
-}
-
 func TestAsyncWriteHarvestsCore(t *testing.T) {
 	// One core, one big async write plus a compute uthread: the compute
 	// work must interleave with the in-flight DMA window.
@@ -570,22 +523,6 @@ func TestRecoveryKeepsFinishedWrite(t *testing.T) {
 	fs2.FS.ReadAt(nil, f2, 0, got)
 	if !bytes.Equal(got, data) {
 		t.Fatal("completed write lost after crash")
-	}
-}
-
-func TestNaiveModeFunctional(t *testing.T) {
-	h := newHarness(t, 1, Options{Naive: true})
-	data := make([]byte, 64<<10)
-	rng.New(5).Bytes(data)
-	got := make([]byte, len(data))
-	h.rt.Spawn(0, "w", func(task *caladan.Task) {
-		f, _ := h.fs.Create(task, "/f")
-		h.fs.WriteAt(task, f, 0, data)
-		h.fs.ReadAt(task, f, 0, got)
-	})
-	h.run()
-	if !bytes.Equal(got, data) {
-		t.Fatal("naive roundtrip mismatch")
 	}
 }
 

@@ -403,18 +403,6 @@ func (fs *FS) Open(t *caladan.Task, path string) (*File, error) {
 	return &File{fs: fs, ino: ino}, nil
 }
 
-// OpenOrCreate opens path, creating it if absent.
-func (fs *FS) OpenOrCreate(t *caladan.Task, path string) (*File, error) {
-	f, err := fs.Open(t, path)
-	if err == ErrNotExist {
-		f, err = fs.Create(t, path)
-		if err == ErrExist {
-			return fs.Open(t, path)
-		}
-	}
-	return f, err
-}
-
 // Unlink removes a directory entry; the file is dropped when its link
 // count reaches zero.
 func (fs *FS) Unlink(t *caladan.Task, path string) error {

@@ -35,32 +35,6 @@ func newDMAFS(t *testing.T) (*sim.Engine, *FS, *caladan.Runtime) {
 	return eng, fs, rt
 }
 
-func TestSyncDMAMoverRoundtrip(t *testing.T) {
-	eng, fs, rt := newDMAFS(t)
-	data := make([]byte, 64<<10)
-	rng.New(7).Bytes(data)
-	got := make([]byte, len(data))
-	rt.Spawn(0, "w", func(task *caladan.Task) {
-		f, err := fs.Create(task, "/f")
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := fs.WriteAt(task, f, 0, data); err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := fs.ReadAt(task, f, 0, got); err != nil {
-			t.Error(err)
-		}
-	})
-	eng.Run()
-	eng.Shutdown()
-	if !bytes.Equal(got, data) {
-		t.Fatal("DMA mover roundtrip mismatch")
-	}
-}
-
 func TestSyncDMASmallIOFallsBackToMemcpy(t *testing.T) {
 	// A 2 KB write must not touch any DMA channel (Listing 2 / §4.4
 	// selective offload also applies to the sync baseline's minimum).

@@ -3,7 +3,6 @@ package nova
 import (
 	"bytes"
 	"testing"
-	"testing/quick"
 
 	"github.com/easyio-sim/easyio/internal/caladan"
 	"github.com/easyio-sim/easyio/internal/perfmodel"
@@ -26,120 +25,6 @@ func newFS(t *testing.T) (*sim.Engine, *pmem.Device, *FS) {
 		t.Fatal(err)
 	}
 	return eng, dev, fs
-}
-
-func TestCreateOpenStat(t *testing.T) {
-	_, _, fs := newFS(t)
-	f, err := fs.Create(nil, "/a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Size() != 0 {
-		t.Fatal("new file not empty")
-	}
-	if _, err := fs.Create(nil, "/a"); err != ErrExist {
-		t.Fatalf("double create: %v", err)
-	}
-	if _, err := fs.Open(nil, "/a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Open(nil, "/missing"); err != ErrNotExist {
-		t.Fatalf("open missing: %v", err)
-	}
-	st, err := fs.Stat(nil, "/a")
-	if err != nil || st.Kind != KindFile || st.Nlink != 1 {
-		t.Fatalf("stat = %+v, %v", st, err)
-	}
-}
-
-func TestWriteReadRoundtrip(t *testing.T) {
-	_, _, fs := newFS(t)
-	f, _ := fs.Create(nil, "/f")
-	data := make([]byte, 10000)
-	rng.New(1).Bytes(data)
-	n, err := fs.WriteAt(nil, f, 0, data)
-	if err != nil || n != len(data) {
-		t.Fatalf("write: %d, %v", n, err)
-	}
-	if f.Size() != int64(len(data)) {
-		t.Fatalf("size = %d", f.Size())
-	}
-	got := make([]byte, len(data))
-	n, err = fs.ReadAt(nil, f, 0, got)
-	if err != nil || n != len(data) {
-		t.Fatalf("read: %d, %v", n, err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("roundtrip mismatch")
-	}
-}
-
-func TestUnalignedOverwrite(t *testing.T) {
-	_, _, fs := newFS(t)
-	f, _ := fs.Create(nil, "/f")
-	base := make([]byte, 3*BlockSize)
-	for i := range base {
-		base[i] = 'A'
-	}
-	fs.WriteAt(nil, f, 0, base)
-	// Overwrite an unaligned interior range: CoW must preserve edges.
-	patch := []byte("hello-unaligned-world")
-	off := int64(BlockSize - 7)
-	fs.WriteAt(nil, f, off, patch)
-	got := make([]byte, 3*BlockSize)
-	fs.ReadAt(nil, f, 0, got)
-	want := append([]byte{}, base...)
-	copy(want[off:], patch)
-	if !bytes.Equal(got, want) {
-		t.Fatal("unaligned CoW overwrite corrupted data")
-	}
-}
-
-func TestAppendGrowsFile(t *testing.T) {
-	_, _, fs := newFS(t)
-	f, _ := fs.Create(nil, "/log")
-	for i := 0; i < 10; i++ {
-		fs.Append(nil, f, []byte("0123456789"))
-	}
-	if f.Size() != 100 {
-		t.Fatalf("size = %d", f.Size())
-	}
-	got := make([]byte, 100)
-	fs.ReadAt(nil, f, 0, got)
-	for i := 0; i < 100; i++ {
-		if got[i] != byte('0'+i%10) {
-			t.Fatalf("append content wrong at %d: %c", i, got[i])
-		}
-	}
-}
-
-func TestReadPastEOFAndHoles(t *testing.T) {
-	_, _, fs := newFS(t)
-	f, _ := fs.Create(nil, "/f")
-	fs.WriteAt(nil, f, 2*BlockSize, []byte("tail"))
-	// Hole in pages 0-1 reads as zeros.
-	got := make([]byte, 2*BlockSize+4)
-	n, _ := fs.ReadAt(nil, f, 0, got)
-	if n != 2*BlockSize+4 {
-		t.Fatalf("n = %d", n)
-	}
-	for i := 0; i < 2*BlockSize; i++ {
-		if got[i] != 0 {
-			t.Fatalf("hole byte %d = %d", i, got[i])
-		}
-	}
-	if string(got[2*BlockSize:]) != "tail" {
-		t.Fatal("tail data wrong")
-	}
-	// Read past EOF truncates.
-	n, _ = fs.ReadAt(nil, f, f.Size()-2, make([]byte, 100))
-	if n != 2 {
-		t.Fatalf("EOF read n = %d", n)
-	}
-	n, _ = fs.ReadAt(nil, f, f.Size()+10, make([]byte, 10))
-	if n != 0 {
-		t.Fatalf("past-EOF read n = %d", n)
-	}
 }
 
 func TestUnlinkFreesSpace(t *testing.T) {
@@ -175,46 +60,6 @@ func TestOverwriteFreesOldBlocks(t *testing.T) {
 	}
 }
 
-func TestMkdirAndNesting(t *testing.T) {
-	_, _, fs := newFS(t)
-	if err := fs.Mkdir(nil, "/d"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Mkdir(nil, "/d/e"); err != nil {
-		t.Fatal(err)
-	}
-	f, err := fs.Create(nil, "/d/e/file")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs.WriteAt(nil, f, 0, []byte("nested"))
-	names, err := fs.Readdir(nil, "/d/e")
-	if err != nil || len(names) != 1 || names[0] != "file" {
-		t.Fatalf("readdir = %v, %v", names, err)
-	}
-}
-
-func TestRenameSameDir(t *testing.T) {
-	_, _, fs := newFS(t)
-	f, _ := fs.Create(nil, "/old")
-	fs.WriteAt(nil, f, 0, []byte("content"))
-	if err := fs.Rename(nil, "/old", "/new"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Open(nil, "/old"); err != ErrNotExist {
-		t.Fatal("old name still resolves")
-	}
-	g, err := fs.Open(nil, "/new")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 7)
-	fs.ReadAt(nil, g, 0, buf)
-	if string(buf) != "content" {
-		t.Fatalf("content = %q", buf)
-	}
-}
-
 func TestRenameCrossDirWithReplace(t *testing.T) {
 	_, _, fs := newFS(t)
 	fs.Mkdir(nil, "/src")
@@ -235,33 +80,6 @@ func TestRenameCrossDirWithReplace(t *testing.T) {
 	fs.ReadAt(nil, g, 0, buf)
 	if string(buf) != "AAA" {
 		t.Fatalf("content = %q", buf)
-	}
-}
-
-func TestHardLink(t *testing.T) {
-	_, _, fs := newFS(t)
-	f, _ := fs.Create(nil, "/a")
-	fs.WriteAt(nil, f, 0, []byte("shared"))
-	if err := fs.Link(nil, "/a", "/b"); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := fs.Stat(nil, "/a")
-	if st.Nlink != 2 {
-		t.Fatalf("nlink = %d", st.Nlink)
-	}
-	fs.Unlink(nil, "/a")
-	g, err := fs.Open(nil, "/b")
-	if err != nil {
-		t.Fatal("link target lost after unlinking one name")
-	}
-	buf := make([]byte, 6)
-	fs.ReadAt(nil, g, 0, buf)
-	if string(buf) != "shared" {
-		t.Fatalf("content = %q", buf)
-	}
-	fs.Unlink(nil, "/b")
-	if _, err := fs.Open(nil, "/b"); err != ErrNotExist {
-		t.Fatal("file survived last unlink")
 	}
 }
 
@@ -373,49 +191,6 @@ func TestWriteTimingMatchesModel(t *testing.T) {
 	frac := float64(memcpy) / float64(dur)
 	if frac < 0.55 || frac > 0.85 {
 		t.Fatalf("memcpy share = %.2f, want ~0.63 (Fig 1)", frac)
-	}
-}
-
-func TestPropertyRandomWritesMatchShadow(t *testing.T) {
-	// Property: an arbitrary sequence of writes/appends/truncates over one
-	// file matches a shadow byte-slice model.
-	f := func(seed uint64) bool {
-		g := rng.New(seed)
-		_, _, fs := newFS(t)
-		file, _ := fs.Create(nil, "/f")
-		shadow := []byte{}
-		for op := 0; op < 40; op++ {
-			switch g.Intn(3) {
-			case 0: // WriteAt
-				n := 1 + g.Intn(3*BlockSize)
-				off := g.Int63n(int64(len(shadow)) + BlockSize)
-				data := make([]byte, n)
-				g.Bytes(data)
-				fs.WriteAt(nil, file, off, data)
-				if need := off + int64(n); need > int64(len(shadow)) {
-					shadow = append(shadow, make([]byte, need-int64(len(shadow)))...)
-				}
-				copy(shadow[off:], data)
-			case 1: // Append
-				n := 1 + g.Intn(BlockSize)
-				data := make([]byte, n)
-				g.Bytes(data)
-				fs.Append(nil, file, data)
-				shadow = append(shadow, data...)
-			case 2: // Truncate shrink
-				if len(shadow) > 0 {
-					sz := g.Int63n(int64(len(shadow)))
-					fs.Truncate(nil, file, sz)
-					shadow = shadow[:sz]
-				}
-			}
-		}
-		got := make([]byte, len(shadow))
-		n, _ := fs.ReadAt(nil, file, 0, got)
-		return n == len(shadow) && bytes.Equal(got, shadow)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
 	}
 }
 

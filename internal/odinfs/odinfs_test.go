@@ -34,23 +34,6 @@ func newOdin(t *testing.T, appCores, delegates int) (*sim.Engine, *FS, *caladan.
 	return eng, fs, rt
 }
 
-func TestOdinfsRoundtrip(t *testing.T) {
-	eng, fs, rt := newOdin(t, 1, 4)
-	data := make([]byte, 300_000)
-	rng.New(9).Bytes(data)
-	got := make([]byte, len(data))
-	rt.Spawn(0, "app", func(task *caladan.Task) {
-		f, _ := fs.Create(task, "/f")
-		fs.WriteAt(task, f, 0, data)
-		fs.ReadAt(task, f, 0, got)
-	})
-	eng.Run()
-	eng.Shutdown()
-	if !bytes.Equal(got, data) {
-		t.Fatal("delegated roundtrip mismatch")
-	}
-}
-
 func TestDelegationParallelizesLargeWrites(t *testing.T) {
 	// A 2 MB write split across 8 delegates should beat one NOVA core,
 	// despite per-writer degradation.
