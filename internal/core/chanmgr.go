@@ -90,6 +90,13 @@ type Manager struct {
 	suspACC    int64 // suspend/resume actions (stats)
 	BLimitHist []float64
 
+	// checkAt is the current epoch's start; checkSlots are the places in
+	// the event order reserved there for its budget checks, and
+	// checkNext indexes the next check to schedule.
+	checkAt    sim.Time
+	checkSlots [budgetChecks]sim.Slot
+	checkNext  int
+
 	// budgetCheckFn/epochTickFn are the epoch-loop callbacks, created
 	// once so per-epoch scheduling makes no closures.
 	budgetCheckFn func()
@@ -236,24 +243,47 @@ func (m *Manager) epochTick() {
 	m.scheduleBudgetCheck()
 }
 
-// scheduleBudgetCheck samples B-channel consumption 8 times per epoch and
-// suspends the channel once it exhausts this epoch's byte budget.
+// budgetChecks is how many times an epoch samples B-channel consumption,
+// at each eighth of the epoch after its start.
+const budgetChecks = 7
+
+// scheduleBudgetCheck reserves the epoch's budget-check slots, where
+// seven eager After calls would stand, and queues only the first check.
+// Each check queues the next into its slot until the B channel is
+// suspended. Only epochTick resumes the channel, and the next tick comes
+// after the last check, so every check left out would have returned at
+// its first line: the schedule is the eager one, minus no-op events.
 func (m *Manager) scheduleBudgetCheck() {
-	step := Epoch / 8
-	for i := 1; i < 8; i++ {
-		m.eng.After(sim.Duration(i)*step, m.budgetCheckFn)
+	m.checkAt = m.eng.Now()
+	for i := range m.checkSlots {
+		m.checkSlots[i] = m.eng.Reserve()
 	}
+	m.checkNext = 0
+	m.queueBudgetCheck()
+}
+
+// queueBudgetCheck puts the epoch's next budget check into its slot.
+func (m *Manager) queueBudgetCheck() {
+	if m.checkNext == budgetChecks {
+		return
+	}
+	k := m.checkNext
+	m.checkNext++
+	m.eng.AtSlot(m.checkAt+sim.Time(sim.Duration(k+1)*(Epoch/8)), m.checkSlots[k], m.budgetCheckFn)
 }
 
 // budgetCheck is one mid-epoch budget sample (scheduled pre-bound as
-// budgetCheckFn).
+// budgetCheckFn): it suspends the B channel once the epoch's byte budget
+// is spent.
 func (m *Manager) budgetCheck() {
-	if !m.running || m.bchan.Chan.Suspended() {
+	if m.bchan.Chan.Suspended() {
 		return
 	}
 	budget := int64(m.bLimit * Epoch.Seconds())
-	if m.bchan.Chan.BytesCompleted()-m.epochBase >= budget {
+	if m.running && m.bchan.Chan.BytesCompleted()-m.epochBase >= budget {
 		m.bchan.Chan.Suspend()
 		m.suspACC++
+		return
 	}
+	m.queueBudgetCheck()
 }

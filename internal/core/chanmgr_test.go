@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -55,6 +56,75 @@ func TestManagerEpochBudgetAccounting(t *testing.T) {
 	// the 10-epoch window, give or take the first and last partials.
 	if n := m.SuspendCount(); n < 14 || n > 22 {
 		t.Errorf("SuspendCount = %d over 10 saturated epochs, want ~2 per epoch", n)
+	}
+	m.Stop()
+	h.eng.Run()
+	h.eng.Shutdown()
+}
+
+// TestManagerBudgetChain pins the budget-check chain under 20 epochs of
+// saturating B traffic. The adaptive loop starts at 8 GB/s and an L-app
+// misses its SLO every epoch, so the budget falls by delta per epoch and
+// the suspending check moves from the seventh to the fourth; some epochs
+// never suspend, and their chain runs all seven checks. Every suspend
+// and resume instant, SuspendCount and the sequence counter are literals
+// from the eager schedule (seven checks queued at each tick), which the
+// chain must reproduce. The epoch never has more than one check queued,
+// and none once a check has suspended the channel.
+func TestManagerBudgetChain(t *testing.T) {
+	h := newHarness(t, 2, Options{Manager: ManagerOptions{BLimit: 8e9, Adaptive: true}})
+	m := h.fs.Manager()
+	lapp := m.RegisterLApp(20 * sim.Microsecond)
+	for e := 0; e < 20; e++ {
+		at := sim.Time(sim.Duration(e)*Epoch) + sim.Time(10*sim.Microsecond)
+		h.eng.At(at, func() { lapp.Report(100 * sim.Microsecond) })
+	}
+	var log []string
+	fired := 0 // budget checks fired this epoch
+	check, tick := m.budgetCheckFn, m.epochTickFn
+	m.budgetCheckFn = func() {
+		fired++
+		if queued := m.checkNext - fired; queued != 0 {
+			t.Errorf("t=%v: %d more budget checks queued beside the one firing", h.eng.Now(), queued)
+		}
+		n := m.suspACC
+		check()
+		if m.suspACC != n {
+			log = append(log, fmt.Sprintf("suspend@%d", h.eng.Now()))
+			if queued := m.checkNext - fired; queued != 0 {
+				t.Errorf("t=%v: the channel is suspended with %d budget checks still queued", h.eng.Now(), queued)
+			}
+		}
+	}
+	m.epochTickFn = func() {
+		n := m.suspACC
+		tick()
+		fired = 0
+		if m.suspACC != n {
+			log = append(log, fmt.Sprintf("resume@%d", h.eng.Now()))
+		}
+	}
+	m.Start()
+	h.rt.Spawn(0, "gc", func(task *caladan.Task) {
+		f, _ := h.fs.Create(task, "/bulk")
+		for i := 0; i < 16; i++ {
+			h.fs.WriteAtClass(task, f, 0, make([]byte, 2<<20), ClassB)
+		}
+	})
+	h.eng.RunUntil(sim.Time(20 * Epoch))
+	want := "[suspend@93750 resume@100000 suspend@193750 resume@200000 suspend@387500 resume@400000 " +
+		"suspend@437500 resume@450000 suspend@487500 resume@500000 suspend@537500 resume@550000 " +
+		"suspend@587500 resume@600000 suspend@675000 resume@700000 suspend@731250 resume@750000 " +
+		"suspend@781250 resume@800000 suspend@831250 resume@850000 suspend@875000 resume@900000 " +
+		"suspend@925000 resume@950000 suspend@975000 resume@1000000]"
+	if got := fmt.Sprint(log); got != want {
+		t.Errorf("suspend/resume instants:\n got %s\nwant %s", got, want)
+	}
+	if n := m.SuspendCount(); n != 28 {
+		t.Errorf("SuspendCount = %d, want 28", n)
+	}
+	if n := h.eng.Sequence(); n != 406 {
+		t.Errorf("Sequence = %d, want 406", n)
 	}
 	m.Stop()
 	h.eng.Run()

@@ -146,7 +146,7 @@ func System() Memory {
 
 // CPURate returns the effective per-core CPU copy rate with n concurrent
 // CPU copiers in the given direction (write=true for DRAM->PM).
-func (m Memory) CPURate(write bool, n int) float64 {
+func (m *Memory) CPURate(write bool, n int) float64 {
 	if n < 1 {
 		n = 1
 	}
@@ -158,7 +158,7 @@ func (m Memory) CPURate(write bool, n int) float64 {
 
 // DirCap returns the DIMM-level capacity for a direction given the number
 // of concurrent CPU writers (write anti-scaling past saturation).
-func (m Memory) DirCap(write bool, cpuWriters int) float64 {
+func (m *Memory) DirCap(write bool, cpuWriters int) float64 {
 	if !write {
 		return m.ReadCap
 	}
@@ -174,7 +174,7 @@ func (m Memory) DirCap(write bool, cpuWriters int) float64 {
 
 // DMACap returns the per-engine capacity for a direction given the number
 // of that engine's channels actively moving data in that direction.
-func (m Memory) DMACap(write bool, activeChans int) float64 {
+func (m *Memory) DMACap(write bool, activeChans int) float64 {
 	if activeChans < 1 {
 		activeChans = 1
 	}

@@ -7,9 +7,9 @@ import (
 	"github.com/easyio-sim/easyio/internal/rng"
 )
 
-// maxminRef is maxmin without the uncontended shortcut: the plain
-// weighted max-min rounds. It is the oracle the shortcut must match bit
-// for bit.
+// maxminRef is capLimits over plain slices and without the uncontended
+// shortcut: the weighted max-min rounds, writing the allocation into
+// alloc. It is the oracle the in-place path must match bit for bit.
 func maxminRef(limit, weight, alloc []float64, sat []bool, cap float64) {
 	n := len(limit)
 	remaining := cap
@@ -47,11 +47,23 @@ func maxminRef(limit, weight, alloc []float64, sat []bool, cap float64) {
 	}
 }
 
-// TestMaxminMatchesReference checks maxmin against maxminRef on seeded
-// random inputs: 1 to 40 items with rate-sized limits and positive
+// flowsOf builds the flows capLimits arbitrates: limit and weight pairs.
+func flowsOf(limit, weight []float64) []*Flow {
+	flows := make([]*Flow, len(limit))
+	for i := range flows {
+		flows[i] = &Flow{spec: FlowSpec{Weight: weight[i]}, limit: limit[i]}
+	}
+	return flows
+}
+
+// TestMaxminMatchesReference checks capLimits against maxminRef on seeded
+// random inputs: 1 to 40 flows with rate-sized limits and positive
 // weights, and caps drawn from four regimes — well below and well above
 // total demand, and total demand within 1e-12 (relative) of the cap or
-// of the shortcut's 1e-9 margin, on both sides of each.
+// of the shortcut's 1e-9 margin, on both sides of each. Whenever the
+// limits, summed in flow order, fit under the margin, capLimits must take
+// the shortcut and mark no flow saturated: that sum is the one the
+// parent's max-min staged, so the shortcut's borderline cases stay its.
 func TestMaxminMatchesReference(t *testing.T) {
 	g := rng.New(20240426)
 	borderline := [...]float64{-1e-12, -3e-13, 0, 3e-13, 1e-12}
@@ -87,18 +99,24 @@ func TestMaxminMatchesReference(t *testing.T) {
 		default:
 			cap = sum * (1 + 1e-9*g.Float64()*2)
 		}
-		got := make([]float64, n)
+		flows := flowsOf(limit, weight)
+		capLimits(flows, cap)
 		want := make([]float64, n)
-		maxmin(limit, weight, got, make([]bool, n), cap)
 		maxminRef(limit, weight, want, make([]bool, n), cap)
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("trial %d (n=%d, cap=%v, demand=%v): alloc[%d] = %v, reference %v",
-					trial, n, cap, sum, i, got[i], want[i])
+		for i, f := range flows {
+			if math.Float64bits(f.limit) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d (n=%d, cap=%v, demand=%v): limit[%d] = %v, reference %v",
+					trial, n, cap, sum, i, f.limit, want[i])
 			}
 		}
 		if sum <= cap*(1-1e-9) {
 			fast++
+			for i, f := range flows {
+				if f.sat {
+					t.Fatalf("trial %d (n=%d, cap=%v, demand=%v): flow %d saturated in a round; the demand fits, so capLimits must take the shortcut",
+						trial, n, cap, sum, i)
+				}
+			}
 		} else {
 			rounds++
 		}

@@ -72,6 +72,7 @@ type Flow struct {
 	// times the size boost), fixed at StartFlow; CPU flows leave it 0.
 	specRate float64
 	done     bool
+	sat      bool // per-capLimits scratch: limit settled in a max-min round
 }
 
 // Progress reports the fraction of the flow completed in [0, 1].
@@ -119,8 +120,13 @@ type Device struct {
 
 	pages map[int64]*[pageSize]byte
 
-	flows   []*Flow
+	flows []*Flow
+	// pending is the queued completion event, due at due. slot is the
+	// place in the event order reserved at the last flow-set change:
+	// recompute puts the completion there.
 	pending sim.Timer
+	due     sim.Time
+	slot    sim.Slot
 	lastAdv sim.Time
 	// settle is set while recompute is registered as the current
 	// instant's settle hook: the flow set changed and the rates and the
@@ -143,17 +149,13 @@ type Device struct {
 	freeFlows []*Flow
 	fired     []*Flow
 
-	// Incrementally maintained arbitration state: population counters and
+	// Incrementally maintained arbitration state: population counters,
+	// the flows of each direction (reads, writes) in d.flows order and
 	// the ordered DMA (engine group, direction) set, updated on flow
 	// attach/detach so recompute never rebuilds or sorts them.
 	cpuR, cpuW int
+	dir        [2][]*Flow
 	groups     []*dmaGroup
-
-	// Scratch buffers reused across recompute calls (no per-event
-	// allocation on the arbitration path).
-	scrLim, scrW, scrAl []float64
-	scrSat              []bool
-	scrFlows            []*Flow
 
 	// Persistence tracking (crash simulation).
 	tracking bool
@@ -408,7 +410,7 @@ func (k dmaKey) less(o dmaKey) bool {
 
 // dmaGroup holds the active DMA flows of one (group, direction) domain in
 // flow-start order — the same relative order they occupy in d.flows, so
-// the max-min gather below visits them exactly as the full scan used to.
+// max-min visits them exactly as the full scan used to.
 type dmaGroup struct {
 	key   dmaKey
 	flows []*Flow
@@ -431,9 +433,19 @@ func (d *Device) groupIndex(key dmaKey) (int, bool) {
 	return lo, lo < len(d.groups) && d.groups[lo].key == key
 }
 
-// attach registers f with the incremental arbitration state (O(log k) in
-// the number of active domains).
+// dirIndex is the index of a direction's flow list in Device.dir.
+func dirIndex(write bool) int {
+	if write {
+		return 1
+	}
+	return 0
+}
+
+// attach registers f, just appended to d.flows, with the incremental
+// arbitration state (O(log k) in the number of active domains).
 func (d *Device) attach(f *Flow) {
+	w := dirIndex(f.spec.Write)
+	d.dir[w] = append(d.dir[w], f)
 	if f.spec.Kind == FlowCPU {
 		if f.spec.Write {
 			d.cpuW++
@@ -475,6 +487,8 @@ func (d *Device) insertGroup(i int, key dmaKey) {
 
 // detach unregisters f, keeping the remaining flows' relative order.
 func (d *Device) detach(f *Flow) {
+	w := dirIndex(f.spec.Write)
+	d.dir[w] = deleteFlow(d.dir[w], f)
 	if f.spec.Kind == FlowCPU {
 		if f.spec.Write {
 			d.cpuW--
@@ -489,12 +503,7 @@ func (d *Device) detach(f *Flow) {
 		panic("pmem: detach of flow with no arbitration group")
 	}
 	g := d.groups[i]
-	for j, h := range g.flows {
-		if h == f {
-			g.flows = append(g.flows[:j], g.flows[j+1:]...)
-			break
-		}
-	}
+	g.flows = deleteFlow(g.flows, f)
 	if len(g.flows) == 0 {
 		d.groups = append(d.groups[:i], d.groups[i+1:]...)
 		g.flows = g.flows[:0]
@@ -502,14 +511,21 @@ func (d *Device) detach(f *Flow) {
 	}
 }
 
-func (d *Device) removeFlow(f *Flow) {
-	for i, g := range d.flows {
+// deleteFlow removes f from flows, keeping the others' order.
+func deleteFlow(flows []*Flow, f *Flow) []*Flow {
+	for i, g := range flows {
 		if g == f {
-			d.flows = append(d.flows[:i], d.flows[i+1:]...)
-			d.detach(f)
-			return
+			n := copy(flows[i:], flows[i+1:])
+			flows[i+n] = nil
+			return flows[:i+n]
 		}
 	}
+	return flows
+}
+
+func (d *Device) removeFlow(f *Flow) {
+	d.flows = deleteFlow(d.flows, f)
+	d.detach(f)
 }
 
 // advance applies elapsed virtual time to all flow progress counters.
@@ -552,56 +568,50 @@ func dmaRate(m *perfmodel.Memory, spec FlowSpec) float64 {
 	return rate
 }
 
-// maxmin computes a weighted max-min fair allocation of cap across items
-// whose demands are given by limit and whose weights are positive. Result
-// is written into alloc. sat is caller-provided scratch (all false on
-// entry) so the arbitration path allocates nothing.
-//
-// An uncontended call (the limits sum to at most cap·(1−1e-9)) returns
-// alloc = limit without the rounds. That is the rounds' own answer, bit for bit:
-// the unsaturated limits never sum to more than remaining, so the
-// smallest limit/weight ratio is at most remaining/wsum and every round
-// saturates at least one item, each at exactly its limit. The 1e-9
-// margin absorbs the rounding in remaining, which is orders of magnitude
-// smaller.
-func maxmin(limit, weight, alloc []float64, sat []bool, cap float64) {
+// capLimits lowers the limits of flows, which share one cap, to their
+// weighted max-min share of cap, in place. The demand is summed once, in
+// flow order. An uncontended set (the limits sum to at most
+// cap·(1−1e-9)) keeps its limits without the rounds. That is the rounds'
+// own answer, bit for bit: the unsaturated limits never sum to more than
+// remaining, so the smallest limit/weight ratio is at most remaining/wsum
+// and every round saturates at least one flow, each at exactly its limit.
+// The 1e-9 margin absorbs the rounding in remaining, which is orders of
+// magnitude smaller.
+func capLimits(flows []*Flow, cap float64) {
 	var demand float64
-	for _, l := range limit {
-		demand += l
+	for _, f := range flows {
+		demand += f.limit
+		f.sat = false
 	}
-	if fits(demand, cap) {
-		copy(alloc, limit)
+	if demand <= cap*(1-1e-9) {
 		return
 	}
-	n := len(limit)
 	remaining := cap
 	for {
 		var wsum float64
-		for i := 0; i < n; i++ {
-			if !sat[i] {
-				wsum += weight[i]
+		for _, f := range flows {
+			if !f.sat {
+				wsum += f.spec.Weight
 			}
 		}
 		if wsum == 0 {
 			return
 		}
 		progressed := false
-		for i := 0; i < n; i++ {
-			if sat[i] {
+		for _, f := range flows {
+			if f.sat {
 				continue
 			}
-			share := remaining * weight[i] / wsum
-			if limit[i] <= share {
-				alloc[i] = limit[i]
-				remaining -= limit[i]
-				sat[i] = true
+			if f.limit <= remaining*f.spec.Weight/wsum {
+				remaining -= f.limit
+				f.sat = true
 				progressed = true
 			}
 		}
 		if !progressed {
-			for i := 0; i < n; i++ {
-				if !sat[i] {
-					alloc[i] = remaining * weight[i] / wsum
+			for _, f := range flows {
+				if !f.sat {
+					f.limit = remaining * f.spec.Weight / wsum
 				}
 			}
 			return
@@ -609,64 +619,18 @@ func maxmin(limit, weight, alloc []float64, sat []bool, cap float64) {
 	}
 }
 
-// fits is maxmin's uncontended test: demand at most cap·(1−1e-9).
-func fits(demand, cap float64) bool { return demand <= cap*(1-1e-9) }
-
-// underCap reports whether the limits of the flows moving in direction
-// write fit under cap. The sum runs in flow order, exactly as maxmin
-// sums the gathered limits, so a true answer is maxmin's own early
-// return: every flow keeps its limit, bit for bit.
-func underCap(flows []*Flow, write bool, cap float64) bool {
-	var demand float64
-	for _, f := range flows {
-		if f.spec.Write == write {
-			demand += f.limit
-		}
-	}
-	return fits(demand, cap)
-}
-
-// gather stages the (limit, weight) pairs of the flows moving in
-// direction write into the scratch buffers and zeroes the
-// allocation/saturation scratch.
-func (d *Device) gather(flows []*Flow, write bool) {
-	d.scrFlows = d.scrFlows[:0]
-	d.scrLim = d.scrLim[:0]
-	d.scrW = d.scrW[:0]
-	d.scrAl = d.scrAl[:0]
-	d.scrSat = d.scrSat[:0]
-	for _, f := range flows {
-		if f.spec.Write != write {
-			continue
-		}
-		d.scrFlows = append(d.scrFlows, f)
-		d.scrLim = append(d.scrLim, f.limit)
-		d.scrW = append(d.scrW, f.spec.Weight)
-		d.scrAl = append(d.scrAl, 0)
-		d.scrSat = append(d.scrSat, false)
-	}
-}
-
-// capLimits lowers the limits of the flows moving in direction write to
-// their weighted max-min share of cap. An uncontended set is left as
-// is, without the scratch gather.
-func (d *Device) capLimits(flows []*Flow, write bool, cap float64) {
-	if underCap(flows, write, cap) {
-		return
-	}
-	d.gather(flows, write)
-	maxmin(d.scrLim, d.scrW, d.scrAl, d.scrSat, cap)
-	for j, f := range d.scrFlows {
-		f.limit = d.scrAl[j]
-	}
-}
-
 // checkArbCounters recounts the incremental arbitration state from
 // scratch and panics on divergence (easyio_invariants builds only).
 func (d *Device) checkArbCounters() {
 	var cpuR, cpuW int
+	var dirN [2]int
 	perKey := map[dmaKey]int{}
 	for _, f := range d.flows {
+		w := dirIndex(f.spec.Write)
+		if dirN[w] >= len(d.dir[w]) || d.dir[w][dirN[w]] != f {
+			panic(fmt.Sprintf("pmem: direction list %d out of step with the flows at %d", w, dirN[w]))
+		}
+		dirN[w]++
 		if f.spec.Kind == FlowCPU {
 			if f.spec.Write {
 				cpuW++
@@ -676,6 +640,9 @@ func (d *Device) checkArbCounters() {
 		} else {
 			perKey[dmaKey{f.spec.Group, f.spec.Write}]++
 		}
+	}
+	if dirN[0] != len(d.dir[0]) || dirN[1] != len(d.dir[1]) {
+		panic(fmt.Sprintf("pmem: direction lists hold (%d,%d) flows but flows hold (%d,%d)", len(d.dir[0]), len(d.dir[1]), dirN[0], dirN[1]))
 	}
 	if cpuR != d.cpuR || cpuW != d.cpuW {
 		panic(fmt.Sprintf("pmem: incremental CPU counts (%d,%d) but flows hold (%d,%d)", d.cpuR, d.cpuW, cpuR, cpuW))
@@ -693,28 +660,27 @@ func (d *Device) checkArbCounters() {
 	}
 }
 
-// unsettled is where the pending completion waits while the arbitration
-// is stale: later than any real event, so it cannot fire before recompute
-// retimes it at the end of the instant.
-const unsettled = sim.Time(math.MaxInt64)
-
 // invalidate marks the arbitration stale after the flow set changed. It
-// re-arms the pending completion as a placeholder, spending the sequence
-// number an eagerly scheduled completion would spend, so the event that
-// recompute later retimes keeps the (time, seq) slot of the eager
-// schedule. The first change in an instant registers recompute as the
-// instant's settle hook; later changes in the same instant cost only the
-// timer swap. Deferring is exact: until the clock moves, advance is a
-// no-op and nothing reads a flow's rate.
+// reserves the slot an eagerly scheduled completion would take now, so
+// the completion recompute later schedules keeps the (time, seq) place of
+// the eager schedule. A queued completion due later than now stays
+// queued until recompute moves it; one due at or before now is stopped,
+// since it would fire before the settle hook. The first change in an
+// instant registers recompute as the instant's settle hook; later changes
+// in the same instant only reserve a fresh slot. Deferring is exact:
+// until the clock moves, advance is a no-op and nothing reads a flow's
+// rate.
 //
 //easyio:hotpath (pmem arbitration invalidation: one call per flow start, cancel or completion round)
 func (d *Device) invalidate() {
-	d.pending.Stop()
-	d.pending = sim.Timer{}
+	if len(d.flows) == 0 || d.due <= d.eng.Now() {
+		d.pending.Stop()
+		d.pending = sim.Timer{}
+	}
 	if len(d.flows) == 0 {
 		return
 	}
-	d.pending = d.eng.At(unsettled, d.completeDueFn)
+	d.slot = d.eng.Reserve()
 	if !d.settle {
 		d.settle = true
 		d.eng.OnSettle(d.recomputeFn)
@@ -722,11 +688,13 @@ func (d *Device) invalidate() {
 }
 
 // recompute reallocates bandwidth and moves the pending completion event
-// to its real time. It runs once per instant in which the flow set
+// (or schedules one) into its real time and the slot the last flow-set
+// change reserved. It runs once per instant in which the flow set
 // changed, as the engine's settle hook, with progress already advanced to
-// now. Population counts and the ordered DMA group set are maintained
-// incrementally by attach/detach, so each call is one allocation-free
-// pass over the flows — no map rebuild, no sort.
+// now. Population counts, the direction lists and the ordered DMA group
+// set are maintained incrementally by attach/detach, and max-min runs on
+// the flows' own fields, so each call is allocation-free — no map
+// rebuild, no sort, no staging copy.
 //
 //easyio:hotpath (pmem bandwidth arbitration: runs once per instant in which the flow set changed)
 func (d *Device) recompute() {
@@ -745,18 +713,13 @@ func (d *Device) recompute() {
 	// engine caps and the DIMM cap alike) by the write utilization.
 	var writeRate float64
 	for _, write := range [2]bool{true, false} {
+		flows := d.dir[dirIndex(write)]
+		if len(flows) == 0 {
+			continue // no flows this way: nothing to allocate, no write rate
+		}
 		cpuN := d.cpuR
 		if write {
 			cpuN = d.cpuW
-		}
-		n := cpuN
-		for _, g := range d.groups {
-			if g.key.write == write {
-				n += len(g.flows)
-			}
-		}
-		if n == 0 {
-			continue // no flows this way: nothing to allocate, no write rate
 		}
 		readScale := 1.0
 		if !write {
@@ -778,10 +741,7 @@ func (d *Device) recompute() {
 		// visits them exactly as the full rebuild used to.
 		cpuRate := d.model.CPURate(write, cpuN)
 		remoteRate := cpuRate * d.model.NUMARemotePenalty
-		for _, f := range d.flows {
-			if f.spec.Write != write {
-				continue
-			}
+		for _, f := range flows {
 			r := f.specRate
 			if f.spec.Kind == FlowCPU {
 				r = cpuRate
@@ -793,16 +753,13 @@ func (d *Device) recompute() {
 		}
 		for _, g := range d.groups {
 			if g.key.write == write {
-				d.capLimits(g.flows, write, d.model.DMACap(write, len(g.flows))*readScale)
+				capLimits(g.flows, d.model.DMACap(write, len(g.flows))*readScale)
 			}
 		}
 
 		// Stage 2: the DIMM direction cap across all flows.
-		d.capLimits(d.flows, write, d.model.DirCap(write, d.cpuW)*readScale)
-		for _, f := range d.flows {
-			if f.spec.Write != write {
-				continue
-			}
+		capLimits(flows, d.model.DirCap(write, d.cpuW)*readScale)
+		for _, f := range flows {
 			f.rate = f.limit
 			if f.rate < 1 {
 				f.rate = 1 // never stall completely
@@ -825,7 +782,10 @@ func (d *Device) recompute() {
 		}
 	}
 	ns := sim.Time(best*1e9) + 1 // round up to the next ns
-	d.pending.Retime(d.eng.Now() + ns)
+	d.due = d.eng.Now() + ns
+	if !d.pending.Retime(d.due, d.slot) {
+		d.pending = d.eng.AtSlot(d.due, d.slot, d.completeDueFn)
+	}
 }
 
 // completeDue fires flows whose bytes have fully streamed.

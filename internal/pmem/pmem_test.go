@@ -227,23 +227,29 @@ func TestZeroByteFlowCompletes(t *testing.T) {
 func TestMaxminRespectsLimitsAndCap(t *testing.T) {
 	limit := []float64{1, 10, 10}
 	weight := []float64{1, 1, 2}
-	alloc := make([]float64, 3)
-	maxmin(limit, weight, alloc, make([]bool, 3), 7)
-	// Item 0 satisfied at 1; remaining 6 split 1:2 -> 2 and 4.
+	flows := flowsOf(limit, weight)
+	capLimits(flows, 7)
+	// Flow 0 satisfied at 1; remaining 6 split 1:2 -> 2 and 4.
 	want := []float64{1, 2, 4}
-	for i := range want {
-		if math.Abs(alloc[i]-want[i]) > 1e-9 {
-			t.Fatalf("alloc = %v, want %v", alloc, want)
+	for i, f := range flows {
+		if math.Abs(f.limit-want[i]) > 1e-9 {
+			t.Fatalf("flow %d limit = %v, want %v", i, f.limit, want[i])
+		}
+	}
+	ref := make([]float64, 3)
+	maxminRef(limit, weight, ref, make([]bool, 3), 7)
+	for i, f := range flows {
+		if math.Float64bits(f.limit) != math.Float64bits(ref[i]) {
+			t.Fatalf("flow %d limit = %v, reference %v", i, f.limit, ref[i])
 		}
 	}
 }
 
 func TestMaxminUnderloaded(t *testing.T) {
-	limit := []float64{1, 2}
-	alloc := make([]float64, 2)
-	maxmin(limit, []float64{1, 1}, alloc, make([]bool, 2), 100)
-	if alloc[0] != 1 || alloc[1] != 2 {
-		t.Fatalf("alloc = %v", alloc)
+	flows := flowsOf([]float64{1, 2}, []float64{1, 1})
+	capLimits(flows, 100)
+	if flows[0].limit != 1 || flows[1].limit != 2 || flows[0].sat || flows[1].sat {
+		t.Fatalf("limits %v %v, saturated %v %v; want 1 2 by the shortcut", flows[0].limit, flows[1].limit, flows[0].sat, flows[1].sat)
 	}
 }
 
@@ -414,6 +420,34 @@ func TestFlowBurstSchedule(t *testing.T) {
 	}
 	if got := eng.Sequence(); got != 22 {
 		t.Errorf("Sequence() = %d, want 22", got)
+	}
+}
+
+// TestStartBesideDueCompletion: a flow starts at the instant another
+// flow's completion is due, in an event ordered before the completion
+// event. The completion must not fire before the instant settles: the
+// new flow changed the arbitration, so the completion moves to the slot
+// the start reserved, a nanosecond later. The times and sequence counts
+// are literals from the placeholder schedule this replaced. A lone 64 KB
+// CPU write started at 5 completes at 32774.
+func TestStartBesideDueCompletion(t *testing.T) {
+	eng, d := newDev()
+	var log []string
+	mark := func(name string) func() {
+		return func() { log = append(log, fmt.Sprintf("%s@%d#%d", name, eng.Now(), eng.Sequence())) }
+	}
+	eng.At(5, func() {
+		eng.At(32774, func() {
+			d.StartFlow(FlowSpec{Kind: FlowDMA, Bytes: 32 << 10, OnDone: mark("dma-read")})
+		})
+		d.StartFlow(FlowSpec{Write: true, Kind: FlowCPU, Bytes: 64 << 10, OnDone: mark("cpu-write")})
+	})
+	eng.Run()
+	if got, want := fmt.Sprint(log), "[cpu-write@32775#5 dma-read@40056#5]"; got != want {
+		t.Fatalf("completions = %s, want %s", got, want)
+	}
+	if got := eng.Sequence(); got != 5 {
+		t.Errorf("Sequence() = %d, want 5", got)
 	}
 }
 

@@ -6,23 +6,27 @@ import "testing"
 // certifies statically for the //easyio:hotpath roots eventHeap.push,
 // eventHeap.pop, eventHeap.remove and Engine.runSettle: once the event
 // free list, the queue and the settle list reach their high-water marks,
-// a cycle that schedules timers, cancels some of them mid-queue, parks
-// one at a placeholder time, retimes it from a settle hook and fires the
-// rest performs no heap allocation.
+// a cycle that schedules timers, cancels some of them mid-queue, reserves
+// a slot, schedules into it from a settle hook and fires the rest
+// performs no heap allocation.
 func TestScheduleStopFireNoAllocs(t *testing.T) {
 	eng := NewEngine()
 	defer eng.Shutdown()
 	fn := func() {}
 	delays := [...]Duration{1, 3, 3, 100, 255, 4 << 10, 1 << 20, 1 << 30}
 	var tms [len(delays)]Timer
-	// The pmem pattern: invalidate re-arms a placeholder and registers a
-	// pre-bound hook once; the hook retimes the placeholder when the
-	// instant settles.
-	var placeholder Timer
-	settle := func() { placeholder.Retime(eng.Now() + 5) }
+	// The pmem pattern: invalidate reserves a slot and registers a
+	// pre-bound hook once; the hook moves the pending event into the slot,
+	// or schedules one there, when the instant settles.
+	var pending Timer
+	var slot Slot
+	settle := func() {
+		if !pending.Retime(eng.Now()+5, slot) {
+			pending = eng.AtSlot(eng.Now()+5, slot, fn)
+		}
+	}
 	invalidate := func() {
-		placeholder.Stop()
-		placeholder = eng.At(never, fn)
+		slot = eng.Reserve()
 		eng.OnSettle(settle)
 	}
 	cycle := func() {

@@ -10,7 +10,15 @@ import (
 // hostStats counts what a hosted scenario run exercised.
 type hostStats struct {
 	hosted, refused, nested int
+	// settled and chained count the callbacks put into a slot by a
+	// settle hook and by the previous link of a chain.
+	settled, chained int
 }
+
+// scenario selects how runHostScenario runs a seeded scenario: host
+// computes through Proc.Host instead of Sleep, and slots schedules
+// delayed callbacks through reserved slots instead of eager At calls.
+type scenario struct{ host, slots bool }
 
 // runHostScenario runs one seeded scenario of procs and callback events
 // and returns the (Now, label) log and the final sequence counter. With
@@ -18,18 +26,73 @@ type hostStats struct {
 // caladan's Task.Compute has; without it, every window is a plain Sleep,
 // the park/resume handoff Host must reproduce exactly.
 //
+// With slots set, a callback delayed by d > 0 reserves its slot when an
+// eager run would call After, and a settle hook of that instant puts it
+// there (pmem's completion pattern); a chain of callbacks reserves all
+// its slots at once and each link puts the next into its slot (the
+// channel manager's budget-check pattern). The log's pending counts add
+// the slots reserved but not yet filled, which an eager run has queued.
+//
 // Durations come from a few coarse values so events tie on time often.
 // Procs compute, sleep, park until a callback wakes them, schedule
 // callbacks and register settle hooks; callbacks log, register hooks,
-// schedule more callbacks at zero delay and wake parked procs; hooks may
-// extend their instant. The scenario runs to a few RunUntil deadlines that
-// can fall inside compute windows before a final Run.
-func runHostScenario(seed uint64, host bool, st *hostStats) ([]string, uint64) {
+// schedule more callbacks at zero or later delays, start chains and wake
+// parked procs; hooks may extend their instant. The scenario runs to a
+// few RunUntil deadlines that can fall inside compute windows before a
+// final Run.
+func runHostScenario(seed uint64, mode scenario, st *hostStats) ([]string, uint64) {
 	e := NewEngine()
 	g := rng.New(seed)
 	var log []string
 	note := func(format string, args ...any) {
 		log = append(log, fmt.Sprintf("%d ", e.Now())+fmt.Sprintf(format, args...))
+	}
+	host := mode.host
+	unfilled := 0
+	atSlot := func(t Time, s Slot, fn func()) {
+		unfilled--
+		e.AtSlot(t, s, fn)
+	}
+	// after schedules fn d from now: eagerly, or into a slot reserved now
+	// and filled when the instant settles.
+	after := func(d Duration, fn func()) {
+		if !mode.slots || d <= 0 {
+			e.After(d, fn)
+			return
+		}
+		t, s := e.Now()+Time(d), e.Reserve()
+		unfilled++
+		st.settled++
+		e.OnSettle(func() { atSlot(t, s, fn) })
+	}
+	// chain schedules links[i] at offs[i] from now, offsets ascending:
+	// eagerly, or each link filling the next one's reserved slot.
+	chain := func(offs []Duration, links []func()) {
+		if !mode.slots {
+			for i, fn := range links {
+				e.After(offs[i], fn)
+			}
+			return
+		}
+		t0 := e.Now()
+		slots := make([]Slot, len(links))
+		for i := range slots {
+			slots[i] = e.Reserve()
+		}
+		unfilled += len(slots)
+		var link func(i int) func()
+		link = func(i int) func() {
+			return func() {
+				// Fill the next slot first: the body may resume a proc
+				// whose hosted window runs the loop past it.
+				if i+1 < len(links) {
+					st.chained++
+					atSlot(t0+Time(offs[i+1]), slots[i+1], link(i+1))
+				}
+				links[i]()
+			}
+		}
+		atSlot(t0+Time(offs[0]), slots[0], link(0))
 	}
 	durs := []Duration{0, 5, 5, 10, 10, 15, 20, 40}
 	var parked []*Proc
@@ -66,14 +129,28 @@ func runHostScenario(seed uint64, host bool, st *hostStats) ([]string, uint64) {
 	callback = func(r *rng.Rand, level int) func() {
 		id := nextID
 		nextID++
-		act := r.Intn(5)
+		act := r.Intn(7)
 		var hook func()
 		if act == 1 {
 			hook = settleHook(r)
 		}
 		var child func()
-		if act == 2 && level < 3 {
+		var delay Duration
+		if (act == 2 || act == 5) && level < 3 {
 			child = callback(r, level+1)
+			if act == 5 {
+				delay = durs[r.Intn(len(durs))]
+			}
+		}
+		var offs []Duration
+		var links []func()
+		if act == 6 && level < 3 {
+			var off Duration
+			for i := 1 + r.Intn(3); i > 0; i-- {
+				off += durs[r.Intn(len(durs))]
+				offs = append(offs, off)
+				links = append(links, callback(r, level+1))
+			}
 		}
 		return func() {
 			note("ev%d", id)
@@ -81,7 +158,9 @@ func runHostScenario(seed uint64, host bool, st *hostStats) ([]string, uint64) {
 			case hook != nil:
 				e.OnSettle(hook)
 			case child != nil:
-				e.After(0, child)
+				after(delay, child)
+			case links != nil:
+				chain(offs, links)
 			case act == 3 && len(parked) > 0:
 				p := parked[0]
 				parked = parked[1:]
@@ -108,7 +187,7 @@ func runHostScenario(seed uint64, host bool, st *hostStats) ([]string, uint64) {
 					p.Sleep(d)
 					note("%s slept %d", p.Name(), d)
 				case 4:
-					e.After(d, callback(r, 0))
+					after(d, callback(r, 0))
 				case 5:
 					e.OnSettle(settleHook(r))
 					note("%s registered", p.Name())
@@ -134,10 +213,10 @@ func runHostScenario(seed uint64, host bool, st *hostStats) ([]string, uint64) {
 	for i := 0; i < 1+g.Intn(3); i++ {
 		deadline += Time(1 + g.Intn(60))
 		e.RunUntil(deadline)
-		note("until %d pending=%d", deadline, e.Pending())
+		note("until %d pending=%d", deadline, e.Pending()+unfilled)
 	}
 	e.Run()
-	note("end pending=%d", e.Pending())
+	note("end pending=%d", e.Pending()+unfilled)
 	e.Shutdown()
 	return log, e.Sequence()
 }
@@ -151,28 +230,53 @@ func runHostScenario(seed uint64, host bool, st *hostStats) ([]string, uint64) {
 func TestHostMatchesSleep(t *testing.T) {
 	var st hostStats
 	for seed := uint64(1); seed <= 300; seed++ {
-		want, wantSeq := runHostScenario(seed, false, &hostStats{})
-		got, gotSeq := runHostScenario(seed, true, &st)
-		for i := 0; i < len(want) || i < len(got); i++ {
-			var w, g string
-			if i < len(want) {
-				w = want[i]
-			}
-			if i < len(got) {
-				g = got[i]
-			}
-			if w != g {
-				t.Fatalf("seed %d: log diverges at line %d: hosted %q, handoff %q", seed, i, g, w)
-			}
-		}
-		if gotSeq != wantSeq {
-			t.Fatalf("seed %d: Sequence = %d hosted, %d with handoff", seed, gotSeq, wantSeq)
-		}
+		compareScenarios(t, seed, "hosted", scenario{}, scenario{host: true}, &st)
 	}
 	if st.hosted == 0 || st.nested == 0 || st.refused == 0 {
 		t.Fatalf("scenarios too tame: %+v", st)
 	}
 	t.Logf("%+v", st)
+}
+
+// TestSlotsMatchEager is the differential oracle for reserved slots: over
+// the same seeded scenarios, hosted windows included, reserving a slot
+// where After would be called and filling it later from a settle hook or
+// an earlier chain link must give the eager run's (Now, label) log, its
+// pending counts after each deadline (reserved slots counted) and its
+// final Sequence.
+func TestSlotsMatchEager(t *testing.T) {
+	var st hostStats
+	for seed := uint64(1); seed <= 300; seed++ {
+		compareScenarios(t, seed, "slotted", scenario{host: true}, scenario{host: true, slots: true}, &st)
+	}
+	if st.hosted == 0 || st.settled < 100 || st.chained < 100 {
+		t.Fatalf("scenarios too tame: %+v", st)
+	}
+	t.Logf("%+v", st)
+}
+
+// compareScenarios runs seed under the reference mode and the mode under
+// test and fails on the first difference in the log or the final
+// Sequence. st collects the stats of the run under test.
+func compareScenarios(t *testing.T, seed uint64, name string, ref, mode scenario, st *hostStats) {
+	t.Helper()
+	want, wantSeq := runHostScenario(seed, ref, &hostStats{})
+	got, gotSeq := runHostScenario(seed, mode, st)
+	for i := 0; i < len(want) || i < len(got); i++ {
+		var w, g string
+		if i < len(want) {
+			w = want[i]
+		}
+		if i < len(got) {
+			g = got[i]
+		}
+		if w != g {
+			t.Fatalf("seed %d: log diverges at line %d: %s %q, reference %q", seed, i, name, g, w)
+		}
+	}
+	if gotSeq != wantSeq {
+		t.Fatalf("seed %d: Sequence = %d %s, %d in the reference", seed, gotSeq, name, wantSeq)
+	}
 }
 
 // TestHostRefusals pins Host's refusals: a non-positive window, a window

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"github.com/easyio-sim/easyio/internal/invariants"
 )
 
 // never is a placeholder time later than any real event.
@@ -90,17 +92,18 @@ func TestRetimeKeepsFIFOAmongSameTimeEvents(t *testing.T) {
 	var got []string
 	note := func(s string) func() { return func() { got = append(got, s) } }
 	e.At(10, note("a"))
-	p := e.At(never, note("p"))
+	s := e.Reserve()
+	p := e.AtSlot(never, s, note("p"))
 	e.At(10, note("b"))
 	e.At(5, func() {
-		if !p.Retime(10) {
+		if !p.Retime(10, s) {
 			t.Error("Retime of a queued timer failed")
 		}
 		e.At(10, note("c"))
 	})
 	e.Run()
 	if fmt.Sprint(got) != "[a p b c]" {
-		t.Fatalf("order = %v, want [a p b c]: Retime must keep the sequence number", got)
+		t.Fatalf("order = %v, want [a p b c]: Retime into the event's own slot must keep its place", got)
 	}
 	if e.Sequence() != 5 {
 		t.Fatalf("Sequence() = %d, want 5: Retime spends no sequence number", e.Sequence())
@@ -111,7 +114,7 @@ func TestRetimeClampsToNow(t *testing.T) {
 	e := NewEngine()
 	var firedAt Time = -1
 	p := e.At(never, func() { firedAt = e.Now() })
-	e.At(7, func() { p.Retime(3) })
+	e.At(7, func() { p.Retime(3, e.Reserve()) })
 	e.Run()
 	if firedAt != 7 {
 		t.Fatalf("retimed into the past fired at %v, want now (7)", firedAt)
@@ -120,28 +123,64 @@ func TestRetimeClampsToNow(t *testing.T) {
 
 func TestRetimeStaleOrZeroTimer(t *testing.T) {
 	e := NewEngine()
-	if (Timer{}).Retime(5) {
+	if (Timer{}).Retime(5, e.Reserve()) {
 		t.Fatal("Retime of the zero Timer reported true")
 	}
 	stopped := e.At(10, func() { t.Error("stopped timer fired") })
 	stopped.Stop()
-	if stopped.Retime(20) {
+	if stopped.Retime(20, e.Reserve()) {
 		t.Fatal("Retime of a stopped Timer reported true")
 	}
 	fired := e.At(1, func() {})
 	e.Run()
-	if fired.Retime(30) {
+	if fired.Retime(30, e.Reserve()) {
 		t.Fatal("Retime of a fired Timer reported true")
 	}
 	// The fired event's struct backs this one now; the stale handle
 	// must not move it.
 	firedAt := Time(-1)
 	e.At(40, func() { firedAt = e.Now() })
-	if fired.Retime(50) || stopped.Retime(50) {
+	if fired.Retime(50, e.Reserve()) || stopped.Retime(50, e.Reserve()) {
 		t.Fatal("Retime through a stale handle reported true")
 	}
 	e.Run()
 	if firedAt != 40 {
 		t.Fatalf("recycled event fired at %v, want 40", firedAt)
+	}
+}
+
+// TestSlotBeforeDispatchPanics: under easyio_invariants, AtSlot and
+// Retime refuse a slot the engine has already passed — one ordered before
+// the event being dispatched, directly or by clamping its time to now —
+// and a sequence number nobody reserved. A slot after the dispatched
+// event is accepted.
+func TestSlotBeforeDispatchPanics(t *testing.T) {
+	if !invariants.Enabled {
+		t.Skip("the slot checks run only under easyio_invariants")
+	}
+	panics := func(fn func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		fn()
+		return false
+	}
+	e := NewEngine()
+	early := e.Reserve()
+	queued := e.At(100, func() {})
+	var got []bool
+	e.At(5, func() {
+		late := e.Reserve()
+		got = append(got,
+			panics(func() { e.AtSlot(5, early, func() {}) }),
+			panics(func() { e.AtSlot(3, early, func() {}) }),
+			panics(func() { queued.Retime(5, early) }),
+			panics(func() { e.AtSlot(50, Slot{}, func() {}) }),
+			panics(func() { e.AtSlot(50, Slot{e.Sequence() + 1}, func() {}) }),
+			panics(func() { e.AtSlot(6, early, func() {}) }),
+			panics(func() { queued.Retime(5, late) }),
+		)
+	})
+	e.Run()
+	if want := "[true true true true true false false]"; fmt.Sprint(got) != want {
+		t.Fatalf("panicked = %v, want %s", got, want)
 	}
 }

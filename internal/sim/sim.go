@@ -218,6 +218,11 @@ type Engine struct {
 	// taken. The zero limit, outside any loop, admits no event.
 	limT Time
 	limS uint64
+	// curSeq is the sequence number of the event being dispatched at now,
+	// or of a hosting proc's slot once its window closes (0 once RunUntil
+	// moves the clock past every event). Only easyio_invariants builds
+	// track dispatch in it, to check AtSlot and Retime.
+	curSeq uint64
 }
 
 // endOfInstant is the sequence half of a limit that admits every event at
@@ -236,6 +241,13 @@ func (e *Engine) Now() Time { return e.now }
 // it with the next sequence number, and schedules it at absolute time t
 // (clamped to now).
 func (e *Engine) alloc(t Time) *event {
+	e.seq++
+	return e.allocAt(t, e.seq)
+}
+
+// allocAt is alloc into the sequence number seq, which the caller has
+// already spent.
+func (e *Engine) allocAt(t Time, seq uint64) *event {
 	if t < e.now {
 		t = e.now
 	}
@@ -247,9 +259,8 @@ func (e *Engine) alloc(t Time) *event {
 	} else {
 		ev = newEvent()
 	}
-	e.seq++
 	ev.t = t
-	ev.seq = e.seq
+	ev.seq = seq
 	e.q.push(ev)
 	return ev
 }
@@ -279,6 +290,45 @@ func (e *Engine) At(t Time, fn func()) Timer {
 	ev.kind = evFunc
 	ev.fn = fn
 	return Timer{eng: e, ev: ev, gen: ev.gen}
+}
+
+// Slot is a sequence number spent ahead of its event: Reserve takes the
+// place in the event order that an At call would take now, and AtSlot or
+// Timer.Retime later puts an event into it. The zero Slot is no slot.
+type Slot struct{ seq uint64 }
+
+// Reserve spends the next sequence number without scheduling anything.
+// Sequence counts it as At would; until an event is put into the slot,
+// Pending does not.
+func (e *Engine) Reserve() Slot {
+	e.seq++
+	return Slot{e.seq}
+}
+
+// AtSlot schedules fn to run at absolute time t (clamped to now) in the
+// reserved slot s. Events fire in (time, sequence) order, so an event put
+// into a slot before the engine reaches (t, s) fires exactly where At
+// would have fired it when s was reserved. A slot takes one event.
+func (e *Engine) AtSlot(t Time, s Slot, fn func()) Timer {
+	if invariants.Enabled {
+		e.checkSlot("scheduled", t, s)
+	}
+	ev := e.allocAt(t, s.seq)
+	ev.kind = evFunc
+	ev.fn = fn
+	return Timer{eng: e, ev: ev, gen: ev.gen}
+}
+
+// checkSlot panics unless s is a reserved slot and (t, s), with t clamped
+// to now, is ordered after the event being dispatched: the engine has
+// already passed any earlier slot.
+func (e *Engine) checkSlot(what string, t Time, s Slot) {
+	if s.seq == 0 || s.seq > e.seq {
+		panic(fmt.Sprintf("sim: event %s into sequence number %d, which was never reserved", what, s.seq))
+	}
+	if t <= e.now && s.seq < e.curSeq {
+		panic(fmt.Sprintf("sim: event %s into slot (%v, %d), before the event being dispatched (%v, %d)", what, max(t, e.now), s.seq, e.now, e.curSeq))
+	}
 }
 
 // After schedules fn to run d nanoseconds from now (clamped to zero).
@@ -326,22 +376,27 @@ func (t Timer) Stop() bool {
 }
 
 // Retime moves a still-queued timer's event to absolute time at (clamped
-// to now). The event keeps its sequence number, so among events at that
-// time it fires in the order it was first scheduled. Retime reports
-// false, and does nothing, when the timer is zero, stopped or fired.
-func (t Timer) Retime(at Time) bool {
+// to now) and into the reserved slot s, so among events at that time it
+// fires where an event scheduled when s was reserved would. Retime
+// reports false, and does nothing, when the timer is zero, stopped or
+// fired.
+func (t Timer) Retime(at Time, s Slot) bool {
 	ev := t.ev
 	if ev == nil || ev.gen != t.gen {
 		return false
 	}
 	e := t.eng
-	if invariants.Enabled && (ev.idx >= len(e.q) || e.q[ev.idx] != ev) {
-		panic(fmt.Sprintf("sim: retimed event at %v is not at its queue index %d", ev.t, ev.idx))
+	if invariants.Enabled {
+		if ev.idx >= len(e.q) || e.q[ev.idx] != ev {
+			panic(fmt.Sprintf("sim: retimed event at %v is not at its queue index %d", ev.t, ev.idx))
+		}
+		e.checkSlot("retimed", at, s)
 	}
 	if at < e.now {
 		at = e.now
 	}
 	ev.t = at
+	ev.seq = s.seq
 	e.q.fix(ev.idx)
 	return true
 }
@@ -397,6 +452,9 @@ func (e *Engine) step() bool {
 		}
 	}
 	e.now = ev.t
+	if invariants.Enabled {
+		e.curSeq = ev.seq
+	}
 	// Capture the payload and recycle the struct before dispatch: once
 	// the event has fired, stale Timer handles must see the new
 	// generation, and the pool slot can back events scheduled from inside
@@ -438,15 +496,17 @@ func (e *Engine) RunUntil(t Time) {
 	e.runTo(t, endOfInstant)
 	if e.now < t {
 		e.now = t
+		e.curSeq = 0
 	}
 }
 
 // RunFor processes events for d nanoseconds of virtual time from now.
 func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now + Time(d)) }
 
-// Sequence returns the total number of events ever scheduled — a cheap
-// determinism witness: two runs of the same scenario with the same seed
-// must end with identical sequence counters.
+// Sequence returns the total number of sequence numbers spent: every
+// event ever scheduled and every slot reserved — a cheap determinism
+// witness: two runs of the same scenario with the same seed must end with
+// identical sequence counters.
 func (e *Engine) Sequence() uint64 { return e.seq }
 
 // Pending reports the number of scheduled, not-yet-fired, not-cancelled
@@ -629,6 +689,9 @@ func (p *Proc) Host(d Duration) bool {
 	e.runTo(t, s)
 	e.running, e.inEvent = running, inEvent
 	e.now = t
+	if invariants.Enabled {
+		e.curSeq = s
+	}
 	return true
 }
 
