@@ -82,7 +82,7 @@ func BenchmarkFig12Throttling(b *testing.B) {
 
 func BenchmarkTable2CrashConsistency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if !bench.Table2(io.Discard, 60) {
+		if !bench.Table2(io.Discard, 60, 42) {
 			b.Fatal("crash consistency failure")
 		}
 	}

@@ -124,8 +124,7 @@ func New(cfg Config) (*System, error) {
 func (c Config) coreOptions() core.Options { return core.Options{Manager: c.Manager} }
 
 func attach(eng *sim.Engine, dev *pmem.Device, cfg Config) (*System, error) {
-	engines := core.NewEngines(dev)
-	fs, err := core.Mount(dev, engines, cfg.coreOptions())
+	fs, err := core.Mount(dev, cfg.coreOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +136,7 @@ func attach(eng *sim.Engine, dev *pmem.Device, cfg Config) (*System, error) {
 		Engine:  eng,
 		Device:  dev,
 		Runtime: caladan.New(eng, caladan.Options{Cores: cfg.Cores, Seed: seed}),
-		Engines: engines,
+		Engines: fs.Engines(),
 		cfg:     cfg,
 	}, nil
 }

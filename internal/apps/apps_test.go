@@ -23,7 +23,7 @@ func newEasyIO(t *testing.T, cores int, ephemeral bool) (*sim.Engine, *caladan.R
 	if err := core.Format(dev, opts); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := core.Mount(dev, core.NewEngines(dev), opts)
+	fs, err := core.Mount(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

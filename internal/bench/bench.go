@@ -124,7 +124,7 @@ func NewInstance(sys System, workerCores int, o InstanceOptions) (*Instance, err
 		if err := core.Format(dev, opts); err != nil {
 			return nil, err
 		}
-		fs, err := core.Mount(dev, core.NewEngines(dev), opts)
+		fs, err := core.Mount(dev, opts)
 		if err != nil {
 			return nil, err
 		}

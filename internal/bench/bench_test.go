@@ -109,7 +109,7 @@ func TestFig12Shape(t *testing.T) {
 
 func TestTable2QuickAllPass(t *testing.T) {
 	var sb strings.Builder
-	if !Table2(&sb, 40) {
+	if !Table2(&sb, 40, 42) {
 		t.Fatalf("crash consistency failures:\n%s", sb.String())
 	}
 }

@@ -78,7 +78,7 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 		Fig3(&buf, sim.Millisecond)
 		Fig4(&buf, sim.Millisecond)
 		Fig8(&buf)
-		Table2(&buf, 40)
+		Table2(&buf, 40, 42)
 		return buf.Bytes()
 	}
 	seq := render(1)

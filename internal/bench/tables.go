@@ -35,8 +35,8 @@ func wrLabel(n int) string {
 }
 
 // Table2 runs the CrashMonkey suite: four workloads, points crash states
-// each (the paper uses 1000).
-func Table2(w io.Writer, points int) bool {
+// each (the paper uses 1000), sampled from seed.
+func Table2(w io.Writer, points int, seed uint64) bool {
 	tb := stats.NewTable("Workload", "Description", "Total Crash Points", "Total Passed")
 	allPass := true
 	wls := crashmonkey.All()
@@ -46,7 +46,7 @@ func Table2(w io.Writer, points int) bool {
 	}
 	res := make([]t2, len(wls))
 	runJobs(len(wls), func(i int) {
-		res[i].rep, res[i].err = crashmonkey.Test(wls[i], crashmonkey.Config{TargetPoints: points, Seed: 42})
+		res[i].rep, res[i].err = crashmonkey.Test(wls[i], crashmonkey.Config{TargetPoints: points, Seed: seed})
 	})
 	for i, wl := range wls {
 		rep, err := res[i].rep, res[i].err

@@ -161,7 +161,7 @@ func TestCrashDuringConcurrentLoad(t *testing.T) {
 	img := h.dev.CrashImage(all)
 	h.eng.Shutdown()
 
-	fs2, err := Mount(img, NewEngines(img), Options{Nova: nova.Options{NumInodes: 512}})
+	fs2, err := Mount(img, Options{Nova: nova.Options{NumInodes: 512}})
 	if err != nil {
 		t.Fatal(err)
 	}

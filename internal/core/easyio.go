@@ -97,10 +97,11 @@ func NewEngines(dev *pmem.Device) []*dma.Engine {
 	}
 }
 
-// Mount mounts an EasyIO filesystem. Recovery validates committed write
-// entries against the engines' persistent completion buffers (§4.2):
-// entries whose SN is not durable are discarded.
-func Mount(dev *pmem.Device, engines []*dma.Engine, opts Options) (*FS, error) {
+// Mount mounts an EasyIO filesystem over a new NewEngines pair. Recovery
+// validates committed write entries against the engines' persistent
+// completion buffers (§4.2): entries whose SN is not durable are dropped.
+func Mount(dev *pmem.Device, opts Options) (*FS, error) {
+	engines := NewEngines(dev)
 	opts.Nova.ValidateSN = func(engineID, chanID int, sn uint64) bool {
 		if engineID >= len(engines) || chanID >= engines[engineID].NumChannels() {
 			return false
@@ -111,15 +112,14 @@ func Mount(dev *pmem.Device, engines []*dma.Engine, opts Options) (*FS, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs := &FS{
+	return &FS{
 		FS:         nfs,
 		eng:        dev.Engine(),
 		engines:    engines,
 		mgr:        NewManager(dev.Engine(), engines, opts.Manager),
 		opts:       opts,
 		minDMASize: nova.MinDMASize,
-	}
-	return fs, nil
+	}, nil
 }
 
 // Manager returns the channel manager.
@@ -438,3 +438,6 @@ var _ fsapi.FileSystem = (*FS)(nil)
 // SetMinDMASize adjusts the selective-offload cutoff at runtime (ablation
 // hook; §4.4 fixes it at 4 KB).
 func (fs *FS) SetMinDMASize(n int) { fs.minDMASize = n }
+
+// Engines returns the DMA engines Mount built for the filesystem.
+func (fs *FS) Engines() []*dma.Engine { return fs.engines }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/easyio-sim/easyio/internal/caladan"
-	"github.com/easyio-sim/easyio/internal/dma"
 	"github.com/easyio-sim/easyio/internal/nova"
 	"github.com/easyio-sim/easyio/internal/perfmodel"
 	"github.com/easyio-sim/easyio/internal/pmem"
@@ -14,11 +13,10 @@ import (
 )
 
 type harness struct {
-	eng     *sim.Engine
-	dev     *pmem.Device
-	engines []*dma.Engine
-	fs      *FS
-	rt      *caladan.Runtime
+	eng *sim.Engine
+	dev *pmem.Device
+	fs  *FS
+	rt  *caladan.Runtime
 }
 
 func newHarness(t *testing.T, cores int, opts Options) *harness {
@@ -35,13 +33,12 @@ func newSizedHarness(t *testing.T, cores int, opts Options, devSize int64) *harn
 	if err := Format(dev, opts); err != nil {
 		t.Fatal(err)
 	}
-	engines := NewEngines(dev)
-	fs, err := Mount(dev, engines, opts)
+	fs, err := Mount(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt := caladan.New(eng, caladan.Options{Cores: cores, Seed: 1})
-	return &harness{eng: eng, dev: dev, engines: engines, fs: fs, rt: rt}
+	return &harness{eng: eng, dev: dev, fs: fs, rt: rt}
 }
 
 func (h *harness) run() {
@@ -164,7 +161,7 @@ func TestSelectiveOffloadSmallWrites(t *testing.T) {
 		}
 	})
 	h.run()
-	for _, e := range h.engines {
+	for _, e := range h.fs.Engines() {
 		for i := 0; i < e.NumChannels(); i++ {
 			if e.Channel(i).CompletedSN() != 0 {
 				t.Fatalf("4KB writes used DMA channel %d/%d", e.ID(), i)
@@ -244,8 +241,7 @@ func TestOrderlessRecoveryDiscardsUnfinishedWrite(t *testing.T) {
 	img := h.dev.CrashImage(all)
 	h.eng.Shutdown()
 
-	engines2 := NewEngines(img)
-	fs2, err := Mount(img, engines2, Options{Nova: nova.Options{NumInodes: 512}})
+	fs2, err := Mount(img, Options{Nova: nova.Options{NumInodes: 512}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +351,7 @@ func TestCrashedOverwriteKeepsReplacedBlocks(t *testing.T) {
 	}
 	img := h.dev.CrashImage(all)
 
-	fs2, err := Mount(img, NewEngines(img), Options{Nova: nova.Options{NumInodes: 512}})
+	fs2, err := Mount(img, Options{Nova: nova.Options{NumInodes: 512}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +510,7 @@ func TestRecoveryKeepsFinishedWrite(t *testing.T) {
 		all[i] = i
 	}
 	img := h.dev.CrashImage(all)
-	fs2, err := Mount(img, NewEngines(img), Options{Nova: nova.Options{NumInodes: 512}})
+	fs2, err := Mount(img, Options{Nova: nova.Options{NumInodes: 512}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,8 +134,7 @@ func Test(w Workload, cfg Config) (*Report, error) {
 	if err := core.Format(dev, opts); err != nil {
 		return nil, err
 	}
-	engines := core.NewEngines(dev)
-	fs, err := core.Mount(dev, engines, opts)
+	fs, err := core.Mount(dev, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -174,8 +173,7 @@ func Test(w Workload, cfg Config) (*Report, error) {
 	check := func(applied []int, desc string) {
 		rep.CrashPoints++
 		img := dev.CrashImage(applied)
-		imgEngines := core.NewEngines(img)
-		fs2, err := core.Mount(img, imgEngines, core.Options{})
+		fs2, err := core.Mount(img, core.Options{})
 		if err != nil {
 			rep.Failures = append(rep.Failures, fmt.Sprintf("%s: mount: %v", desc, err))
 			return

@@ -9,7 +9,7 @@ import (
 	"github.com/easyio-sim/easyio/internal/rng"
 )
 
-// Small targeted runs keep test time low; cmd/easyio-crashtest runs the
+// Small targeted runs keep test time low; easyio-bench -exp table2 runs the
 // full 1000-point Table 2 sweep.
 func runWorkload(t *testing.T, w Workload, points int) *Report {
 	t.Helper()

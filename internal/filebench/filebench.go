@@ -78,7 +78,6 @@ type Result struct {
 	Span sim.Duration
 }
 
-// Run executes the personality; same contract as fxmark.Run.
 // mustOp panics on a workload I/O error: the personality loops operate
 // on files the generator itself created, so failures mean corrupted
 // simulation state, not a recoverable condition.
@@ -88,6 +87,7 @@ func mustOp(op string, err error) {
 	}
 }
 
+// Run executes the personality; same contract as fxmark.Run.
 func Run(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	res := &Result{Span: cfg.Measure}

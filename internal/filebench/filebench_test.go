@@ -19,7 +19,7 @@ func setup(t *testing.T, cores int) (*sim.Engine, *caladan.Runtime, *core.FS) {
 	if err := core.Format(dev, opts); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := core.Mount(dev, core.NewEngines(dev), opts)
+	fs, err := core.Mount(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,10 +82,6 @@ type Result struct {
 // Throughput returns operations per second over the measure window.
 func (r *Result) Throughput() float64 { return stats.Throughput(int(r.Ops), r.Span) }
 
-// Run executes the workload on fs over rt's cores [0, cfg.Cores) and
-// blocks (in wall time) until the virtual run completes. The caller owns
-// the engine and must have created rt; Run spawns the workers, drives the
-// engine to the end of the measure window, and returns the result.
 // mustOp panics on a workload I/O error. The generator operates on files
 // it pre-created, so every op is infallible by construction; if one ever
 // fails, the counters and latencies from that point on would be fiction,
@@ -96,6 +92,10 @@ func mustOp(op string, err error) {
 	}
 }
 
+// Run executes the workload on fs over rt's cores [0, cfg.Cores) and
+// blocks (in wall time) until the virtual run completes. The caller owns
+// the engine and must have created rt; Run spawns the workers, drives the
+// engine to the end of the measure window, and returns the result.
 func Run(eng *sim.Engine, rt *caladan.Runtime, fs fsapi.FileSystem, cfg Config) (*Result, error) {
 	p, err := Start(eng, rt, fs, cfg)
 	if err != nil {

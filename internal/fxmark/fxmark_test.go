@@ -88,7 +88,7 @@ func TestEasyIORunsWithDoubleUthreads(t *testing.T) {
 	if err := core.Format(dev, opts); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := core.Mount(dev, core.NewEngines(dev), opts)
+	fs, err := core.Mount(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,7 +117,7 @@ func lifecycleServer(t *testing.T, cfg Config) (*Server, *sim.Engine) {
 	if err := core.Format(dev, opts); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := core.Mount(dev, core.NewEngines(dev), opts)
+	fs, err := core.Mount(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestNewAllocBytes(t *testing.T) {
 	if err := core.Format(dev, opts); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := core.Mount(dev, core.NewEngines(dev), opts)
+	fs, err := core.Mount(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func serveBulkWindow(t *testing.T, ephemeral bool) (*Server, uint64) {
 	if err := core.Format(dev, opts); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := core.Mount(dev, core.NewEngines(dev), opts)
+	fs, err := core.Mount(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

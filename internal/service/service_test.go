@@ -23,7 +23,7 @@ func newHarness(t *testing.T, cores int, mopts core.ManagerOptions, seed uint64)
 	if err := core.Format(dev, opts); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := core.Mount(dev, core.NewEngines(dev), opts)
+	fs, err := core.Mount(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
