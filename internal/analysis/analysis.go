@@ -9,8 +9,8 @@
 // mechanism (suppress.go), a summary-based interprocedural layer
 // (callgraph.go, summary.go) that propagates per-function effect
 // summaries bottom-up over call-graph SCCs, one path-sensitive
-// control-flow walker (flow.go) that summaries, typestate, lockorder,
-// lockbalance and atomichygiene share, and a registry of analyzers:
+// control-flow walker (flow.go) that summaries, typestate, lockorder and
+// atomichygiene share, and a registry of analyzers:
 //
 //	simtime       - no wall-clock time in simulation code (sim.Time only)
 //	detrand       - no math/rand or crypto/rand outside internal/rng
@@ -18,8 +18,8 @@
 //	              pools (sim.Proc coroutines need none)
 //	maporder      - no order-dependent side effects inside map iteration
 //	lockbalance   - no return/panic path that leaks an acquired lock
-//	              (interprocedural: ownership-transfer callees that
-//	              provably release are verified, not suppressed)
+//	              (reports Summary.Leaks; ownership-transfer callees
+//	              that provably release are verified, not suppressed)
 //	errcheck-pmem - no discarded errors from the pmem/dma/filesystem layers
 //	cbgate        - no completion-SN read without a dominating gate pass
 //	chargebalance - syscall-visible ops charge each cost constant exactly once

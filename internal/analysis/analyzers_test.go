@@ -288,13 +288,26 @@ func lockPair(a, b *inode) {
 	b.Mu.Lock()
 }
 `, 0},
-		{"ownership transfer verified without an allow", lockFixturePrelude + `
-func release(ino *inode) int { ino.Mu.Unlock(); return 0 }
-func ok(ino *inode) int {
+		{"early return inside a loop body", lockFixturePrelude + `
+func bad(ino *inode, n int) int {
 	ino.Mu.Lock()
-	return release(ino)
+	for i := 0; i < n; i++ {
+		if i == 3 {
+			return i
+		}
+	}
+	ino.Mu.Unlock()
+	return 0
 }
-`, 0},
+`, 1},
+		{"recursive leak reported once", lockFixturePrelude + `
+func bad(ino *inode, n int) {
+	ino.Mu.Lock()
+	if n > 0 {
+		bad(ino, n-1)
+	}
+}
+`, 1},
 		{"switch releases in every case", lockFixturePrelude + `
 func ok(ino *inode, n int) int {
 	ino.Mu.Lock()

@@ -7,8 +7,9 @@ import (
 )
 
 // This file is the one control-flow walker behind every path-sensitive
-// analysis: summaries (summary.go), the typestate engine (typestate.go),
-// lockorder, lockbalance and atomichygiene. The walker interprets Go's
+// analysis: summaries (summary.go, whose held-lock state lockbalance
+// reports), the typestate engine (typestate.go), lockorder and
+// atomichygiene. The walker interprets Go's
 // structured control flow over the AST — statement lists, if/else,
 // switch, type switch and select, for and range loops, labels,
 // break/continue/fallthrough/goto, and paths that end — and hands every

@@ -366,6 +366,23 @@ func bad(a, b *inode) int {
 	return release(a)
 }
 `, 1},
+		{"release inside an if condition", lockFixturePrelude + `
+func release(ino *inode) int { ino.Mu.Unlock(); return 0 }
+func ok(ino *inode) int {
+	ino.Mu.Lock()
+	if release(ino) > 0 {
+		return 1
+	}
+	return 0
+}
+`, 0},
+		{"release inside a return operand", lockFixturePrelude + `
+func release(ino *inode) int { ino.Mu.Unlock(); return 0 }
+func ok(ino *inode) int {
+	ino.Mu.Lock()
+	return release(ino) + 1
+}
+`, 0},
 		{"callee releasing a different argument", lockFixturePrelude + `
 func release(ino *inode) int { ino.Mu.Unlock(); return 0 }
 func bad(a, b *inode) int {

@@ -24,11 +24,11 @@ import (
 // printed.
 //
 // Nesting two instances of the *same* class has no class-level order, so
-// it is reported at the acquisition site unless the enclosing function's
-// name contains "lock" (ordered-acquisition helpers like nova's lockPair,
-// which orders by inode number, are exactly the sanctioned way to do
-// this). Callees that provably release a held lock on every normal path
-// (lockbalance's ownership-transfer summaries) discharge it from the
+// it is reported at the acquisition site unless the enclosing function is
+// a lock helper (see lockHelper; ordered-acquisition helpers like nova's
+// lockPair, which orders by inode number, are exactly the sanctioned way
+// to do this). Callees that provably release a held lock on every normal
+// path (Summary.Releases, through ReleasedLocks) discharge it from the
 // held set first, so unlock-then-relock callees are not misread as
 // nesting.
 //
@@ -126,7 +126,7 @@ func computeLockOrder(mod *ModuleInfo, out *passOut) {
 			out:      out,
 			ml:       ml,
 			node:     n,
-			lockName: strings.Contains(strings.ToLower(n.Decl.Name.Name), "lock"),
+			lockName: lockHelper(n.Decl.Name.Name),
 		}
 		walkFlow(w, n.Decl.Body, heldSet{})
 		// Function literals run in their own frame (deferred, spawned, or
@@ -207,8 +207,8 @@ type heldLock struct {
 
 // heldSet maps a rendered receiver ("ino.Mu") to its acquisition. Joins
 // keep locks held on either path: may-held biases toward seeing every
-// possible nesting (the opposite of lockbalance's must-held lockSet,
-// which biases against leak false positives).
+// possible nesting (the opposite of the summary walk's must-held
+// walkState.held, which biases lockbalance against leak false positives).
 type heldSet = maySet[heldLock]
 
 // lockWalker is lockorder's transfer for the flow walker: it tracks the
@@ -220,7 +220,7 @@ type lockWalker struct {
 	out      *passOut
 	ml       *moduleLocks
 	node     *FuncNode
-	lockName bool // name contains "lock": sanctioned ordering helper
+	lockName bool // a lock helper (see lockHelper): sanctioned ordering helper
 }
 
 func (w *lockWalker) stmt(s ast.Stmt, held heldSet) {
@@ -283,7 +283,7 @@ func (w *lockWalker) call(call *ast.CallExpr, held heldSet) {
 				released[r] = true
 			}
 		}
-		calleeLockName := strings.Contains(strings.ToLower(callee.Name()), "lock")
+		calleeLockName := lockHelper(callee.Name())
 		for _, r := range sortedKeys(held) {
 			if released[r] {
 				continue

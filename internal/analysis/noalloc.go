@@ -42,7 +42,7 @@ import (
 //
 // NoAlloc is a module-wide analyzer: summaries and root reachability are a
 // property of the whole module, precomputed by BuildModule and replayed
-// into the package owning each site (see runner.go for caching).
+// into the package owning each site.
 var NoAlloc = &Analyzer{
 	Name: "noalloc",
 	Doc:  "forbid heap allocation reachable from //easyio:hotpath roots",

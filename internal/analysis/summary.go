@@ -14,7 +14,8 @@ import (
 // nil value would let reach a blocking Park/Wait, whether every path
 // passes the completion gate, which CPU cost constants are charged how
 // many times, which param-rooted locks are released on every normal
-// exit, and where DMA completion SNs are read without a dominating gate.
+// exit, which locks a path still holds where it leaves the function, and
+// where DMA completion SNs are read without a dominating gate.
 // Summaries are propagated bottom-up over the call-graph SCCs
 // (callgraph.go) with a bounded fixpoint plus widening inside recursive
 // components, and analyzers consume them through Pass.Mod.
@@ -80,6 +81,14 @@ type SNRead struct {
 	Pos token.Pos
 }
 
+// Leak is a lock still held where a path leaves its function.
+type Leak struct {
+	Pos    token.Pos // the return, the panic or the closing brace
+	Where  string    // "return", "panic" or "function end"
+	Recv   string    // the rendered receiver ("ino.Mu")
+	Locked token.Pos // the Lock call
+}
+
 // Summary is the effect summary of one function. Parameter indices count
 // the declared parameters left to right starting at 0; the receiver is
 // index -1.
@@ -105,6 +114,9 @@ type Summary struct {
 	// canonLock) released on every normal exit, deferred unlocks
 	// included.
 	Releases map[string]bool
+	// Leaks are the locks still held at each exit, sorted by receiver
+	// within an exit; none in a lock helper (see lockHelper).
+	Leaks []Leak
 }
 
 // fingerprint renders the convergence-relevant parts of a summary so the
@@ -184,8 +196,8 @@ func emptySummary(n *FuncNode) *Summary {
 }
 
 // walkState is the abstract state along one control-flow path. A join
-// keeps the facts of both paths: non-nil proofs, gates and releases that
-// hold on each, and the interval union of the charges.
+// keeps the facts of both paths: non-nil proofs, gates, releases and
+// held locks that hold on each, and the interval union of the charges.
 type walkState struct {
 	// nonNil holds identifiers proven non-nil at this point.
 	nonNil mustSet[bool]
@@ -195,6 +207,9 @@ type walkState struct {
 	charges map[string]MinMax
 	// released holds canonical lock expressions released on this path.
 	released mustSet[bool]
+	// held maps a rendered lock receiver ("ino.Mu") to the Lock call
+	// that acquired it, for the locks held on this path.
+	held mustSet[token.Pos]
 }
 
 func newWalkState() *walkState {
@@ -202,6 +217,7 @@ func newWalkState() *walkState {
 		nonNil:   mustSet[bool]{},
 		charges:  map[string]MinMax{},
 		released: mustSet[bool]{},
+		held:     mustSet[token.Pos]{},
 	}
 }
 
@@ -211,6 +227,7 @@ func (w *walkState) Clone() *walkState {
 		gated:    w.gated,
 		charges:  maps.Clone(w.charges),
 		released: w.released.Clone(),
+		held:     w.held.Clone(),
 	}
 }
 
@@ -220,6 +237,7 @@ func (w *walkState) Join(o *walkState) *walkState {
 		gated:    w.gated && o.gated,
 		charges:  map[string]MinMax{},
 		released: w.released.Join(o.released),
+		held:     w.held.Join(o.held),
 	}
 	mergeCharges(out.charges, w.charges, o.charges)
 	return out
@@ -227,7 +245,8 @@ func (w *walkState) Join(o *walkState) *walkState {
 
 func (w *walkState) Equal(o *walkState) bool {
 	return w.gated == o.gated && w.nonNil.Equal(o.nonNil) &&
-		maps.Equal(w.charges, o.charges) && w.released.Equal(o.released)
+		maps.Equal(w.charges, o.charges) && w.released.Equal(o.released) &&
+		w.held.Equal(o.held)
 }
 
 // mergeCharges writes the per-key interval union of a and b into dst
@@ -286,6 +305,7 @@ func (m *ModuleInfo) summarize(n *FuncNode) *Summary {
 	}
 	if st, live := walkFlow(w, n.Decl.Body, newWalkState()); live {
 		w.recordExit(st)
+		w.recordLeaks(n.Decl.Body.Rbrace, "function end", st)
 	}
 	w.finish()
 	return w.sum
@@ -297,6 +317,17 @@ func (w *sumWalker) recordExit(st *walkState) {
 		ex.released[k] = true
 	}
 	w.exits = append(w.exits, ex)
+}
+
+// recordLeaks appends the locks st still holds where a path leaves the
+// function at pos.
+func (w *sumWalker) recordLeaks(pos token.Pos, where string, st *walkState) {
+	if lockHelper(w.node.Decl.Name.Name) {
+		return
+	}
+	for _, recv := range sortedKeys(st.held) {
+		w.sum.Leaks = append(w.sum.Leaks, Leak{Pos: pos, Where: where, Recv: recv, Locked: st.held[recv]})
+	}
 }
 
 // finish joins the recorded exits into the function-level summary.
@@ -324,14 +355,20 @@ func (w *sumWalker) stmt(s ast.Stmt, st *walkState) {
 	case *ast.ReturnStmt:
 		w.scanCalls(s, st)
 		w.recordExit(st)
+		w.recordLeaks(s.Pos(), "return", st)
 	case *ast.DeferStmt:
 		w.deferCall(s.Call, st)
 	case *ast.GoStmt:
 		// A spawned goroutine is a different execution context.
 	default:
 		w.scanCalls(s, st)
-		if as, ok := s.(*ast.AssignStmt); ok {
-			killAssigned(as, st)
+		switch s := s.(type) {
+		case *ast.AssignStmt:
+			killAssigned(s, st)
+		case *ast.ExprStmt:
+			if call, ok := s.X.(*ast.CallExpr); ok && isPanicCall(call) {
+				w.recordLeaks(s.Pos(), "panic", st)
+			}
 		}
 	}
 }
@@ -390,19 +427,22 @@ func (w *sumWalker) scanCalls(n ast.Node, st *walkState) {
 }
 
 // deferCall applies the exit-time effects of a deferred call: unlocks
-// (and callee releases) count on every subsequent exit.
+// (and callee releases) count on every subsequent exit, and discharge
+// the held lock now.
 func (w *sumWalker) deferCall(call *ast.CallExpr, st *walkState) {
 	if recv, kind := lockCall(call); kind == "unlock" {
 		if c := w.canonLock(recv); c != "" {
 			w.deferRelease[c] = true
 		}
 		st.released[recv] = true
+		delete(st.held, recv)
 		return
 	}
 	if callee := staticCallee(w.node.Pkg.Info, call); callee != nil {
 		if sum := w.mod.SummaryFor(callee); sum != nil {
 			for k := range w.substReleases(sum, call) {
 				w.deferRelease[k] = true
+				delete(st.held, k)
 			}
 		}
 	}
@@ -411,16 +451,18 @@ func (w *sumWalker) deferCall(call *ast.CallExpr, st *walkState) {
 // call applies one call expression's effects to the path state and the
 // function summary.
 func (w *sumWalker) call(call *ast.CallExpr, st *walkState) {
-	// Lock protocol: track releases (and re-acquisitions) of param-rooted
-	// locks for the Releases summary.
+	// Lock protocol: track held locks for Leaks, and releases (and
+	// re-acquisitions) of param-rooted locks for the Releases summary.
 	if recv, kind := lockCall(call); kind != "" {
 		switch kind {
 		case "unlock":
 			st.released[recv] = true
+			delete(st.held, recv)
 			if c := w.canonLock(recv); c != "" {
 				st.released[c] = true
 			}
 		case "lock":
+			st.held[recv] = call.Pos()
 			delete(st.released, recv)
 			if c := w.canonLock(recv); c != "" {
 				delete(st.released, c)
@@ -470,6 +512,7 @@ func (w *sumWalker) call(call *ast.CallExpr, st *walkState) {
 	}
 	for k := range w.substReleases(sum, call) {
 		st.released[k] = true
+		delete(st.held, k)
 	}
 	if sum.GatesAllPaths {
 		st.gated = true
@@ -513,9 +556,10 @@ func callArg(call *ast.CallExpr, idx int) ast.Expr {
 
 // ReleasedLocks maps a callee summary's param-rooted releases into
 // caller-side lock expressions at one call site ("§1.Mu" with arg 1
-// rendering as "ino" yields "ino.Mu"), sorted for determinism. This is
-// how lockbalance verifies ownership-transfer callees instead of
-// requiring an //easyio:allow escape.
+// rendering as "ino" yields "ino.Mu"), sorted for determinism. The
+// summary walk discharges these from a caller's held set, which is how
+// lockbalance verifies ownership-transfer callees instead of requiring
+// an //easyio:allow escape; lockorder reads them too.
 func ReleasedLocks(sum *Summary, call *ast.CallExpr) []string {
 	if sum == nil || len(sum.Releases) == 0 {
 		return nil
